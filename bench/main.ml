@@ -6,9 +6,8 @@
    2. runs Bechamel microbenchmarks of the simulator's hot paths.
 
    3. with --scale, runs ONLY the n-sweep scaling bench (ns/event,
-      events/s and minor-words/event at n in {64 .. 4096} under both
-      schedulers, plus a wheel-only large tier up to n = 1M with engine
-      footprints; see bench/scale.ml) so CI can smoke it without the
+      events/s and minor-words/event at n in {64 .. 4096}, plus a large
+      tier up to n = 1M with engine footprints; see bench/scale.ml) so CI can smoke it without the
       full suite. --repeat K reports the median of K timed runs per row.
 
    Usage: dune exec bench/main.exe [-- --quick] [-- --skip-micro]
@@ -136,24 +135,6 @@ let run_mcheck () =
 open Bechamel
 open Toolkit
 
-(* The queue is created and sized once, OUTSIDE the staged closure, and
-   fully drained each run: the benchmark measures steady-state push/pop,
-   not [create] (a fresh queue per run used to dominate the number). *)
-let bench_pqueue_n ~name ~elems =
-  let q = Dsim.Pqueue.create ~capacity:(2 * elems) () in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         for i = 0 to elems - 1 do
-           Dsim.Pqueue.push q ~time:(float_of_int ((i * 7919) mod elems)) i
-         done;
-         while not (Dsim.Pqueue.is_empty q) do
-           ignore (Dsim.Pqueue.pop q)
-         done))
-
-let bench_pqueue = bench_pqueue_n ~name:"pqueue push+pop x100" ~elems:100
-
-let bench_pqueue_10k = bench_pqueue_n ~name:"pqueue push+pop x10k" ~elems:10_000
-
 let bench_trace_record =
   (* Counters-only trace: the hot-path configuration of every experiment. *)
   let tr = Dsim.Trace.create () in
@@ -274,8 +255,7 @@ let bench_weighted_diameter =
 
 let microbenches =
   [
-    bench_pqueue; bench_pqueue_10k; bench_trace_record; bench_prng; bench_clock_value;
-    bench_params_b;
+    bench_trace_record; bench_prng; bench_clock_value; bench_params_b;
     bench_hetero_tolerance; bench_global_skew; bench_local_skew; bench_simulation;
     bench_simulation_faults; bench_flexible_distance; bench_weighted_diameter;
     bench_mcheck_explore;

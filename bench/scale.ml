@@ -1,14 +1,11 @@
 (* n-sweep scaling bench.
 
    Classic tier: end-to-end simulations at n in {64 .. 4096} on a path
-   and on the same path under random churn, run under BOTH schedulers
-   (event-heap timers vs the timer wheel), reporting ns/event,
-   events/s and minor-words/event. The two schedulers execute
-   byte-identical traces (pinned by test_parity), so the event counts
-   must agree and only the costs differ.
+   and on the same path under random churn, reporting ns/event,
+   events/s and minor-words/event.
 
-   Large tier (full mode; quick caps it at 64k): wheel scheduler on a
-   path at n in {16k, 64k, 256k, 1M} over a shorter horizon, recording
+   Large tier (full mode; quick caps it at 64k): a path at n in
+   {16k, 64k, 256k, 1M} over a shorter horizon, recording
    the engine's resident footprint. Consecutive sizes are 4x apart, so
    the footprint ratio distinguishes O(n + live edges) growth (~4x) from
    a pair-keyed O(n^2) regression (~16x); the sweep fails if any ratio
@@ -20,7 +17,7 @@
 
    Run standalone via [bench/main.exe -- --scale [--quick] [--repeat K]
    [--scale-out FILE]]; --repeat K re-runs every timed row K times and
-   reports the median-of-K by ns/event, which takes the scheduler-noise
+   reports the median-of-K by ns/event, which takes the OS-scheduler
    jitter out of single-shot numbers. The sweep ends with an E1-style
    check that the global skew bound G(n) — linear in n — still holds
    end-to-end at n = 1024. *)
@@ -30,7 +27,6 @@ module Table = Analysis.Table
 type row = {
   topo : string;  (* "path" or "churn" *)
   n : int;
-  scheduler : Gcs.Sim.scheduler;
   shards : int;
   jobs : int;  (* domains dispatching the parallel windows *)
   events : int;
@@ -60,14 +56,14 @@ let large_sizes ~quick =
   if quick then [ 16_384; 65_536 ]
   else [ 16_384; 65_536; 262_144; 1_048_576 ]
 
-let build ?(faults = []) ?(shards = 1) ?(horizon = horizon) ~scheduler ~n ~churn () =
+let build ?(faults = []) ?(shards = 1) ?(horizon = horizon) ~n ~churn () =
   let params = Gcs.Params.make ~n () in
   let edges = Topology.Static.path n in
   let clocks = Gcs.Drift.assign params ~horizon ~seed:1 Gcs.Drift.Split_extremes in
   let delay = Dsim.Delay.maximal ~bound:params.Gcs.Params.delay_bound in
   let cfg =
-    Gcs.Sim.config ~scheduler ~shards ~params ~clocks ~delay ~initial_edges:edges
-      ~faults ~fault_seed:3 ()
+    Gcs.Sim.config ~shards ~params ~clocks ~delay ~initial_edges:edges ~faults
+      ~fault_seed:3 ()
   in
   let sim = Gcs.Sim.create cfg in
   if churn then
@@ -99,9 +95,8 @@ let timed_run sim ~jobs ~horizon =
   end
   else Gcs.Sim.run_until sim horizon
 
-let measure_once ?faults ?shards ?(jobs = 1) ?(horizon = horizon) ~scheduler ~n
-    ~churn () =
-  let sim = build ?faults ?shards ~horizon ~scheduler ~n ~churn () in
+let measure_once ?faults ?shards ?(jobs = 1) ?(horizon = horizon) ~n ~churn () =
+  let sim = build ?faults ?shards ~horizon ~n ~churn () in
   Gc.full_major ();
   let m0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
@@ -115,7 +110,6 @@ let measure_once ?faults ?shards ?(jobs = 1) ?(horizon = horizon) ~scheduler ~n
   {
     topo = (if churn then "churn" else "path");
     n;
-    scheduler;
     shards = Dsim.Engine.shards engine;
     jobs;
     events;
@@ -132,10 +126,10 @@ let measure_once ?faults ?shards ?(jobs = 1) ?(horizon = horizon) ~scheduler ~n
 (* Median-of-K by ns/event. Everything but the wall clock is
    deterministic across repeats (same events, same footprint), so the
    median only picks which timing to report. *)
-let measure ?faults ?shards ?jobs ?horizon ~repeat ~scheduler ~n ~churn () =
+let measure ?faults ?shards ?jobs ?horizon ~repeat ~n ~churn () =
   let runs =
     List.init (max 1 repeat) (fun _ ->
-        measure_once ?faults ?shards ?jobs ?horizon ~scheduler ~n ~churn ())
+        measure_once ?faults ?shards ?jobs ?horizon ~n ~churn ())
   in
   let sorted =
     List.sort (fun a b -> Float.compare a.ns_per_event b.ns_per_event) runs
@@ -149,7 +143,7 @@ let measure ?faults ?shards ?jobs ?horizon ~repeat ~scheduler ~n ~churn () =
    its ns/event must track the sweep rows above. *)
 let fault_overhead_check ~repeat () =
   let n = 1024 in
-  let baseline = measure ~repeat ~scheduler:Gcs.Sim.Wheel ~n ~churn:false () in
+  let baseline = measure ~repeat ~n ~churn:false () in
   let faults =
     List.concat
       (List.init 8 (fun k ->
@@ -164,7 +158,7 @@ let fault_overhead_check ~repeat () =
         Dsim.Fault.Byzantine { node = 512; from_ = 15.; until = 35. };
       ]
   in
-  let faulted = measure ~faults ~repeat ~scheduler:Gcs.Sim.Wheel ~n ~churn:false () in
+  let faulted = measure ~faults ~repeat ~n ~churn:false () in
   (baseline, faulted)
 
 (* E1-style end-of-sweep check: the paper's G(n) bound is linear in n;
@@ -173,7 +167,7 @@ let fault_overhead_check ~repeat () =
    recorder's probes do not pollute the cost numbers). *)
 let g_linearity_check () =
   let n = 1024 in
-  let sim = build ~scheduler:Gcs.Sim.Wheel ~n ~churn:false () in
+  let sim = build ~n ~churn:false () in
   let params = Gcs.Sim.params sim in
   let recorder =
     Gcs.Metrics.attach (Gcs.Sim.engine sim) (Gcs.Sim.view sim)
@@ -198,17 +192,15 @@ let memory_growth_check large_rows =
   let rs = ratios large_rows in
   (rs, List.for_all (fun (_, _, r) -> r <= 8.) rs)
 
-let scheduler_of_row r = Gcs.Sim.scheduler_to_string r.scheduler
-
 let row_json buf r ~last =
   Printf.bprintf buf
-    "    {\"topo\": %S, \"n\": %d, \"scheduler\": %S, \"shards\": %d, \
+    "    {\"topo\": %S, \"n\": %d, \"shards\": %d, \
      \"jobs\": %d, \"events\": %d, \"ns_per_event\": %.1f, \
      \"events_per_s\": %.0f, \"minor_words_per_event\": %.2f, \
      \"wall_s\": %.3f, \"footprint_words\": %d, \"windows\": %d, \
      \"barriers\": %d, \"windows_per_barrier\": %.2f, \
      \"cross_shard_events\": %d}%s\n"
-    r.topo r.n (scheduler_of_row r) r.shards r.jobs r.events r.ns_per_event
+    r.topo r.n r.shards r.jobs r.events r.ns_per_event
     r.events_per_s r.words_per_event r.wall_s r.footprint_words r.windows
     r.barriers
     (if r.barriers = 0 then 0. else float_of_int r.windows /. float_of_int r.barriers)
@@ -221,8 +213,8 @@ let write_json path ~quick ~repeat rows large_rows (gn, gskew, gbound, gpass)
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     "  \"description\": \"n-sweep scaling: end-to-end sim cost per event, \
-     heap vs wheel scheduler, path and churned topologies, plus a \
-     large-n wheel tier with engine footprints\",\n";
+     path and churned topologies, plus a large-n tier with engine \
+     footprints\",\n";
   Printf.bprintf buf "  \"horizon\": %g,\n" horizon;
   Printf.bprintf buf "  \"horizon_large\": %g,\n" horizon_large;
   Printf.bprintf buf "  \"quick\": %b,\n" quick;
@@ -253,7 +245,7 @@ let write_json path ~quick ~repeat rows large_rows (gn, gskew, gbound, gpass)
   close_out oc
 
 let row_columns =
-  [ "topology"; "n"; "sched"; "shards"; "jobs"; "events"; "ns/event"; "Mev/s";
+  [ "topology"; "n"; "shards"; "jobs"; "events"; "ns/event"; "Mev/s";
     "words/event"; "wall s"; "footprint Mw"; "barriers"; "win/bar" ]
 
 let add_row table r =
@@ -261,7 +253,6 @@ let add_row table r =
     [
       Table.Str r.topo;
       Table.Int r.n;
-      Table.Str (scheduler_of_row r);
       Table.Int r.shards;
       Table.Int r.jobs;
       Table.Int r.events;
@@ -277,14 +268,14 @@ let add_row table r =
     ]
 
 (* The CI allocation guard (and a fast local A/B driver): one sequential
-   n=1024 path run under the wheel scheduler — the classic-tier row CI
+   n=1024 path run — the classic-tier row CI
    budgets against — checked against a minor-words/event ceiling.
    Allocation per event is deterministic (no wall-clock noise), so a
    single run suffices and a regression fails loudly. *)
 let budget ?(limit = 19.) () =
-  let r = measure_once ~scheduler:Gcs.Sim.Wheel ~n:1024 ~churn:false () in
+  let r = measure_once ~n:1024 ~churn:false () in
   Format.printf
-    "allocation budget: n=%d path wheel sequential — %d events, %.2f \
+    "allocation budget: n=%d path sequential — %d events, %.2f \
      minor-words/event (ceiling %.1f)@."
     r.n r.events r.words_per_event limit;
   if r.words_per_event > limit then begin
@@ -303,44 +294,22 @@ let run ~quick ~repeat ~out () =
      large tier honors --repeat as given. *)
   let classic_repeat = max 3 repeat in
   Format.printf
-    "scaling sweep (horizon=%g, %s mode, median of %d classic / %d large; \
-     both schedulers)@.@."
+    "scaling sweep (horizon=%g, %s mode, median of %d classic / %d large)@.@."
     horizon
     (if quick then "quick" else "full")
     classic_repeat repeat;
   let rows =
     List.concat_map
       (fun churn ->
-        List.concat_map
-          (fun n ->
-            List.map
-              (fun scheduler ->
-                measure ~repeat:classic_repeat ~scheduler ~n ~churn ())
-              [ Gcs.Sim.Heap; Gcs.Sim.Wheel ])
+        List.map
+          (fun n -> measure ~repeat:classic_repeat ~n ~churn ())
           (sizes ~quick))
       [ false; true ]
   in
-  let table =
-    Table.create ~title:"End-to-end cost per event, heap vs wheel scheduler"
-      ~columns:row_columns
-  in
+  let table = Table.create ~title:"End-to-end cost per event" ~columns:row_columns in
   List.iter (add_row table) rows;
   Format.printf "%a@." Table.pp table;
-  (* Same-(topo, n) pairs run back to back, heap first: fold into a
-     speedup summary and check event-count parity while at it. *)
-  let parity_ok = ref true in
-  let speedups = Table.create ~title:"Wheel speedup" ~columns:[ "topology"; "n"; "heap/wheel" ] in
-  let rec pair = function
-    | ({ scheduler = Gcs.Sim.Heap; _ } as h) :: ({ scheduler = Gcs.Sim.Wheel; _ } as w) :: rest ->
-      if h.events <> w.events then parity_ok := false;
-      Table.add_row speedups
-        [ Table.Str h.topo; Table.Int h.n; Table.Float (h.ns_per_event /. w.ns_per_event) ];
-      pair rest
-    | _ -> ()
-  in
-  pair rows;
-  Format.printf "%a@." Table.pp speedups;
-  (* Large tier: wheel only, shorter horizon, engine footprint recorded.
+  (* Large tier: shorter horizon, engine footprint recorded.
      Sizes from 64k up additionally run sharded (K = 4) with the window
      dispatch on 1 and on 4 domains — barrier-seam cost and the actual
      parallel speedup, side by side. *)
@@ -348,14 +317,13 @@ let run ~quick ~repeat ~out () =
     List.concat_map
       (fun n ->
         let base =
-          measure ~repeat ~horizon:horizon_large ~scheduler:Gcs.Sim.Wheel ~n
-            ~churn:false ()
+          measure ~repeat ~horizon:horizon_large ~n ~churn:false ()
         in
         if n < 65_536 then [ base ]
         else
           let sharded jobs =
-            measure ~repeat ~shards:4 ~jobs ~horizon:horizon_large
-              ~scheduler:Gcs.Sim.Wheel ~n ~churn:false ()
+            measure ~repeat ~shards:4 ~jobs ~horizon:horizon_large ~n
+              ~churn:false ()
           in
           [ base; sharded 1; sharded 4 ])
       (large_sizes ~quick)
@@ -369,7 +337,7 @@ let run ~quick ~repeat ~out () =
       large_rows
   in
   let large_table =
-    Table.create ~title:"Large-n tier (wheel, path)" ~columns:row_columns
+    Table.create ~title:"Large-n tier (path)" ~columns:row_columns
   in
   List.iter (add_row large_table) large_rows;
   Format.printf "%a@." Table.pp large_table;
@@ -387,21 +355,18 @@ let run ~quick ~repeat ~out () =
     (if shard_parity_ok then "PASS" else "FAIL");
   let no_fault, with_fault = fault_overhead_check ~repeat () in
   Format.printf
-    "fault path at n=1024 (wheel): empty schedule %.1f ns/event, campaign %.1f \
+    "fault path at n=1024: empty schedule %.1f ns/event, campaign %.1f \
      ns/event (%d vs %d events)@."
     no_fault.ns_per_event with_fault.ns_per_event no_fault.events with_fault.events;
   let ((gn, gskew, gbound, gpass) as g) = g_linearity_check () in
   Format.printf "G(n) linearity at n=%d: max global skew %.4f vs bound %.4f -> %s@."
     gn gskew gbound
     (if gpass then "PASS" else "FAIL");
-  Format.printf "event-count parity across schedulers: %s@."
-    (if !parity_ok then "PASS" else "FAIL");
   Option.iter
     (fun path ->
       write_json path ~quick ~repeat rows large_rows g (mem_ratios, mem_pass);
       Format.printf "wrote %s@." path)
     out;
   (if gpass then 0 else 1)
-  + (if !parity_ok then 0 else 1)
   + (if mem_pass then 0 else 1)
   + if shard_parity_ok then 0 else 1

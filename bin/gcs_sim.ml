@@ -180,8 +180,6 @@ type delay_kind = Ymax | Yzero | Yuniform
 
 let delay_conv = Arg.enum [ ("max", Ymax); ("zero", Yzero); ("uniform", Yuniform) ]
 
-let scheduler_conv = Arg.enum [ ("heap", Gcs.Sim.Heap); ("wheel", Gcs.Sim.Wheel) ]
-
 let build_topology kind ~n ~seed =
   let module S = Topology.Static in
   match kind with
@@ -260,13 +258,6 @@ let sim_cmd =
                 (FIFO, delay <= T, discovery <= D, epochs) and sample the paper \
                 guarantees while running. Exits non-zero on any violation.")
   in
-  let scheduler =
-    Arg.(value & opt scheduler_conv Gcs.Sim.Wheel
-         & info [ "scheduler" ] ~docv:"SCHED"
-             ~doc:
-               "Timer scheduler: wheel (default) or heap. Both produce the same \
-                execution; heap is the reference path.")
-  in
   let faults =
     Arg.(value & opt string ""
          & info [ "faults" ] ~docv:"SPEC"
@@ -329,7 +320,7 @@ let sim_cmd =
                 algorithms with per-peer timeouts shorter than dT'.")
   in
   let run n rho b0 seed topology algo drift delay horizon churn_rate new_edge timeline
-      plot loss csv trace_csv audit scheduler shards jobs partition window_stats
+      plot loss csv trace_csv audit shards jobs partition window_stats
       fault_spec no_gap_check no_lost_check =
     let params = make_params ~n ~rho ~b0 in
     if shards < 1 then begin
@@ -412,7 +403,7 @@ let sim_cmd =
       else Dsim.Trace.create ()
     in
     let cfg =
-      Gcs.Sim.config ~algo ~scheduler ~shards ~partition ~params ~clocks
+      Gcs.Sim.config ~algo ~shards ~partition ~params ~clocks
         ~delay:delay_policy ~initial_edges:edges ~trace ~faults ~fault_seed:seed ()
     in
     let sim = Gcs.Sim.create cfg in
@@ -453,9 +444,8 @@ let sim_cmd =
             (fun () -> Gcs.Sim.run_until sim horizon))
     else Gcs.Sim.run_until sim horizon;
     Format.printf "%a@.@." Gcs.Params.pp params;
-    Format.printf "algo=%s scheduler=%s topology=%s n=%d horizon=%g seed=%d@."
+    Format.printf "algo=%s topology=%s n=%d horizon=%g seed=%d@."
       (Gcs.Sim.algo_to_string algo)
-      (Gcs.Sim.scheduler_to_string scheduler)
       (match topology with
       | Path -> "path" | Ring -> "ring" | Star -> "star" | Grid -> "grid"
       | Complete -> "complete" | Tree -> "tree" | Er -> "er" | Geometric -> "geometric"
@@ -624,7 +614,7 @@ let sim_cmd =
     Term.(
       const run $ n_arg $ rho_arg $ b0_arg $ seed_arg $ topology $ algo $ drift $ delay
       $ horizon $ churn_rate $ new_edge $ timeline $ plot $ loss $ csv $ trace_csv
-      $ audit $ scheduler $ shards $ jobs $ partition $ window_stats $ faults
+      $ audit $ shards $ jobs $ partition $ window_stats $ faults
       $ no_gap_check $ no_lost_check)
 
 (* ------------------------------- fuzz ------------------------------ *)
@@ -791,21 +781,6 @@ let mcheck_cmd =
                "Skip exploration and deterministically replay this one-line mcheck \
                 spec (as printed for a counterexample).")
   in
-  let scheduler =
-    Arg.(value & opt scheduler_conv Gcs.Sim.Heap
-         & info [ "scheduler" ] ~docv:"SCHED"
-             ~doc:
-               "Timer scheduler for the explored engine. Only heap is \
-                supported: the adversary tie-break hook needs the single \
-                totally-ordered event queue.")
-  in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"K"
-             ~doc:
-               "Shard count for the explored engine. Only 1 is supported \
-                (see --scheduler).")
-  in
   let pp_stats fmt (o : Mcheck.Explorer.outcome) =
     Format.fprintf fmt
       "traces=%d pruned=%d states=%d choices=%d events=%d%s%s"
@@ -821,23 +796,7 @@ let mcheck_cmd =
     Format.printf "wrote %s@." path
   in
   let run n depth delays drifts horizon churn fault_spec fault_grid no_tie max_states
-      budget_ms max_violations out replay scheduler shards =
-    (* Validated up front like sim's node-id checks: the explorer drives
-       the engine through Engine.set_tie_break, which only the
-       single-shard heap scheduler supports — anything else used to
-       surface as a raw Invalid_argument backtrace mid-run. *)
-    if scheduler <> Gcs.Sim.Heap || shards <> 1 then begin
-      Format.eprintf
-        "mcheck requires --scheduler heap and --shards 1 (got scheduler=%s \
-         shards=%d): exhaustive exploration enumerates same-instant \
-         dispatch orders through the engine's adversary tie-break hook, \
-         which only the single-shard heap scheduler supports. The parity \
-         suite separately pins that wheel and sharded runs are \
-         byte-identical to what mcheck explores.@."
-        (Gcs.Sim.scheduler_to_string scheduler)
-        shards;
-      exit 2
-    end;
+      budget_ms max_violations out replay =
     match replay with
     | Some spec_line -> (
       match Mcheck.Spec.of_spec spec_line with
@@ -974,8 +933,7 @@ let mcheck_cmd =
   Cmd.v (Cmd.info "mcheck" ~doc)
     Term.(
       const run $ n $ depth $ delays $ drifts $ horizon $ churn $ fault_spec
-      $ fault_grid $ no_tie $ max_states $ budget_ms $ max_violations $ out $ replay
-      $ scheduler $ shards)
+      $ fault_grid $ no_tie $ max_states $ budget_ms $ max_violations $ out $ replay)
 
 (* ------------------------------- main ------------------------------ *)
 

@@ -70,7 +70,10 @@ let create_sim ?discovery_lag ~params ~clocks ~delay ~link_bound ~initial_edges 
     | Some lag -> lag
     | None -> 0.9 *. params.Params.discovery_bound
   in
-  let engine = Engine.create ~clocks ~delay ~discovery_lag ~initial_edges () in
+  let engine =
+    Engine.create ~clocks ~delay ~discovery_lag ~initial_edges
+      ~timer_label:Proto.timer_label ()
+  in
   let nodes = Array.make n None in
   for i = 0 to n - 1 do
     Engine.install engine i (fun ctx ->

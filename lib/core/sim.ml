@@ -8,10 +8,6 @@ let algo_to_string = function
   | Flat_gradient -> "flat-gradient"
   | Max_only -> "max-only"
 
-type scheduler = Heap | Wheel
-
-let scheduler_to_string = function Heap -> "heap" | Wheel -> "wheel"
-
 type config = {
   params : Params.t;
   clocks : Hwclock.t array;
@@ -20,16 +16,15 @@ type config = {
   initial_edges : (int * int) list;
   algo : algo;
   trace : Dsim.Trace.t option;
-  scheduler : scheduler;
   shards : int;
   partition : [ `Contiguous | `Greedy | `Explicit of int array ];
   faults : Dsim.Fault.schedule;
   fault_seed : int;
 }
 
-let config ?(algo = Gradient) ?discovery_lag ?trace ?(scheduler = Wheel)
-    ?(shards = 1) ?(partition = `Contiguous) ?(faults = []) ?(fault_seed = 0)
-    ~params ~clocks ~delay ~initial_edges () =
+let config ?(algo = Gradient) ?discovery_lag ?trace ?(shards = 1)
+    ?(partition = `Contiguous) ?(faults = []) ?(fault_seed = 0) ~params ~clocks
+    ~delay ~initial_edges () =
   let discovery_lag =
     match discovery_lag with
     | Some lag -> lag
@@ -50,8 +45,8 @@ let config ?(algo = Gradient) ?discovery_lag ?trace ?(scheduler = Wheel)
   | Ok () -> ()
   | Error m -> invalid_arg ("Sim.config: " ^ m));
   if shards < 1 then invalid_arg "Sim.config: shards must be positive";
-  { params; clocks; delay; discovery_lag; initial_edges; algo; trace; scheduler;
-    shards; partition; faults; fault_seed }
+  { params; clocks; delay; discovery_lag; initial_edges; algo; trace; shards;
+    partition; faults; fault_seed }
 
 type impl = Gradient_node of Node.t | Max_node of Baseline_max.t
 
@@ -62,14 +57,10 @@ type t = {
 }
 
 let create cfg =
-  let scheduler =
-    match cfg.scheduler with
-    | Heap -> `Heap
-    (* Level-0 buckets a fraction of the shortest timer period (ΔH), so
-       consecutive ticks land in distinct granules and the cursor does a
-       handful of cheap slot scans per fire. *)
-    | Wheel -> `Wheel (cfg.params.Params.delta_h /. 16.)
-  in
+  (* Level-0 wheel buckets a fraction of the shortest timer period (ΔH),
+     so consecutive ticks land in distinct granules and the cursor does a
+     handful of cheap slot scans per fire. *)
+  let scheduler = `Wheel (cfg.params.Params.delta_h /. 16.) in
   (* Byzantine corruption lies *upward*: for a max-propagation family the
      damaging direction is inflating ⟨L, Lmax⟩, which drags every honest
      neighbour's estimates (and hence clocks) ahead. The lie is scaled to

@@ -15,14 +15,6 @@ type algo =
 
 val algo_to_string : algo -> string
 
-type scheduler =
-  | Heap  (** timers share the engine's event heap *)
-  | Wheel
-      (** timers live in a hierarchical timer wheel (granularity
-          [ΔH / 16]); identical executions, lower cost at large [n] *)
-
-val scheduler_to_string : scheduler -> string
-
 type config = {
   params : Params.t;
   clocks : Dsim.Hwclock.t array;
@@ -31,7 +23,6 @@ type config = {
   initial_edges : (int * int) list;
   algo : algo;
   trace : Dsim.Trace.t option;
-  scheduler : scheduler;
   shards : int;
   partition : [ `Contiguous | `Greedy | `Explicit of int array ];
   faults : Dsim.Fault.schedule;
@@ -42,7 +33,6 @@ val config :
   ?algo:algo ->
   ?discovery_lag:float ->
   ?trace:Dsim.Trace.t ->
-  ?scheduler:scheduler ->
   ?shards:int ->
   ?partition:[ `Contiguous | `Greedy | `Explicit of int array ] ->
   ?faults:Dsim.Fault.schedule ->
@@ -56,12 +46,11 @@ val config :
 (** [discovery_lag] defaults to [0.9 *. params.discovery_bound]; it must
     not exceed [params.discovery_bound]. Raises [Invalid_argument] if the
     clocks violate the drift bound, the array length differs from
-    [params.n], or [faults] fails {!Dsim.Fault.validate}. [scheduler]
-    defaults to [Wheel]; both schedulers produce the same execution
-    (pinned by a byte-identical-trace parity test), so the choice is
-    purely a performance one. [shards] (default 1) partitions the engine's
-    node state into that many independently scheduled lanes; executions
-    are byte-identical at every value (see {!Dsim.Engine.create}).
+    [params.n], or [faults] fails {!Dsim.Fault.validate}. Timers wait in
+    the engine's timer wheel with [ΔH / 16] granules. [shards] (default
+    1) partitions the engine's node state into that many independently
+    scheduled lanes; executions are byte-identical at every value (see
+    {!Dsim.Engine.create}).
     [partition] (default [`Contiguous]) chooses how nodes map to shards:
     [`Greedy] runs the traffic-aware edge-cut partitioner over the
     initial topology, [`Explicit] supplies the map — both pure

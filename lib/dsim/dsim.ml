@@ -8,16 +8,13 @@
 module Prng = Prng
 (** Deterministic splittable PRNG (splitmix64). *)
 
-module Pqueue = Pqueue
-(** Timestamped event queue (binary heap, FIFO at equal times). *)
-
 module Equeue = Equeue
 (** Flat SoA event queue the engine schedules on: int-encoded events in
     an indirect heap, allocation-free push/pop. *)
 
 module Timewheel = Timewheel
-(** Hierarchical timer wheel the engine can keep armed timers in instead
-    of the event heap. *)
+(** Hierarchical timer wheel the engine keeps armed timers in, outside
+    the event queue. *)
 
 module Hwclock = Hwclock
 (** Piecewise-linear drifting hardware clocks with exact inverses. *)

@@ -9,7 +9,7 @@
      k_discover_rm     node   peer     epoch
      k_absence         node   peer
      k_deliver         src    dst      epoch  inc    'msg
-     k_timer           node   gen                    'timer (heap mode)
+     k_timer           node   label    gen
      k_crash           node
      k_restart         node   corrupt
      k_callback                                      unit -> unit
@@ -17,7 +17,9 @@
 
    [rsvd] on topology events records whether the edge's graph storage
    was pre-allocated at schedule time (Dyngraph.reserve), which is what
-   licenses in-window dispatch when both endpoints share a shard. *)
+   licenses in-window dispatch when both endpoints share a shard. Timers
+   wait in the per-shard wheels, never in a queue: [k_timer] only tags
+   a wheel entry held in the tie-break scratch. *)
 let k_edge_add = 0
 let k_edge_remove = 1
 let k_discover_add = 2
@@ -127,9 +129,9 @@ module Iset = struct
     end
 end
 
-(* One node's armed timers under the wheel scheduler, sorted by encoded
-   label: the live generation plus the ['timer] value to hand back to
-   [on_timer] when the wheel entry surfaces. Values are [Obj.t] so a
+(* One node's armed timers, sorted by encoded label: the live generation
+   plus the ['timer] value to hand back to [on_timer] when the wheel
+   entry surfaces. Values are [Obj.t] so a
    retired slot can be reset to a sentinel, exactly as in [Equeue]; the
    casts never escape: every stored value is a ['timer] of the owning
    engine and slots at or beyond [len] always hold [dummy]. *)
@@ -161,9 +163,11 @@ module Armed = struct
       s.vals <- vs
     end;
     let tail = s.len - at in
-    Array.blit s.labels at s.labels (at + 1) tail;
-    Array.blit s.gens at s.gens (at + 1) tail;
-    Array.blit s.vals at s.vals (at + 1) tail;
+    if tail > 0 then begin
+      Array.blit s.labels at s.labels (at + 1) tail;
+      Array.blit s.gens at s.gens (at + 1) tail;
+      Array.blit s.vals at s.vals (at + 1) tail
+    end;
     s.labels.(at) <- label;
     s.gens.(at) <- gen;
     s.vals.(at) <- v;
@@ -171,9 +175,11 @@ module Armed = struct
 
   let remove_at s i =
     let tail = s.len - i - 1 in
-    Array.blit s.labels (i + 1) s.labels i tail;
-    Array.blit s.gens (i + 1) s.gens i tail;
-    Array.blit s.vals (i + 1) s.vals i tail;
+    if tail > 0 then begin
+      Array.blit s.labels (i + 1) s.labels i tail;
+      Array.blit s.gens (i + 1) s.gens i tail;
+      Array.blit s.vals (i + 1) s.vals i tail
+    end;
     s.len <- s.len - 1;
     s.vals.(s.len) <- dummy
 end
@@ -263,14 +269,12 @@ module Outbox = struct
   let footprint_words ob = 9 * Array.length ob.dst
 end
 
-type sched = Heap | Wheel
-
 (* Live fault-injection state. Allocated only when the engine was created
    with a non-empty schedule, so the no-fault hot path pays exactly one
    option-tag check per send/delivery. The PRNG drives every fault-local
    draw (duplicate delays, Byzantine corruption, restart-state
    corruption); draws happen in dispatch/send order, which is identical
-   under both schedulers, so fault schedules replay byte-identically. *)
+   at every shard count, so fault schedules replay byte-identically. *)
 type fault_state = {
   ops : Fault.schedule;
   fprng : Prng.t;
@@ -289,8 +293,9 @@ type fscratch = {
 }
 
 (* Scratch for the tie-break hook: the same-instant event group is popped
-   out of the queue registers into these parallel arrays before the hook
-   picks which member dispatches next. *)
+   out of the queue and the wheel into these parallel arrays, in seq
+   order, before the hook picks which member dispatches next. Wheel
+   entries carry kind [k_timer]. *)
 type tb_scratch = {
   mutable tb_seq : int array;
   mutable tb_kind : int array;
@@ -381,7 +386,7 @@ type ('msg, 'timer) t = {
      a contiguous split, the traffic-aware greedy partitioner or an
      explicit caller array ([[||]] at one shard; nodes joining after
      construction land in the last shard). Each shard owns an event
-     queue, an outbox and — under the wheel scheduler — a timer wheel.
+     queue, an outbox and a timer wheel.
      Sequentially-created events draw ranks from one global sequence
      counter; window-created events get provisional block ranks that the
      barrier rewrites to the exact sequential ranks, so the (time, seq)
@@ -398,18 +403,15 @@ type ('msg, 'timer) t = {
          to final ranks, pending dispatch by the destination lane inside
          the still-open window; drained into the real queues at the
          barrier *)
-  wheels : Timewheel.t array; (* per shard; empty under Heap *)
+  wheels : Timewheel.t array; (* per shard *)
   lanes : lane array; (* per shard *)
   control : Equeue.t; (* order-sensitive global events; empty at shards=1 *)
   trace : Trace.t;
   mutable handlers : ('msg, 'timer) handlers option array;
-  timer_label : ('timer -> int) option;
-      (* Encodes a label for Timer_fire/Timer_stale trace records; the
-         wheel scheduler additionally keys its dense tables by it. *)
-  sched : sched;
-  mutable timers : ('timer, int) Hashtbl.t array;
-      (* heap mode: label -> live generation *)
-  mutable armed : Armed.t array; (* wheel mode: per-node armed-label table *)
+  timer_label : 'timer -> int;
+      (* Encodes a label for Timer_fire/Timer_stale trace records and
+         keys the armed tables and wheel entries. *)
+  mutable armed : Armed.t array; (* per-node armed-label table *)
   mutable absence_pending : Iset.t array;
       (* node -> peers with a pending absence notice *)
   mutable fifo : Fifo_store.t array; (* src -> per-destination delivery floors *)
@@ -456,8 +458,8 @@ type ('msg, 'timer) t = {
   mutable restart_handlers : (corrupt:Prng.t option -> unit) option array;
   mutable tie_break : (int -> int) option;
       (* Adversary hook: given the size k of the same-instant event group
-         at the queue head, returns the index (in seq order) of the event
-         to dispatch next. Heap scheduler + single shard only. *)
+         across the queue and the wheel, returns the index (in seq order)
+         of the event to dispatch next. Single shard only. *)
   tb : tb_scratch;
 }
 
@@ -695,9 +697,8 @@ let partition ?prev ?(threshold = 0.1) ~shards g =
 let greedy_partition ~shards g = partition ~shards g
 
 let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
-    ?timer_label ?(scheduler = `Heap) ?(shards = 1)
-    ?(partition = `Contiguous) ?(faults = []) ?(fault_seed = 0) ?corrupt_msg
-    () =
+    ~timer_label ?scheduler ?(shards = 1) ?(partition = `Contiguous)
+    ?(faults = []) ?(fault_seed = 0) ?corrupt_msg () =
   let n = Array.length clocks in
   if n = 0 then invalid_arg "Engine.create: no nodes";
   if discovery_lag < 0. then invalid_arg "Engine.create: negative discovery lag";
@@ -717,13 +718,13 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
           f_inc = Array.make n 0;
         }
   in
-  let sched, granularity =
+  (* Granularity sets how many slot scans a wheel fire costs, never the
+     dispatch order; without a caller's choice, a sixteenth of the delay
+     bound keeps message-scale timeouts a few granules apart. *)
+  let granularity =
     match scheduler with
-    | `Heap -> (Heap, 0.)
-    | `Wheel granularity ->
-      if timer_label = None then
-        invalid_arg "Engine.create: the wheel scheduler needs ~timer_label";
-      (Wheel, granularity)
+    | Some (`Wheel g) -> g
+    | None -> if delay.Delay.bound > 0. then delay.Delay.bound /. 16. else 1.
   in
   let qcap = max 64 (8 * n / shards) in
   let tr = match trace with Some tr -> tr | None -> Trace.create () in
@@ -791,24 +792,13 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       queues = Array.init shards (fun _ -> Equeue.create ~capacity:qcap ());
       outboxes = Array.init shards (fun _ -> Outbox.create ());
       inboxes = Array.init shards (fun _ -> Equeue.create ~capacity:16 ());
-      wheels =
-        (match sched with
-        | Heap -> [||]
-        | Wheel -> Array.init shards (fun _ -> Timewheel.create ~granularity ()));
+      wheels = Array.init shards (fun _ -> Timewheel.create ~granularity ());
       lanes;
       control = Equeue.create ~capacity:64 ();
       trace = tr;
       handlers = Array.make n None;
       timer_label;
-      sched;
-      timers =
-        (match sched with
-        | Heap -> Array.init n (fun _ -> Hashtbl.create 8)
-        | Wheel -> [||]);
-      armed =
-        (match sched with
-        | Heap -> [||]
-        | Wheel -> Array.init n (fun _ -> Armed.create ()));
+      armed = Array.init n (fun _ -> Armed.create ());
       absence_pending = Array.init n (fun _ -> Iset.create ());
       fifo = Array.init n (fun _ -> Fifo_store.create ());
       gens = Array.make n 0;
@@ -864,8 +854,8 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
         no_payload)
     fresh_edges;
   (* Crash/restart ops flow through the shared queues as first-class
-     events: both schedulers pop them at identical (time, seq) ranks, so
-     fault timing can never desynchronize the heap and wheel traces. *)
+     events at fixed (time, seq) ranks, so fault timing is part of the
+     one total dispatch order. *)
   List.iter
     (fun op ->
       match op with
@@ -903,9 +893,7 @@ let ensure_nodes t n' =
     let gens' = Array.make cap' 0 in
     Array.blit t.gens 0 gens' 0 cap;
     t.gens <- gens';
-    (match t.sched with
-    | Heap -> t.timers <- grow_make t.timers (fun () -> Hashtbl.create 8)
-    | Wheel -> t.armed <- grow_make t.armed Armed.create);
+    t.armed <- grow_make t.armed Armed.create;
     match t.faults with
     | None -> ()
     | Some f ->
@@ -952,9 +940,6 @@ let install t i build =
     let ctx = { engine = t; id = i; lane = t.lanes.(shard_of t i) } in
     t.handlers.(i) <- Some (build ctx)
   end
-
-let trace_label t timer =
-  match t.timer_label with Some encode -> encode timer | None -> -1
 
 (* Node-side API ----------------------------------------------------- *)
 
@@ -1102,67 +1087,49 @@ let set_timer ctx ~after timer =
   let deadline = Hwclock.inverse clock (Hwclock.value clock now +. after) in
   let gen = t.gens.(ctx.id) in
   t.gens.(ctx.id) <- gen + 1;
-  (* A re-arm supersedes the pending entry: its heap or wheel slot goes
-     stale and will be discarded when it surfaces; the live count is
-     unchanged. *)
-  match t.sched with
-  | Heap ->
-    if Hashtbl.mem t.timers.(ctx.id) timer then
-      lane.lstale <- lane.lstale + 1
-    else lane.llive <- lane.llive + 1;
-    Hashtbl.replace t.timers.(ctx.id) timer gen;
-    push_from t lane ~owner:ctx.id ~time:deadline ~kind:k_timer ~a:ctx.id
-      ~b:gen ~c:0 ~d:0 (Obj.repr timer)
-  | Wheel ->
-    let label = trace_label t timer in
-    let s = t.armed.(ctx.id) in
-    let i = Armed.find s label in
-    if i >= 0 then begin
-      lane.lstale <- lane.lstale + 1;
-      s.Armed.gens.(i) <- gen;
-      s.Armed.vals.(i) <- Obj.repr timer
+  (* A re-arm supersedes the pending entry: its wheel slot goes stale and
+     will be discarded when it surfaces; the live count is unchanged. *)
+  let label = t.timer_label timer in
+  let s = t.armed.(ctx.id) in
+  let i = Armed.find s label in
+  if i >= 0 then begin
+    lane.lstale <- lane.lstale + 1;
+    s.Armed.gens.(i) <- gen;
+    s.Armed.vals.(i) <- Obj.repr timer
+  end
+  else begin
+    lane.llive <- lane.llive + 1;
+    Armed.insert s ~at:(lnot i) label gen (Obj.repr timer)
+  end;
+  (* The tie-break rank comes from the engine's global counter (or the
+     lane's provisional block inside a window) so wheel timers keep the
+     exact (time, seq) position a queue push would have had. Timers
+     never cross shards: a node only arms its own. *)
+  let seq =
+    if lane.lpar then begin
+      let j = lane.lcre in
+      if j > cre_mask then failwith "Engine: window rank block exhausted";
+      lane.lcre <- j + 1;
+      prov_flag lor (lane.ls lsl 40) lor j
     end
     else begin
-      lane.llive <- lane.llive + 1;
-      Armed.insert s ~at:(lnot i) label gen (Obj.repr timer)
-    end;
-    (* The tie-break rank comes from the engine's global counter (or the
-       lane's provisional block inside a window) so wheel timers keep the
-       exact (time, seq) position a queue push would have had. Timers
-       never cross shards: a node only arms its own. *)
-    let seq =
-      if lane.lpar then begin
-        let j = lane.lcre in
-        if j > cre_mask then failwith "Engine: window rank block exhausted";
-        lane.lcre <- j + 1;
-        prov_flag lor (lane.ls lsl 40) lor j
-      end
-      else begin
-        let s = t.next_seq in
-        t.next_seq <- s + 1;
-        s
-      end
-    in
-    Timewheel.arm t.wheels.(lane.ls) ~node:ctx.id ~label ~gen ~seq ~deadline
+      let s = t.next_seq in
+      t.next_seq <- s + 1;
+      s
+    end
+  in
+  Timewheel.arm t.wheels.(lane.ls) ~node:ctx.id ~label ~gen ~seq ~deadline
 
 let cancel_timer ctx timer =
   let t = ctx.engine in
   let lane = ctx.lane in
-  match t.sched with
-  | Heap ->
-    if Hashtbl.mem t.timers.(ctx.id) timer then begin
-      Hashtbl.remove t.timers.(ctx.id) timer;
-      lane.llive <- lane.llive - 1;
-      lane.lstale <- lane.lstale + 1
-    end
-  | Wheel ->
-    let s = t.armed.(ctx.id) in
-    let i = Armed.find s (trace_label t timer) in
-    if i >= 0 then begin
-      Armed.remove_at s i;
-      lane.llive <- lane.llive - 1;
-      lane.lstale <- lane.lstale + 1
-    end
+  let s = t.armed.(ctx.id) in
+  let i = Armed.find s (t.timer_label timer) in
+  if i >= 0 then begin
+    Armed.remove_at s i;
+    lane.llive <- lane.llive - 1;
+    lane.lstale <- lane.lstale + 1
+  end
 
 (* Harness-side API --------------------------------------------------- *)
 
@@ -1263,14 +1230,11 @@ let stale_timer_entries t =
   !acc
 
 let pending_events t =
-  let wheel_entries = ref 0 in
-  (match t.sched with
-  | Heap -> ()
-  | Wheel ->
-    for s = 0 to t.shards - 1 do
-      wheel_entries := !wheel_entries + Timewheel.size t.wheels.(s)
-    done);
-  queue_depth t + !wheel_entries - stale_timer_entries t
+  let acc = ref (queue_depth t - stale_timer_entries t) in
+  for s = 0 to t.shards - 1 do
+    acc := !acc + Timewheel.size t.wheels.(s)
+  done;
+  !acc
 
 let live_timers t =
   let acc = ref 0 in
@@ -1288,23 +1252,13 @@ let footprint_words t =
     acc := !acc + Equeue.footprint_words t.queues.(s)
            + Outbox.footprint_words t.outboxes.(s)
            + Equeue.footprint_words t.inboxes.(s)
+           + Timewheel.footprint_words t.wheels.(s)
   done;
-  (match t.sched with
-  | Heap -> ()
-  | Wheel ->
-    for s = 0 to t.shards - 1 do
-      acc := !acc + Timewheel.footprint_words t.wheels.(s)
-    done);
   for i = 0 to t.n - 1 do
     acc := !acc + Fifo_store.footprint_words t.fifo.(i)
            + Array.length t.absence_pending.(i).Iset.keys
+           + (3 * Array.length t.armed.(i).Armed.labels)
   done;
-  (match t.sched with
-  | Heap -> ()
-  | Wheel ->
-    for i = 0 to t.n - 1 do
-      acc := !acc + (3 * Array.length t.armed.(i).Armed.labels)
-    done);
   !acc + Dyngraph.footprint_words t.graph
 
 (* Event dispatch ----------------------------------------------------- *)
@@ -1319,32 +1273,24 @@ let node_dead t node =
   match t.faults with None -> false | Some f -> not f.f_alive.(node)
 
 (* Crash: the node loses every piece of state it owns inside the engine —
-   armed timers (their heap/wheel slots go stale, surfacing later exactly
-   like cancelled timers do, so both schedulers stay in lockstep) and its
-   outgoing FIFO floors (everything it had in flight is dropped at
-   delivery by the incarnation check, so clearing the floors cannot let a
-   post-restart message overtake a delivery that actually happens). *)
+   armed timers (their wheel slots go stale, surfacing later exactly like
+   cancelled timers do) and its outgoing FIFO floors (everything it had
+   in flight is dropped at delivery by the incarnation check, so clearing
+   the floors cannot let a post-restart message overtake a delivery that
+   actually happens). *)
 let apply_crash t f node =
   Trace.record t.trace ~time:t.fs.now Fault_crash node (-1) (-1);
   f.f_alive.(node) <- false;
   f.f_inc.(node) <- f.f_inc.(node) + 1;
   let lane = t.lanes.(shard_of t node) in
-  (match t.sched with
-  | Heap ->
-    let tbl = t.timers.(node) in
-    let k = Hashtbl.length tbl in
-    Hashtbl.reset tbl;
-    lane.llive <- lane.llive - k;
-    lane.lstale <- lane.lstale + k
-  | Wheel ->
-    let s = t.armed.(node) in
-    let k = s.Armed.len in
-    for i = 0 to k - 1 do
-      s.Armed.vals.(i) <- Armed.dummy
-    done;
-    s.Armed.len <- 0;
-    lane.llive <- lane.llive - k;
-    lane.lstale <- lane.lstale + k);
+  let s = t.armed.(node) in
+  let k = s.Armed.len in
+  for i = 0 to k - 1 do
+    s.Armed.vals.(i) <- Armed.dummy
+  done;
+  s.Armed.len <- 0;
+  lane.llive <- lane.llive - k;
+  lane.lstale <- lane.lstale + k;
   t.fifo.(node).Fifo_store.len <- 0
 
 let apply_restart t f node ~corrupt =
@@ -1369,16 +1315,14 @@ let apply_restart t f node ~corrupt =
         ~kind:k_discover_add ~a:node ~b:peer ~c:epoch ~d:0 no_payload)
     (Dyngraph.neighbors t.graph node)
 
-(* Dispatch the event latched in [q]'s registers (everything except
-   k_timer, which [run_queue_event] handles for the staleness check).
-   [lane] is the owner's lane; node-addressed kinds may run inside a
-   parallel window, in which case [now] is the lane's event time and all
-   records buffer. Faults and plain callbacks are only ever dispatched
-   sequentially: under sharding they live in the control queue, and at
-   one shard there are no windows. Topology events whose edge was
-   reserved and is internal to one shard, and commuting callbacks, may
-   additionally dispatch inside that shard's window — their branches
-   check [lane.lpar]. *)
+(* Dispatch the event latched in [q]'s registers. [lane] is the owner's
+   lane; node-addressed kinds may run inside a parallel window, in which
+   case [now] is the lane's event time and all records buffer. Faults
+   and plain callbacks are only ever dispatched sequentially: under
+   sharding they live in the control queue, and at one shard there are
+   no windows. Topology events whose edge was reserved and is internal
+   to one shard, and commuting callbacks, may additionally dispatch
+   inside that shard's window — their branches check [lane.lpar]. *)
 let dispatch t lane q kind =
   let now = if lane.lpar then lane.lf.lnow else t.fs.now in
   if kind = k_deliver then begin
@@ -1515,12 +1459,15 @@ let start t =
     done
   end
 
-(* A wheel entry just surfaced: fire it if it still holds the armed
-   generation for its label, otherwise it was superseded or cancelled
-   after being armed — same lazy discard, and at the same instant, as the
-   heap path's stale-slot check, which is what keeps the two schedulers'
-   traces byte-identical. *)
-let wheel_timer t lane ~node ~label ~gen =
+(* Pop [w]'s resolved head and fire it if it still holds the armed
+   generation for its label; otherwise it was superseded or cancelled
+   after being armed. Stale entries are bookkeeping garbage, not events:
+   they don't count as processed and never reach a handler. *)
+let run_wheel_head t lane w =
+  let node = Timewheel.top_node w
+  and label = Timewheel.top_label w
+  and gen = Timewheel.top_gen w in
+  Timewheel.pop w;
   let now = if lane.lpar then lane.lf.lnow else t.fs.now in
   let s = t.armed.(node) in
   let i = Armed.find s label in
@@ -1537,44 +1484,17 @@ let wheel_timer t lane ~node ~label ~gen =
     lane_record t lane ~time:now Timer_stale node label (-1)
   end
 
-(* A queue event just popped into [q]'s registers. Heap-mode timer
-   entries resolve staleness here — cancelled or superseded slots are
-   bookkeeping garbage, not events: they don't count as processed and
-   never reach a handler. *)
-let run_queue_event t lane q =
-  let kind = Equeue.ev_kind q in
-  if kind = k_timer then begin
-    let now = if lane.lpar then lane.lf.lnow else t.fs.now in
-    let node = Equeue.ev_a q and gen = Equeue.ev_b q in
-    let timer = Obj.obj (Equeue.ev_payload q) in
-    let stale =
-      match Hashtbl.find t.timers.(node) timer with
-      | live -> live <> gen
-      | exception Not_found -> true
-    in
-    if stale then begin
-      lane.lstale <- lane.lstale - 1;
-      lane_record t lane ~time:now Timer_stale node (trace_label t timer) (-1)
-    end
-    else begin
-      Hashtbl.remove t.timers.(node) timer;
-      lane.llive <- lane.llive - 1;
-      lane.levents <- lane.levents + 1;
-      lane_record t lane ~time:now Timer_fire node (trace_label t timer) (-1);
-      (handlers_of t node).on_timer timer
-    end
-  end
-  else begin
-    lane.levents <- lane.levents + 1;
-    dispatch t lane q kind
-  end
+(* Pop [q]'s head and dispatch it as a lane event. *)
+let run_queue_head t lane q =
+  Equeue.pop q;
+  lane.levents <- lane.levents + 1;
+  dispatch t lane q (Equeue.ev_kind q);
+  Equeue.release q
 
 let set_tie_break t hook =
   (match hook with
-  | Some _ when t.sched <> Heap || t.shards <> 1 ->
-    invalid_arg
-      "Engine.set_tie_break: the hook requires the heap scheduler and a \
-       single shard"
+  | Some _ when t.shards <> 1 ->
+    invalid_arg "Engine.set_tie_break: the hook requires a single shard"
   | _ -> ());
   t.tie_break <- hook
 
@@ -1607,26 +1527,42 @@ let tb_push tb ~seq ~kind ~a ~b ~c ~d payload =
   tb.tb_payload.(i) <- payload;
   tb.tb_len <- i + 1
 
-(* With a tie-break hook installed, every event due at the candidate
-   instant is popped into scratch and the hook picks which one dispatches
-   next. The group is re-pushed with the chosen event's seq lowered to -1
-   (below every allocated rank, so the following [Equeue.pop] surfaces it)
-   while the others keep their original seqs. The hook is consulted again
-   before each subsequent dispatch at the instant — including any events
-   the chosen handler just scheduled at the same time — so repeated calls
-   enumerate every permutation of a same-instant group one choice at a
-   time. Groups of one dispatch without consulting the hook. *)
-let tie_break_pop t q pick =
-  let tm = Equeue.next_time q in
+(* With a tie-break hook installed, every queue and wheel entry due at
+   the candidate instant — live or stale — is popped into scratch in seq
+   order, and the hook picks which one dispatches next. [select] peeked
+   the wheel up to that instant, so every wheel entry due then already
+   sits in its due heap, in front of every later one. Each entry goes
+   back to its own structure, the chosen one with its seq lowered to -1
+   (below every allocated rank, so it is the next to surface) while the
+   others keep their original seqs; the candidate is redirected to the
+   chosen entry's structure. The hook is consulted again before each
+   subsequent dispatch at the instant — including any events the chosen
+   handler just scheduled at the same time — so repeated calls enumerate
+   every permutation of a same-instant group one choice at a time.
+   Single shard only, so shard 0 holds everything. *)
+let tie_break t pick =
+  let tm = t.fs.cand_time in
+  let q = t.queues.(0) and w = t.wheels.(0) in
   let tb = t.tb in
   tb.tb_len <- 0;
-  while (not (Equeue.is_empty q)) && Equeue.next_time q = tm do
-    let seq = Equeue.top_seq q in
-    Equeue.pop q;
-    tb_push tb ~seq ~kind:(Equeue.ev_kind q) ~a:(Equeue.ev_a q)
-      ~b:(Equeue.ev_b q) ~c:(Equeue.ev_c q) ~d:(Equeue.ev_d q)
-      (Equeue.ev_payload q);
-    Equeue.release q
+  let gathering = ref true in
+  while !gathering do
+    let qseq = if Equeue.next_time q = tm then Equeue.top_seq q else max_int in
+    let wseq = Timewheel.top_seq w in
+    if wseq < qseq && Timewheel.top_time w = tm then begin
+      tb_push tb ~seq:wseq ~kind:k_timer
+        ~a:(Timewheel.top_node w) ~b:(Timewheel.top_label w)
+        ~c:(Timewheel.top_gen w) ~d:0 no_payload;
+      Timewheel.pop w
+    end
+    else if qseq < max_int then begin
+      Equeue.pop q;
+      tb_push tb ~seq:qseq ~kind:(Equeue.ev_kind q) ~a:(Equeue.ev_a q)
+        ~b:(Equeue.ev_b q) ~c:(Equeue.ev_c q) ~d:(Equeue.ev_d q)
+        (Equeue.ev_payload q);
+      Equeue.release q
+    end
+    else gathering := false
   done;
   let k = tb.tb_len in
   let j = pick k in
@@ -1634,10 +1570,16 @@ let tie_break_pop t q pick =
     invalid_arg "Engine tie-break hook returned an out-of-range choice";
   for i = 0 to k - 1 do
     let seq = if i = j then -1 else tb.tb_seq.(i) in
-    Equeue.push q ~time:tm ~seq ~kind:tb.tb_kind.(i) ~a:tb.tb_a.(i)
-      ~b:tb.tb_b.(i) ~c:tb.tb_c.(i) ~d:tb.tb_d.(i) tb.tb_payload.(i);
-    tb.tb_payload.(i) <- no_payload
-  done
+    if tb.tb_kind.(i) = k_timer then
+      Timewheel.arm w ~node:tb.tb_a.(i) ~label:tb.tb_b.(i) ~gen:tb.tb_c.(i)
+        ~seq ~deadline:tm
+    else begin
+      Equeue.push q ~time:tm ~seq ~kind:tb.tb_kind.(i) ~a:tb.tb_a.(i)
+        ~b:tb.tb_b.(i) ~c:tb.tb_c.(i) ~d:tb.tb_d.(i) tb.tb_payload.(i);
+      tb.tb_payload.(i) <- no_payload
+    end
+  done;
+  t.cand_wheel <- tb.tb_kind.(j) = k_timer
 
 (* Pick the earliest (time, seq) candidate across every shard's queue and
    wheel — and the control queue — into the [cand_*] scratch fields. The
@@ -1654,17 +1596,12 @@ let select t ~horizon =
     let q = t.queues.(s) in
     let qt = Equeue.next_time q in
     let qseq = Equeue.top_seq q in
-    let wheel_wins =
-      match t.sched with
-      | Heap -> false
-      | Wheel ->
-        let w = t.wheels.(s) in
-        let bound = if qt < horizon then qt else horizon in
-        Timewheel.peek w ~upto:bound
-        && (Timewheel.top_time w < qt || Timewheel.top_seq w < qseq)
-    in
-    if wheel_wins then begin
-      let w = t.wheels.(s) in
+    let w = t.wheels.(s) in
+    let bound = if qt < horizon then qt else horizon in
+    if
+      Timewheel.peek w ~upto:bound
+      && (Timewheel.top_time w < qt || Timewheel.top_seq w < qseq)
+    then begin
       let wt = Timewheel.top_time w and wseq = Timewheel.top_seq w in
       t.lanes.(s).lf.lhead <- wt;
       if wt < t.fs.cand_time || (wt = t.fs.cand_time && wseq < t.cand_seq)
@@ -1708,32 +1645,17 @@ let seq_step t =
     let q = t.control in
     Equeue.pop q;
     t.ctrl_events <- t.ctrl_events + 1;
-    (* Control kinds never include k_timer; any lane serves as the
-       (sequential) record context, but crash bookkeeping inside picks
-       the node's own lane. *)
+    (* Any lane serves as the (sequential) record context; crash
+       bookkeeping inside picks the node's own lane. *)
     dispatch t t.lanes.(0) q (Equeue.ev_kind q);
     Equeue.release q
   end
   else begin
+    (match t.tie_break with Some pick -> tie_break t pick | None -> ());
     let s = t.cand_shard in
     let lane = t.lanes.(s) in
-    if t.cand_wheel then begin
-      let w = t.wheels.(s) in
-      let node = Timewheel.top_node w
-      and label = Timewheel.top_label w
-      and gen = Timewheel.top_gen w in
-      Timewheel.pop w;
-      wheel_timer t lane ~node ~label ~gen
-    end
-    else begin
-      let q = t.queues.(s) in
-      (match t.tie_break with
-      | Some pick -> tie_break_pop t q pick
-      | None -> ());
-      Equeue.pop q;
-      run_queue_event t lane q;
-      Equeue.release q
-    end
+    if t.cand_wheel then run_wheel_head t lane t.wheels.(s)
+    else run_queue_head t lane t.queues.(s)
   end
 
 (* One lane's share of a parallel dispatch window: drain the lane's own
@@ -1744,6 +1666,7 @@ let seq_step t =
 let lane_window_loop t lane ~wstop ~horizon =
   let s = lane.ls in
   let q = t.queues.(s) in
+  let w = t.wheels.(s) in
   let ib = t.inboxes.(s) in
   let continue_ = ref true in
   while !continue_ do
@@ -1754,13 +1677,9 @@ let lane_window_loop t lane ~wstop ~horizon =
     else begin
       let qt = Equeue.next_time q in
       let wheel_wins =
-        match t.sched with
-        | Heap -> false
-        | Wheel ->
-          let w = t.wheels.(s) in
-          let bound = Float.min qt (Float.min wstop horizon) in
-          Timewheel.peek w ~upto:bound
-          && (Timewheel.top_time w < qt || Timewheel.top_seq w < Equeue.top_seq q)
+        let bound = Float.min qt (Float.min wstop horizon) in
+        Timewheel.peek w ~upto:bound
+        && (Timewheel.top_time w < qt || Timewheel.top_seq w < Equeue.top_seq q)
       in
       let ibt = Equeue.next_time ib in
       let inbox_wins =
@@ -1770,15 +1689,12 @@ let lane_window_loop t lane ~wstop ~horizon =
            to the inbox otherwise — an unmerged creation postdates the
            relay that ranked the inbox head, so its final rank is
            provably larger. *)
-        let own_t =
-          if wheel_wins then Timewheel.top_time t.wheels.(s) else qt
-        in
+        let own_t = if wheel_wins then Timewheel.top_time w else qt in
         ibt < own_t
         || ibt = own_t && ibt < wstop
            &&
            let own_seq =
-             if wheel_wins then Timewheel.top_seq t.wheels.(s)
-             else Equeue.top_seq q
+             if wheel_wins then Timewheel.top_seq w else Equeue.top_seq q
            in
            let f = Equeue.top_seq ib in
            if own_seq < prov_flag then f < own_seq
@@ -1789,33 +1705,24 @@ let lane_window_loop t lane ~wstop ~horizon =
       if inbox_wins then begin
         if ibt < wstop && ibt <= horizon then begin
           lane_mark lane ~time:ibt ~seq:(Equeue.top_seq ib);
-          Equeue.pop ib;
           lane.lf.lnow <- ibt;
-          run_queue_event t lane ib;
-          Equeue.release ib
+          run_queue_head t lane ib
         end
         else continue_ := false
       end
       else if wheel_wins then begin
-        let w = t.wheels.(s) in
         let et = Timewheel.top_time w in
         if et < wstop && et <= horizon then begin
-          let node = Timewheel.top_node w
-          and label = Timewheel.top_label w
-          and gen = Timewheel.top_gen w in
           lane_mark lane ~time:et ~seq:(Timewheel.top_seq w);
-          Timewheel.pop w;
           lane.lf.lnow <- et;
-          wheel_timer t lane ~node ~label ~gen
+          run_wheel_head t lane w
         end
         else continue_ := false
       end
       else if qt < wstop && qt <= horizon then begin
         lane_mark lane ~time:qt ~seq:(Equeue.top_seq q);
-        Equeue.pop q;
         lane.lf.lnow <- qt;
-        run_queue_event t lane q;
-        Equeue.release q
+        run_queue_head t lane q
       end
       else continue_ := false
     end
@@ -1838,8 +1745,7 @@ let lane_window_loop t lane ~wstop ~horizon =
    run's creations take a contiguous block of final ranks in one pass
    and its trace entries replay in one sweep. With few, large windows
    (adaptive extension) most of a window's marks fall in a handful of
-   runs, which is what makes the barrier cheap. Returns the number of
-   marks merged. *)
+   runs, which is what makes the barrier cheap. *)
 let barrier_merge t =
   let k = t.w_mn in
   let members = t.w_members in
@@ -1859,7 +1765,6 @@ let barrier_merge t =
   let resolve lane seq =
     if seq >= prov_flag then lane.lfinal.(seq land cre_mask) else seq
   in
-  let merged = ref 0 in
   let running = ref true in
   while !running do
     let best = ref (-1) in
@@ -1918,11 +1823,9 @@ let barrier_merge t =
             lane.ba.(e) lane.bb.(e) lane.bc.(e)
         done
       end;
-      merged := !merged + (hend - h0);
       heads.(x) <- hend
     end
-  done;
-  !merged
+  done
 
 (* Mid-group relay (DESIGN §14): deliver pending cross-shard events
    without closing the window group. At a round boundary every logged
@@ -1937,10 +1840,9 @@ let barrier_merge t =
    final-rank table is valid so the dispatch loop can break exact-time
    ties between an inbox head and a provisional head. Successive relays
    are time-monotone (round r+1's marks all lie at or beyond round r's
-   stop), so ranks and replayed trace entries stay in global order.
-   Returns the number of marks merged. *)
+   stop), so ranks and replayed trace entries stay in global order. *)
 let relay t =
-  let merged = barrier_merge t in
+  barrier_merge t;
   for x = 0 to t.w_mn - 1 do
     let lane = t.w_members.(x) in
     lane.lmerged <- lane.lcre;
@@ -1956,8 +1858,7 @@ let relay t =
       done;
       Outbox.flush ob t.inboxes
     end
-  done;
-  merged
+  done
 
 (* A lane's earliest pending time, mirroring [select]'s per-shard logic
    (wheel resolved lazily up to the queue head or the horizon) plus the
@@ -1968,15 +1869,12 @@ let relay t =
 let shard_head t s ~horizon =
   let q = t.queues.(s) in
   let qt = Equeue.next_time q in
+  let w = t.wheels.(s) in
+  let bound = if qt < horizon then qt else horizon in
   let own =
-    match t.sched with
-    | Heap -> qt
-    | Wheel ->
-      let w = t.wheels.(s) in
-      let bound = if qt < horizon then qt else horizon in
-      if Timewheel.peek w ~upto:bound && Timewheel.top_time w < qt then
-        Timewheel.top_time w
-      else qt
+    if Timewheel.peek w ~upto:bound && Timewheel.top_time w < qt then
+      Timewheel.top_time w
+    else qt
   in
   let ib = Equeue.next_time t.inboxes.(s) in
   if ib < own then ib else own
@@ -2018,7 +1916,10 @@ let run_window t ~wstop ~horizon =
   | _ -> ());
   let round_start = ref t.fs.cand_time in
   let round_stop = ref wstop in
-  let merged_acc = ref 0 in
+  (* Only lanes dispatch inside a group, so the lanes' event-count delta
+     is exactly what the group dispatched — stale wheel surfacings, which
+     the dispatch log also marks, are not events. *)
+  let events0 = events_processed t in
   let rounds = ref true in
   while !rounds do
     (* Collect the lanes with work strictly below the round stop; lanes
@@ -2055,7 +1956,7 @@ let run_window t ~wstop ~horizon =
     for x = 0 to t.w_mn - 1 do
       if t.outboxes.(t.w_members.(x).ls).Outbox.len > 0 then have_ob := true
     done;
-    if !have_ob then merged_acc := !merged_acc + relay t;
+    if !have_ob then relay t;
     (* Earliest pending event across all lanes vs. the next control
        event: members' heads moved, and a relay may have landed work on
        a lane that was idle until now. *)
@@ -2079,14 +1980,12 @@ let run_window t ~wstop ~horizon =
     end
     else rounds := false
   done;
-  let merged = !merged_acc + barrier_merge t in
-  Trace.note_barrier tr ~events:merged;
+  barrier_merge t;
+  Trace.note_barrier tr ~events:(events_processed t - events0);
   for x = 0 to t.w_mn - 1 do
     let lane = t.w_members.(x) in
     Equeue.remap_batch t.queues.(lane.ls) ~finals:lane.lfinal;
-    (match t.sched with
-    | Heap -> ()
-    | Wheel -> Timewheel.remap_batch t.wheels.(lane.ls) ~finals:lane.lfinal);
+    Timewheel.remap_batch t.wheels.(lane.ls) ~finals:lane.lfinal;
     let ob = t.outboxes.(lane.ls) in
     if ob.Outbox.len > 0 then begin
       Trace.note_cross tr ob.Outbox.len;

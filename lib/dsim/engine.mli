@@ -21,8 +21,8 @@
     Node algorithms see the network only through {!ctx}: their hardware
     clock, message sends, and timers. Real time is not exposed to node
     code. The engine is generic in the message type ['msg] and the timer
-    label type ['timer] (labels are compared with structural equality, so
-    use simple variant types). *)
+    label type ['timer]; {!create}'s [timer_label] encodes labels as
+    ints. *)
 
 type ('msg, 'timer) t
 
@@ -49,8 +49,8 @@ val create :
   ?discovery_lag:float ->
   ?initial_edges:(int * int) list ->
   ?trace:Trace.t ->
-  ?timer_label:('timer -> int) ->
-  ?scheduler:[ `Heap | `Wheel of float ] ->
+  timer_label:('timer -> int) ->
+  ?scheduler:[ `Wheel of float ] ->
   ?shards:int ->
   ?partition:[ `Contiguous | `Greedy | `Explicit of int array ] ->
   ?faults:Fault.schedule ->
@@ -64,26 +64,24 @@ val create :
     endpoints; the paper's [D] is an upper bound on it. [initial_edges]
     exist from time 0 and are discovered at time [0.].
 
-    [timer_label] encodes a timer label as a non-negative int; when
-    given, [Timer_fire]/[Timer_stale] trace records carry it (otherwise
-    they record [-1]). Distinct labels of one node must encode to
-    distinct ints.
+    [timer_label] encodes a timer label as a non-negative int. Armed
+    timers are keyed by it — distinct labels of one node must encode to
+    distinct ints, and re-arming an equal encoding supersedes the pending
+    timer — and [Timer_fire]/[Timer_stale] trace records carry it.
 
-    [scheduler] picks where armed timers wait (default [`Heap], timers
-    share the event heap). [`Wheel granularity] keeps them in a
-    hierarchical timer wheel with [granularity]-sized level-0 buckets
-    instead: O(1) arm/cancel/re-arm in dense int arrays, and superseded
-    entries stop occupying heap slots — the heap then holds only
-    deliveries, discoveries and callbacks, so its size no longer grows
-    with message rate times the timeout span. Requires [timer_label]
-    (raises [Invalid_argument] without it). Both schedulers produce
-    identical executions — same dispatch order, same trace — because
-    wheel entries draw their tie-break ranks from the queue's sequence
-    counter and surface in the same total [(time, seq)] order.
+    Armed timers wait in a hierarchical timer wheel, not in the event
+    queue: O(1) arm/cancel/re-arm in dense int arrays, and superseded
+    entries never occupy queue slots, so the queue holds only
+    deliveries, discoveries and callbacks and its size does not grow
+    with message rate times the timeout span. Wheel entries draw their
+    tie-break ranks from the same sequence counter as queued events and
+    surface in the one total [(time, seq)] order. [scheduler] sets the
+    wheel's level-0 bucket width, [`Wheel granularity]; it defaults to
+    a sixteenth of the delay policy's bound (1 for a zero bound).
+    Granularity changes speed, never the dispatch order or the trace.
 
     [shards] (default 1) partitions the node ids into that many groups,
-    each owning its own event queue (and, under the wheel scheduler, its
-    own timer wheel). [partition] picks the id-to-shard map:
+    each owning its own event queue and timer wheel. [partition] picks the id-to-shard map:
     [`Contiguous] (the default) splits ids into equal ranges, [`Greedy]
     runs the traffic-aware partitioner {!partition} over the initial
     topology, and [`Explicit p] uses [p] verbatim ([p.(id)] is the
@@ -121,9 +119,9 @@ val create :
     Byzantine windows pass outgoing messages through [corrupt_msg]
     (traced as {!Trace.Fault_byzantine_msg}). All fault-local randomness
     is drawn from a dedicated PRNG seeded by [fault_seed] (default 0) in
-    dispatch order, so fault runs stay byte-identical across both
-    schedulers. An empty schedule allocates no fault state and adds a
-    single tag check to the hot paths. *)
+    dispatch order, so fault runs replay byte-identically. An empty
+    schedule allocates no fault state and adds a single tag check to the
+    hot paths. *)
 
 val install : ('msg, 'timer) t -> int -> (('msg, 'timer) ctx -> ('msg, 'timer) handlers) -> unit
 (** Install node [i]'s algorithm. Must be called for every node before
@@ -230,37 +228,37 @@ val set_executor :
 
 val set_tie_break : ('msg, 'timer) t -> (int -> int) option -> unit
 (** Install (or clear) the adversary tie-break hook used by the bounded
-    model explorer. When set, each time the dispatch loop is about to pop
-    a queue event it first gathers the whole group of events due at that
-    instant and calls the hook with the group size [k]; the hook returns
-    the index (in (time, seq) order, i.e. scheduling order) of the event
-    to dispatch next. Returning out-of-range raises. The hook is
-    consulted before {e every} queue-event dispatch, including groups of
-    size 1 (where it must return 0) — this doubles as a clean
-    between-events callback for probing, since no handler is mid-flight
-    when it runs. Events the chosen handler schedules at the same
+    model explorer. When set, each time the dispatch loop is about to
+    dispatch an event it first takes the whole group of queue and wheel
+    entries due at that instant — live or stale timer entries alike —
+    out of both structures and calls the hook with the group size [k];
+    the hook returns the index (in (time, seq) order, i.e. scheduling
+    order) of the entry to dispatch next. Returning out-of-range raises.
+    The hook is consulted before {e every} dispatch, wheel timers
+    included and groups of size 1 too (where it must return 0) — this
+    doubles as a clean between-events callback for probing, since no
+    handler is mid-flight when it runs; {!pending_events} read inside it
+    excludes the group. Events the chosen handler schedules at the same
     instant join the next group, so an enumerating caller visits every
     permutation of a same-instant group one choice at a time, and a hook
     that always returns 0 reproduces the default (time, seq) order
-    exactly. Only supported under the [`Heap] scheduler with a single
-    shard; setting it on any other configuration raises
-    [Invalid_argument]. *)
+    exactly. Only supported with a single shard; setting it on a sharded
+    engine raises [Invalid_argument]. *)
 
 val events_processed : ('msg, 'timer) t -> int
 (** Events dispatched so far. Stale timer entries (cancelled or
-    superseded) are discarded when they surface in the queue and are
+    superseded) are discarded when they surface from the wheel and are
     {e not} counted. *)
 
 val pending_events : ('msg, 'timer) t -> int
-(** Queued events that will actually dispatch: the heap size (plus the
-    wheel size under the [`Wheel] scheduler) minus the stale timer
-    entries still awaiting lazy removal. *)
+(** Pending events that will actually dispatch: the queue and wheel
+    sizes minus the stale timer entries still awaiting lazy removal. *)
 
 val queue_depth : ('msg, 'timer) t -> int
-(** Raw size of the event queues (and pending outbox entries) alone.
-    Under the [`Wheel] scheduler this excludes timers entirely, so
-    sustained timer re-arm traffic leaves it bounded by the in-flight
-    message and discovery count. *)
+(** Raw size of the event queues (and pending outbox and inbox
+    entries) alone. Timers wait in the wheels, so sustained timer re-arm
+    traffic leaves it bounded by the in-flight message and discovery
+    count. *)
 
 val shards : ('msg, 'timer) t -> int
 

@@ -1,9 +1,9 @@
 (* Struct-of-arrays event queue: the engine's events, flattened.
 
-   A binary heap ordered by (time, seq) — same contract as [Pqueue] — but
-   holding *encoded* events instead of boxed variant blocks: a kind tag
-   plus four int operands and one optional boxed payload (the message or
-   timer value, which the engine cannot unbox without losing genericity).
+   A binary heap ordered by (time, seq), holding *encoded* events instead
+   of boxed variant blocks: a kind tag plus four int operands and one
+   optional boxed payload (the message or callback, which the engine
+   cannot unbox without losing genericity).
    Times live in an off-heap Float64 [Bigarray], so the steady-state
    push/pop cycle allocates nothing at all: no event block, no float
    boxing, and the GC never scans or moves the time column.

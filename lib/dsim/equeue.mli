@@ -1,17 +1,15 @@
 (** Struct-of-arrays event queue for the engine's encoded events.
 
-    A binary heap ordered by [(time, seq)] — the same total order as
-    {!Pqueue} — holding events flattened to a kind tag, four int operands
-    and one optional boxed payload. Times live in an off-heap Float64
-    [Bigarray]; the operand columns sit in a free-listed slot pool so a
-    sift moves [(time, seq, slot)] triples only. The steady-state
-    push/pop cycle allocates nothing.
+    A binary heap ordered by [(time, seq)], holding events flattened to
+    a kind tag, four int operands and one optional boxed payload. Times
+    live in an off-heap Float64 [Bigarray]; the operand columns sit in a
+    free-listed slot pool so a sift moves [(time, seq, slot)] triples
+    only. The steady-state push/pop cycle allocates nothing.
 
-    Unlike {!Pqueue}, tie-break sequence numbers are supplied by the
-    caller: the engine owns one global counter shared by all of its
-    per-shard queues and its timer wheels, which is what makes the
-    sharded merge order — and therefore the trace — independent of the
-    shard count. *)
+    Tie-break sequence numbers are supplied by the caller: the engine
+    owns one global counter shared by all of its per-shard queues and
+    its timer wheels, which is what makes the sharded merge order — and
+    therefore the trace — independent of the shard count. *)
 
 type t
 

@@ -6,7 +6,7 @@
     within-[T] reordering windows on directed links, and bounded Byzantine
     windows during which a node's outgoing messages are corrupted in
     flight. The engine applies the schedule as first-class traced events
-    ({!Trace.Fault_crash} etc.), identically under both schedulers.
+    ({!Trace.Fault_crash} etc.), identically at every shard count.
 
     Schedules have a one-token textual form (no spaces, ops joined by
     [';']) so they can ride inside {!Audit.Scenario} replay specs:

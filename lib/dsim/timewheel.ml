@@ -1,7 +1,12 @@
 (* Hierarchical timer wheel: [levels] rings of [slots] buckets each, where
    a level-[l] bucket spans [granularity * slots^l] time units. Entries
    are four ints plus an unboxed float deadline in per-bucket parallel
-   arrays, so arming allocates nothing once a bucket has warmed up.
+   arrays. A bucket holds storage only while it holds entries: draining
+   one returns its arrays to a free list, and the next empty bucket to
+   receive an entry takes them back, so arming allocates nothing once the
+   wheel has warmed up, and creating one costs a pointer per bucket —
+   short-lived engines (the model explorer builds one per explored
+   branch) pay only for the storage they use.
 
    The cursor is the next unresolved granule (granule = deadline /
    granularity, floored). Resolving granule [c] first cascades every
@@ -24,6 +29,18 @@
    there; the granule check in [resolve] re-arms instead of surfacing
    them, so clamping never reorders anything. *)
 
+(* One bucket: entries in [0, len) of the parallel arrays; [next] links
+   the free list. *)
+type bucket = {
+  mutable len : int;
+  mutable next : bucket;
+  mutable b_deadline : float array;
+  mutable b_seq : int array;
+  mutable b_node : int array;
+  mutable b_label : int array;
+  mutable b_gen : int array;
+}
+
 type t = {
   granularity : float;
   slots : int;
@@ -33,14 +50,8 @@ type t = {
   mutable cursor : int;
   mutable bucket_count : int;
   mutable prov : int; (* held entries whose seq is provisional *)
-  (* Buckets, struct-of-arrays: bucket [l * slots + s] owns index ranges
-     [0, b_len.(i)) of the inner arrays. *)
-  b_len : int array;
-  b_deadline : float array array;
-  b_seq : int array array;
-  b_node : int array array;
-  b_label : int array array;
-  b_gen : int array array;
+  (* Bucket [l * slots + s]; [unused] while it holds no entries. *)
+  buckets : bucket array;
   (* Due heap, parallel arrays ordered by (deadline, seq). *)
   mutable d_len : int;
   mutable d_deadline : float array;
@@ -48,20 +59,18 @@ type t = {
   mutable d_node : int array;
   mutable d_label : int array;
   mutable d_gen : int array;
-  (* Detached-bucket scratch: draining a bucket swaps its arrays with
-     these instead of dropping them to [empty_*], so the capacity a
-     bucket built up keeps circulating instead of being reallocated from
-     4 on the next push — under sustained re-arm traffic that detach
-     churn dominated the wheel's minor-heap traffic. *)
-  mutable s_deadline : float array;
-  mutable s_seq : int array;
-  mutable s_node : int array;
-  mutable s_label : int array;
-  mutable s_gen : int array;
+  (* Drained buckets, linked through [next] and ended by [unused]: their
+     capacity goes to the next bucket that fills instead of being
+     reallocated from 4 — under sustained re-arm traffic that churn
+     dominated the wheel's minor-heap traffic. *)
+  mutable free : bucket;
 }
 
-let empty_f : float array = [||]
-let empty_i : int array = [||]
+(* Shared placeholder for empty buckets and the free list's end: only
+   ever read (its length is 0), never pushed into or drained. *)
+let rec unused =
+  { len = 0; next = unused; b_deadline = [||]; b_seq = [||]; b_node = [||];
+    b_label = [||]; b_gen = [||] }
 
 let create ~granularity ?(slots = 64) ?(levels = 4) () =
   if not (Float.is_finite granularity) || granularity <= 0. then
@@ -72,7 +81,6 @@ let create ~granularity ?(slots = 64) ?(levels = 4) () =
   for l = 1 to levels do
     w_pow.(l) <- w_pow.(l - 1) * slots
   done;
-  let nb = levels * slots in
   {
     granularity;
     slots;
@@ -82,33 +90,28 @@ let create ~granularity ?(slots = 64) ?(levels = 4) () =
     cursor = 0;
     bucket_count = 0;
     prov = 0;
-    b_len = Array.make nb 0;
-    b_deadline = Array.make nb empty_f;
-    b_seq = Array.make nb empty_i;
-    b_node = Array.make nb empty_i;
-    b_label = Array.make nb empty_i;
-    b_gen = Array.make nb empty_i;
+    buckets = Array.make (levels * slots) unused;
     d_len = 0;
     d_deadline = Array.make 16 0.;
     d_seq = Array.make 16 0;
     d_node = Array.make 16 0;
     d_label = Array.make 16 0;
     d_gen = Array.make 16 0;
-    s_deadline = empty_f;
-    s_seq = empty_i;
-    s_node = empty_i;
-    s_label = empty_i;
-    s_gen = empty_i;
+    free = unused;
   }
 
 let size t = t.bucket_count + t.d_len
 
 let footprint_words t =
-  let acc = ref (5 * Array.length t.d_deadline) in
-  for b = 0 to Array.length t.b_deadline - 1 do
-    acc := !acc + (5 * Array.length t.b_deadline.(b))
+  let bucket_words bk = 7 + (5 * Array.length bk.b_deadline) in
+  let acc = ref ((5 * Array.length t.d_deadline) + Array.length t.buckets) in
+  Array.iter (fun bk -> if bk != unused then acc := !acc + bucket_words bk) t.buckets;
+  let bk = ref t.free in
+  while !bk != unused do
+    acc := !acc + bucket_words !bk;
+    bk := !bk.next
   done;
-  !acc + (5 * Array.length t.s_deadline) + (6 * Array.length t.b_len)
+  !acc
 
 (* Due heap ----------------------------------------------------------- *)
 
@@ -124,7 +127,7 @@ let due_grow t =
 
 let due_push t ~deadline ~seq ~node ~label ~gen =
   if t.d_len >= Array.length t.d_deadline then due_grow t;
-  (* Sift a hole up from the end, then fill it (same as Pqueue.push). *)
+  (* Sift a hole up from the end, then fill it. *)
   let i = ref t.d_len in
   t.d_len <- t.d_len + 1;
   let continue = ref true in
@@ -194,23 +197,42 @@ let due_pop t =
 (* Buckets ------------------------------------------------------------ *)
 
 let bucket_push t b ~deadline ~seq ~node ~label ~gen =
-  let len = t.b_len.(b) in
-  if len >= Array.length t.b_deadline.(b) then begin
+  let bk =
+    let bk = t.buckets.(b) in
+    if bk != unused then bk
+    else begin
+      let bk =
+        if t.free != unused then begin
+          let bk = t.free in
+          t.free <- bk.next;
+          bk
+        end
+        else
+          { len = 0; next = unused; b_deadline = [| 0.; 0.; 0.; 0. |];
+            b_seq = [| 0; 0; 0; 0 |]; b_node = [| 0; 0; 0; 0 |];
+            b_label = [| 0; 0; 0; 0 |]; b_gen = [| 0; 0; 0; 0 |] }
+      in
+      t.buckets.(b) <- bk;
+      bk
+    end
+  in
+  let len = bk.len in
+  if len >= Array.length bk.b_deadline then begin
     let cap = max 4 (2 * len) in
     let g_f a = let c = Array.make cap 0. in Array.blit a 0 c 0 len; c in
     let g_i a = let c = Array.make cap 0 in Array.blit a 0 c 0 len; c in
-    t.b_deadline.(b) <- g_f t.b_deadline.(b);
-    t.b_seq.(b) <- g_i t.b_seq.(b);
-    t.b_node.(b) <- g_i t.b_node.(b);
-    t.b_label.(b) <- g_i t.b_label.(b);
-    t.b_gen.(b) <- g_i t.b_gen.(b)
+    bk.b_deadline <- g_f bk.b_deadline;
+    bk.b_seq <- g_i bk.b_seq;
+    bk.b_node <- g_i bk.b_node;
+    bk.b_label <- g_i bk.b_label;
+    bk.b_gen <- g_i bk.b_gen
   end;
-  t.b_deadline.(b).(len) <- deadline;
-  t.b_seq.(b).(len) <- seq;
-  t.b_node.(b).(len) <- node;
-  t.b_label.(b).(len) <- label;
-  t.b_gen.(b).(len) <- gen;
-  t.b_len.(b) <- len + 1;
+  bk.b_deadline.(len) <- deadline;
+  bk.b_seq.(len) <- seq;
+  bk.b_node.(len) <- node;
+  bk.b_label.(len) <- label;
+  bk.b_gen.(len) <- gen;
+  bk.len <- len + 1;
   t.bucket_count <- t.bucket_count + 1
 
 let granule t deadline = int_of_float (Float.floor (deadline /. t.granularity))
@@ -239,45 +261,31 @@ let arm t ~node ~label ~gen ~seq ~deadline =
   if seq >= Equeue.prov_flag then t.prov <- t.prov + 1;
   place t ~deadline ~seq ~node ~label ~gen
 
-(* Detach bucket [b]'s arrays for draining: a re-placed entry may land
-   back in [b] (a parked far-future entry can stay on the top ring), so
-   the drain must read from arrays the concurrent pushes cannot touch.
-   The bucket is handed the scratch set in exchange, and the caller
-   returns the detached arrays to scratch when the drain ends — capacity
-   circulates instead of being reallocated from 4 on the next push. *)
+(* Detach non-empty bucket [b] for draining: a re-placed entry may land
+   back in [b] (a parked far-future entry can stay on the top ring, and
+   with one level it re-parks in the very slot being drained), so the
+   drain reads from storage the concurrent pushes cannot touch, and only
+   [release]s it to the free list once the drain is done. *)
 let detach t b =
-  t.b_len.(b) <- 0;
-  let d = t.b_deadline.(b) in
-  t.b_deadline.(b) <- t.s_deadline;
-  t.s_deadline <- d;
-  let s = t.b_seq.(b) in
-  t.b_seq.(b) <- t.s_seq;
-  t.s_seq <- s;
-  let n = t.b_node.(b) in
-  t.b_node.(b) <- t.s_node;
-  t.s_node <- n;
-  let l = t.b_label.(b) in
-  t.b_label.(b) <- t.s_label;
-  t.s_label <- l;
-  let g = t.b_gen.(b) in
-  t.b_gen.(b) <- t.s_gen;
-  t.s_gen <- g
+  let bk = t.buckets.(b) in
+  t.buckets.(b) <- unused;
+  t.bucket_count <- t.bucket_count - bk.len;
+  bk
+
+let release t bk =
+  bk.len <- 0;
+  bk.next <- t.free;
+  t.free <- bk
 
 (* Empty bucket [b] and re-place every entry it held. *)
 let redistribute t b =
-  let len = t.b_len.(b) in
-  if len > 0 then begin
-    detach t b;
-    let deadline = t.s_deadline
-    and seq = t.s_seq
-    and node = t.s_node
-    and label = t.s_label
-    and gen = t.s_gen in
-    t.bucket_count <- t.bucket_count - len;
-    for k = 0 to len - 1 do
-      place t ~deadline:deadline.(k) ~seq:seq.(k) ~node:node.(k)
-        ~label:label.(k) ~gen:gen.(k)
-    done
+  if t.buckets.(b).len > 0 then begin
+    let bk = detach t b in
+    for k = 0 to bk.len - 1 do
+      place t ~deadline:bk.b_deadline.(k) ~seq:bk.b_seq.(k) ~node:bk.b_node.(k)
+        ~label:bk.b_label.(k) ~gen:bk.b_gen.(k)
+    done;
+    release t bk
   end
 
 (* Resolve granule [cursor]: cascade each coarser ring whose boundary the
@@ -287,37 +295,28 @@ let redistribute t b =
    caught by the granule check and re-placed instead). *)
 let resolve t =
   let c = t.cursor in
-  for l = t.levels - 1 downto 1 do
-    if c mod t.w_pow.(l) = 0 then
-      redistribute t ((l * t.slots) + ((c / t.w_pow.(l)) mod t.slots))
-  done;
   let b = c mod t.slots in
-  let len = t.b_len.(b) in
-  if len > 0 then begin
-    (* Detach the drained arrays before re-placing, exactly as
-       [redistribute] does: with one level a parked far-future entry
-       re-parks at [cursor + span - 1], whose level-0 slot is this very
-       bucket [b], so [place] below can push into the slot being read.
-       Detaching makes the reads immune to those writes instead of
-       relying on the write index trailing the read index. *)
-    detach t b;
-    let deadline = t.s_deadline
-    and seq = t.s_seq
-    and node = t.s_node
-    and label = t.s_label
-    and gen = t.s_gen in
-    t.bucket_count <- t.bucket_count - len;
-    t.cursor <- c + 1;
-    for k = 0 to len - 1 do
-      if granule t deadline.(k) = c then
-        due_push t ~deadline:deadline.(k) ~seq:seq.(k) ~node:node.(k)
-          ~label:label.(k) ~gen:gen.(k)
+  (* Every coarser boundary is a multiple of [slots]: one division settles
+     the common case, an empty level-0 granule with nothing to cascade. *)
+  if b = 0 then
+    for l = t.levels - 1 downto 1 do
+      if c mod t.w_pow.(l) = 0 then
+        redistribute t ((l * t.slots) + ((c / t.w_pow.(l)) mod t.slots))
+    done;
+  t.cursor <- c + 1;
+  if t.buckets.(b).len > 0 then begin
+    let bk = detach t b in
+    for k = 0 to bk.len - 1 do
+      let deadline = bk.b_deadline.(k) in
+      if granule t deadline = c then
+        due_push t ~deadline ~seq:bk.b_seq.(k) ~node:bk.b_node.(k)
+          ~label:bk.b_label.(k) ~gen:bk.b_gen.(k)
       else
-        place t ~deadline:deadline.(k) ~seq:seq.(k) ~node:node.(k)
-          ~label:label.(k) ~gen:gen.(k)
-    done
+        place t ~deadline ~seq:bk.b_seq.(k) ~node:bk.b_node.(k)
+          ~label:bk.b_label.(k) ~gen:bk.b_gen.(k)
+    done;
+    release t bk
   end
-  else t.cursor <- c + 1
 
 let peek t ~upto =
   if t.d_len = 0 then begin
@@ -356,9 +355,10 @@ let remap_batch t ~finals =
   if t.prov > 0 then begin
     let left = ref t.prov in
     let b = ref 0 in
-    while !left > 0 && !b < Array.length t.b_seq do
-      let seq = t.b_seq.(!b) in
-      for k = 0 to t.b_len.(!b) - 1 do
+    while !left > 0 && !b < Array.length t.buckets do
+      let bk = t.buckets.(!b) in
+      let seq = bk.b_seq in
+      for k = 0 to bk.len - 1 do
         let s = seq.(k) in
         if s >= Equeue.prov_flag then begin
           seq.(k) <- finals.(s land Equeue.cre_mask);

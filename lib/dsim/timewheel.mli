@@ -11,14 +11,14 @@
 
     The wheel never decides whether an entry is live: cancellation and
     re-arm are generation-counter checks performed by the engine when an
-    entry surfaces (exactly like the heap scheduler's lazy stale-slot
-    discard), so superseded entries stay in their bucket as flat integers
-    until their deadline passes.
+    entry surfaces (a lazy stale-slot discard), so superseded entries stay
+    in their bucket as flat integers until their deadline passes.
 
     Determinism: entries surface in strictly increasing [(deadline, seq)]
     order, the same total order a single binary heap over all events
     produces, which is what lets the engine interleave wheel timers with
-    its event queue byte-identically to the heap-only scheduler. *)
+    its event queue in one [(time, seq)] order. After a successful
+    [peek ~upto:t], every entry due at [t] sits in the due heap. *)
 
 type t
 
@@ -32,17 +32,19 @@ val create : granularity:float -> ?slots:int -> ?levels:int -> unit -> t
 
 val arm : t -> node:int -> label:int -> gen:int -> seq:int -> deadline:float -> unit
 (** Add an entry. [deadline] must be finite and non-negative; [seq] must
-    exceed every previously armed seq (the engine's shared tie-break
-    counter guarantees this). Entries whose granule has already been
-    resolved go straight into the due heap. *)
+    be unique among held entries (the engine's shared tie-break counter
+    guarantees this). Entries whose granule has already been resolved go
+    straight into the due heap, whatever their seq — which is how the
+    engine's tie-break hook puts a same-instant group back. *)
 
 val size : t -> int
 (** Entries currently held, including superseded ones that have not yet
     surfaced. *)
 
 val footprint_words : t -> int
-(** Words currently allocated across bucket, due-heap and scratch
-    arrays — read by the engine's memory-growth checks. *)
+(** Words currently allocated across the bucket table, bucket storage
+    (including drained buckets kept for reuse) and the due heap — read
+    by the engine's memory-growth checks. *)
 
 val peek : t -> upto:float -> bool
 (** [peek w ~upto] is [true] iff the earliest entry's deadline is
@@ -53,6 +55,9 @@ val peek : t -> upto:float -> bool
 val top_time : t -> float
 
 val top_seq : t -> int
+(** Sequence of the resolved head, or [max_int] when no entry is
+    resolved — an equal-time comparison against another source then
+    always prefers the other side. *)
 
 val top_node : t -> int
 

@@ -150,7 +150,7 @@ let run_branch (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
   in
   let trace = Dsim.Trace.create ~log_limit:1_000_000 () in
   let cfg =
-    Gcs.Sim.config ~algo:Gcs.Sim.Gradient ~scheduler:Gcs.Sim.Heap ~params
+    Gcs.Sim.config ~algo:Gcs.Sim.Gradient ~params
       ~clocks ~delay ~trace
       ~initial_edges:(complete_edges s.Spec.n)
       ~faults:s.Spec.faults ~fault_seed:0 ()

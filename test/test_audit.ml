@@ -285,7 +285,8 @@ let test_broken_recovery_flagged () =
   in
   let clocks = [| Dsim.Hwclock.perfect; Dsim.Hwclock.perfect |] in
   let engine =
-    Dsim.Engine.create ~clocks ~delay:(Dsim.Delay.constant ~bound:1.0 0.5) ()
+    Dsim.Engine.create ~clocks ~delay:(Dsim.Delay.constant ~bound:1.0 0.5)
+      ~timer_label:Gcs.Proto.timer_label ()
   in
   for i = 0 to 1 do
     Dsim.Engine.install engine i (fun _ctx ->

@@ -12,7 +12,10 @@ let build ?(n = 2) ?(clocks = None) ?(initial_edges = [ (0, 1) ]) () =
     match clocks with Some c -> c | None -> Array.init n (fun _ -> Hwclock.perfect)
   in
   let delay = Delay.constant ~bound:p.Params.delay_bound 0.5 in
-  let engine = Engine.create ~clocks ~delay ~discovery_lag:0. ~initial_edges () in
+  let engine =
+    Engine.create ~clocks ~delay ~discovery_lag:0. ~initial_edges
+      ~timer_label:Gcs.Proto.timer_label ()
+  in
   let nodes = Array.make n None in
   for i = 0 to n - 1 do
     Engine.install engine i (fun ctx ->

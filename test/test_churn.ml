@@ -142,7 +142,7 @@ let test_schedule_applies_to_engine () =
   let engine =
     (Dsim.Engine.create
        ~clocks:[| Dsim.Hwclock.perfect; Dsim.Hwclock.perfect |]
-       ~delay:(Dsim.Delay.zero ~bound:1.) ()
+       ~delay:(Dsim.Delay.zero ~bound:1.) ~timer_label:(fun () -> 0) ()
       : (unit, unit) Dsim.Engine.t)
   in
   let noop _ =
@@ -189,7 +189,8 @@ let prop_engine_replay_matches_final_edges =
       let engine =
         Dsim.Engine.create
           ~clocks:(Array.init n (fun _ -> Dsim.Hwclock.perfect))
-          ~delay:(Dsim.Delay.zero ~bound:1.) ~initial_edges:base ()
+          ~delay:(Dsim.Delay.zero ~bound:1.) ~initial_edges:base
+          ~timer_label:(fun () -> 0) ()
       in
       for i = 0 to n - 1 do
         Dsim.Engine.install engine i noop

@@ -7,6 +7,18 @@ let case name f = Alcotest.test_case name `Quick f
 
 let feq = Alcotest.float 1e-9
 
+(* Timer labels are strings here; intern each to a dense id so distinct
+   labels encode to distinct ints. *)
+let label =
+  let ids = Hashtbl.create 8 in
+  fun s ->
+    match Hashtbl.find_opt ids s with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids s i;
+      i
+
 (* A recording node: logs every event it sees as (time, description). The
    engine hides real time from nodes, so the log uses a shared clock
    captured through the harness closure. *)
@@ -21,7 +33,10 @@ let make ?(n = 2) ?(clocks = None) ?(delay = Delay.constant ~bound:1. 0.5)
   let clocks =
     match clocks with Some c -> c | None -> Array.init n (fun _ -> Hwclock.perfect)
   in
-  let engine = Engine.create ~clocks ~delay ~discovery_lag ~initial_edges ?trace () in
+  let engine =
+    Engine.create ~clocks ~delay ~discovery_lag ~initial_edges ?trace
+      ~timer_label:label ()
+  in
   let log = ref [] in
   let record time entry = log := (time, entry) :: !log in
   for i = 0 to n - 1 do
@@ -428,7 +443,7 @@ let prop_fifo_random_delays =
       let engine =
         (Engine.create
            ~clocks:[| Hwclock.perfect; Hwclock.perfect |]
-           ~delay ~initial_edges:[ (0, 1) ] ()
+           ~delay ~initial_edges:[ (0, 1) ] ~timer_label:label ()
           : (int, string) Engine.t)
       in
       Engine.install engine 0 (fun ctx ->
@@ -466,7 +481,7 @@ let prop_fifo_random_delays =
    initial range. *)
 let make_grown ~n ~grow ~delay =
   let clocks = Array.init n (fun _ -> Hwclock.perfect) in
-  let engine = Engine.create ~clocks ~delay () in
+  let engine = Engine.create ~clocks ~delay ~timer_label:(fun () -> 0) () in
   let log = ref [] in
   let ctxs = Hashtbl.create 16 in
   let install i =
@@ -577,7 +592,8 @@ let test_footprint_linear_in_n () =
     let delay = Delay.constant ~bound:1. 0.5 in
     let clocks = Array.init n (fun _ -> Hwclock.perfect) in
     let engine =
-      Engine.create ~clocks ~delay ~initial_edges:(Topology.Static.ring n) ()
+      Engine.create ~clocks ~delay ~initial_edges:(Topology.Static.ring n)
+        ~timer_label:(fun () -> 0) ()
     in
     let ctxs = Array.make n None in
     for i = 0 to n - 1 do

@@ -1,0 +1,250 @@
+module Equeue = Dsim.Equeue
+
+let case name f = Alcotest.test_case name `Quick f
+
+(* Push an event whose [a] operand names it, so pops can be checked. *)
+let push q ~time ~seq id =
+  Equeue.push q ~time ~seq ~kind:0 ~a:id ~b:0 ~c:0 ~d:0 (Obj.repr id)
+
+(* Pop everything as (time, a) pairs. *)
+let drain q =
+  let rec go acc =
+    if Equeue.is_empty q then List.rev acc
+    else begin
+      let time = Equeue.next_time q in
+      Equeue.pop q;
+      go ((time, Equeue.ev_a q) :: acc)
+    end
+  in
+  go []
+
+let test_empty () =
+  let q = Equeue.create () in
+  Alcotest.(check bool) "is_empty" true (Equeue.is_empty q);
+  Alcotest.(check int) "size 0" 0 (Equeue.size q);
+  Alcotest.(check bool) "next_time infinity" true (Equeue.next_time q = infinity);
+  Alcotest.(check int) "top_seq max_int" max_int (Equeue.top_seq q)
+
+let test_next_time_and_pop () =
+  let q = Equeue.create () in
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Equeue.pop: empty queue")
+    (fun () -> Equeue.pop q);
+  push q ~time:4.5 ~seq:0 7;
+  Alcotest.(check (float 0.)) "earliest time" 4.5 (Equeue.next_time q);
+  Equeue.pop q;
+  Alcotest.(check int) "pop loads the event" 7 (Equeue.ev_a q);
+  Alcotest.(check bool) "empty again" true (Equeue.next_time q = infinity)
+
+let test_ordering () =
+  let q = Equeue.create () in
+  (* Out of time order, with a tie at 2.0 broken by seq (not by push
+     order), then a push below the current head mid-drain. *)
+  List.iteri (fun i (time, seq) -> push q ~time ~seq i)
+    [ (3., 0); (1., 1); (2., 5); (2., 2); (10., 3) ];
+  Alcotest.(check (float 0.)) "earliest time" 1. (Equeue.next_time q);
+  Alcotest.(check int) "its seq" 1 (Equeue.top_seq q);
+  Equeue.pop q;
+  Alcotest.(check int) "pop 1.0" 1 (Equeue.ev_a q);
+  push q ~time:0.5 ~seq:6 5;
+  Alcotest.(check (list (pair (float 0.) int)))
+    "(time, seq) order" [ (0.5, 5); (2., 3); (2., 2); (3., 0); (10., 4) ] (drain q)
+
+let test_rejects_bad_input () =
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Equeue.create: negative capacity") (fun () ->
+      ignore (Equeue.create ~capacity:(-1) ()));
+  let q = Equeue.create () in
+  List.iter
+    (fun time ->
+      Alcotest.check_raises (Printf.sprintf "time %g" time)
+        (Invalid_argument "Equeue.push: non-finite time") (fun () ->
+          push q ~time ~seq:0 0))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check int) "nothing pushed" 0 (Equeue.size q)
+
+let test_ties () =
+  let q = Equeue.create () in
+  (* Equal times pop by seq, whatever the push order. *)
+  List.iter (fun seq -> push q ~time:5. ~seq seq) [ 0; 1; 2; 3; 4 ];
+  List.iter (fun seq -> push q ~time:6. ~seq seq) [ 9; 7; 8; 5; 6 ];
+  Alcotest.(check (list int)) "seq order within each time"
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+    (List.map snd (drain q))
+
+let test_interleaved_push_pop () =
+  let q = Equeue.create () in
+  push q ~time:2. ~seq:0 0;
+  push q ~time:1. ~seq:1 1;
+  Equeue.pop q;
+  Alcotest.(check int) "pop 1.0" 1 (Equeue.ev_a q);
+  push q ~time:0.5 ~seq:2 2;
+  Equeue.pop q;
+  Alcotest.(check int) "pop 0.5" 2 (Equeue.ev_a q);
+  Equeue.pop q;
+  Alcotest.(check int) "pop 2.0" 0 (Equeue.ev_a q);
+  Alcotest.(check bool) "empty" true (Equeue.is_empty q)
+
+let test_peek () =
+  let q = Equeue.create () in
+  push q ~time:7. ~seq:3 0;
+  Alcotest.(check (float 0.)) "next_time" 7. (Equeue.next_time q);
+  Alcotest.(check int) "top_seq" 3 (Equeue.top_seq q);
+  Alcotest.(check int) "size still 1" 1 (Equeue.size q)
+
+let test_growth_to_1000 () =
+  let q = Equeue.create () in
+  let w0 = Equeue.footprint_words q in
+  for i = 999 downto 0 do
+    push q ~time:(float_of_int i) ~seq:(999 - i) i
+  done;
+  Alcotest.(check int) "size" 1000 (Equeue.size q);
+  Alcotest.(check bool) "storage grew" true (Equeue.footprint_words q > w0);
+  Alcotest.(check (list int)) "sorted output" (List.init 1000 Fun.id)
+    (List.map snd (drain q))
+
+let test_growth_past_capacity () =
+  List.iter
+    (fun capacity ->
+      let q = Equeue.create ~capacity () in
+      let w0 = Equeue.footprint_words q in
+      for i = 9 downto 0 do
+        push q ~time:(float_of_int i) ~seq:(9 - i) i
+      done;
+      Alcotest.(check int) "size" 10 (Equeue.size q);
+      Alcotest.(check bool) "storage grew" true (Equeue.footprint_words q > w0);
+      Alcotest.(check (list int))
+        (Printf.sprintf "sorted output (capacity %d)" capacity)
+        (List.init 10 Fun.id)
+        (List.map snd (drain q)))
+    [ 0; 4 ]
+
+(* Popped payloads must not outlive [release]: the slot pool and the
+   register would otherwise keep every delivered message and callback
+   closure alive against the GC. *)
+let[@inline never] push_and_pop q w =
+  let payload = Bytes.make 16 'x' in
+  Weak.set w 0 (Some payload);
+  Equeue.push q ~time:1. ~seq:0 ~kind:0 ~a:0 ~b:0 ~c:0 ~d:0 (Obj.repr payload);
+  Equeue.push q ~time:2. ~seq:1 ~kind:0 ~a:1 ~b:0 ~c:0 ~d:0
+    (Obj.repr (Bytes.make 16 'y'));
+  Equeue.pop q
+
+let test_release () =
+  let q = Equeue.create () in
+  let w = Weak.create 1 in
+  push_and_pop q w;
+  Equeue.release q;
+  Gc.full_major ();
+  Alcotest.(check bool) "released payload collected" true (Weak.get w 0 = None);
+  Alcotest.(check int) "remaining event untouched" 1 (Equeue.size q)
+
+(* Model-based check: random push / pop / remap_batch sequences against a
+   sorted (time, seq) list. Pushes draw either the next final rank or
+   the next provisional rank, as the engine's lanes do inside a window;
+   a remap then hands the provisional ranks final ranks above every one
+   issued so far, in creation order — the order-preserving rewrite the
+   engine's barrier performs. *)
+type op = Push of int * bool | Pop | Remap
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun t p -> Push (t, p)) (int_bound 4) bool);
+        (3, return Pop);
+        (1, return Remap);
+      ])
+
+let pp_op = function
+  | Push (t, p) -> Printf.sprintf "push %d%s" t (if p then "p" else "")
+  | Pop -> "pop"
+  | Remap -> "remap"
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"push/pop/remap_batch match a sorted reference"
+    ~count:300
+    QCheck.(make ~print:(Print.list pp_op) Gen.(list_size (int_bound 60) op_gen))
+    (fun ops ->
+      let q = Equeue.create ~capacity:2 () in
+      let model = ref [] (* (time, seq, id), sorted *) in
+      let next = ref 0 and cre = ref 0 and id = ref 0 in
+      let insert e = model := List.merge compare [ e ] !model in
+      let step = function
+        | Push (t, prov) ->
+          let seq =
+            if prov then begin
+              let s = Equeue.prov_flag lor !cre in
+              incr cre;
+              s
+            end
+            else begin
+              let s = !next in
+              incr next;
+              s
+            end
+          in
+          let time = float_of_int t in
+          push q ~time ~seq !id;
+          insert (time, seq, !id);
+          incr id;
+          true
+        | Pop -> (
+          match !model with
+          | [] -> Equeue.is_empty q
+          | (time, seq, i) :: rest ->
+            model := rest;
+            let ok = Equeue.next_time q = time && Equeue.top_seq q = seq in
+            Equeue.pop q;
+            ok && Equeue.ev_a q = i)
+        | Remap ->
+          let finals = Array.init !cre (fun j -> !next + j) in
+          next := !next + !cre;
+          cre := 0;
+          Equeue.remap_batch q ~finals;
+          model :=
+            List.sort compare
+              (List.map
+                 (fun (t, s, i) ->
+                   if s >= Equeue.prov_flag then
+                     (t, finals.(s land Equeue.cre_mask), i)
+                   else (t, s, i))
+                 !model);
+          true
+      in
+      List.for_all
+        (fun op -> step op && Equeue.size q = List.length !model)
+        ops
+      && List.for_all (fun _ -> step Pop) !model
+      && Equeue.is_empty q)
+
+(* Pushes at a handful of times with increasing seqs: within each time
+   the pops come out in push order. *)
+let prop_equal_times =
+  QCheck.Test.make ~name:"equal times pop in seq order" ~count:200
+    QCheck.(list_of_size (Gen.int_range 0 30) (int_bound 3))
+    (fun buckets ->
+      let q = Equeue.create () in
+      List.iteri (fun i b -> push q ~time:(float_of_int b) ~seq:i i) buckets;
+      let rec in_order = function
+        | (t, i) :: ((t', i') :: _ as rest) ->
+          (t < t' || (t = t' && i < i')) && in_order rest
+        | _ -> true
+      in
+      let out = drain q in
+      List.length out = List.length buckets && in_order out)
+
+let suite =
+  [
+    case "empty queue" test_empty;
+    case "next_time and pop" test_next_time_and_pop;
+    case "ordering by (time, seq)" test_ordering;
+    case "ties pop in seq order" test_ties;
+    case "interleaved push/pop" test_interleaved_push_pop;
+    case "peek leaves the head queued" test_peek;
+    case "rejects bad input by name" test_rejects_bad_input;
+    case "growth to 1000" test_growth_to_1000;
+    case "growth past the requested capacity" test_growth_past_capacity;
+    case "release frees the payload" test_release;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_equal_times;
+  ]

@@ -36,10 +36,9 @@ let golden_jumps = 338
 
 let golden_l0 = 153.890702451
 
-(* The pinned values were recorded under the heap scheduler; the default
-   config now runs the timer wheel, so passing here doubles as parity
-   evidence. [~scheduler] lets the heap case assert the same numbers. *)
-let run_fixed_scenario ?(scheduler = Gcs.Sim.Wheel) () =
+(* The pinned values were recorded when timers still shared the event
+   heap; the timer wheel reproduces them exactly. *)
+let run_fixed_scenario () =
   let n = 12 in
   let params = Gcs.Params.make ~n () in
   let horizon = 150. in
@@ -50,7 +49,7 @@ let run_fixed_scenario ?(scheduler = Gcs.Sim.Wheel) () =
     Dsim.Delay.uniform (Dsim.Prng.of_int 77) ~bound:params.Gcs.Params.delay_bound
   in
   let cfg =
-    Gcs.Sim.config ~scheduler ~params ~clocks ~delay
+    Gcs.Sim.config ~params ~clocks ~delay
       ~initial_edges:(Topology.Static.ring n) ()
   in
   let sim = Gcs.Sim.create cfg in
@@ -86,18 +85,8 @@ let test_counters () =
   Alcotest.(check (float 1e-6)) "final clock of node 0" golden_l0
     (Gcs.Sim.logical_clock sim 0)
 
-let test_counters_heap () =
-  let sim, _ = run_fixed_scenario ~scheduler:Gcs.Sim.Heap () in
-  Alcotest.(check int) "events" golden_events
-    (Dsim.Engine.events_processed (Gcs.Sim.engine sim));
-  Alcotest.(check int) "messages" golden_messages (Gcs.Sim.total_messages sim);
-  Alcotest.(check int) "jumps" golden_jumps (Gcs.Sim.total_jumps sim);
-  Alcotest.(check (float 1e-6)) "final clock of node 0" golden_l0
-    (Gcs.Sim.logical_clock sim 0)
-
 let suite =
   [
     Alcotest.test_case "golden samples" `Quick test_samples;
     Alcotest.test_case "golden counters" `Quick test_counters;
-    Alcotest.test_case "golden counters (heap scheduler)" `Quick test_counters_heap;
   ]

@@ -22,7 +22,7 @@ let make_setup () =
   let engine =
     (Dsim.Engine.create
        ~clocks:[| Dsim.Hwclock.perfect; Dsim.Hwclock.perfect |]
-       ~delay:(Dsim.Delay.zero ~bound:1.) ()
+       ~delay:(Dsim.Delay.zero ~bound:1.) ~timer_label:Gcs.Proto.timer_label ()
       : (Gcs.Proto.message, Gcs.Proto.timer) Dsim.Engine.t)
   in
   Dsim.Engine.install engine 0 (fun _ ->

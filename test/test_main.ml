@@ -6,7 +6,7 @@ let () =
     [
       ("prng", Test_prng.suite);
       ("runner", Test_runner.suite);
-      ("pqueue", Test_pqueue.suite);
+      ("equeue", Test_equeue.suite);
       ("timewheel", Test_timewheel.suite);
       ("hwclock", Test_hwclock.suite);
       ("delay", Test_delay.suite);

@@ -167,7 +167,7 @@ let test_shrink_keeps_failure () =
 
 (* --------------------- incremental == batch ------------------------ *)
 
-let small_sim ?(n = 3) ?(scheduler = Gcs.Sim.Heap) ?(shards = 1) ?delay () =
+let small_sim ?(n = 3) ?(shards = 1) ?delay () =
   let params = Gcs.Params.make ~n () in
   let rho = params.Gcs.Params.rho in
   let clocks =
@@ -181,7 +181,7 @@ let small_sim ?(n = 3) ?(scheduler = Gcs.Sim.Heap) ?(shards = 1) ?delay () =
   in
   let trace = Trace.create ~log_limit:200_000 () in
   let cfg =
-    Gcs.Sim.config ~algo:Gcs.Sim.Gradient ~scheduler ~shards ~params ~clocks ~delay
+    Gcs.Sim.config ~algo:Gcs.Sim.Gradient ~shards ~params ~clocks ~delay
       ~trace
       ~initial_edges:(List.init (n - 1) (fun i -> (i, i + 1)))
       ()
@@ -233,17 +233,65 @@ let test_tie_break_out_of_range_raises () =
     (Invalid_argument "Engine tie-break hook returned an out-of-range choice")
     (fun () -> Gcs.Sim.run_until sim 4.)
 
-let test_tie_break_rejects_wheel_and_shards () =
-  let sim, _, _ = small_sim ~scheduler:Gcs.Sim.Wheel () in
-  (try
-     Dsim.Engine.set_tie_break (Gcs.Sim.engine sim) (Some (fun _ -> 0));
-     Alcotest.fail "wheel scheduler accepted a tie-break hook"
-   with Invalid_argument _ -> ());
+let test_tie_break_rejects_shards () =
   let sim, _, _ = small_sim ~n:4 ~shards:2 () in
-  try
-    Dsim.Engine.set_tie_break (Gcs.Sim.engine sim) (Some (fun _ -> 0));
-    Alcotest.fail "sharded engine accepted a tie-break hook"
-  with Invalid_argument _ -> ()
+  Alcotest.check_raises "sharded engine"
+    (Invalid_argument "Engine.set_tie_break: the hook requires a single shard")
+    (fun () -> Dsim.Engine.set_tie_break (Gcs.Sim.engine sim) (Some (fun _ -> 0)))
+
+(* A delivery to node 1 and node 1's wheel timer both fall due at t=0.5
+   (the send is ranked first). The hook must see them as one group of
+   two, and whichever index it picks dispatches first. *)
+let test_tie_break_spans_queue_and_wheel () =
+  let run choice =
+    let trace = Trace.create ~log_limit:1000 () in
+    let engine =
+      Dsim.Engine.create
+        ~clocks:[| Dsim.Hwclock.perfect; Dsim.Hwclock.perfect |]
+        ~delay:(Dsim.Delay.constant ~bound:1. 0.5)
+        ~initial_edges:[ (0, 1) ] ~trace ~timer_label:(fun () -> 0) ()
+    in
+    for i = 0 to 1 do
+      Dsim.Engine.install engine i (fun ctx ->
+          {
+            Dsim.Engine.on_init =
+              (fun () ->
+                if i = 0 then Dsim.Engine.send ctx ~dst:1 "m"
+                else Dsim.Engine.set_timer ctx ~after:0.5 ());
+            on_discover_add = ignore;
+            on_discover_remove = ignore;
+            on_receive = (fun _ _ -> ());
+            on_timer = ignore;
+          })
+    done;
+    let groups = ref [] in
+    Dsim.Engine.set_tie_break engine
+      (Some
+         (fun k ->
+           if Dsim.Engine.now engine = 0.5 then begin
+             groups := k :: !groups;
+             if k = 2 then choice else 0
+           end
+           else 0));
+    Dsim.Engine.run_until engine 1.;
+    let order =
+      List.filter_map
+        (fun e ->
+          match e.Trace.kind with
+          | (Trace.Deliver | Trace.Timer_fire) as k when e.Trace.time = 0.5 ->
+            Some (Trace.kind_to_string k)
+          | _ -> None)
+        (Trace.entries trace)
+    in
+    (List.rev !groups, order)
+  in
+  let deliver = Trace.kind_to_string Trace.Deliver
+  and fire = Trace.kind_to_string Trace.Timer_fire in
+  let groups, order = run 0 in
+  Alcotest.(check (list int)) "one group of two, then the rest" [ 2; 1 ] groups;
+  Alcotest.(check (list string)) "choice 0: delivery first" [ deliver; fire ] order;
+  let _, order = run 1 in
+  Alcotest.(check (list string)) "choice 1: timer first" [ fire; deliver ] order
 
 (* ------------------------ clamp regression ------------------------- *)
 
@@ -385,8 +433,10 @@ let suite =
       test_tie_break_identity_hook_is_noop;
     Alcotest.test_case "out-of-range tie-break choice raises" `Quick
       test_tie_break_out_of_range_raises;
-    Alcotest.test_case "tie-break hook rejects wheel/shards" `Quick
-      test_tie_break_rejects_wheel_and_shards;
+    Alcotest.test_case "tie-break hook rejects shards" `Quick
+      test_tie_break_rejects_shards;
+    Alcotest.test_case "tie-break group spans queue and wheel" `Quick
+      test_tie_break_spans_queue_and_wheel;
     Alcotest.test_case "out-of-range delay draws are clamped and traced" `Quick
       test_out_of_range_delay_draw_traced;
     Alcotest.test_case "spec round-trips" `Quick test_spec_round_trip;

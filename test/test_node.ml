@@ -26,7 +26,7 @@ let build ?(n = 2) ?(clocks = None) ?(delay = None) ?(discovery_lag = 0.)
   in
   let engine =
     Engine.create ~clocks ~delay ~discovery_lag ~initial_edges ?trace ?faults
-      ~fault_seed:17 ()
+      ~fault_seed:17 ~timer_label:Gcs.Proto.timer_label ()
   in
   let nodes = Array.make n None in
   for i = 0 to n - 1 do

@@ -1,8 +1,12 @@
-(* Scheduler parity: the `Heap and `Wheel engines must produce
-   byte-identical executions — same dispatch order, same structured
-   trace, same counters. The wheel draws its tie-break seqs from the
-   queue's shared counter and surfaces entries in (time, seq) order, so
-   any divergence here is a determinism-contract break (DESIGN.md §10). *)
+(* Scheduling parity: every engine configuration that claims to match the
+   sequential reference — shard count, domain count, partition, window
+   mode — must reproduce its dispatch order, structured trace and
+   counters byte for byte (DESIGN.md §10, §14). The sequential runs
+   themselves are pinned to digests recorded when timers still shared
+   the event heap, the engine's original single-queue order: the wheel
+   draws its tie-break seqs from the queue's counter and surfaces
+   entries in the same (time, seq) order, so any drift here is a
+   determinism-contract break. *)
 
 module Engine = Dsim.Engine
 module Hwclock = Dsim.Hwclock
@@ -11,11 +15,21 @@ module Trace = Dsim.Trace
 
 let case name f = Alcotest.test_case name `Quick f
 
+let digest trace = Digest.to_hex (Digest.string (Trace.to_csv trace))
+
+(* Assert a run against the values pinned for it: trace digest, events
+   dispatched, events still pending and armed timers at the horizon. *)
+let check_pinned ~md5 ~events ~pending ~live engine trace =
+  Alcotest.(check string) "trace digest" md5 (digest trace);
+  Alcotest.(check int) "events processed" events (Engine.events_processed engine);
+  Alcotest.(check int) "pending events" pending (Engine.pending_events engine);
+  Alcotest.(check int) "live timers" live (Engine.live_timers engine)
+
 (* A timer-heavy toy protocol over int timer labels: each node keeps a
    periodic label-0 tick broadcasting to all peers it has heard from, and
    per-source label-(src+1) timeouts re-armed on every receipt — the same
    arm/re-arm/cancel pattern as the gradient algorithm's Lost timers. *)
-let build ~scheduler ~trace =
+let build ~trace =
   let n = 8 in
   let clocks =
     Array.init n (fun i ->
@@ -26,7 +40,7 @@ let build ~scheduler ~trace =
   let initial_edges = Topology.Static.ring n in
   let engine =
     Engine.create ~clocks ~delay ~discovery_lag:0.4 ~initial_edges ~trace
-      ~timer_label:(fun t -> t) ~scheduler ()
+      ~timer_label:(fun t -> t) ()
   in
   for i = 0 to n - 1 do
     Engine.install engine i (fun ctx ->
@@ -55,7 +69,7 @@ let build ~scheduler ~trace =
         })
   done;
   (* Churn a few ring edges so cancels, re-discoveries and in-flight
-     drops all happen under both schedulers. *)
+     drops all happen. *)
   Engine.schedule_edge_remove engine ~at:11.3 0 1;
   Engine.schedule_edge_add engine ~at:14.8 0 1;
   Engine.schedule_edge_remove engine ~at:20.1 3 4;
@@ -63,65 +77,17 @@ let build ~scheduler ~trace =
   Engine.schedule_edge_add engine ~at:33.9 3 4;
   engine
 
-let run_engine scheduler =
+let test_engine_pinned () =
   let trace = Trace.create ~log_limit:200_000 () in
-  let engine = build ~scheduler ~trace in
+  let engine = build ~trace in
   Engine.run_until engine 80.;
-  (engine, trace)
+  check_pinned ~md5:"44463a9ee8acd5eec299f95ac4221ea4" ~events:2238 ~pending:35
+    ~live:26 engine trace
 
-let test_engine_parity () =
-  let heap, heap_trace = run_engine `Heap in
-  let wheel, wheel_trace = run_engine (`Wheel 0.0625) in
-  Alcotest.(check int)
-    "events processed" (Engine.events_processed heap) (Engine.events_processed wheel);
-  Alcotest.(check int)
-    "pending events" (Engine.pending_events heap) (Engine.pending_events wheel);
-  Alcotest.(check int)
-    "live timers" (Engine.live_timers heap) (Engine.live_timers wheel);
-  Alcotest.(check string)
-    "byte-identical trace" (Trace.to_csv heap_trace) (Trace.to_csv wheel_trace)
-
-(* Clear-and-rerun at the scheduler seam: ranks handed out through
-   [alloc_seq] live on in the wheel across a [Pqueue.clear], so a
-   cleared-and-reused queue must keep counting — a post-clear push at the
-   same instant as a surviving wheel entry has to surface *after* it.
-   (The old clear reset [next_seq] to 0, which let fresh pushes interleave
-   below stale wheel ranks and broke heap/wheel trace parity.) *)
-let test_clear_and_rerun_merge_order () =
-  let q = Dsim.Pqueue.create () in
-  let w = Dsim.Timewheel.create ~granularity:0.25 () in
-  (* Round 1: mixed traffic consumes seqs on both sides of the seam. *)
-  Dsim.Pqueue.push q ~time:1.0 "a";
-  Dsim.Timewheel.arm w ~node:0 ~label:0 ~gen:0 ~seq:(Dsim.Pqueue.alloc_seq q)
-    ~deadline:5.0;
-  Dsim.Pqueue.push q ~time:2.0 "b";
-  Alcotest.(check (option string)) "round 1 pops" (Some "a") (Option.map snd (Dsim.Pqueue.pop q));
-  (* Reset the event queue mid-run; the wheel entry at t=5 survives. *)
-  Dsim.Pqueue.clear q;
-  Alcotest.(check bool) "queue empty after clear" true (Dsim.Pqueue.is_empty q);
-  (* Round 2: a fresh wheel arm, then a queue push, both due at t=5. *)
-  Dsim.Timewheel.arm w ~node:1 ~label:0 ~gen:0 ~seq:(Dsim.Pqueue.alloc_seq q)
-    ~deadline:5.0;
-  Dsim.Pqueue.push q ~time:5.0 "c";
-  Alcotest.(check bool) "wheel has due entries" true (Dsim.Timewheel.peek w ~upto:5.0);
-  (* Merged (time, seq) order: both surviving wheel entries outrank the
-     post-clear push at the tied deadline. *)
-  Alcotest.(check bool) "round-1 wheel entry first"
-    true (Dsim.Timewheel.top_seq w < Dsim.Pqueue.top_seq q);
-  Alcotest.(check int) "round-1 wheel node" 0 (Dsim.Timewheel.top_node w);
-  Dsim.Timewheel.pop w;
-  Alcotest.(check bool) "wheel still due" true (Dsim.Timewheel.peek w ~upto:5.0);
-  Alcotest.(check bool) "round-2 wheel entry still outranks the push"
-    true (Dsim.Timewheel.top_seq w < Dsim.Pqueue.top_seq q);
-  Alcotest.(check int) "round-2 wheel node" 1 (Dsim.Timewheel.top_node w);
-  Dsim.Timewheel.pop w;
-  Alcotest.(check (option string)) "queue event last" (Some "c")
-    (Option.map snd (Dsim.Pqueue.pop q))
-
-(* Full-stack parity: the gradient algorithm on a seeded churned topology,
+(* Full-stack runs: the gradient algorithm on a seeded churned topology,
    audited trace and all. This is the scenario class the wheel was built
    for (periodic ΔH ticks plus per-peer ΔT' lost timers at scale). *)
-let run_sim ?(faults = []) ?(shards = 1) scheduler =
+let run_sim ?(faults = []) ?(shards = 1) () =
   let n = 24 in
   let horizon = 50. in
   let params = Gcs.Params.make ~n () in
@@ -132,8 +98,8 @@ let run_sim ?(faults = []) ?(shards = 1) scheduler =
   in
   let trace = Trace.create ~log_limit:500_000 () in
   let cfg =
-    Gcs.Sim.config ~scheduler ~shards ~params ~clocks ~delay ~initial_edges:edges
-      ~trace ~faults ~fault_seed:21 ()
+    Gcs.Sim.config ~shards ~params ~clocks ~delay ~initial_edges:edges ~trace
+      ~faults ~fault_seed:21 ()
   in
   let sim = Gcs.Sim.create cfg in
   Topology.Churn.schedule (Gcs.Sim.engine sim)
@@ -142,29 +108,17 @@ let run_sim ?(faults = []) ?(shards = 1) scheduler =
   Gcs.Sim.run_until sim horizon;
   (sim, trace)
 
-let test_sim_parity () =
-  let heap, heap_trace = run_sim Gcs.Sim.Heap in
-  let wheel, wheel_trace = run_sim Gcs.Sim.Wheel in
-  Alcotest.(check int)
-    "events processed"
-    (Dsim.Engine.events_processed (Gcs.Sim.engine heap))
-    (Dsim.Engine.events_processed (Gcs.Sim.engine wheel));
-  Alcotest.(check int) "messages" (Gcs.Sim.total_messages heap)
-    (Gcs.Sim.total_messages wheel);
-  Alcotest.(check int) "jumps" (Gcs.Sim.total_jumps heap) (Gcs.Sim.total_jumps wheel);
-  for i = 0 to (Gcs.Sim.params heap).Gcs.Params.n - 1 do
-    Alcotest.(check (float 0.))
-      (Printf.sprintf "clock of node %d" i)
-      (Gcs.Sim.logical_clock heap i)
-      (Gcs.Sim.logical_clock wheel i)
-  done;
-  Alcotest.(check string)
-    "byte-identical trace" (Trace.to_csv heap_trace) (Trace.to_csv wheel_trace)
+let sim_md5 = "9c6e03d99b57a1bae0a7a1eee20895a7"
 
-(* The wheel run's trace must also satisfy the conformance auditor,
-   including the lost-timer cadence rule that reads the new label field. *)
+let test_sim_pinned () =
+  let sim, trace = run_sim () in
+  check_pinned ~md5:sim_md5 ~events:4917 ~pending:168 ~live:117
+    (Gcs.Sim.engine sim) trace
+
+(* The trace must also satisfy the conformance auditor, including the
+   lost-timer cadence rule that reads the timer label field. *)
 let test_wheel_trace_audits_clean () =
-  let sim, trace = run_sim Gcs.Sim.Wheel in
+  let sim, trace = run_sim () in
   let cfg =
     Audit.Conformance.of_params (Gcs.Sim.params sim) ~horizon:50. ()
   in
@@ -173,11 +127,11 @@ let test_wheel_trace_audits_clean () =
     (List.length report.Audit.Report.violations);
   Alcotest.(check bool) "events audited" true (report.Audit.Report.events_audited > 0)
 
-(* Fault parity: the whole fault layer — crash/restart events, dup
+(* Fault replay: the whole fault layer — crash/restart events, dup
    pushes, Byzantine corruption draws, incarnation drops — is routed
    through the shared event queue, so it must replay byte-identically
-   under both schedulers, and the fault-aware auditor must accept both
-   traces. *)
+   to its pinned digest, and the fault-aware auditor must accept the
+   trace. *)
 let parity_faults =
   [
     Dsim.Fault.Crash { node = 4; at = 8. };
@@ -189,37 +143,21 @@ let parity_faults =
     Dsim.Fault.Byzantine { node = 17; from_ = 12.; until = 24. };
   ]
 
-let test_sim_parity_faulted () =
-  let heap, heap_trace = run_sim ~faults:parity_faults Gcs.Sim.Heap in
-  let wheel, wheel_trace = run_sim ~faults:parity_faults Gcs.Sim.Wheel in
-  Alcotest.(check int)
-    "events processed"
-    (Dsim.Engine.events_processed (Gcs.Sim.engine heap))
-    (Dsim.Engine.events_processed (Gcs.Sim.engine wheel));
-  for i = 0 to (Gcs.Sim.params heap).Gcs.Params.n - 1 do
-    Alcotest.(check (float 0.))
-      (Printf.sprintf "clock of node %d" i)
-      (Gcs.Sim.logical_clock heap i)
-      (Gcs.Sim.logical_clock wheel i)
-  done;
-  let heap_csv = Trace.to_csv heap_trace in
-  Alcotest.(check string) "byte-identical trace" heap_csv (Trace.to_csv wheel_trace);
+let test_sim_pinned_faulted () =
+  let sim, trace = run_sim ~faults:parity_faults () in
+  check_pinned ~md5:"0ae19bd4995d34a3161966d0c1de1ad5" ~events:4887 ~pending:170
+    ~live:116 (Gcs.Sim.engine sim) trace;
   Alcotest.(check bool) "fault events present" true
-    (Dsim.Trace.count heap_trace Dsim.Trace.Fault_crash > 0
-    && Dsim.Trace.count heap_trace Dsim.Trace.Fault_duplicate > 0
-    && Dsim.Trace.count heap_trace Dsim.Trace.Fault_byzantine_msg > 0);
-  List.iter
-    (fun (name, trace) ->
-      let cfg =
-        Audit.Conformance.of_params (Gcs.Sim.params heap) ~horizon:50.
-          ~faults:parity_faults ()
-      in
-      let report = Audit.Conformance.audit cfg (Trace.entries trace) in
-      Alcotest.(check int)
-        (Printf.sprintf "%s faulted trace audits clean" name)
-        0
-        (List.length report.Audit.Report.violations))
-    [ ("heap", heap_trace); ("wheel", wheel_trace) ]
+    (Dsim.Trace.count trace Dsim.Trace.Fault_crash > 0
+    && Dsim.Trace.count trace Dsim.Trace.Fault_duplicate > 0
+    && Dsim.Trace.count trace Dsim.Trace.Fault_byzantine_msg > 0);
+  let cfg =
+    Audit.Conformance.of_params (Gcs.Sim.params sim) ~horizon:50.
+      ~faults:parity_faults ()
+  in
+  let report = Audit.Conformance.audit cfg (Trace.entries trace) in
+  Alcotest.(check int) "faulted trace audits clean" 0
+    (List.length report.Audit.Report.violations)
 
 (* Shard parity: partitioning the node ids across per-shard queues and
    wheels moves every cross-shard event through the outbox merge barrier,
@@ -228,11 +166,12 @@ let test_sim_parity_faulted () =
    (DESIGN.md §12). n=24 with 7 shards exercises uneven ranges (the last
    shard owns a wider tail). *)
 let test_shard_parity () =
-  let base, base_trace = run_sim ~shards:1 Gcs.Sim.Wheel in
+  let base, base_trace = run_sim ~shards:1 () in
+  Alcotest.(check string) "reference matches its pin" sim_md5 (digest base_trace);
   let base_csv = Trace.to_csv base_trace in
   List.iter
     (fun shards ->
-      let sim, trace = run_sim ~shards Gcs.Sim.Wheel in
+      let sim, trace = run_sim ~shards () in
       Alcotest.(check int)
         (Printf.sprintf "events processed (shards=%d)" shards)
         (Dsim.Engine.events_processed (Gcs.Sim.engine base))
@@ -240,20 +179,14 @@ let test_shard_parity () =
       Alcotest.(check string)
         (Printf.sprintf "byte-identical trace (shards=%d)" shards)
         base_csv (Trace.to_csv trace))
-    [ 2; 4; 7 ];
-  (* And across the scheduler axis at the same time: a sharded wheel run
-     must still match the single-queue heap engine. *)
-  let _, heap_trace = run_sim Gcs.Sim.Heap in
-  let _, sharded_trace = run_sim ~shards:4 Gcs.Sim.Wheel in
-  Alcotest.(check string) "sharded wheel = unsharded heap"
-    (Trace.to_csv heap_trace) (Trace.to_csv sharded_trace)
+    [ 2; 4; 7 ]
 
 (* Fault events cross shard boundaries too: crashes purge remote state,
    duplication re-pushes on the send path, restarts re-discover. All of
    it must replay byte-identically under sharding. *)
 let test_shard_parity_faulted () =
-  let _, base_trace = run_sim ~faults:parity_faults Gcs.Sim.Wheel in
-  let _, sharded_trace = run_sim ~faults:parity_faults ~shards:3 Gcs.Sim.Wheel in
+  let _, base_trace = run_sim ~faults:parity_faults () in
+  let _, sharded_trace = run_sim ~faults:parity_faults ~shards:3 () in
   Alcotest.(check string) "byte-identical faulted trace (shards=3)"
     (Trace.to_csv base_trace) (Trace.to_csv sharded_trace)
 
@@ -266,7 +199,7 @@ let test_shard_parity_faulted () =
    keeps control events interleaving with the windows. The contract:
    (shards, jobs) is pure placement — every combination must reproduce
    the sequential trace byte for byte. *)
-let run_sim_windowed ?(faults = []) ?(shards = 1) ?(jobs = 1) scheduler =
+let run_sim_windowed ?(faults = []) ?(shards = 1) ?(jobs = 1) () =
   let n = 24 in
   let horizon = 50. in
   let params = Gcs.Params.make ~n () in
@@ -276,8 +209,8 @@ let run_sim_windowed ?(faults = []) ?(shards = 1) ?(jobs = 1) scheduler =
   let delay = Dsim.Delay.uniform_keyed ~seed:9 ~lo:(0.25 *. bound) ~bound () in
   let trace = Trace.create ~log_limit:500_000 () in
   let cfg =
-    Gcs.Sim.config ~scheduler ~shards ~params ~clocks ~delay ~initial_edges:edges
-      ~trace ~faults ~fault_seed:21 ()
+    Gcs.Sim.config ~shards ~params ~clocks ~delay ~initial_edges:edges ~trace
+      ~faults ~fault_seed:21 ()
   in
   let sim = Gcs.Sim.create cfg in
   Topology.Churn.schedule (Gcs.Sim.engine sim)
@@ -303,18 +236,17 @@ let run_sim_windowed ?(faults = []) ?(shards = 1) ?(jobs = 1) scheduler =
   (sim, trace)
 
 let test_parallel_dispatch_parity () =
-  let base, base_trace = run_sim_windowed ~shards:1 Gcs.Sim.Wheel in
+  let base, base_trace = run_sim_windowed ~shards:1 () in
+  (* The sequential reference matches its pin — the keyed delay changes
+     nothing about the single-queue order. *)
+  check_pinned ~md5:"07ab1d4a755476e02e80bdefa65e7f32" ~events:4907 ~pending:177
+    ~live:116 (Gcs.Sim.engine base) base_trace;
   let base_csv = Trace.to_csv base_trace in
-  (* The sequential reference must itself match the heap engine — the
-     keyed delay changes nothing about scheduler parity. *)
-  let _, heap_trace = run_sim_windowed ~shards:1 Gcs.Sim.Heap in
-  Alcotest.(check string) "wheel = heap (keyed delay)" base_csv
-    (Trace.to_csv heap_trace);
   List.iter
     (fun shards ->
       List.iter
         (fun jobs ->
-          let sim, trace = run_sim_windowed ~shards ~jobs Gcs.Sim.Wheel in
+          let sim, trace = run_sim_windowed ~shards ~jobs () in
           Alcotest.(check int)
             (Printf.sprintf "events processed (shards=%d jobs=%d)" shards jobs)
             (Dsim.Engine.events_processed (Gcs.Sim.engine base))
@@ -335,7 +267,8 @@ let test_parallel_dispatch_parity () =
    barriers. The cluster topology scatters community members across the
    id range, which is the worst case for the contiguous split and the
    showcase for the greedy partitioner; both maps must agree on the
-   trace. *)
+   trace. Window accounting must stay honest too: the events the windows
+   dispatched are a real, positive share of all events dispatched. *)
 let run_sim_adaptive ~edges ?(shards = 1) ?(jobs = 1) ?(partition = `Contiguous) ()
     =
   let n = 24 in
@@ -346,8 +279,8 @@ let run_sim_adaptive ~edges ?(shards = 1) ?(jobs = 1) ?(partition = `Contiguous)
   let delay = Dsim.Delay.uniform_keyed ~seed:9 ~lo:(0.25 *. bound) ~bound () in
   let trace = Trace.create ~log_limit:500_000 () in
   let cfg =
-    Gcs.Sim.config ~scheduler:Gcs.Sim.Wheel ~shards ~partition ~params ~clocks
-      ~delay ~initial_edges:edges ~trace ()
+    Gcs.Sim.config ~shards ~partition ~params ~clocks ~delay ~initial_edges:edges
+      ~trace ()
   in
   let sim = Gcs.Sim.create cfg in
   (if jobs > 1 then begin
@@ -402,7 +335,14 @@ let test_adaptive_window_parity () =
                   Alcotest.(check bool)
                     ("windows amortize barriers " ^ tag)
                     true
-                    (Trace.windows trace > Trace.barriers trace))
+                    (Trace.windows trace > Trace.barriers trace);
+                  let events = Dsim.Engine.events_processed (Gcs.Sim.engine sim) in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "0 < window events %d <= events %d %s"
+                       (Trace.window_events trace) events tag)
+                    true
+                    (Trace.window_events trace > 0
+                    && Trace.window_events trace <= events))
                 [ ("contiguous", `Contiguous); ("greedy", `Greedy) ])
             [ 1; shards ])
         [ 2; 4; 7 ])
@@ -412,10 +352,8 @@ let test_adaptive_window_parity () =
    sharded multi-domain run must then take the sequential path (the
    executor never fires) and still replay the campaign byte-identically. *)
 let test_parallel_dispatch_parity_faulted () =
-  let _, base_trace = run_sim_windowed ~faults:parity_faults Gcs.Sim.Wheel in
-  let _, par_trace =
-    run_sim_windowed ~faults:parity_faults ~shards:4 ~jobs:4 Gcs.Sim.Wheel
-  in
+  let _, base_trace = run_sim_windowed ~faults:parity_faults () in
+  let _, par_trace = run_sim_windowed ~faults:parity_faults ~shards:4 ~jobs:4 () in
   Alcotest.(check string)
     "byte-identical faulted trace (shards=4 jobs=4)"
     (Trace.to_csv base_trace) (Trace.to_csv par_trace)
@@ -424,7 +362,7 @@ let test_parallel_dispatch_parity_faulted () =
    conformance auditor — barrier re-ranking has to keep entries in
    dispatch order, FIFO per link, delays within [0, T]. *)
 let test_parallel_trace_audits_clean () =
-  let sim, trace = run_sim_windowed ~shards:4 ~jobs:4 Gcs.Sim.Wheel in
+  let sim, trace = run_sim_windowed ~shards:4 ~jobs:4 () in
   let cfg = Audit.Conformance.of_params (Gcs.Sim.params sim) ~horizon:50. () in
   let report = Audit.Conformance.audit cfg (Trace.entries trace) in
   Alcotest.(check int) "no violations" 0
@@ -434,7 +372,7 @@ let test_parallel_trace_audits_clean () =
 
 let suite =
   [
-    case "engine: heap = wheel (timer-heavy protocol)" test_engine_parity;
+    case "engine: timer-heavy protocol matches its pin" test_engine_pinned;
     case "sim: sharded = unsharded, byte-identical" test_shard_parity;
     case "sim: sharded fault campaign, byte-identical" test_shard_parity_faulted;
     case "sim: parallel windows, shards x jobs grid, byte-identical"
@@ -444,9 +382,7 @@ let suite =
     case "sim: faulted campaign falls back sequential under jobs=4"
       test_parallel_dispatch_parity_faulted;
     case "parallel trace passes conformance audit" test_parallel_trace_audits_clean;
-    case "pqueue clear-and-rerun keeps the seam's total order"
-      test_clear_and_rerun_merge_order;
-    case "sim: heap = wheel (seeded churn)" test_sim_parity;
-    case "sim: heap = wheel under a fault campaign" test_sim_parity_faulted;
+    case "sim: seeded churn matches its pin" test_sim_pinned;
+    case "sim: fault campaign matches its pin" test_sim_pinned_faulted;
     case "wheel trace passes conformance audit" test_wheel_trace_audits_clean;
   ]

@@ -86,7 +86,7 @@ let test_counters_match_on_vs_off () =
          ~delay:(Delay.constant ~bound:1. 0.5)
          ~discovery_lag:0.25
          ~initial_edges:[ (0, 1); (1, 2) ]
-         ~trace ()
+         ~trace ~timer_label:(fun _ -> 0) ()
         : (int, string) Engine.t)
     in
     for i = 0 to 2 do
