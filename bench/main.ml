@@ -86,12 +86,12 @@ let run_experiments () =
   let failures = ref 0 in
   List.iter
     (fun (e : Experiments.Registry.entry) ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Scale.now_s () in
       let result = e.run ~quick in
       Format.printf "%a" Experiments.Common.pp_result result;
       Format.printf "(%s mode, %.1fs)@.@."
         (if quick then "quick" else "full")
-        (Unix.gettimeofday () -. t0);
+        (Scale.now_s () -. t0);
       if not (Experiments.Common.all_pass result) then incr failures)
     entries;
   !failures
@@ -112,9 +112,9 @@ let run_mcheck () =
   let failures = ref 0 in
   List.iter
     (fun spec ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Scale.now_s () in
       let o = Mcheck.Explorer.explore spec in
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Scale.now_s () -. t0 in
       let s = o.Mcheck.Explorer.stats in
       Format.printf
         "mcheck n=%d depth=%-2d traces=%-4d pruned=%-4d states=%-4d \

@@ -35,14 +35,14 @@ type row = {
   words_per_event : float;
   wall_s : float;
   footprint_words : int; (* engine-owned storage after the run *)
-  (* Parallel-dispatch shape (all zero on the sequential path): dispatch
-     rounds, merge barriers (windows/barriers > 1 means the adaptive
-     extension amortized barriers over several rounds), and events that
+  (* Parallel-dispatch shape (both zero on the sequential path): windows
+     formed, each closed by its own merge barrier, and events that
      crossed shards through the outboxes. *)
   windows : int;
-  barriers : int;
   cross_shard : int;
 }
+
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let horizon = 60.
 
@@ -95,14 +95,18 @@ let timed_run sim ~jobs ~horizon =
   end
   else Gcs.Sim.run_until sim horizon
 
+(* Allocation is read from [Gc.quick_stat] once the pool has joined, so
+   it counts every lane's domain, not only the caller's; the minor
+   collection first flushes the caller's own young words into it. *)
 let measure_once ?faults ?shards ?(jobs = 1) ?(horizon = horizon) ~n ~churn () =
   let sim = build ?faults ?shards ~horizon ~n ~churn () in
   Gc.full_major ();
-  let m0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
+  let m0 = (Gc.quick_stat ()).Gc.minor_words in
+  let t0 = now_s () in
   timed_run sim ~jobs ~horizon;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let minor = Gc.minor_words () -. m0 in
+  let wall_s = now_s () -. t0 in
+  Gc.minor ();
+  let minor = (Gc.quick_stat ()).Gc.minor_words -. m0 in
   let engine = Gcs.Sim.engine sim in
   let events = Dsim.Engine.events_processed engine in
   let tr = Dsim.Engine.trace engine in
@@ -119,7 +123,6 @@ let measure_once ?faults ?shards ?(jobs = 1) ?(horizon = horizon) ~n ~churn () =
     wall_s;
     footprint_words = Dsim.Engine.footprint_words engine;
     windows = Dsim.Trace.windows tr;
-    barriers = Dsim.Trace.barriers tr;
     cross_shard = Dsim.Trace.cross_shard_events tr;
   }
 
@@ -198,12 +201,9 @@ let row_json buf r ~last =
      \"jobs\": %d, \"events\": %d, \"ns_per_event\": %.1f, \
      \"events_per_s\": %.0f, \"minor_words_per_event\": %.2f, \
      \"wall_s\": %.3f, \"footprint_words\": %d, \"windows\": %d, \
-     \"barriers\": %d, \"windows_per_barrier\": %.2f, \
      \"cross_shard_events\": %d}%s\n"
     r.topo r.n r.shards r.jobs r.events r.ns_per_event
     r.events_per_s r.words_per_event r.wall_s r.footprint_words r.windows
-    r.barriers
-    (if r.barriers = 0 then 0. else float_of_int r.windows /. float_of_int r.barriers)
     r.cross_shard
     (if last then "" else ",")
 
@@ -246,7 +246,7 @@ let write_json path ~quick ~repeat rows large_rows (gn, gskew, gbound, gpass)
 
 let row_columns =
   [ "topology"; "n"; "shards"; "jobs"; "events"; "ns/event"; "Mev/s";
-    "words/event"; "wall s"; "footprint Mw"; "barriers"; "win/bar" ]
+    "words/event"; "wall s"; "footprint Mw"; "windows" ]
 
 let add_row table r =
   Table.add_row table
@@ -261,10 +261,7 @@ let add_row table r =
       Table.Float r.words_per_event;
       Table.Float r.wall_s;
       Table.Float (float_of_int r.footprint_words /. 1e6);
-      Table.Int r.barriers;
-      Table.Float
-        (if r.barriers = 0 then 0.
-         else float_of_int r.windows /. float_of_int r.barriers);
+      Table.Int r.windows;
     ]
 
 (* The CI allocation guard (and a fast local A/B driver): one sequential

@@ -301,9 +301,9 @@ let sim_cmd =
          & info [ "window-stats" ]
              ~doc:
                "Print parallel-dispatch window statistics after the run: \
-                windows formed, mean window span, barriers paid, \
-                cross-shard events, and the reason when the engine fell \
-                back to sequential dispatch.")
+                windows formed (each closes with one merge barrier), mean \
+                window span, windowed and cross-shard events, and the \
+                reason when the engine fell back to sequential dispatch.")
   in
   let no_gap_check =
     Arg.(value & flag
@@ -458,13 +458,11 @@ let sim_cmd =
     Format.printf "event counts:@.%a@." Dsim.Trace.pp_summary trace;
     if window_stats then begin
       let w = Dsim.Trace.windows trace in
-      let b = Dsim.Trace.barriers trace in
       Format.printf
-        "window stats: windows=%d mean-span=%.4f barriers=%d \
-         windowed-events=%d cross-shard=%d@."
+        "window stats: windows=%d mean-span=%.4f windowed-events=%d \
+         cross-shard=%d@."
         w
         (if w = 0 then 0. else Dsim.Trace.window_span trace /. float_of_int w)
-        b
         (Dsim.Trace.window_events trace)
         (Dsim.Trace.cross_shard_events trace);
       match Dsim.Engine.par_blocker engine with

@@ -202,7 +202,6 @@ module Outbox = struct
     mutable id_ : int array;
     mutable payloads : Obj.t array;
     mutable len : int;
-    mutable min_time : float;
   }
 
   let create () =
@@ -217,7 +216,6 @@ module Outbox = struct
       id_ = [||];
       payloads = [||];
       len = 0;
-      min_time = infinity;
     }
 
   let grow ob =
@@ -253,8 +251,7 @@ module Outbox = struct
     ob.ic.(i) <- c;
     ob.id_.(i) <- d;
     ob.payloads.(i) <- payload;
-    ob.len <- i + 1;
-    if time < ob.min_time then ob.min_time <- time
+    ob.len <- i + 1
 
   let flush ob (queues : Equeue.t array) =
     for i = 0 to ob.len - 1 do
@@ -263,8 +260,7 @@ module Outbox = struct
         ob.payloads.(i);
       ob.payloads.(i) <- no_payload
     done;
-    ob.len <- 0;
-    ob.min_time <- infinity
+    ob.len <- 0
 
   let footprint_words ob = 9 * Array.length ob.dst
 end
@@ -284,8 +280,8 @@ type fault_state = {
 
 (* All-float so the per-event [now] store writes an unboxed double; a
    mutable float field in the main (mixed) record would box on every
-   assignment. [whorizon] is the horizon of the window group in flight,
-   read by the prebuilt lane thunks (which outlive any one call). *)
+   assignment. [whorizon] is the horizon of the window in flight, read
+   by the prebuilt lane thunks (which outlive any one call). *)
 type fscratch = {
   mutable now : float;
   mutable cand_time : float;
@@ -328,8 +324,8 @@ let cre_mask = Equeue.cre_mask
 let cre_slack = 1 lsl 16
 
 (* All-float scratch (see [fscratch]): [lnow] is the lane's current event
-   time inside a window, [lhead] the lane's earliest pending (time) as of
-   the last [select], [lwstop] the window end (exclusive). *)
+   time inside a window, [lhead] the lane's earliest pending time as of
+   the last [head] call, [lwstop] the window end (exclusive). *)
 type lscratch = {
   mutable lnow : float;
   mutable lhead : float;
@@ -368,12 +364,8 @@ type lane = {
   mutable mcre : int array; (* [lcre] before the dispatch ran *)
   mutable ment : int array; (* [blen] before the dispatch ran *)
   mutable mlen : int;
-  mutable lfinal : int array; (* final rank per creation index (barrier) *)
-  mutable lmerged : int;
-      (* creations whose final rank is already assigned — the watermark a
-         mid-group relay advances to [lcre]; a provisional head below it
-         resolves through [lfinal] when breaking an exact-time tie
-         against a relayed (final-ranked) inbox head *)
+  mutable lfinal : int array;
+      (* final rank per creation index of the window being merged *)
 }
 
 type ('msg, 'timer) t = {
@@ -398,11 +390,6 @@ type ('msg, 'timer) t = {
   part : int array;
   queues : Equeue.t array;
   outboxes : Outbox.t array;
-  inboxes : Equeue.t array;
-      (* per shard: cross-shard events a mid-group relay already resolved
-         to final ranks, pending dispatch by the destination lane inside
-         the still-open window; drained into the real queues at the
-         barrier *)
   wheels : Timewheel.t array; (* per shard *)
   lanes : lane array; (* per shard *)
   control : Equeue.t; (* order-sensitive global events; empty at shards=1 *)
@@ -437,15 +424,10 @@ type ('msg, 'timer) t = {
          [None] runs them in the caller, in index order *)
   mutable lane_thunks : (unit -> unit) array;
       (* one prebuilt thunk per lane (built on first parallel window):
-         reads its round stop from the lane's [lwstop] and the horizon
-         from [fs.whorizon], so no closure is allocated per round *)
-  (* Window-group scratch (coordinator-only): lanes that joined the
-     current group ([w_member] indexed by shard, [w_members.(0..w_mn)]
-     the member list) and the per-round active list. *)
-  w_member : bool array;
-  w_members : lane array;
-  mutable w_mn : int;
+         reads its window stop from the lane's [lwstop] and the horizon
+         from [fs.whorizon], so no closure is allocated per window *)
   w_actives : lane array;
+      (* coordinator-only scratch: the lanes the window in flight runs *)
   (* In-dispatch commuting-callback context: set while a [k_commute_cb]
      payload runs so a commuting callback it schedules can stay on the
      dispatching lane (and a non-commuting schedule from inside a window
@@ -606,9 +588,8 @@ let lane_mark lane ~time ~seq =
    [shard_of] only affects which queue an event waits in and which lane
    dispatches it — never the (time, seq) dispatch order — so any
    total function from ids to shards yields the same trace. What it does
-   change is how many events cross shards (outbox traffic, and how soon
-   a window's extension is cut off by a pending cross-shard delivery),
-   so the partition is a pure performance knob. *)
+   change is how many events cross shards (outbox traffic through the
+   merge barrier), so the partition is a pure performance knob. *)
 
 let contiguous_part ~n ~shards =
   if shards <= 1 then [||]
@@ -726,7 +707,6 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
     | Some (`Wheel g) -> g
     | None -> if delay.Delay.bound > 0. then delay.Delay.bound /. 16. else 1.
   in
-  let qcap = max 64 (8 * n / shards) in
   let tr = match trace with Some tr -> tr | None -> Trace.create () in
   (* Build the graph and apply the initial edges before anything else:
      the traffic-aware partitioner is seeded from the initial topology.
@@ -776,7 +756,6 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       ment = [||];
       mlen = 0;
       lfinal = [||];
-      lmerged = 0;
     }
   in
   let lanes = Array.init shards mk_lane in
@@ -789,9 +768,8 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       graph;
       shards;
       part;
-      queues = Array.init shards (fun _ -> Equeue.create ~capacity:qcap ());
+      queues = Array.init shards (fun _ -> Equeue.create ());
       outboxes = Array.init shards (fun _ -> Outbox.create ());
-      inboxes = Array.init shards (fun _ -> Equeue.create ~capacity:16 ());
       wheels = Array.init shards (fun _ -> Timewheel.create ~granularity ());
       lanes;
       control = Equeue.create ~capacity:64 ();
@@ -818,9 +796,6 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       log_on = Trace.wants_entries tr;
       executor = None;
       lane_thunks = [||];
-      w_member = Array.make shards false;
-      w_members = Array.make shards lanes.(0);
-      w_mn = 0;
       w_actives = Array.make shards lanes.(0);
       in_cb = false;
       cb_lane = lanes.(0);
@@ -1218,7 +1193,6 @@ let queue_depth t =
   let acc = ref (Equeue.size t.control) in
   for s = 0 to t.shards - 1 do
     acc := !acc + Equeue.size t.queues.(s) + t.outboxes.(s).Outbox.len
-           + Equeue.size t.inboxes.(s)
   done;
   !acc
 
@@ -1243,16 +1217,20 @@ let live_timers t =
   done;
   !acc
 
-(* Engine-owned storage in words — queues, outboxes, wheels, per-node
-   tables and the graph. The scaling tests pin this to O(n + live edges);
-   a pair-keyed regression would show up as O(n^2) growth here. *)
+(* Engine-owned storage in words — queues, outboxes, wheels, the lanes'
+   pooled window buffers, per-node tables and the graph. The scaling
+   tests pin this to O(n + live edges); a pair-keyed regression would
+   show up as O(n^2) growth here. *)
 let footprint_words t =
   let acc = ref (Equeue.footprint_words t.control) in
   for s = 0 to t.shards - 1 do
+    let lane = t.lanes.(s) in
     acc := !acc + Equeue.footprint_words t.queues.(s)
            + Outbox.footprint_words t.outboxes.(s)
-           + Equeue.footprint_words t.inboxes.(s)
            + Timewheel.footprint_words t.wheels.(s)
+           + Array.length lane.lfinal
+           + (4 * Array.length lane.mseq)
+           + (5 * Array.length lane.bk)
   done;
   for i = 0 to t.n - 1 do
     acc := !acc + Fifo_store.footprint_words t.fifo.(i)
@@ -1581,11 +1559,25 @@ let tie_break t pick =
   done;
   t.cand_wheel <- tb.tb_kind.(j) = k_timer
 
-(* Pick the earliest (time, seq) candidate across every shard's queue and
-   wheel — and the control queue — into the [cand_*] scratch fields. The
-   per-shard wheel is only resolved up to its own queue head (or the
-   horizon) — the same lazy bound the single-shard loop used. Each lane's
-   own earliest time is recorded in [lhead] for the window gate. *)
+(* Shard [s]'s head: its queue head against its wheel head, the wheel
+   resolved lazily no further than the queue head or [upto]. Records the
+   winner's time in the lane's [lhead] and returns whether the wheel
+   wins; the winner's seq is then [Timewheel.top_seq] or
+   [Equeue.top_seq]. The one head comparison both [select] and the
+   window loop run. *)
+let[@inline] head t s ~upto =
+  let q = t.queues.(s) and w = t.wheels.(s) in
+  let qt = Equeue.next_time q in
+  let wheel =
+    Timewheel.peek w ~upto:(if qt < upto then qt else upto)
+    && (Timewheel.top_time w < qt || Timewheel.top_seq w < Equeue.top_seq q)
+  in
+  t.lanes.(s).lf.lhead <- (if wheel then Timewheel.top_time w else qt);
+  wheel
+
+(* Pick the earliest (time, seq) candidate across every shard's head —
+   and the control queue — into the [cand_*] scratch fields, leaving
+   each lane's own earliest time in [lhead] for the window gate. *)
 let select t ~horizon =
   t.fs.cand_time <- infinity;
   t.cand_seq <- max_int;
@@ -1593,34 +1585,16 @@ let select t ~horizon =
   t.cand_wheel <- false;
   t.cand_ctrl <- false;
   for s = 0 to t.shards - 1 do
-    let q = t.queues.(s) in
-    let qt = Equeue.next_time q in
-    let qseq = Equeue.top_seq q in
-    let w = t.wheels.(s) in
-    let bound = if qt < horizon then qt else horizon in
-    if
-      Timewheel.peek w ~upto:bound
-      && (Timewheel.top_time w < qt || Timewheel.top_seq w < qseq)
-    then begin
-      let wt = Timewheel.top_time w and wseq = Timewheel.top_seq w in
-      t.lanes.(s).lf.lhead <- wt;
-      if wt < t.fs.cand_time || (wt = t.fs.cand_time && wseq < t.cand_seq)
-      then begin
-        t.fs.cand_time <- wt;
-        t.cand_seq <- wseq;
-        t.cand_shard <- s;
-        t.cand_wheel <- true
-      end
-    end
-    else begin
-      t.lanes.(s).lf.lhead <- qt;
-      if qt < t.fs.cand_time || (qt = t.fs.cand_time && qseq < t.cand_seq)
-      then begin
-        t.fs.cand_time <- qt;
-        t.cand_seq <- qseq;
-        t.cand_shard <- s;
-        t.cand_wheel <- false
-      end
+    let wheel = head t s ~upto:horizon in
+    let tm = t.lanes.(s).lf.lhead in
+    let seq =
+      if wheel then Timewheel.top_seq t.wheels.(s) else Equeue.top_seq t.queues.(s)
+    in
+    if tm < t.fs.cand_time || (tm = t.fs.cand_time && seq < t.cand_seq) then begin
+      t.fs.cand_time <- tm;
+      t.cand_seq <- seq;
+      t.cand_shard <- s;
+      t.cand_wheel <- wheel
     end
   done;
   if t.shards > 1 then begin
@@ -1665,9 +1639,7 @@ let seq_step t =
    clocks, and routes cross-lane creations through the lane's outbox. *)
 let lane_window_loop t lane ~wstop ~horizon =
   let s = lane.ls in
-  let q = t.queues.(s) in
-  let w = t.wheels.(s) in
-  let ib = t.inboxes.(s) in
+  let upto = Float.min wstop horizon in
   let continue_ = ref true in
   while !continue_ do
     if lane.lcre >= cre_mask - cre_slack then
@@ -1675,60 +1647,26 @@ let lane_window_loop t lane ~wstop ~horizon =
          fresh window (unreachable in practice — 2^40 creations). *)
       continue_ := false
     else begin
-      let qt = Equeue.next_time q in
-      let wheel_wins =
-        let bound = Float.min qt (Float.min wstop horizon) in
-        Timewheel.peek w ~upto:bound
-        && (Timewheel.top_time w < qt || Timewheel.top_seq w < Equeue.top_seq q)
-      in
-      let ibt = Equeue.next_time ib in
-      let inbox_wins =
-        (* Relayed cross-shard events carry final ranks; an exact-time
-           tie against an own provisional head resolves through
-           [lfinal] when the creation is merged ([lmerged]), and falls
-           to the inbox otherwise — an unmerged creation postdates the
-           relay that ranked the inbox head, so its final rank is
-           provably larger. *)
-        let own_t = if wheel_wins then Timewheel.top_time w else qt in
-        ibt < own_t
-        || ibt = own_t && ibt < wstop
-           &&
-           let own_seq =
-             if wheel_wins then Timewheel.top_seq w else Equeue.top_seq q
-           in
-           let f = Equeue.top_seq ib in
-           if own_seq < prov_flag then f < own_seq
-           else
-             let j = own_seq land cre_mask in
-             j >= lane.lmerged || f < lane.lfinal.(j)
-      in
-      if inbox_wins then begin
-        if ibt < wstop && ibt <= horizon then begin
-          lane_mark lane ~time:ibt ~seq:(Equeue.top_seq ib);
-          lane.lf.lnow <- ibt;
-          run_queue_head t lane ib
-        end
-        else continue_ := false
-      end
-      else if wheel_wins then begin
-        let et = Timewheel.top_time w in
-        if et < wstop && et <= horizon then begin
+      let wheel = head t s ~upto in
+      let et = lane.lf.lhead in
+      if et < wstop && et <= horizon then begin
+        lane.lf.lnow <- et;
+        if wheel then begin
+          let w = t.wheels.(s) in
           lane_mark lane ~time:et ~seq:(Timewheel.top_seq w);
-          lane.lf.lnow <- et;
           run_wheel_head t lane w
         end
-        else continue_ := false
-      end
-      else if qt < wstop && qt <= horizon then begin
-        lane_mark lane ~time:qt ~seq:(Equeue.top_seq q);
-        lane.lf.lnow <- qt;
-        run_queue_head t lane q
+        else begin
+          let q = t.queues.(s) in
+          lane_mark lane ~time:et ~seq:(Equeue.top_seq q);
+          run_queue_head t lane q
+        end
       end
       else continue_ := false
     end
   done
 
-(* The merge barrier: replay the member lanes' dispatch logs in the
+(* The merge barrier: replay the window's lanes' dispatch logs in the
    global (time, rank) order — exactly the order the sequential loop
    would have dispatched them — assigning each window creation the dense
    final rank the sequential run's counter would have produced, and
@@ -1743,24 +1681,15 @@ let lane_window_loop t lane ~wstop ~horizon =
    lane strictly below the other lanes' earliest head time must also win
    — no rank comparison can reorder across a strict time gap — so the
    run's creations take a contiguous block of final ranks in one pass
-   and its trace entries replay in one sweep. With few, large windows
-   (adaptive extension) most of a window's marks fall in a handful of
-   runs, which is what makes the barrier cheap. *)
-let barrier_merge t =
-  let k = t.w_mn in
-  let members = t.w_members in
+   and its trace entries replay in one sweep. *)
+let barrier_merge t k =
+  let members = t.w_actives in
   let heads = Array.make k 0 in
   for x = 0 to k - 1 do
     let lane = members.(x) in
-    if Array.length lane.lfinal < lane.lcre then begin
-      (* Grow preserving assigned ranks: queue entries created before an
-         earlier relay still carry provisional seqs indexing them. The
-         table spans a whole window group (relays do not reset [lcre]),
-         so grow 4x to keep the realloc-and-blit cost sublinear. *)
-      let a = Array.make (max 1024 (4 * lane.lcre)) 0 in
-      Array.blit lane.lfinal 0 a 0 (Array.length lane.lfinal);
-      lane.lfinal <- a
-    end
+    (* A table covers one window, so growth need not keep old ranks. *)
+    if Array.length lane.lfinal < lane.lcre then
+      lane.lfinal <- Array.make (max 1024 (2 * lane.lcre)) 0
   done;
   let resolve lane seq =
     if seq >= prov_flag then lane.lfinal.(seq land cre_mask) else seq
@@ -1827,84 +1756,17 @@ let barrier_merge t =
     end
   done
 
-(* Mid-group relay (DESIGN §14): deliver pending cross-shard events
-   without closing the window group. At a round boundary every logged
-   mark lies strictly below every outbox entry's time (an entry lands at
-   or beyond the stop of the round that created it), so the merge can
-   consume the members' full dispatch logs — assigning every creation so
-   far its exact final rank — after which each outbox entry's
-   provisional rank resolves and the entry can be flushed into the
-   destination shard's inbox. The group then keeps extending: queues and
-   wheels keep their provisional ranks (the eventual barrier still
-   remaps them), consumed logs reset, and [lmerged] records how far the
-   final-rank table is valid so the dispatch loop can break exact-time
-   ties between an inbox head and a provisional head. Successive relays
-   are time-monotone (round r+1's marks all lie at or beyond round r's
-   stop), so ranks and replayed trace entries stay in global order. *)
-let relay t =
-  barrier_merge t;
-  for x = 0 to t.w_mn - 1 do
-    let lane = t.w_members.(x) in
-    lane.lmerged <- lane.lcre;
-    lane.mlen <- 0;
-    lane.blen <- 0;
-    let ob = t.outboxes.(lane.ls) in
-    if ob.Outbox.len > 0 then begin
-      Trace.note_cross t.trace ob.Outbox.len;
-      let seqs = ob.Outbox.seqs and fin = lane.lfinal in
-      for i = 0 to ob.Outbox.len - 1 do
-        let s = seqs.(i) in
-        if s >= prov_flag then seqs.(i) <- fin.(s land cre_mask)
-      done;
-      Outbox.flush ob t.inboxes
-    end
-  done
-
-(* A lane's earliest pending time, mirroring [select]'s per-shard logic
-   (wheel resolved lazily up to the queue head or the horizon) plus the
-   lane's inbox. Used to refresh lanes' [lhead] between the rounds of a
-   window group — lanes that are neither members nor relay destinations
-   keep the value [select] computed, which stays valid because nothing
-   is pushed to them while the group runs. *)
-let shard_head t s ~horizon =
-  let q = t.queues.(s) in
-  let qt = Equeue.next_time q in
-  let w = t.wheels.(s) in
-  let bound = if qt < horizon then qt else horizon in
-  let own =
-    if Timewheel.peek w ~upto:bound && Timewheel.top_time w < qt then
-      Timewheel.top_time w
-    else qt
-  in
-  let ib = Equeue.next_time t.inboxes.(s) in
-  if ib < own then ib else own
-
-(* Run one window group — one or more dispatch rounds under a single
-   merge barrier — then merge: rewrite every provisional rank (queues,
-   wheels, outboxes) to its final rank, flush the outboxes, fold the
-   buffered counters and deltas, and reset the lanes. After the barrier
-   the engine state is exactly what the sequential loop would have
-   produced at this point.
-
-   Adaptive extension (DESIGN §14): after a round drains every active
-   lane below the round stop, the lookahead argument can be replayed
-   from the new frontier — any event a future dispatch creates lands at
-   least [min_lat] after the earliest pending event time [e]. Pending
-   cross-shard events do not cut the group off: [relay] resolves their
-   final ranks (every mark so far is mergeable) and delivers them into
-   the destination inboxes mid-group. So as long as no control event
-   (order-sensitive, dispatched sequentially) falls at or below the
-   proposed stop, the group extends to [min (e + min_lat) limit] and
-   runs another round without paying a barrier — on a steady workload
-   the group spans the whole stretch to the next control event or the
-   horizon, paying one barrier where PR 8 paid one per [min_lat]. The
-   extension decision uses only engine state, never the executor, so the
-   round structure (and the trace) is identical at every domain
-   count. *)
+(* Run one window [cand_time, wstop) on every lane with work below its
+   stop, then close it with its merge barrier (DESIGN §14): rewrite
+   every provisional rank (queues, wheels, outboxes) to its final rank,
+   flush the outboxes, fold the buffered counters and deltas, and reset
+   the lanes. After the barrier the engine state is exactly what the
+   sequential loop would have produced at this point. The lane set
+   depends only on engine state, never on the executor, so the window
+   structure (and the trace) is identical at every domain count. *)
 let run_window t ~wstop ~horizon =
   let tr = t.trace in
   t.fs.whorizon <- horizon;
-  t.w_mn <- 0;
   (match t.executor with
   | Some _ when Array.length t.lane_thunks <> t.shards ->
     t.lane_thunks <-
@@ -1914,76 +1776,35 @@ let run_window t ~wstop ~horizon =
             lane_window_loop t lane ~wstop:lane.lf.lwstop
               ~horizon:t.fs.whorizon)
   | _ -> ());
-  let round_start = ref t.fs.cand_time in
-  let round_stop = ref wstop in
-  (* Only lanes dispatch inside a group, so the lanes' event-count delta
-     is exactly what the group dispatched — stale wheel surfacings, which
-     the dispatch log also marks, are not events. *)
+  (* Only lanes dispatch inside a window, so the lanes' event-count delta
+     is exactly what the window dispatched — stale wheel surfacings,
+     which the dispatch log also marks, are not events. *)
   let events0 = events_processed t in
-  let rounds = ref true in
-  while !rounds do
-    (* Collect the lanes with work strictly below the round stop; lanes
-       join the member set the first round they activate. *)
-    let na = ref 0 in
-    for s = 0 to t.shards - 1 do
-      let lane = t.lanes.(s) in
-      let lh = lane.lf.lhead in
-      if lh < !round_stop && lh <= horizon then begin
-        t.w_actives.(!na) <- lane;
-        incr na;
-        if not t.w_member.(s) then begin
-          t.w_member.(s) <- true;
-          t.w_members.(t.w_mn) <- lane;
-          t.w_mn <- t.w_mn + 1
-        end;
-        lane.lpar <- true;
-        lane.lf.lwstop <- !round_stop
-      end
-    done;
-    (match t.executor with
-    | Some exec when !na > 1 ->
-      exec (Array.init !na (fun i -> t.lane_thunks.(t.w_actives.(i).ls)))
-    | _ ->
-      for i = 0 to !na - 1 do
-        lane_window_loop t t.w_actives.(i) ~wstop:!round_stop ~horizon
-      done);
-    Trace.note_window tr ~span:(Float.min !round_stop horizon -. !round_start);
-    (* Relay pending cross-shard events, then try to extend: only a
-       control event (order-sensitive, dispatched sequentially) or the
-       horizon cuts the group off — cross-shard traffic is resolved and
-       delivered in flight instead of forcing a barrier. *)
-    let have_ob = ref false in
-    for x = 0 to t.w_mn - 1 do
-      if t.outboxes.(t.w_members.(x).ls).Outbox.len > 0 then have_ob := true
-    done;
-    if !have_ob then relay t;
-    (* Earliest pending event across all lanes vs. the next control
-       event: members' heads moved, and a relay may have landed work on
-       a lane that was idle until now. *)
-    let e = ref infinity in
-    for s = 0 to t.shards - 1 do
-      let lane = t.lanes.(s) in
-      if t.w_member.(s) || Equeue.size t.inboxes.(s) > 0 then
-        lane.lf.lhead <- shard_head t s ~horizon;
-      if lane.lf.lhead < !e then e := lane.lf.lhead
-    done;
-    let limit = Equeue.next_time t.control in
-    if !e <= horizon && !e < limit then begin
-      let w' = Float.min (!e +. t.delay.Delay.min_lat) limit in
-      (* [w' > round_stop] is guaranteed mathematically (e >= the drained
-         stop, limit > e) but guards against float rounding stalls. *)
-      if w' > !round_stop then begin
-        round_start := !round_stop;
-        round_stop := w'
-      end
-      else rounds := false
+  let na = ref 0 in
+  for s = 0 to t.shards - 1 do
+    let lane = t.lanes.(s) in
+    let lh = lane.lf.lhead in
+    if lh < wstop && lh <= horizon then begin
+      t.w_actives.(!na) <- lane;
+      incr na;
+      lane.lpar <- true;
+      lane.lf.lwstop <- wstop
     end
-    else rounds := false
   done;
-  barrier_merge t;
-  Trace.note_barrier tr ~events:(events_processed t - events0);
-  for x = 0 to t.w_mn - 1 do
-    let lane = t.w_members.(x) in
+  let na = !na in
+  (match t.executor with
+  | Some exec when na > 1 ->
+    exec (Array.init na (fun i -> t.lane_thunks.(t.w_actives.(i).ls)))
+  | _ ->
+    for i = 0 to na - 1 do
+      lane_window_loop t t.w_actives.(i) ~wstop ~horizon
+    done);
+  barrier_merge t na;
+  let stop = Float.min wstop horizon in
+  Trace.note_window tr ~span:(stop -. t.fs.cand_time)
+    ~events:(events_processed t - events0);
+  for x = 0 to na - 1 do
+    let lane = t.w_actives.(x) in
     Equeue.remap_batch t.queues.(lane.ls) ~finals:lane.lfinal;
     Timewheel.remap_batch t.wheels.(lane.ls) ~finals:lane.lfinal;
     let ob = t.outboxes.(lane.ls) in
@@ -2002,36 +1823,15 @@ let run_window t ~wstop ~horizon =
       lane.ldelta <- 0
     end;
     lane.lcre <- 0;
-    lane.lmerged <- 0;
     lane.mlen <- 0;
     lane.blen <- 0;
-    lane.lpar <- false;
-    t.w_member.(lane.ls) <- false
+    lane.lpar <- false
   done;
-  for x = 0 to t.w_mn - 1 do
-    let ob = t.outboxes.(t.w_members.(x).ls) in
+  for x = 0 to na - 1 do
+    let ob = t.outboxes.(t.w_actives.(x).ls) in
     if ob.Outbox.len > 0 then Outbox.flush ob t.queues
   done;
-  (* Drain relayed-but-undispatched inbox events into the real queues:
-     they already carry final ranks, and after the remap so does
-     everything else, so plain pushes restore the sequential invariant.
-     Any shard can hold them — a relay may target a lane that never
-     activated. *)
-  for s = 0 to t.shards - 1 do
-    let ib = t.inboxes.(s) in
-    if Equeue.size ib > 0 then begin
-      let q = t.queues.(s) in
-      while Equeue.size ib > 0 do
-        let time = Equeue.next_time ib and seq = Equeue.top_seq ib in
-        Equeue.pop ib;
-        Equeue.push q ~time ~seq ~kind:(Equeue.ev_kind ib)
-          ~a:(Equeue.ev_a ib) ~b:(Equeue.ev_b ib) ~c:(Equeue.ev_c ib)
-          ~d:(Equeue.ev_d ib) (Equeue.ev_payload ib);
-        Equeue.release ib
-      done
-    end
-  done;
-  t.fs.now <- Float.min !round_stop horizon
+  t.fs.now <- stop
 
 let set_executor t exec = t.executor <- exec
 
@@ -2044,7 +1844,7 @@ let run_until t horizon =
     if t.fs.cand_time <= horizon then begin
       assert (t.fs.cand_time >= t.fs.now);
       if t.par_ok && not t.cand_ctrl then begin
-        (* Window gate: the first round [cand_time, wstop) must end
+        (* Window gate: the window [cand_time, wstop) must end
            strictly after it starts, stop before the next control event
            (whose dispatch is order-sensitive and sequential), and have
            at least two lanes with work — otherwise the sequential step

@@ -91,13 +91,12 @@ val create :
     is pure with positive [min_lat], no faults are injected and the
     trace does not stream, the run loop dispatches the shards in
     parallel windows — on one domain by default, or on several via
-    {!set_executor}. A window starts [min_lat] wide and, while no
-    cross-shard event or control event would fall inside it, keeps
-    extending past the current frontier (adaptive lookahead, DESIGN
-    §14), so many dispatch rounds can share one merge barrier. Events
-    created inside a window carry provisional per-shard rank blocks
-    that the barrier rewrites to the exact dense ranks the sequential
-    run would have assigned, so the dispatch order and trace are
+    {!set_executor}. A window spans [min_lat] from the earliest pending
+    event, cut short by the next control event, and closes with its own
+    merge barrier (DESIGN §14): no event created inside it can land
+    inside it on another shard. Events created inside a window carry
+    provisional per-shard rank blocks that the barrier rewrites to the
+    exact dense ranks the sequential run would have assigned, so the dispatch order and trace are
     byte-identical at every shard count {e and} every domain count,
     including [shards = 1]. Order-sensitive global events (faults,
     callbacks, topology changes spanning two shards) are kept in a
@@ -213,9 +212,10 @@ val run_until : ('msg, 'timer) t -> float -> unit
 val set_executor :
   ('msg, 'timer) t -> ((unit -> unit) array -> unit) option -> unit
 (** Install (or clear) the executor that runs a parallel dispatch
-    window's per-lane thunks. The engine hands it one thunk per active
-    lane and requires every thunk to have completed when the call
-    returns — {!Runner.run} on a scoped pool is the intended
+    window's per-lane thunks. The engine calls it once per window, with
+    one thunk per lane that has work in the window, and requires every
+    thunk to have completed when the call returns (the window's merge
+    barrier follows at once) — {!Runner.run} on a scoped pool is the intended
     implementation. [None] (the default) runs the thunks in the calling
     domain, in index order. The executor only decides {e where} thunks
     run: window formation, dispatch order and the trace are identical
@@ -255,10 +255,9 @@ val pending_events : ('msg, 'timer) t -> int
     sizes minus the stale timer entries still awaiting lazy removal. *)
 
 val queue_depth : ('msg, 'timer) t -> int
-(** Raw size of the event queues (and pending outbox and inbox
-    entries) alone. Timers wait in the wheels, so sustained timer re-arm
-    traffic leaves it bounded by the in-flight message and discovery
-    count. *)
+(** Raw size of the event queues (and pending outbox entries) alone.
+    Timers wait in the wheels, so sustained timer re-arm traffic leaves
+    it bounded by the in-flight message and discovery count. *)
 
 val shards : ('msg, 'timer) t -> int
 
@@ -270,8 +269,8 @@ val partition :
     Deterministic and O(n + edges). On a path topology it reproduces the
     contiguous split exactly (each sweep claims the next segment of the
     line); on clustered or shuffled id spaces it cuts far fewer edges
-    than a contiguous split, which means fewer cross-shard events and
-    longer adaptive windows. [prev] adds stability under churn: the
+    than a contiguous split, which means fewer cross-shard events
+    through the merge barrier. [prev] adds stability under churn: the
     fresh partition only replaces [prev] when its edge cut is more than
     [threshold] (default [0.1], relative) better — otherwise a copy of
     [prev] is returned. Feed the result to {!create}'s
@@ -286,8 +285,9 @@ val par_blocker : ('msg, 'timer) t -> string option
 
 val footprint_words : ('msg, 'timer) t -> int
 (** Words currently allocated by engine-owned storage: event queues,
-    outboxes, timer wheels, per-node FIFO/absence/armed tables and the
-    dynamic graph. Grows as O(n + edges ever present), never O(n²) —
+    outboxes, timer wheels, the lanes' pooled window buffers (final-rank
+    table, dispatch log, trace-entry buffer), per-node FIFO/absence/armed
+    tables and the dynamic graph. Grows as O(n + edges ever present), never O(n²) —
     pinned by the scaling tests. *)
 
 val live_timers : ('msg, 'timer) t -> int

@@ -144,12 +144,10 @@ let[@inline] record t ~time kind a b c =
   Array.unsafe_set t.counters i (Array.unsafe_get t.counters i + 1);
   if t.log_limit > 0 || t.verbosity > 0 then record_slow t ~time kind a b c
 
-let note_window t ~span =
+let note_window t ~span ~events =
   t.windows <- t.windows + 1;
-  t.window_span <- t.window_span +. span
-
-let note_barrier t ~events =
   t.barriers <- t.barriers + 1;
+  t.window_span <- t.window_span +. span;
   t.window_events <- t.window_events + events
 
 let note_cross t n = t.cross_shard <- t.cross_shard + n

@@ -89,27 +89,25 @@ val merge_counts : t -> int array -> unit
 
     Maintained by the engine's coordinating domain only (never from lane
     domains), so reads race with nothing. They describe the {e shape} of
-    parallel dispatch — how well windows amortize barriers — and are kept
-    out of the per-kind counters and the CSV because they depend on
-    [(shards, jobs)] while the trace proper must not (DESIGN §14). *)
+    parallel dispatch — how many windows formed, how much they ran and
+    how much crossed shards — and are kept out of the per-kind counters
+    and the CSV because they depend on [(shards, jobs)] while the trace
+    proper must not (DESIGN §14). *)
 
-val note_window : t -> span:float -> unit
-(** One dispatch round (window extension) completed, covering [span]
-    simulated time. *)
-
-val note_barrier : t -> events:int -> unit
-(** One merge barrier paid, having dispatched [events] events across all
-    the windows it closed. *)
+val note_window : t -> span:float -> events:int -> unit
+(** One parallel window closed by its merge barrier, covering [span]
+    simulated time and dispatching [events] events. *)
 
 val note_cross : t -> int -> unit
 (** [n] more events crossed a shard boundary in flight. *)
 
 val windows : t -> int
-(** Dispatch rounds formed (window extensions count separately). *)
+(** Parallel windows formed. *)
 
 val barriers : t -> int
-(** Merge barriers paid. [windows t >= barriers t]; the gap is what
-    adaptive extension saved. *)
+(** Merge barriers paid. Every window closes with its own barrier, so
+    this equals {!windows}; both are kept for the readers that report
+    them separately. *)
 
 val window_events : t -> int
 (** Events dispatched inside windows (the rest ran sequentially). *)

@@ -341,6 +341,111 @@ let test_bucket_growth_preserves_order_and_gens () =
     true
     (Tw.footprint_words w <= fp_warm)
 
+(* Model-based check: random arm / peek / pop / remap_batch sequences
+   against a sorted (deadline, seq) list, on small wheels so entries
+   cascade and far-future deadlines clamp. Arms draw either the next
+   final rank or the next provisional rank (>= [Equeue.prov_flag]), as
+   the engine's lanes do inside a window, and land both ahead of the
+   resolved frontier (buckets) and behind it (the due heap). A peek
+   without a pop moves entries into the due heap, so remaps rewrite
+   provisional seqs in both places; a remap hands them final ranks above
+   every live one, in creation order — the order-preserving rewrite the
+   engine's barrier performs at every window. *)
+type tw_op = Arm of int * bool | Peek of int | Pop | Remap
+
+let tw_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun d p -> Arm (d, p)) (int_range (-4) 40) bool);
+        (2, map (fun d -> Peek d) (int_bound 6));
+        (3, return Pop);
+        (1, return Remap);
+      ])
+
+let pp_tw_op = function
+  | Arm (d, p) -> Printf.sprintf "arm %+d%s" d (if p then "p" else "")
+  | Peek d -> Printf.sprintf "peek +%d" d
+  | Pop -> "pop"
+  | Remap -> "remap"
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"arm/peek/pop/remap_batch match a sorted reference"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(Print.pair Print.int (Print.list pp_tw_op))
+        Gen.(pair (int_bound 2) (list_size (int_bound 80) tw_op_gen)))
+    (fun (shape, ops) ->
+      let slots, levels = [| (2, 1); (4, 2); (64, 4) |].(shape) in
+      let g = 0.5 in
+      let w = Tw.create ~granularity:g ~slots ~levels () in
+      let model = ref [] (* (deadline, seq, id), sorted *) in
+      let upto = ref 0. in
+      let next = ref 0 and cre = ref 0 and id = ref 0 in
+      (* The model's earliest entry due by [upto] must be exactly what
+         [peek] exposes. *)
+      let head_matches () =
+        match !model with
+        | (d, seq, i) :: _ when d <= !upto ->
+          Tw.peek w ~upto:!upto
+          && Tw.top_time w = d
+          && Tw.top_seq w = seq
+          && Tw.top_node w = i
+          && Tw.top_gen w = i
+        | _ -> not (Tw.peek w ~upto:!upto)
+      in
+      let step = function
+        | Arm (dg, prov) ->
+          let seq =
+            if prov then begin
+              let s = Dsim.Equeue.prov_flag lor !cre in
+              incr cre;
+              s
+            end
+            else begin
+              let s = !next in
+              incr next;
+              s
+            end
+          in
+          let deadline = Float.max 0. (!upto +. (float_of_int dg *. g)) in
+          Tw.arm w ~node:!id ~label:0 ~gen:!id ~seq ~deadline;
+          model := List.merge compare [ (deadline, seq, !id) ] !model;
+          incr id;
+          true
+        | Peek dg ->
+          upto := !upto +. (float_of_int dg *. g);
+          head_matches ()
+        | Pop ->
+          let ok = head_matches () in
+          (match !model with
+          | (d, _, _) :: rest when d <= !upto ->
+            Tw.pop w;
+            model := rest
+          | _ -> ());
+          ok
+        | Remap ->
+          let finals = Array.init !cre (fun j -> !next + j) in
+          next := !next + !cre;
+          cre := 0;
+          Tw.remap_batch w ~finals;
+          model :=
+            List.sort compare
+              (List.map
+                 (fun (d, s, i) ->
+                   if s >= Dsim.Equeue.prov_flag then
+                     (d, finals.(s land Dsim.Equeue.cre_mask), i)
+                   else (d, s, i))
+                 !model);
+          true
+      in
+      List.for_all (fun op -> step op && Tw.size w = List.length !model) ops
+      &&
+      (upto := List.fold_left (fun m (d, _, _) -> Float.max m d) !upto !model;
+       List.for_all (fun _ -> step Pop) !model)
+      && Tw.size w = 0)
+
 let suite =
   [
     case "pops in (deadline, seq) order" test_ordering;
@@ -356,4 +461,5 @@ let suite =
     case "re-arm into the cursor's own granule" test_rearm_into_cursor_granule;
     case "clamp, cancel, re-arm" test_clamp_then_cancel_then_rearm;
     case "differential vs sorted reference" test_differential_vs_reference;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]
