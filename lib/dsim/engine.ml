@@ -598,87 +598,66 @@ let contiguous_part ~n ~shards =
     Array.init n (fun i -> min (i / chunk) (shards - 1))
   end
 
-(* Count edges whose endpoints land in different shards. *)
-let edge_cut g part =
-  Dyngraph.fold_edges g
-    (fun acc u v -> if part.(u) <> part.(v) then acc + 1 else acc)
-    0
-
 (* Greedy traffic-aware partition: grow each shard by BFS from the lowest
    unassigned id, visiting neighbors in increasing order, up to the
    balanced capacity ceil(n/shards). Deterministic, O(n + edges), and it
    reproduces the contiguous split exactly on a path (each BFS sweep
    walks the next chunk of the line), while cutting far fewer edges than
-   a blind contiguous split on clustered or scrambled topologies. With
-   [~prev], the fresh cut must beat the previous partition's cut by more
-   than [threshold] (relative) to replace it — hysteresis so steady
-   churn doesn't thrash the assignment. *)
-let partition ?prev ?(threshold = 0.1) ~shards g =
+   a blind contiguous split on clustered or scrambled topologies. *)
+let partition ~shards g =
   if shards < 1 then invalid_arg "Engine.partition: need at least one shard";
-  if threshold < 0. then invalid_arg "Engine.partition: negative threshold";
   let n = Dyngraph.n g in
-  let fresh =
-    if shards = 1 then Array.make n 0
-    else begin
-      let cap = (n + shards - 1) / shards in
-      let part = Array.make n (-1) in
-      let inq = Array.make n (-1) in (* shard a node is queued for *)
-      let queue = Array.make n 0 in
-      let next_seed = ref 0 in
-      for s = 0 to shards - 1 do
-        let qh = ref 0 and qt = ref 0 in
-        let filled = ref 0 in
-        let continue_ = ref true in
-        while !filled < cap && !continue_ do
-          let u =
-            if !qh < !qt then begin
-              let u = queue.(!qh) in
-              incr qh;
-              u
-            end
-            else begin
-              while !next_seed < n && part.(!next_seed) >= 0 do
-                incr next_seed
-              done;
-              if !next_seed < n then !next_seed else -1
-            end
-          in
-          if u < 0 then continue_ := false
-          else if part.(u) < 0 then begin
-            part.(u) <- s;
-            incr filled;
-            List.iter
-              (fun v ->
-                if part.(v) < 0 && inq.(v) <> s then begin
-                  inq.(v) <- s;
-                  queue.(!qt) <- v;
-                  incr qt
-                end)
-              (Dyngraph.neighbors g u)
+  if shards = 1 then Array.make n 0
+  else begin
+    let cap = (n + shards - 1) / shards in
+    let part = Array.make n (-1) in
+    let inq = Array.make n (-1) in (* shard a node is queued for *)
+    let queue = Array.make n 0 in
+    let next_seed = ref 0 in
+    for s = 0 to shards - 1 do
+      let qh = ref 0 and qt = ref 0 in
+      let filled = ref 0 in
+      let continue_ = ref true in
+      while !filled < cap && !continue_ do
+        let u =
+          if !qh < !qt then begin
+            let u = queue.(!qh) in
+            incr qh;
+            u
           end
-        done
-      done;
-      (* A shard can fill before its frontier empties; anything still
-         unassigned joins the last shard (it has spare capacity: the
-         others stopped exactly at [cap]). *)
-      for u = 0 to n - 1 do
-        if part.(u) < 0 then part.(u) <- shards - 1
-      done;
-      part
-    end
-  in
-  match prev with
-  | Some p when Array.length p = n && shards > 1 ->
-    let pc = edge_cut g p and fc = edge_cut g fresh in
-    if float_of_int fc < (1. -. threshold) *. float_of_int pc then fresh
-    else Array.copy p
-  | _ -> fresh
-
-(* [create]'s [?partition] argument shadows the function above. *)
-let greedy_partition ~shards g = partition ~shards g
+          else begin
+            while !next_seed < n && part.(!next_seed) >= 0 do
+              incr next_seed
+            done;
+            if !next_seed < n then !next_seed else -1
+          end
+        in
+        if u < 0 then continue_ := false
+        else if part.(u) < 0 then begin
+          part.(u) <- s;
+          incr filled;
+          List.iter
+            (fun v ->
+              if part.(v) < 0 && inq.(v) <> s then begin
+                inq.(v) <- s;
+                queue.(!qt) <- v;
+                incr qt
+              end)
+            (Dyngraph.neighbors g u)
+        end
+      done
+    done;
+    (* A shard can fill before its frontier empties; anything still
+       unassigned joins the last shard (it has spare capacity: the
+       others stopped exactly at [cap]). *)
+    for u = 0 to n - 1 do
+      if part.(u) < 0 then part.(u) <- shards - 1
+    done;
+    part
+  end
 
 let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
-    ~timer_label ?scheduler ?(shards = 1) ?(partition = `Contiguous)
+    ~timer_label ?scheduler ?(shards = 1) ?partition:(pmode = `Contiguous)
     ?(faults = []) ?(fault_seed = 0) ?corrupt_msg () =
   let n = Array.length clocks in
   if n = 0 then invalid_arg "Engine.create: no nodes";
@@ -720,9 +699,9 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
   let part =
     if shards = 1 then [||]
     else
-      match partition with
+      match pmode with
       | `Contiguous -> contiguous_part ~n ~shards
-      | `Greedy -> greedy_partition ~shards graph
+      | `Greedy -> partition ~shards graph
       | `Explicit p ->
         if Array.length p <> n then
           invalid_arg "Engine.create: partition array length <> n";
@@ -1509,7 +1488,7 @@ let tb_push tb ~seq ~kind ~a ~b ~c ~d payload =
    the candidate instant — live or stale — is popped into scratch in seq
    order, and the hook picks which one dispatches next. [select] peeked
    the wheel up to that instant, so every wheel entry due then already
-   sits in its due heap, in front of every later one. Each entry goes
+   sits in its due set, in front of every later one. Each entry goes
    back to its own structure, the chosen one with its seq lowered to -1
    (below every allocated rank, so it is the next to surface) while the
    others keep their original seqs; the candidate is redirected to the

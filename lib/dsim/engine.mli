@@ -261,8 +261,7 @@ val queue_depth : ('msg, 'timer) t -> int
 
 val shards : ('msg, 'timer) t -> int
 
-val partition :
-  ?prev:int array -> ?threshold:float -> shards:int -> Dyngraph.t -> int array
+val partition : shards:int -> Dyngraph.t -> int array
 (** Traffic-aware shard partition of a graph's current topology: greedy
     BFS growth from the lowest unassigned id, each shard capped at
     ⌈n/shards⌉ nodes, neighbors visited in increasing order.
@@ -270,12 +269,9 @@ val partition :
     contiguous split exactly (each sweep claims the next segment of the
     line); on clustered or shuffled id spaces it cuts far fewer edges
     than a contiguous split, which means fewer cross-shard events
-    through the merge barrier. [prev] adds stability under churn: the
-    fresh partition only replaces [prev] when its edge cut is more than
-    [threshold] (default [0.1], relative) better — otherwise a copy of
-    [prev] is returned. Feed the result to {!create}'s
-    [`Explicit]. Raises [Invalid_argument] when [shards < 1] or
-    [threshold < 0]. *)
+    through the merge barrier. {!create}'s [`Greedy] runs it on the
+    initial topology; feed its result to [`Explicit] to reuse one. Raises
+    [Invalid_argument] when [shards < 1]. *)
 
 val par_blocker : ('msg, 'timer) t -> string option
 (** [None] when this engine can form parallel dispatch windows; otherwise

@@ -1,19 +1,30 @@
 (* Struct-of-arrays event queue: the engine's events, flattened.
 
-   A binary heap ordered by (time, seq), holding *encoded* events instead
-   of boxed variant blocks: a kind tag plus four int operands and one
-   optional boxed payload (the message or callback, which the engine
-   cannot unbox without losing genericity).
-   Times live in an off-heap Float64 [Bigarray], so the steady-state
-   push/pop cycle allocates nothing at all: no event block, no float
-   boxing, and the GC never scans or moves the time column.
-
-   The heap is indirect: sift operations move (time, seq, slot) triples
-   while the operand columns stay put in a free-listed slot pool, so a
-   deep sift touches three arrays, not eight. Popping decodes the event
-   into per-queue registers ([ev_kind] .. [ev_payload]) read by the
+   Events are *encoded* instead of boxed variant blocks: a kind tag plus
+   four int operands and one optional boxed payload (the message or
+   callback, which the engine cannot unbox without losing genericity).
+   The operand columns sit in a free-listed slot pool; the ordering
+   structures move (time, seq, slot) triples only. Popping decodes the
+   event into per-queue registers ([ev_kind] .. [ev_payload]) read by the
    dispatcher — returning a tuple or record would put an allocation back
-   on the hot path. *)
+   on the hot path.
+
+   Ordering lives in three sources: a binary heap on (time, seq) and two
+   sorted runs beside it. Most events are created in the order they will
+   run in (periodic sends, deliveries a fixed delay ahead), so a push
+   whose (time, seq) does not precede a run's tail appends to that run in
+   O(1); of the runs that accept it, it takes the one with the latest
+   tail (best fit), which leaves the other free for the next push that
+   falls behind. Only a push neither run accepts pays a heap sift. Pop
+   takes the least of the three heads. (time, seq) is a strict total
+   order — seqs are unique — so any structure that always pops the
+   minimum pops the same sequence: the split never changes an execution.
+
+   [src] names the source holding the head. It is settled on push, pop
+   and remap, so [next_time] and [top_seq] read one field and one cell.
+   Heap times live in an off-heap Float64 [Bigarray] and run times in
+   flat float arrays, so the steady-state push/pop cycle allocates
+   nothing and the GC never scans a time column. *)
 
 type ba = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -26,12 +37,26 @@ let prov_flag = 1 lsl 60
 
 let cre_mask = (1 lsl 40) - 1
 
+(* One sorted run: a ring of (time, seq, slot) triples, non-decreasing
+   in (time, seq) from [r_head] for [r_len] cells. The capacity is a
+   power of two, and zero until the first append. *)
+type run = {
+  mutable r_times : float array;
+  mutable r_seqs : int array;
+  mutable r_slots : int array;
+  mutable r_head : int;
+  mutable r_len : int;
+}
+
 type t = {
-  (* Heap columns, parallel, first [size] cells live. *)
+  (* Heap columns, parallel, first [hsize] cells live. *)
   mutable times : ba;
   mutable seqs : int array;
   mutable slots : int array;
-  mutable size : int;
+  mutable hsize : int;
+  run1 : run;
+  run2 : run;
+  mutable src : int; (* holder of the head, or [src_none] *)
   (* Slot pool: operand columns, free-listed through [ia]. *)
   mutable kinds : int array;
   mutable ia : int array;
@@ -51,9 +76,19 @@ type t = {
   mutable p_payload : Obj.t;
 }
 
+let src_none = -1
+
+let src_heap = 0
+
+let src_run1 = 1
+
+let src_run2 = 2
+
 let dummy : Obj.t = Obj.repr ()
 
 let ba_make cap : ba = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout cap
+
+let run_make () = { r_times = [||]; r_seqs = [||]; r_slots = [||]; r_head = 0; r_len = 0 }
 
 let create ?(capacity = 64) () =
   if capacity < 0 then invalid_arg "Equeue.create: negative capacity";
@@ -62,7 +97,10 @@ let create ?(capacity = 64) () =
     times = ba_make cap;
     seqs = Array.make cap 0;
     slots = Array.make cap 0;
-    size = 0;
+    hsize = 0;
+    run1 = run_make ();
+    run2 = run_make ();
+    src = src_none;
     kinds = Array.make cap 0;
     ia = Array.make cap 0;
     ib = Array.make cap 0;
@@ -80,23 +118,57 @@ let create ?(capacity = 64) () =
     p_payload = dummy;
   }
 
-let size q = q.size
+let size q = q.hsize + q.run1.r_len + q.run2.r_len
 
-let is_empty q = q.size = 0
+let is_empty q = q.src = src_none
 
-let grow_heap q =
-  let cap = Array.length q.seqs in
-  let cap' = 2 * cap in
-  let times' = ba_make cap' in
-  Bigarray.Array1.blit q.times (Bigarray.Array1.sub times' 0 cap);
-  q.times <- times';
-  let grow a =
-    let a' = Array.make cap' 0 in
-    Array.blit a 0 a' 0 cap;
-    a'
+(* Runs --------------------------------------------------------------- *)
+
+let[@inline] run_tail r = (r.r_head + r.r_len - 1) land (Array.length r.r_seqs - 1)
+
+(* Whether run [r] takes (time, seq): it is empty, or its tail does not
+   follow (time, seq). *)
+let[@inline] run_accepts r time seq =
+  r.r_len = 0
+  ||
+  let i = run_tail r in
+  let tt = Array.unsafe_get r.r_times i in
+  tt < time || (tt = time && Array.unsafe_get r.r_seqs i <= seq)
+
+(* Whether [r]'s tail precedes [r']'s; an empty run's tail precedes
+   everything. *)
+let run_tail_before r r' =
+  r.r_len = 0
+  || r'.r_len > 0
+     &&
+     let i = run_tail r and i' = run_tail r' in
+     let tt = Array.unsafe_get r.r_times i and tt' = Array.unsafe_get r'.r_times i' in
+     tt < tt' || (tt = tt' && Array.unsafe_get r.r_seqs i < Array.unsafe_get r'.r_seqs i')
+
+(* Unroll the ring into arrays twice as large (16 cells on first use). *)
+let run_grow r =
+  let cap = Array.length r.r_seqs in
+  let first = min r.r_len (cap - r.r_head) in
+  let unroll a zero =
+    let b = Array.make (max 16 (2 * cap)) zero in
+    Array.blit a r.r_head b 0 first;
+    Array.blit a 0 b first (r.r_len - first);
+    b
   in
-  q.seqs <- grow q.seqs;
-  q.slots <- grow q.slots
+  r.r_times <- unroll r.r_times 0.;
+  r.r_seqs <- unroll r.r_seqs 0;
+  r.r_slots <- unroll r.r_slots 0;
+  r.r_head <- 0
+
+let run_append r ~time ~seq ~slot =
+  if r.r_len = Array.length r.r_seqs then run_grow r;
+  let i = (r.r_head + r.r_len) land (Array.length r.r_seqs - 1) in
+  Array.unsafe_set r.r_times i time;
+  Array.unsafe_set r.r_seqs i seq;
+  Array.unsafe_set r.r_slots i slot;
+  r.r_len <- r.r_len + 1
+
+let[@inline] run_of q s = if s = src_run1 then q.run1 else q.run2
 
 let grow_pool q =
   let cap = Array.length q.kinds in
@@ -115,32 +187,27 @@ let grow_pool q =
   Array.blit q.payloads 0 p' 0 cap;
   q.payloads <- p'
 
-let push q ~time ~seq ~kind ~a ~b ~c ~d payload =
-  if not (Float.is_finite time) then invalid_arg "Equeue.push: non-finite time";
-  if seq >= prov_flag then q.prov <- q.prov + 1;
-  let slot =
-    if q.free >= 0 then begin
-      let s = q.free in
-      q.free <- q.ia.(s);
-      s
-    end
-    else begin
-      if q.pool_len >= Array.length q.kinds then grow_pool q;
-      let s = q.pool_len in
-      q.pool_len <- s + 1;
-      s
-    end
+(* Heap ---------------------------------------------------------------- *)
+
+let grow_heap q =
+  let cap = Array.length q.seqs in
+  let cap' = 2 * cap in
+  let times' = ba_make cap' in
+  Bigarray.Array1.blit q.times (Bigarray.Array1.sub times' 0 cap);
+  q.times <- times';
+  let grow a =
+    let a' = Array.make cap' 0 in
+    Array.blit a 0 a' 0 cap;
+    a'
   in
-  q.kinds.(slot) <- kind;
-  q.ia.(slot) <- a;
-  q.ib.(slot) <- b;
-  q.ic.(slot) <- c;
-  q.id_.(slot) <- d;
-  q.payloads.(slot) <- payload;
-  if q.size >= Array.length q.seqs then grow_heap q;
+  q.seqs <- grow q.seqs;
+  q.slots <- grow q.slots
+
+let heap_push q ~time ~seq ~slot =
+  if q.hsize >= Array.length q.seqs then grow_heap q;
   let times = q.times and seqs = q.seqs and slots = q.slots in
-  let i = ref q.size in
-  q.size <- q.size + 1;
+  let i = ref q.hsize in
+  q.hsize <- q.hsize + 1;
   let continue = ref true in
   while !continue && !i > 0 do
     let p = (!i - 1) lsr 1 in
@@ -157,25 +224,9 @@ let push q ~time ~seq ~kind ~a ~b ~c ~d payload =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set slots !i slot
 
-let next_time q = if q.size = 0 then infinity else Bigarray.Array1.unsafe_get q.times 0
-
-let top_seq q = if q.size = 0 then max_int else Array.unsafe_get q.seqs 0
-
-let pop q =
-  if q.size = 0 then invalid_arg "Equeue.pop: empty queue";
-  if Array.unsafe_get q.seqs 0 >= prov_flag then q.prov <- q.prov - 1;
-  let slot = q.slots.(0) in
-  q.p_kind <- q.kinds.(slot);
-  q.p_a <- q.ia.(slot);
-  q.p_b <- q.ib.(slot);
-  q.p_c <- q.ic.(slot);
-  q.p_d <- q.id_.(slot);
-  q.p_payload <- q.payloads.(slot);
-  q.payloads.(slot) <- dummy;
-  q.ia.(slot) <- q.free;
-  q.free <- slot;
-  q.size <- q.size - 1;
-  let n = q.size in
+let heap_pop q =
+  q.hsize <- q.hsize - 1;
+  let n = q.hsize in
   if n > 0 then begin
     let times = q.times and seqs = q.seqs and slots = q.slots in
     let time = Bigarray.Array1.unsafe_get times n in
@@ -213,28 +264,146 @@ let pop q =
     Array.unsafe_set slots !i sl
   end
 
+(* Head ---------------------------------------------------------------- *)
+
+(* Time and seq of source [s]'s head; [s] must be non-empty. *)
+let[@inline always] head_time q s =
+  if s = src_heap then Bigarray.Array1.unsafe_get q.times 0
+  else
+    let r = run_of q s in
+    Array.unsafe_get r.r_times r.r_head
+
+let[@inline] head_seq q s =
+  if s = src_heap then Array.unsafe_get q.seqs 0
+  else
+    let r = run_of q s in
+    Array.unsafe_get r.r_seqs r.r_head
+
+let[@inline always] next_time q = if q.src = src_none then infinity else head_time q q.src
+
+let top_seq q = if q.src = src_none then max_int else head_seq q q.src
+
+(* Whether run [r]'s head precedes non-empty source [s]'s. *)
+let[@inline] run_head_before r q s =
+  let rt = Array.unsafe_get r.r_times r.r_head and st = head_time q s in
+  rt < st || (rt = st && Array.unsafe_get r.r_seqs r.r_head < head_seq q s)
+
+(* The source whose head is least, from scratch. *)
+let choose q =
+  let s = if q.hsize > 0 then src_heap else src_none in
+  let s =
+    if q.run1.r_len > 0 && (s = src_none || run_head_before q.run1 q s) then src_run1
+    else s
+  in
+  if q.run2.r_len > 0 && (s = src_none || run_head_before q.run2 q s) then src_run2 else s
+
+let push q ~time ~seq ~kind ~a ~b ~c ~d payload =
+  if not (Float.is_finite time) then invalid_arg "Equeue.push: non-finite time";
+  if seq >= prov_flag then q.prov <- q.prov + 1;
+  let slot =
+    if q.free >= 0 then begin
+      let s = q.free in
+      q.free <- q.ia.(s);
+      s
+    end
+    else begin
+      if q.pool_len >= Array.length q.kinds then grow_pool q;
+      let s = q.pool_len in
+      q.pool_len <- s + 1;
+      s
+    end
+  in
+  q.kinds.(slot) <- kind;
+  q.ia.(slot) <- a;
+  q.ib.(slot) <- b;
+  q.ic.(slot) <- c;
+  q.id_.(slot) <- d;
+  q.payloads.(slot) <- payload;
+  let r1 = q.run1 and r2 = q.run2 in
+  let dest =
+    if run_accepts r1 time seq then
+      if run_accepts r2 time seq && run_tail_before r1 r2 then src_run2 else src_run1
+    else if run_accepts r2 time seq then src_run2
+    else src_heap
+  in
+  (* The new entry becomes the head iff it precedes the current one, and
+     then it is the front of whichever source takes it. An append to a
+     non-empty run lands behind that run's head, so it never is. *)
+  let first =
+    (dest = src_heap || (run_of q dest).r_len = 0)
+    && (q.src = src_none
+       ||
+       let ht = head_time q q.src in
+       time < ht || (time = ht && seq < head_seq q q.src))
+  in
+  if dest = src_heap then heap_push q ~time ~seq ~slot
+  else run_append (run_of q dest) ~time ~seq ~slot;
+  if first then q.src <- dest
+
+let pop q =
+  let s = q.src in
+  if s = src_none then invalid_arg "Equeue.pop: empty queue";
+  let slot =
+    if s = src_heap then begin
+      let sl = Array.unsafe_get q.slots 0 in
+      if Array.unsafe_get q.seqs 0 >= prov_flag then q.prov <- q.prov - 1;
+      heap_pop q;
+      sl
+    end
+    else begin
+      let r = run_of q s in
+      let h = r.r_head in
+      if Array.unsafe_get r.r_seqs h >= prov_flag then q.prov <- q.prov - 1;
+      r.r_head <- (h + 1) land (Array.length r.r_seqs - 1);
+      r.r_len <- r.r_len - 1;
+      Array.unsafe_get r.r_slots h
+    end
+  in
+  q.src <- choose q;
+  q.p_kind <- q.kinds.(slot);
+  q.p_a <- q.ia.(slot);
+  q.p_b <- q.ib.(slot);
+  q.p_c <- q.ic.(slot);
+  q.p_d <- q.id_.(slot);
+  q.p_payload <- q.payloads.(slot);
+  q.payloads.(slot) <- dummy;
+  q.ia.(slot) <- q.free;
+  q.free <- slot
+
 (* Rewriting seq values in place is safe exactly when the rewrite
-   preserves the pairwise order of the live seqs: the heap shape encodes
-   only comparisons, so an order-preserving rewrite leaves every
-   parent/child relation valid. The engine's barrier re-ranking satisfies
-   this — a lane's provisional ranks resolve to final ranks in creation
+   preserves the pairwise order of the live seqs: the heap shape and the
+   runs' sortedness encode only comparisons, so an order-preserving
+   rewrite leaves every parent/child relation and every run valid, and
+   the head where it was. The engine's barrier re-ranking satisfies this
+   — a lane's provisional ranks resolve to final ranks in creation
    order, and every final rank a window assigns exceeds every rank the
    queue already held (DESIGN §14). The provisional count makes the
    common case — a queue that took no window creations — one load. *)
 let remap_batch q ~finals =
   if q.prov > 0 then begin
-    let seqs = q.seqs in
     let left = ref q.prov in
-    let i = ref 0 in
-    while !left > 0 do
-      let s = Array.unsafe_get seqs !i in
+    let remap seqs i =
+      let s = Array.unsafe_get seqs i in
       if s >= prov_flag then begin
-        Array.unsafe_set seqs !i (Array.unsafe_get finals (s land cre_mask));
+        Array.unsafe_set seqs i (Array.unsafe_get finals (s land cre_mask));
         decr left
-      end;
+      end
+    in
+    let i = ref 0 in
+    while !left > 0 && !i < q.hsize do
+      remap q.seqs !i;
       incr i
     done;
-    q.prov <- 0
+    List.iter
+      (fun r ->
+        let k = ref 0 in
+        while !left > 0 && !k < r.r_len do
+          remap r.r_seqs ((r.r_head + !k) land (Array.length r.r_seqs - 1));
+          incr k
+        done)
+      [ q.run1; q.run2 ];
+    q.prov <- 0;
+    q.src <- choose q
   end
 
 let release q = q.p_payload <- dummy
@@ -252,9 +421,10 @@ let ev_d q = q.p_d
 let ev_payload q = q.p_payload
 
 (* Allocated footprint in words, for memory-growth checks: heap columns
-   (seqs/slots + the off-heap time column counted at 1 word/cell) plus the
-   pool columns. *)
+   (seqs/slots + the off-heap time column counted at 1 word/cell), the
+   run columns, and the pool columns. *)
 let footprint_words q =
   let heap_cap = Array.length q.seqs in
+  let run_cap = Array.length q.run1.r_seqs + Array.length q.run2.r_seqs in
   let pool_cap = Array.length q.kinds in
-  (3 * heap_cap) + (6 * pool_cap)
+  (3 * heap_cap) + (3 * run_cap) + (6 * pool_cap)

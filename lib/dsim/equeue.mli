@@ -1,10 +1,16 @@
 (** Struct-of-arrays event queue for the engine's encoded events.
 
-    A binary heap ordered by [(time, seq)], holding events flattened to
-    a kind tag, four int operands and one optional boxed payload. Times
-    live in an off-heap Float64 [Bigarray]; the operand columns sit in a
-    free-listed slot pool so a sift moves [(time, seq, slot)] triples
-    only. The steady-state push/pop cycle allocates nothing.
+    Events are flattened to a kind tag, four int operands and one
+    optional boxed payload, held in a free-listed slot pool. Ordering is
+    by [(time, seq)] across three sources: a binary heap and two sorted
+    runs beside it. A push whose [(time, seq)] does not precede a run's
+    tail appends to that run in O(1) (the accepting run with the latest
+    tail, when both accept); any other push sifts into the heap. Pop
+    takes the least of the three heads. Since seqs are unique,
+    [(time, seq)] is a strict total order and the queue pops exactly the
+    sequence a single heap would. Times live in unboxed columns (an
+    off-heap Float64 [Bigarray] for the heap); the steady-state
+    push/pop cycle allocates nothing.
 
     Tie-break sequence numbers are supplied by the caller: the engine
     owns one global counter shared by all of its per-shard queues and
@@ -37,7 +43,8 @@ val pop : t -> unit
     {!ev_kind} .. {!ev_payload}. Raises [Invalid_argument] when empty. *)
 
 val next_time : t -> float
-(** Time of the earliest event, or [infinity] when empty. *)
+(** Time of the earliest event, or [infinity] when empty. Inlined across
+    modules so the result stays unboxed in the caller. *)
 
 val top_seq : t -> int
 (** Sequence of the earliest event, or [max_int] when empty — an
@@ -70,8 +77,9 @@ val remap_batch : t -> finals:int array -> unit
 (** [remap_batch q ~finals] replaces every live provisional seq [s] with
     [finals.(s land cre_mask)] in place and stops as soon as the queue's
     provisional count is exhausted (one load when it is zero). The
-    rewrite must preserve the pairwise order of the live seqs, which the
-    engine's barrier guarantees: a lane's provisional ranks resolve in
+    rewrite must preserve the pairwise order of the live seqs — that keeps
+    the heap valid and every run sorted — which the engine's barrier
+    guarantees: a lane's provisional ranks resolve in
     creation order and every assigned final rank exceeds every rank the
     queue already held (DESIGN §14). *)
 
@@ -79,6 +87,6 @@ val size : t -> int
 val is_empty : t -> bool
 
 val footprint_words : t -> int
-(** Words currently allocated across the heap and pool columns (the
-    off-heap time column counted at one word per cell) — the engine's
+(** Words currently allocated across the heap, run and pool columns
+    (the off-heap time column counted at one word per cell) — the engine's
     memory-growth checks read this. *)

@@ -12,9 +12,8 @@
    granularity, floored). Resolving granule [c] first cascades every
    coarser ring whose boundary [c] crosses (top ring first), re-arming
    each displaced entry relative to the new cursor, then drains level-0
-   slot [c mod slots] into [due], a small binary heap ordered by
-   (deadline, seq). Two invariants make the merge with the event queue
-   exact:
+   slot [c mod slots] into the due set. Two invariants make the merge
+   with the event queue exact:
 
    - every bucket entry's granule is >= cursor, so its deadline is
      >= cursor * granularity;
@@ -22,10 +21,23 @@
      either when its granule was resolved or because it was armed into
      the already-resolved past).
 
-   Hence whenever [due] is non-empty its root is the wheel's global
-   minimum, and [peek] needs to advance the cursor only while [due] is
-   empty. Entries further than [slots^levels] granules away are parked at
-   the top ring's last covered slot and re-cascaded when the cursor gets
+   Hence whenever the due set is non-empty its least entry is the
+   wheel's global minimum, and [peek] needs to advance the cursor only
+   while the due set is empty.
+
+   The due set is a binary heap on (deadline, seq) with one sorted run
+   beside it. A drained bucket lists its entries in arming order, and the
+   engine arms most timers in the order they fire (periodic ticks, each
+   receipt re-arming lost(v) one timeout ahead), so an entry whose
+   (deadline, seq) does not precede the run's tail appends to the run in
+   O(1); only the others pay a heap sift. [dsrc] names the source holding
+   the least entry, settled on every push, pop and remap, so the [top_*]
+   accessors read one field and one cell. (deadline, seq) is a strict
+   total order, so always taking the least head surfaces exactly the
+   sequence one heap would.
+
+   Entries further than [slots^levels] granules away are parked at the
+   top ring's last covered slot and re-cascaded when the cursor gets
    there; the granule check in [resolve] re-arms instead of surfacing
    them, so clamping never reorders anything. *)
 
@@ -59,12 +71,28 @@ type t = {
   mutable d_node : int array;
   mutable d_label : int array;
   mutable d_gen : int array;
+  (* Due run: a ring, non-decreasing in (deadline, seq) from [r_head] for
+     [r_len] cells; power-of-two capacity, zero until the first append. *)
+  mutable r_head : int;
+  mutable r_len : int;
+  mutable r_deadline : float array;
+  mutable r_seq : int array;
+  mutable r_node : int array;
+  mutable r_label : int array;
+  mutable r_gen : int array;
+  mutable dsrc : int; (* holder of the least due entry, or [src_none] *)
   (* Drained buckets, linked through [next] and ended by [unused]: their
      capacity goes to the next bucket that fills instead of being
      reallocated from 4 — under sustained re-arm traffic that churn
      dominated the wheel's minor-heap traffic. *)
   mutable free : bucket;
 }
+
+let src_none = -1
+
+let src_heap = 0
+
+let src_run = 1
 
 (* Shared placeholder for empty buckets and the free list's end: only
    ever read (its length is 0), never pushed into or drained. *)
@@ -97,14 +125,26 @@ let create ~granularity ?(slots = 64) ?(levels = 4) () =
     d_node = Array.make 16 0;
     d_label = Array.make 16 0;
     d_gen = Array.make 16 0;
+    r_head = 0;
+    r_len = 0;
+    r_deadline = [||];
+    r_seq = [||];
+    r_node = [||];
+    r_label = [||];
+    r_gen = [||];
+    dsrc = src_none;
     free = unused;
   }
 
-let size t = t.bucket_count + t.d_len
+let size t = t.bucket_count + t.d_len + t.r_len
 
 let footprint_words t =
   let bucket_words bk = 7 + (5 * Array.length bk.b_deadline) in
-  let acc = ref ((5 * Array.length t.d_deadline) + Array.length t.buckets) in
+  let acc =
+    ref
+      ((5 * (Array.length t.d_deadline + Array.length t.r_deadline))
+      + Array.length t.buckets)
+  in
   Array.iter (fun bk -> if bk != unused then acc := !acc + bucket_words bk) t.buckets;
   let bk = ref t.free in
   while !bk != unused do
@@ -113,9 +153,9 @@ let footprint_words t =
   done;
   !acc
 
-(* Due heap ----------------------------------------------------------- *)
+(* Due set ------------------------------------------------------------ *)
 
-let due_grow t =
+let heap_grow t =
   let cap = 2 * Array.length t.d_deadline in
   let g_f a = let b = Array.make cap 0. in Array.blit a 0 b 0 t.d_len; b in
   let g_i a = let b = Array.make cap 0 in Array.blit a 0 b 0 t.d_len; b in
@@ -125,8 +165,8 @@ let due_grow t =
   t.d_label <- g_i t.d_label;
   t.d_gen <- g_i t.d_gen
 
-let due_push t ~deadline ~seq ~node ~label ~gen =
-  if t.d_len >= Array.length t.d_deadline then due_grow t;
+let heap_push t ~deadline ~seq ~node ~label ~gen =
+  if t.d_len >= Array.length t.d_deadline then heap_grow t;
   (* Sift a hole up from the end, then fill it. *)
   let i = ref t.d_len in
   t.d_len <- t.d_len + 1;
@@ -150,7 +190,7 @@ let due_push t ~deadline ~seq ~node ~label ~gen =
   t.d_label.(!i) <- label;
   t.d_gen.(!i) <- gen
 
-let due_pop t =
+let heap_pop t =
   let last = t.d_len - 1 in
   t.d_len <- last;
   if last > 0 then begin
@@ -192,6 +232,76 @@ let due_pop t =
     t.d_node.(!i) <- node;
     t.d_label.(!i) <- label;
     t.d_gen.(!i) <- gen
+  end
+
+(* Unroll the ring into arrays twice as large (16 cells on first use). *)
+let run_grow t =
+  let cap = Array.length t.r_seq in
+  let first = min t.r_len (cap - t.r_head) in
+  let unroll a zero =
+    let b = Array.make (max 16 (2 * cap)) zero in
+    Array.blit a t.r_head b 0 first;
+    Array.blit a 0 b first (t.r_len - first);
+    b
+  in
+  t.r_deadline <- unroll t.r_deadline 0.;
+  t.r_seq <- unroll t.r_seq 0;
+  t.r_node <- unroll t.r_node 0;
+  t.r_label <- unroll t.r_label 0;
+  t.r_gen <- unroll t.r_gen 0;
+  t.r_head <- 0
+
+(* Deadline and seq of non-empty source [s]'s head. *)
+let[@inline always] head_time t s =
+  if s = src_heap then Array.unsafe_get t.d_deadline 0
+  else Array.unsafe_get t.r_deadline t.r_head
+
+let[@inline] head_seq t s =
+  if s = src_heap then Array.unsafe_get t.d_seq 0 else Array.unsafe_get t.r_seq t.r_head
+
+(* Add a resolved entry: to the run unless it precedes the run's tail,
+   else to the heap. It becomes the due head iff it precedes the old one,
+   and then it is the front of whichever source took it; an append to a
+   non-empty run lands behind the run's head, so it never is. *)
+let due_push t ~deadline ~seq ~node ~label ~gen =
+  let len = t.r_len in
+  let to_run =
+    len = 0
+    ||
+    let i = (t.r_head + len - 1) land (Array.length t.r_seq - 1) in
+    let tt = Array.unsafe_get t.r_deadline i in
+    tt < deadline || (tt = deadline && Array.unsafe_get t.r_seq i <= seq)
+  in
+  let first =
+    (len = 0 || not to_run)
+    && (t.dsrc = src_none
+       ||
+       let ht = head_time t t.dsrc in
+       deadline < ht || (deadline = ht && seq < head_seq t t.dsrc))
+  in
+  if to_run then begin
+    if len = Array.length t.r_seq then run_grow t;
+    let i = (t.r_head + len) land (Array.length t.r_seq - 1) in
+    Array.unsafe_set t.r_deadline i deadline;
+    Array.unsafe_set t.r_seq i seq;
+    Array.unsafe_set t.r_node i node;
+    Array.unsafe_set t.r_label i label;
+    Array.unsafe_set t.r_gen i gen;
+    t.r_len <- len + 1
+  end
+  else heap_push t ~deadline ~seq ~node ~label ~gen;
+  if first then t.dsrc <- (if to_run then src_run else src_heap)
+
+(* The source holding the least due entry, from scratch. *)
+let choose t =
+  if t.r_len = 0 then if t.d_len > 0 then src_heap else src_none
+  else if t.d_len = 0 then src_run
+  else begin
+    let rt = Array.unsafe_get t.r_deadline t.r_head
+    and ht = Array.unsafe_get t.d_deadline 0 in
+    if rt < ht || (rt = ht && Array.unsafe_get t.r_seq t.r_head < Array.unsafe_get t.d_seq 0)
+    then src_run
+    else src_heap
   end
 
 (* Buckets ------------------------------------------------------------ *)
@@ -319,38 +429,53 @@ let resolve t =
   end
 
 let peek t ~upto =
-  if t.d_len = 0 then begin
+  if t.dsrc = src_none then begin
     (* Advance at most to the granule containing [upto]: anything beyond
        it cannot surface an entry with deadline <= upto. *)
     let limit = granule t upto in
-    while t.d_len = 0 && t.bucket_count > 0 && t.cursor <= limit do
+    while t.dsrc = src_none && t.bucket_count > 0 && t.cursor <= limit do
       resolve t
     done
   end;
-  t.d_len > 0 && t.d_deadline.(0) <= upto
+  t.dsrc <> src_none && head_time t t.dsrc <= upto
 
-let top_time t = t.d_deadline.(0)
+let[@inline always] top_time t = if t.dsrc = src_none then infinity else head_time t t.dsrc
 
-let top_seq t = if t.d_len = 0 then max_int else t.d_seq.(0)
+let top_seq t = if t.dsrc = src_none then max_int else head_seq t t.dsrc
 
-let top_node t = t.d_node.(0)
+let top_node t =
+  if t.dsrc = src_heap then Array.unsafe_get t.d_node 0
+  else if t.dsrc = src_run then Array.unsafe_get t.r_node t.r_head
+  else invalid_arg "Timewheel.top_node: no resolved entry"
 
-let top_label t = t.d_label.(0)
+let top_label t =
+  if t.dsrc = src_heap then Array.unsafe_get t.d_label 0
+  else if t.dsrc = src_run then Array.unsafe_get t.r_label t.r_head
+  else invalid_arg "Timewheel.top_label: no resolved entry"
 
-let top_gen t = t.d_gen.(0)
+let top_gen t =
+  if t.dsrc = src_heap then Array.unsafe_get t.d_gen 0
+  else if t.dsrc = src_run then Array.unsafe_get t.r_gen t.r_head
+  else invalid_arg "Timewheel.top_gen: no resolved entry"
 
 let pop t =
-  if t.d_len = 0 then invalid_arg "Timewheel.pop: no resolved entry";
-  if t.d_seq.(0) >= Equeue.prov_flag then t.prov <- t.prov - 1;
-  due_pop t
+  let s = t.dsrc in
+  if s = src_none then invalid_arg "Timewheel.pop: no resolved entry";
+  if head_seq t s >= Equeue.prov_flag then t.prov <- t.prov - 1;
+  if s = src_heap then heap_pop t
+  else begin
+    t.r_head <- (t.r_head + 1) land (Array.length t.r_seq - 1);
+    t.r_len <- t.r_len - 1
+  end;
+  t.dsrc <- choose t
 
 (* Buckets are unordered flat arrays, so any value rewrite is safe there;
-   the due heap is ordered by (deadline, seq), so — as in Equeue — the
-   rewrite must preserve the pairwise order of the live seqs to keep the
-   heap shape valid (the engine's barrier re-ranking does; see
-   Equeue.remap_batch). The provisional count held by [arm]/[pop] makes
-   the no-window-creations case one load instead of a sweep over every
-   bucket. *)
+   the due heap and run are ordered by (deadline, seq), so — as in
+   Equeue — the rewrite must preserve the pairwise order of the live seqs
+   to keep the heap shape and the run valid (the engine's barrier
+   re-ranking does; see Equeue.remap_batch). The provisional count held
+   by [arm]/[pop] makes the no-window-creations case one load instead of
+   a sweep over every bucket. *)
 let remap_batch t ~finals =
   if t.prov > 0 then begin
     let left = ref t.prov in
@@ -377,5 +502,17 @@ let remap_batch t ~finals =
       end;
       incr k
     done;
-    t.prov <- 0
+    let seq = t.r_seq in
+    let k = ref 0 in
+    while !left > 0 && !k < t.r_len do
+      let i = (t.r_head + !k) land (Array.length seq - 1) in
+      let s = seq.(i) in
+      if s >= Equeue.prov_flag then begin
+        seq.(i) <- finals.(s land Equeue.cre_mask);
+        decr left
+      end;
+      incr k
+    done;
+    t.prov <- 0;
+    t.dsrc <- choose t
   end

@@ -6,8 +6,9 @@
     granule at the right level. The engine's run loop resolves entries
     lazily: {!peek} advances an internal cursor granule by granule,
     cascading coarser levels down as their boundaries are crossed, and
-    moves the current granule's entries into a small binary heap ordered
-    by [(deadline, seq)].
+    moves the current granule's entries into the due set: a binary heap
+    ordered by [(deadline, seq)] with one sorted run beside it, which
+    takes in O(1) every entry that does not precede its tail.
 
     The wheel never decides whether an entry is live: cancellation and
     re-arm are generation-counter checks performed by the engine when an
@@ -18,7 +19,7 @@
     order, the same total order a single binary heap over all events
     produces, which is what lets the engine interleave wheel timers with
     its event queue in one [(time, seq)] order. After a successful
-    [peek ~upto:t], every entry due at [t] sits in the due heap. *)
+    [peek ~upto:t], every entry due at [t] sits in the due set. *)
 
 type t
 
@@ -34,7 +35,7 @@ val arm : t -> node:int -> label:int -> gen:int -> seq:int -> deadline:float -> 
 (** Add an entry. [deadline] must be finite and non-negative; [seq] must
     be unique among held entries (the engine's shared tie-break counter
     guarantees this). Entries whose granule has already been resolved go
-    straight into the due heap, whatever their seq — which is how the
+    straight into the due set, whatever their seq — which is how the
     engine's tie-break hook puts a same-instant group back. *)
 
 val size : t -> int
@@ -43,16 +44,19 @@ val size : t -> int
 
 val footprint_words : t -> int
 (** Words currently allocated across the bucket table, bucket storage
-    (including drained buckets kept for reuse) and the due heap — read
-    by the engine's memory-growth checks. *)
+    (including drained buckets kept for reuse), the due heap and the due
+    run — read by the engine's memory-growth checks. *)
 
 val peek : t -> upto:float -> bool
 (** [peek w ~upto] is [true] iff the earliest entry's deadline is
     [<= upto], resolving granules no further than [upto]. When it returns
     [true], {!top_time}, {!top_seq}, {!top_node}, {!top_label} and
-    {!top_gen} read that entry; they are meaningless otherwise. *)
+    {!top_gen} read that entry. *)
 
 val top_time : t -> float
+(** Deadline of the resolved head, or [infinity] when no entry is
+    resolved. Inlined across modules so the result stays unboxed in the
+    caller. *)
 
 val top_seq : t -> int
 (** Sequence of the resolved head, or [max_int] when no entry is
@@ -60,6 +64,8 @@ val top_seq : t -> int
     always prefers the other side. *)
 
 val top_node : t -> int
+(** Node of the resolved head. Raises [Invalid_argument] when no entry
+    is resolved; likewise {!top_label} and {!top_gen}. *)
 
 val top_label : t -> int
 
@@ -71,11 +77,11 @@ val pop : t -> unit
 
 val remap_batch : t -> finals:int array -> unit
 (** [remap_batch w ~finals] replaces every held provisional seq [s] —
-    bucket entries and resolved due entries alike — with
+    bucket entries and due entries alike — with
     [finals.(s land Equeue.cre_mask)] in place, stopping as soon as the
     wheel's provisional count (maintained by {!arm}/{!pop}) is
     exhausted; a wheel holding none pays one load. The rewrite must
     preserve the pairwise order of the live seqs, which the engine's
     barrier re-ranking guarantees (see {!Equeue.remap_batch}); the due
-    heap's shape is untouched, which is valid exactly under that
-    condition (DESIGN §14). *)
+    heap's shape and the due run's order are untouched, which is valid
+    exactly under that condition (DESIGN §14). *)

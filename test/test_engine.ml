@@ -631,8 +631,7 @@ let test_footprint_linear_in_n () =
    shards=1 must be the all-zeros map, a path must reproduce the
    contiguous split exactly (the greedy BFS walks the line segment by
    segment), a scrambled clustered graph must beat the contiguous cut
-   while staying balanced, and the hysteresis must hold on to a previous
-   partition unless the fresh cut is a real improvement. *)
+   while staying balanced. *)
 let test_partition_shapes () =
   let graph_of ~n edges =
     let g = Dsim.Dyngraph.create ~n in
@@ -676,22 +675,12 @@ let test_partition_shapes () =
         (Printf.sprintf "shard %d non-empty and within capacity" s)
         true
         (c > 0 && c <= chunk))
-    counts;
-  (* Hysteresis: an equal-cut prev is kept (as a copy, not an alias)... *)
-  let prev = Engine.partition ~shards:4 cg in
-  let kept = Engine.partition ~prev ~shards:4 cg in
-  Alcotest.(check (array int)) "prev kept when fresh is no better" prev kept;
-  Alcotest.(check bool) "kept partition is a fresh array" true (kept != prev);
-  (* ...and a clearly worse prev is replaced by the greedy cut. *)
-  let scrambled = Array.init n (fun i -> i mod 4) in
-  let replaced = Engine.partition ~prev:scrambled ~shards:4 cg in
-  Alcotest.(check bool) "bad prev replaced by the greedy cut" true
-    (edge_cut cg replaced < edge_cut cg scrambled)
+    counts
 
 let suite =
   [
     case "message delivery" test_delivery;
-    case "partition: shapes, balance and hysteresis" test_partition_shapes;
+    case "partition: shapes, balance" test_partition_shapes;
     case "joined pair keys cannot collide" test_join_no_pair_key_collision;
     case "join-heavy churn keeps per-link FIFO" test_join_churn_fifo_order;
     case "footprint grows O(n), not O(n^2)" test_footprint_linear_in_n;

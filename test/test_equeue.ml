@@ -143,8 +143,27 @@ let test_release () =
    the next provisional rank, as the engine's lanes do inside a window;
    a remap then hands the provisional ranks final ranks above every one
    issued so far, in creation order — the order-preserving rewrite the
-   engine's barrier performs. *)
-type op = Push of int * bool | Pop | Remap
+   engine's barrier performs.
+
+   Two generators drive it. The first scatters pushes over times 0..4.
+   The second shapes them like the engine's traffic, which is mostly in
+   order: each dispatch pushes its successors one of two fixed offsets
+   past the last popped time (a delivery 1.0 out, a clock mark 2.0 out),
+   often several at one time. A few pushes land far ahead, poisoning a
+   run's tail, or behind the last push, falling into the heap. Its
+   sequences run long enough for the runs' rings to grow and wrap, and
+   [Rebreak] replays the engine's tie-break hook: pop the whole group at
+   the head time, push it back with the chosen member's seq lowered to
+   -1, and pop that member next. *)
+type op =
+  | Push of int * bool (* at this time *)
+  | After of float * bool (* this long after the last popped time *)
+  | Tie of bool (* at the last pushed time *)
+  | Pop
+  | Remap
+  | Rebreak of int
+
+let prov_gen = QCheck.Gen.(map (fun k -> k = 0) (int_bound 3))
 
 let op_gen =
   QCheck.Gen.(
@@ -155,67 +174,114 @@ let op_gen =
         (1, return Remap);
       ])
 
+let stream_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (10, map2 (fun dt p -> After (dt, p)) (oneofl [ 1.0; 2.0 ]) prov_gen);
+        (3, map (fun p -> Tie p) prov_gen);
+        (1, map (fun p -> After (50., p)) prov_gen);
+        (1, map2 (fun dt p -> After (dt, p)) (oneofl [ 0.; 0.25; 0.5; 0.75 ]) prov_gen);
+        (8, return Pop);
+        (1, return Remap);
+        (1, map (fun j -> Rebreak j) (int_bound 5));
+      ])
+
 let pp_op = function
   | Push (t, p) -> Printf.sprintf "push %d%s" t (if p then "p" else "")
+  | After (dt, p) -> Printf.sprintf "after %g%s" dt (if p then "p" else "")
+  | Tie p -> Printf.sprintf "tie%s" (if p then "p" else "")
   | Pop -> "pop"
   | Remap -> "remap"
+  | Rebreak j -> Printf.sprintf "rebreak %d" j
+
+let matches_reference ops =
+  let q = Equeue.create ~capacity:2 () in
+  let model = ref [] (* (time, seq, id), sorted *) in
+  let now = ref 0. and last = ref 0. in
+  let next = ref 0 and cre = ref 0 and id = ref 0 in
+  let put time seq i =
+    push q ~time ~seq i;
+    model := List.merge compare [ (time, seq, i) ] !model
+  in
+  let push_new time prov =
+    let seq =
+      if prov then begin
+        let s = Equeue.prov_flag lor !cre in
+        incr cre;
+        s
+      end
+      else begin
+        let s = !next in
+        incr next;
+        s
+      end
+    in
+    put time seq !id;
+    incr id;
+    last := time;
+    true
+  in
+  (* Pop the model's head from both sides; [Some (seq, id)] when they
+     agree. *)
+  let pop_head () =
+    match !model with
+    | [] -> None
+    | (time, seq, i) :: rest ->
+      model := rest;
+      let ok = Equeue.next_time q = time && Equeue.top_seq q = seq in
+      Equeue.pop q;
+      now := time;
+      if ok && Equeue.ev_a q = i then Some (seq, i) else None
+  in
+  let step = function
+    | Push (t, prov) -> push_new (float_of_int t) prov
+    | After (dt, prov) -> push_new (!now +. dt) prov
+    | Tie prov -> push_new !last prov
+    | Pop -> (!model = [] && Equeue.is_empty q) || pop_head () <> None
+    | Remap ->
+      let finals = Array.init !cre (fun j -> !next + j) in
+      next := !next + !cre;
+      cre := 0;
+      Equeue.remap_batch q ~finals;
+      model :=
+        List.sort compare
+          (List.map
+             (fun (t, s, i) ->
+               if s >= Equeue.prov_flag then (t, finals.(s land Equeue.cre_mask), i)
+               else (t, s, i))
+             !model);
+      true
+    | Rebreak j -> (
+      match !model with
+      | [] -> true
+      | (tm, _, _) :: _ ->
+        let group = List.filter (fun (t, _, _) -> t = tm) !model in
+        let popped = List.filter_map (fun _ -> pop_head ()) group in
+        let c = j mod List.length group in
+        List.length popped = List.length group
+        && begin
+             List.iteri (fun x (seq, i) -> put tm (if x = c then -1 else seq) i) popped;
+             match pop_head () with
+             | Some (-1, i) -> i = snd (List.nth popped c)
+             | _ -> false
+           end)
+  in
+  List.for_all (fun op -> step op && Equeue.size q = List.length !model) ops
+  && List.for_all (fun _ -> step Pop) !model
+  && Equeue.is_empty q
 
 let prop_matches_reference =
   QCheck.Test.make ~name:"push/pop/remap_batch match a sorted reference"
     ~count:300
     QCheck.(make ~print:(Print.list pp_op) Gen.(list_size (int_bound 60) op_gen))
-    (fun ops ->
-      let q = Equeue.create ~capacity:2 () in
-      let model = ref [] (* (time, seq, id), sorted *) in
-      let next = ref 0 and cre = ref 0 and id = ref 0 in
-      let insert e = model := List.merge compare [ e ] !model in
-      let step = function
-        | Push (t, prov) ->
-          let seq =
-            if prov then begin
-              let s = Equeue.prov_flag lor !cre in
-              incr cre;
-              s
-            end
-            else begin
-              let s = !next in
-              incr next;
-              s
-            end
-          in
-          let time = float_of_int t in
-          push q ~time ~seq !id;
-          insert (time, seq, !id);
-          incr id;
-          true
-        | Pop -> (
-          match !model with
-          | [] -> Equeue.is_empty q
-          | (time, seq, i) :: rest ->
-            model := rest;
-            let ok = Equeue.next_time q = time && Equeue.top_seq q = seq in
-            Equeue.pop q;
-            ok && Equeue.ev_a q = i)
-        | Remap ->
-          let finals = Array.init !cre (fun j -> !next + j) in
-          next := !next + !cre;
-          cre := 0;
-          Equeue.remap_batch q ~finals;
-          model :=
-            List.sort compare
-              (List.map
-                 (fun (t, s, i) ->
-                   if s >= Equeue.prov_flag then
-                     (t, finals.(s land Equeue.cre_mask), i)
-                   else (t, s, i))
-                 !model);
-          true
-      in
-      List.for_all
-        (fun op -> step op && Equeue.size q = List.length !model)
-        ops
-      && List.for_all (fun _ -> step Pop) !model
-      && Equeue.is_empty q)
+    matches_reference
+
+let prop_stream_matches_reference =
+  QCheck.Test.make ~name:"in-order streams with ties, tail poisoning, remaps and re-pushes"
+    ~count:300
+    QCheck.(make ~print:(Print.list pp_op) Gen.(list_size (int_range 100 300) stream_gen))
+    matches_reference
 
 (* Pushes at a handful of times with increasing seqs: within each time
    the pops come out in push order. *)
@@ -246,5 +312,6 @@ let suite =
     case "growth past the requested capacity" test_growth_past_capacity;
     case "release frees the payload" test_release;
     QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_stream_matches_reference;
     QCheck_alcotest.to_alcotest prop_equal_times;
   ]

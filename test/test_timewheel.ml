@@ -346,12 +346,35 @@ let test_bucket_growth_preserves_order_and_gens () =
    cascade and far-future deadlines clamp. Arms draw either the next
    final rank or the next provisional rank (>= [Equeue.prov_flag]), as
    the engine's lanes do inside a window, and land both ahead of the
-   resolved frontier (buckets) and behind it (the due heap). A peek
-   without a pop moves entries into the due heap, so remaps rewrite
+   resolved frontier (buckets) and behind it (the due set). A peek
+   without a pop moves entries into the due set, so remaps rewrite
    provisional seqs in both places; a remap hands them final ranks above
    every live one, in creation order — the order-preserving rewrite the
-   engine's barrier performs at every window. *)
-type tw_op = Arm of int * bool | Peek of int | Pop | Remap
+   engine's barrier performs at every window.
+
+   Two generators drive it. The first scatters arms over -4..40 granules
+   from the frontier. The second shapes them like the engine's timers,
+   which it mostly arms in the order they fire: each tick re-arms itself
+   a fixed period ahead, and each receipt re-arms a lost(v) timer one
+   timeout ahead. So arms mostly land one of two offsets past the
+   frontier or repeat the last deadline; a few land far ahead (past the
+   span of the small shapes, so they clamp) or behind the frontier
+   (straight into the due set, behind the run's tail). [Next] advances
+   the frontier to the earliest deadline and pops it. Its sequences run
+   long enough for the due run's ring to grow and wrap, and [Rebreak]
+   replays the engine's tie-break hook: pop the whole group due at the
+   head deadline, re-arm it there with the chosen member's seq lowered
+   to -1, and pop that member next. *)
+type tw_op =
+  | Arm of int * bool (* this many granules past the frontier *)
+  | Tie of bool (* at the last armed deadline *)
+  | Peek of int
+  | Pop
+  | Next
+  | Remap
+  | Rebreak of int
+
+let prov_gen = QCheck.Gen.(map (fun k -> k = 0) (int_bound 3))
 
 let tw_op_gen =
   QCheck.Gen.(
@@ -363,11 +386,129 @@ let tw_op_gen =
         (1, return Remap);
       ])
 
+let tw_stream_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (10, map2 (fun d p -> Arm (d, p)) (oneofl [ 2; 4 ]) prov_gen);
+        (3, map (fun p -> Tie p) prov_gen);
+        (1, map (fun p -> Arm (40, p)) prov_gen);
+        (1, map2 (fun d p -> Arm (d, p)) (int_range (-3) 0) prov_gen);
+        (8, return Next);
+        (1, return Remap);
+        (1, map (fun j -> Rebreak j) (int_bound 5));
+      ])
+
 let pp_tw_op = function
   | Arm (d, p) -> Printf.sprintf "arm %+d%s" d (if p then "p" else "")
+  | Tie p -> Printf.sprintf "tie%s" (if p then "p" else "")
   | Peek d -> Printf.sprintf "peek +%d" d
   | Pop -> "pop"
+  | Next -> "next"
   | Remap -> "remap"
+  | Rebreak j -> Printf.sprintf "rebreak %d" j
+
+let tw_matches_reference (shape, ops) =
+  let slots, levels = [| (2, 1); (4, 2); (64, 4) |].(shape) in
+  let g = 0.5 in
+  let w = Tw.create ~granularity:g ~slots ~levels () in
+  let model = ref [] (* (deadline, seq, id), sorted *) in
+  let upto = ref 0. and last = ref 0. in
+  let next = ref 0 and cre = ref 0 and id = ref 0 in
+  let put deadline seq i =
+    Tw.arm w ~node:i ~label:0 ~gen:i ~seq ~deadline;
+    model := List.merge compare [ (deadline, seq, i) ] !model
+  in
+  let arm_new deadline prov =
+    let seq =
+      if prov then begin
+        let s = Dsim.Equeue.prov_flag lor !cre in
+        incr cre;
+        s
+      end
+      else begin
+        let s = !next in
+        incr next;
+        s
+      end
+    in
+    put deadline seq !id;
+    incr id;
+    last := deadline;
+    true
+  in
+  (* The model's earliest entry due by [upto] must be exactly what
+     [peek] exposes. *)
+  let head_matches () =
+    match !model with
+    | (d, seq, i) :: _ when d <= !upto ->
+      Tw.peek w ~upto:!upto
+      && Tw.top_time w = d
+      && Tw.top_seq w = seq
+      && Tw.top_node w = i
+      && Tw.top_gen w = i
+    | _ -> not (Tw.peek w ~upto:!upto)
+  in
+  (* Advance to the model's head and pop it from both sides; [Some (seq,
+     id)] when they agree. *)
+  let next_head () =
+    match !model with
+    | [] -> None
+    | (d, seq, i) :: rest ->
+      upto := Float.max !upto d;
+      let ok = head_matches () in
+      model := rest;
+      Tw.pop w;
+      if ok then Some (seq, i) else None
+  in
+  let step = function
+    | Arm (dg, prov) -> arm_new (Float.max 0. (!upto +. (float_of_int dg *. g))) prov
+    | Tie prov -> arm_new !last prov
+    | Peek dg ->
+      upto := !upto +. (float_of_int dg *. g);
+      head_matches ()
+    | Pop ->
+      let ok = head_matches () in
+      (match !model with
+      | (d, _, _) :: rest when d <= !upto ->
+        Tw.pop w;
+        model := rest
+      | _ -> ());
+      ok
+    | Next -> (!model = [] && not (Tw.peek w ~upto:infinity)) || next_head () <> None
+    | Remap ->
+      let finals = Array.init !cre (fun j -> !next + j) in
+      next := !next + !cre;
+      cre := 0;
+      Tw.remap_batch w ~finals;
+      model :=
+        List.sort compare
+          (List.map
+             (fun (d, s, i) ->
+               if s >= Dsim.Equeue.prov_flag then
+                 (d, finals.(s land Dsim.Equeue.cre_mask), i)
+               else (d, s, i))
+             !model);
+      true
+    | Rebreak j -> (
+      match !model with
+      | [] -> true
+      | (dm, _, _) :: _ ->
+        let group = List.filter (fun (d, _, _) -> d = dm) !model in
+        let popped = List.filter_map (fun _ -> next_head ()) group in
+        let c = j mod List.length group in
+        List.length popped = List.length group
+        && (not (Tw.peek w ~upto:dm))
+        && begin
+             List.iteri (fun x (seq, i) -> put dm (if x = c then -1 else seq) i) popped;
+             match next_head () with
+             | Some (-1, i) -> i = snd (List.nth popped c)
+             | _ -> false
+           end)
+  in
+  List.for_all (fun op -> step op && Tw.size w = List.length !model) ops
+  && List.for_all (fun _ -> step Next) !model
+  && Tw.size w = 0
 
 let prop_matches_reference =
   QCheck.Test.make ~name:"arm/peek/pop/remap_batch match a sorted reference"
@@ -376,75 +517,46 @@ let prop_matches_reference =
       make
         ~print:(Print.pair Print.int (Print.list pp_tw_op))
         Gen.(pair (int_bound 2) (list_size (int_bound 80) tw_op_gen)))
-    (fun (shape, ops) ->
-      let slots, levels = [| (2, 1); (4, 2); (64, 4) |].(shape) in
-      let g = 0.5 in
-      let w = Tw.create ~granularity:g ~slots ~levels () in
-      let model = ref [] (* (deadline, seq, id), sorted *) in
-      let upto = ref 0. in
-      let next = ref 0 and cre = ref 0 and id = ref 0 in
-      (* The model's earliest entry due by [upto] must be exactly what
-         [peek] exposes. *)
-      let head_matches () =
-        match !model with
-        | (d, seq, i) :: _ when d <= !upto ->
-          Tw.peek w ~upto:!upto
-          && Tw.top_time w = d
-          && Tw.top_seq w = seq
-          && Tw.top_node w = i
-          && Tw.top_gen w = i
-        | _ -> not (Tw.peek w ~upto:!upto)
-      in
-      let step = function
-        | Arm (dg, prov) ->
-          let seq =
-            if prov then begin
-              let s = Dsim.Equeue.prov_flag lor !cre in
-              incr cre;
-              s
-            end
-            else begin
-              let s = !next in
-              incr next;
-              s
-            end
-          in
-          let deadline = Float.max 0. (!upto +. (float_of_int dg *. g)) in
-          Tw.arm w ~node:!id ~label:0 ~gen:!id ~seq ~deadline;
-          model := List.merge compare [ (deadline, seq, !id) ] !model;
-          incr id;
-          true
-        | Peek dg ->
-          upto := !upto +. (float_of_int dg *. g);
-          head_matches ()
-        | Pop ->
-          let ok = head_matches () in
-          (match !model with
-          | (d, _, _) :: rest when d <= !upto ->
-            Tw.pop w;
-            model := rest
-          | _ -> ());
-          ok
-        | Remap ->
-          let finals = Array.init !cre (fun j -> !next + j) in
-          next := !next + !cre;
-          cre := 0;
-          Tw.remap_batch w ~finals;
-          model :=
-            List.sort compare
-              (List.map
-                 (fun (d, s, i) ->
-                   if s >= Dsim.Equeue.prov_flag then
-                     (d, finals.(s land Dsim.Equeue.cre_mask), i)
-                   else (d, s, i))
-                 !model);
-          true
-      in
-      List.for_all (fun op -> step op && Tw.size w = List.length !model) ops
-      &&
-      (upto := List.fold_left (fun m (d, _, _) -> Float.max m d) !upto !model;
-       List.for_all (fun _ -> step Pop) !model)
-      && Tw.size w = 0)
+    tw_matches_reference
+
+let prop_stream_matches_reference =
+  QCheck.Test.make
+    ~name:"in-order streams with ties, clamps, past arms, remaps and re-arms"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(Print.pair Print.int (Print.list pp_tw_op))
+        Gen.(pair (int_bound 2) (list_size (int_range 100 300) tw_stream_gen)))
+    tw_matches_reference
+
+(* With nothing resolved, the accessors must not read a dead slot: the
+   float and seq heads report the empty sentinels, the payload fields
+   raise by name. Checked on a fresh wheel, on one holding only a
+   future entry, and on one drained empty. *)
+let empty_wheels () =
+  let fresh = Tw.create ~granularity:1.0 () in
+  let pending = Tw.create ~granularity:1.0 () in
+  Tw.arm pending ~node:1 ~label:2 ~gen:3 ~seq:0 ~deadline:9.0;
+  ignore (Tw.peek pending ~upto:4.0);
+  let drained = Tw.create ~granularity:1.0 () in
+  Tw.arm drained ~node:1 ~label:2 ~gen:3 ~seq:0 ~deadline:2.0;
+  ignore (drain drained ~upto:5.0);
+  [ ("fresh", fresh); ("future entry only", pending); ("drained", drained) ]
+
+let test_empty_top_time () =
+  List.iter
+    (fun (what, w) ->
+      Alcotest.(check bool) (what ^ ": top_time infinity") true (Tw.top_time w = infinity);
+      Alcotest.(check int) (what ^ ": top_seq max_int") max_int (Tw.top_seq w))
+    (empty_wheels ())
+
+let check_empty_raises name read () =
+  List.iter
+    (fun (what, w) ->
+      Alcotest.check_raises (what ^ ": " ^ name)
+        (Invalid_argument (Printf.sprintf "Timewheel.%s: no resolved entry" name))
+        (fun () -> ignore (read w)))
+    (empty_wheels ())
 
 let suite =
   [
@@ -461,5 +573,10 @@ let suite =
     case "re-arm into the cursor's own granule" test_rearm_into_cursor_granule;
     case "clamp, cancel, re-arm" test_clamp_then_cancel_then_rearm;
     case "differential vs sorted reference" test_differential_vs_reference;
+    case "empty wheel: top_time is infinity" test_empty_top_time;
+    case "empty wheel: top_node raises" (check_empty_raises "top_node" Tw.top_node);
+    case "empty wheel: top_label raises" (check_empty_raises "top_label" Tw.top_label);
+    case "empty wheel: top_gen raises" (check_empty_raises "top_gen" Tw.top_gen);
     QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_stream_matches_reference;
   ]
