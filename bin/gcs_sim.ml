@@ -45,10 +45,21 @@ let make_params ~n ~rho ~b0 = Gcs.Params.make ~rho ?b0 ~n ()
 
 (* ------------------------- output plumbing ------------------------- *)
 
+(* An unwritable output path is a usage error: report it and exit 2
+   rather than escaping as an uncaught Sys_error. *)
+let cannot_write path reason =
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix reason then
+      String.sub reason (String.length prefix) (String.length reason - String.length prefix)
+    else reason
+  in
+  Format.eprintf "gcs_sim: cannot write %s: %s@." path reason;
+  exit 2
+
 let rec mkdir_p dir =
   if Sys.file_exists dir then begin
-    if not (Sys.is_directory dir) then
-      Fmt.failwith "output directory %s exists but is not a directory" dir
+    if not (Sys.is_directory dir) then cannot_write dir "exists but is not a directory"
   end
   else begin
     let parent = Filename.dirname dir in
@@ -56,18 +67,21 @@ let rec mkdir_p dir =
     (* Another process may have won the race; only re-check, don't fail. *)
     try Sys.mkdir dir 0o755 with
     | Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> ()
+    | Sys_error reason -> cannot_write dir reason
   end
 
 let write_file path contents =
-  let oc = open_out path in
-  (* The happy path closes inside the protected body so flush failures
-     surface; the finally is the backstop that keeps a failed write from
-     leaking the descriptor (double close is harmless). *)
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc contents;
-      close_out oc)
+  try
+    let oc = open_out path in
+    (* The happy path closes inside the protected body so flush failures
+       surface; the finally is the backstop that keeps a failed write from
+       leaking the descriptor (double close is harmless). *)
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc contents;
+        close_out oc)
+  with Sys_error reason -> cannot_write path reason
 
 (* ------------------------------ list ------------------------------- *)
 

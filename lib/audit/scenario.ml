@@ -31,30 +31,61 @@ let index_of names value =
   in
   go 0
 
+(* The [key=value] tokenizer both replay grammars share (Mcheck.Spec
+   too): a typo'd or repeated key must fail loudly, not replay another
+   scenario. *)
+module Fields = struct
+  type t = (string * string) list
+
+  let parse ~keys spec =
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | tok :: rest -> (
+        match String.index_opt tok '=' with
+        | None -> Error (Printf.sprintf "token %s is not key=value" tok)
+        | Some i ->
+          let key = String.sub tok 0 i in
+          let v = String.sub tok (i + 1) (String.length tok - i - 1) in
+          if not (List.mem key keys) then
+            Error
+              (Printf.sprintf "unknown key %s= (expected one of: %s)" key
+                 (String.concat ", " keys))
+          else if List.mem_assoc key acc then
+            Error (Printf.sprintf "duplicate key %s=" key)
+          else if v = "" then Error (Printf.sprintf "%s= has no value" key)
+          else go ((key, v) :: acc) rest)
+    in
+    go [] (String.split_on_char ' ' (String.trim spec) |> List.filter (( <> ) ""))
+
+  let find fields key = List.assoc_opt key fields
+
+  let get fields key =
+    match find fields key with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "spec is missing %s=" key)
+
+  let int fields key =
+    Result.bind (get fields key) (fun v ->
+        match int_of_string_opt v with
+        | Some i -> Ok i
+        | None -> Error (Printf.sprintf "%s=%s is not an integer" key v))
+
+  let bool fields key =
+    Result.bind (get fields key) (function
+      | "0" -> Ok false
+      | "1" -> Ok true
+      | v -> Error (Printf.sprintf "%s=%s is not 0 or 1" key v))
+end
+
 let of_spec spec =
   let ( let* ) = Result.bind in
-  let fields =
-    String.split_on_char ' ' (String.trim spec) |> List.filter (fun f -> f <> "")
-  in
-  let lookup key =
-    let prefix = key ^ "=" in
-    match
-      List.find_opt (fun f -> String.length f > String.length prefix
-                              && String.sub f 0 (String.length prefix) = prefix)
-        fields
-    with
-    | Some f ->
-      Ok (String.sub f (String.length prefix) (String.length f - String.length prefix))
-    | None -> Error (Printf.sprintf "spec is missing %s=" key)
-  in
-  let int_field key =
-    let* v = lookup key in
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "%s=%s is not an integer" key v)
+  let* fields =
+    Fields.parse
+      ~keys:[ "n"; "topo"; "drift"; "delay"; "algo"; "churn"; "seed"; "horizon"; "faults" ]
+      spec
   in
   let named_field key names =
-    let* v = lookup key in
+    let* v = Fields.get fields key in
     match index_of names v with
     | Some i -> Ok i
     | None ->
@@ -62,28 +93,28 @@ let of_spec spec =
         (Printf.sprintf "%s=%s (expected one of: %s)" key v
            (String.concat ", " (Array.to_list names)))
   in
-  let* n = int_field "n" in
+  let* n = Fields.int fields "n" in
   let* topo = named_field "topo" topo_names in
   let* drift = named_field "drift" drift_names in
   let* delay = named_field "delay" delay_names in
   let* algo = named_field "algo" algo_names in
-  let* churn = int_field "churn" in
-  let* seed = int_field "seed" in
-  let* horizon_s = lookup "horizon" in
+  let* churn = Fields.bool fields "churn" in
+  let* seed = Fields.int fields "seed" in
+  let* horizon_s = Fields.get fields "horizon" in
   let* horizon =
     match float_of_string_opt horizon_s with
     | Some h when h > 0. -> Ok h
     | _ -> Error (Printf.sprintf "horizon=%s is not a positive number" horizon_s)
   in
   let* faults =
-    match lookup "faults" with
-    | Error _ -> Ok []  (* optional: absent in pre-fault specs *)
-    | Ok v -> Dsim.Fault.of_spec v
+    match Fields.find fields "faults" with
+    | None -> Ok []  (* optional: absent in pre-fault specs *)
+    | Some v -> Dsim.Fault.of_spec v
   in
   if n < 2 then Error "n must be >= 2"
   else
     let* () = Dsim.Fault.validate ~n faults in
-    Ok { n; topo; drift; delay; algo; churn = churn <> 0; seed; horizon; faults }
+    Ok { n; topo; drift; delay; algo; churn; seed; horizon; faults }
 
 let generate ?(faults = false) prng =
   let s =

@@ -26,13 +26,30 @@ type t = {
       (** deterministic fault-injection schedule, possibly empty *)
 }
 
+(** Whitespace-separated [key=value] tokens, shared with [Mcheck.Spec]. *)
+module Fields : sig
+  type t
+
+  val parse : keys:string list -> string -> (t, string) result
+  (** Rejects a token without [=], a key outside [keys], a key given
+      twice and an empty value, each with an error naming the key. *)
+
+  val find : t -> string -> string option
+  val get : t -> string -> (string, string) result
+  val int : t -> string -> (int, string) result
+
+  val bool : t -> string -> (bool, string) result
+  (** [0] or [1]; anything else is an error. *)
+end
+
 val to_spec : t -> string
 (** Appends [faults=<Fault.to_spec>] only when the schedule is non-empty,
     so pre-fault specs round-trip unchanged. *)
 
 val of_spec : string -> (t, string) result
 (** The [faults=] token is optional (absent means no faults) and is
-    validated against [n]. *)
+    validated against [n]. Unknown or repeated keys are errors
+    ({!Fields.parse}). *)
 
 val generate : ?faults:bool -> Dsim.Prng.t -> t
 (** Draw a scenario (n in 4–14, horizon 120, all knobs uniform). With

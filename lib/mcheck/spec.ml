@@ -56,46 +56,30 @@ let to_spec s =
 
 let of_spec spec =
   let ( let* ) = Result.bind in
-  let fields =
-    String.split_on_char ' ' (String.trim spec) |> List.filter (fun f -> f <> "")
+  let module F = Audit.Scenario.Fields in
+  let* fields =
+    F.parse
+      ~keys:[ "n"; "delays"; "drift"; "horizon"; "depth"; "tie"; "churn"; "faults"; "choices" ]
+      spec
   in
-  let lookup key =
-    let prefix = key ^ "=" in
-    match
-      List.find_opt
-        (fun f ->
-          String.length f > String.length prefix
-          && String.sub f 0 (String.length prefix) = prefix)
-        fields
-    with
-    | Some f ->
-      Ok (String.sub f (String.length prefix) (String.length f - String.length prefix))
-    | None -> Error (Printf.sprintf "spec is missing %s=" key)
-  in
-  let int_field key =
-    let* v = lookup key in
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "%s=%s is not an integer" key v)
-  in
-  let* n = int_field "n" in
-  let* delays = int_field "delays" in
-  let* drift = lookup "drift" in
-  let* horizon_s = lookup "horizon" in
+  let* n = F.int fields "n" in
+  let* delays = F.int fields "delays" in
+  let* drift = F.get fields "drift" in
+  let* horizon_s = F.get fields "horizon" in
   let* horizon =
     match float_of_string_opt horizon_s with
     | Some h when h > 0. -> Ok h
     | _ -> Error (Printf.sprintf "horizon=%s is not a positive number" horizon_s)
   in
-  let* depth = int_field "depth" in
-  let* tie = int_field "tie" in
-  let* churn = int_field "churn" in
+  let* depth = F.int fields "depth" in
+  let* tie = F.bool fields "tie" in
+  let* churn = F.bool fields "churn" in
   let* faults =
-    match lookup "faults" with
-    | Error _ -> Ok [] (* optional, like Scenario specs *)
-    | Ok v -> Dsim.Fault.of_spec v
+    match F.find fields "faults" with
+    | None -> Ok [] (* optional, like Scenario specs *)
+    | Some v -> Dsim.Fault.of_spec v
   in
-  let* choices_s = lookup "choices" in
+  let* choices_s = F.get fields "choices" in
   let* choices =
     if choices_s = "-" then Ok []
     else
@@ -109,9 +93,7 @@ let of_spec spec =
       in
       go [] parts
   in
-  let s =
-    { n; delays; drift; horizon; depth; tie = tie <> 0; churn = churn <> 0; faults; choices }
-  in
+  let s = { n; delays; drift; horizon; depth; tie; churn; faults; choices } in
   let* () = validate s in
   Ok s
 

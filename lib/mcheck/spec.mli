@@ -57,6 +57,7 @@ val to_spec : t -> string
     prints as [choices=-]. *)
 
 val of_spec : string -> (t, string) result
-(** Inverse of {!to_spec}: [of_spec (to_spec s) = Ok s]. *)
+(** Inverse of {!to_spec}: [of_spec (to_spec s) = Ok s]. Unknown or
+    repeated keys are errors ({!Audit.Scenario.Fields.parse}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -68,7 +68,13 @@ let test_spec_errors () =
   expect_error "n=8 topo=moebius drift=split delay=uniform algo=gradient churn=1 seed=1 horizon=60";
   expect_error "n=one topo=ring drift=split delay=uniform algo=gradient churn=1 seed=1 horizon=60";
   expect_error "n=8 topo=ring drift=split delay=uniform algo=gradient churn=1 seed=1 horizon=-5";
-  expect_error "n=1 topo=ring drift=split delay=uniform algo=gradient churn=1 seed=1 horizon=60"
+  expect_error "n=1 topo=ring drift=split delay=uniform algo=gradient churn=1 seed=1 horizon=60";
+  (* A typo'd, repeated or stray key must not replay another scenario. *)
+  let ok = "n=8 topo=ring drift=split delay=uniform algo=gradient churn=1 seed=42 horizon=120" in
+  expect_error (ok ^ " fault=crash@30:2;restart@45:2!");
+  expect_error (ok ^ " seed=43");
+  expect_error (ok ^ " stray");
+  expect_error "n=8 topo=ring drift=split delay=uniform algo=gradient churn=2 seed=42 horizon=120"
 
 let test_generate_deterministic () =
   let draw seed =

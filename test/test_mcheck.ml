@@ -360,6 +360,10 @@ let test_spec_rejects_garbage () =
       "n=2 delays=3 drift=xy horizon=4 depth=2 tie=1 churn=0 choices=-";
       "n=2 delays=3 drift=sf horizon=4 depth=2 tie=1 churn=0 choices=0.-1";
       "n=2 delays=3 drift=sf horizon=4 depth=2 tie=1 churn=0";
+      "n=2 delays=3 drift=sf horizon=4 depth=2 tie=1 churn=0 choices=- fault=crash@1:1";
+      "n=2 delays=3 drift=sf horizon=4 depth=2 depth=3 tie=1 churn=0 choices=-";
+      "n=2 delays=3 drift=sf horizon=4 depth=2 tie=2 churn=0 choices=-";
+      "n=2 delays=3 drift=sf horizon=4 depth=2 tie=1 churn=5 choices=-";
     ]
 
 let test_replay_diverged_is_detected () =

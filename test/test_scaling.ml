@@ -1,6 +1,7 @@
 (* Regression pins for the large-n scaling work: the per-event allocation
-   budget of the hot path, and the structural guarantee that timer
-   traffic does not accumulate in the event queue. *)
+   budget of the hot path, linear memory growth, the G(n) bound at
+   n=1024, and the structural guarantee that timer traffic does not
+   accumulate in the event queue. *)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -12,36 +13,42 @@ let build_sim ?(n = 64) ~horizon () =
   let cfg = Gcs.Sim.config ~params ~clocks ~delay ~initial_edges:edges () in
   Gcs.Sim.create cfg
 
-(* Minor-heap budget: with tracing off (counters only, the default), the
-   n=64 path run allocates ~48 minor words per event under dune's dev
-   profile — which passes [-opaque], so every cross-module call (clock
-   reads, queue pushes, trace records) boxes its float arguments and
-   results regardless of [@inline] annotations. A release-profile build
-   inlines those and sits near 21 words/event (semantic payloads: message
-   records, timer variant blocks, delay-sampler closures). Tests run in
-   dev, so pin against the dev number with headroom; regressions that
-   reintroduce per-event closures, lists or boxed options blow well past
-   it (the pre-rework engine sat near 90). *)
+(* Minor-heap budget with tracing off (counters only, the default).
+   Under dune's dev profile, which passes [-opaque], every cross-module
+   call (clock reads, queue pushes, trace records) boxes its float
+   arguments and results regardless of [@inline] annotations: the n=64
+   path reads ~45 words/event and n=1024 ~44. A release build inlines
+   those and reads 17.00 at n=1024 (semantic payloads: message records,
+   timer variant blocks, delay-sampler closures), so that row holds the
+   release ceiling of 19 and is only checked under release. Regressions
+   that reintroduce per-event closures, lists or boxed options blow past
+   both (the pre-rework engine sat near 90). *)
 let test_minor_words_budget () =
   let horizon = 60. in
-  let sim = build_sim ~horizon () in
-  Gc.full_major ();
-  let m0 = Gc.minor_words () in
-  Gcs.Sim.run_until sim horizon;
-  let minor = Gc.minor_words () -. m0 in
-  let events = Dsim.Engine.events_processed (Gcs.Sim.engine sim) in
-  Alcotest.(check bool) "ran" true (events > 1000);
-  let per_event = minor /. float_of_int events in
-  if per_event > 60. then
-    Alcotest.failf "minor words/event %.1f exceeds budget 60.0 (%d events)"
-      per_event events
+  List.iter
+    (fun (n, limit, release_only) ->
+      if Profile.name = "release" || not release_only then begin
+        let sim = build_sim ~n ~horizon () in
+        Gc.full_major ();
+        let m0 = Gc.minor_words () in
+        Gcs.Sim.run_until sim horizon;
+        let minor = Gc.minor_words () -. m0 in
+        let events = Dsim.Engine.events_processed (Gcs.Sim.engine sim) in
+        Alcotest.(check bool) "ran" true (events > 1000);
+        let per_event = minor /. float_of_int events in
+        if per_event > limit then
+          Alcotest.failf "n=%d: minor words/event %.2f exceeds budget %.1f (%d events)"
+            n per_event limit events
+      end)
+    [ (64, 60., false); (1024, 19., true) ]
 
 (* Throughput guard: a generous ns/event ceiling that a healthy dev build
    clears by an order of magnitude but any accidental O(n) scan on the
    per-event path (the failure mode this engine was rebuilt to avoid)
    blows through at n=1024. Wall-clock on shared CI is noisy, hence the
    wide margin — this is a quadratic-regression tripwire, not a benchmark
-   (bench/scale.ml measures for real, under --profile release). *)
+   (the cost ledger, ledger/README.md, measures for real under --profile
+   release). *)
 let test_ns_per_event_ceiling () =
   let horizon = 30. in
   let n = 1024 in
@@ -55,6 +62,36 @@ let test_ns_per_event_ceiling () =
   if ns > 50_000. then
     Alcotest.failf "ns/event %.0f exceeds ceiling 50000 at n=%d (%d events)"
       ns n events
+
+(* Engine storage on the full protocol grows as O(n + live edges): the
+   path quadruples from 16k to 64k nodes, so the footprint may grow ~4x
+   (it reads 4.00); a per-node table sized by n, O(n^2) in all, pushes
+   the ratio toward 16. *)
+let test_sim_footprint_linear () =
+  let footprint n =
+    let sim = build_sim ~n ~horizon:10. () in
+    Gcs.Sim.run_until sim 10.;
+    Dsim.Engine.footprint_words (Gcs.Sim.engine sim)
+  in
+  let ratio = float_of_int (footprint 65_536) /. float_of_int (footprint 16_384) in
+  if ratio > 8. then
+    Alcotest.failf "sim footprint 16k -> 64k grew %.2fx (must be <= 8, O(n^2) gives ~16)"
+      ratio
+
+(* E1 end to end at n=1024: the measured global skew stays under the
+   paper's G(n), which is linear in n (it reads 6.0 against 1238.4). *)
+let test_global_skew_bound_n1024 () =
+  let horizon = 60. in
+  let sim = build_sim ~n:1024 ~horizon () in
+  let recorder =
+    Gcs.Metrics.attach (Gcs.Sim.engine sim) (Gcs.Sim.view sim) ~every:(horizon /. 20.)
+      ~until:horizon ()
+  in
+  Gcs.Sim.run_until sim horizon;
+  let skew = Gcs.Metrics.max_global_skew recorder in
+  let bound = Gcs.Params.global_skew_bound (Gcs.Sim.params sim) in
+  if skew > bound then
+    Alcotest.failf "max global skew %.4f exceeds G(n) = %.4f at n=1024" skew bound
 
 (* Timers wait in the wheel, so the event queue holds only deliveries,
    discoveries and callbacks, and sustained timer re-arm traffic must
@@ -123,8 +160,10 @@ let test_wheel_relieves_heap () =
 
 let suite =
   [
-    case "minor words/event within budget (n=64, trace off)" test_minor_words_budget;
+    case "minor words/event within budget (trace off)" test_minor_words_budget;
     case "ns/event under quadratic-regression ceiling" test_ns_per_event_ceiling;
+    case "sim footprint grows O(n) from 16k to 64k" test_sim_footprint_linear;
+    case "global skew within G(n) at n=1024" test_global_skew_bound_n1024;
     case "timer state bounded under sustained traffic" test_bounded_timer_state;
     case "wheel keeps timers out of the event heap" test_wheel_relieves_heap;
   ]
