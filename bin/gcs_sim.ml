@@ -410,12 +410,30 @@ let sim_cmd =
       if loss > 0. then Dsim.Delay.lossy (Dsim.Prng.of_int (seed + 3)) ~rate:loss delay_policy
       else delay_policy
     in
-    let trace =
-      (* Entries are only retained (and only then formatted) when the log
-         is requested; otherwise the trace is counters-only and free. *)
-      if audit || trace_csv <> None then Dsim.Trace.create ~log_limit:2_000_000 ()
-      else Dsim.Trace.create ()
+    (* The auditor and the CSV writer take entries as they are recorded,
+       so no cap applies. Both exist before the engine, which records the
+       initial topology at creation; a bad CSV path fails before the run. *)
+    let conformance =
+      Audit.Conformance.create
+        (Audit.Conformance.of_params params ~horizon
+           ~check_gaps:(loss = 0. && not no_gap_check)
+           ~check_lost_timers:(not no_lost_check) ~faults ())
     in
+    let csv_out =
+      Option.map
+        (fun path -> (path, try open_out path with Sys_error r -> cannot_write path r))
+        trace_csv
+    in
+    let write_row (path, oc) row =
+      try output_string oc row with Sys_error reason -> cannot_write path reason
+    in
+    Option.iter (fun out -> write_row out Dsim.Trace.csv_header) csv_out;
+    let on_entry e =
+      if audit then Audit.Conformance.step conformance e;
+      Option.iter (fun out -> write_row out (Dsim.Trace.csv_row e)) csv_out
+    in
+    let on_entry = if audit || csv_out <> None then Some on_entry else None in
+    let trace = Dsim.Trace.create ?on_entry () in
     let cfg =
       Gcs.Sim.config ~algo ~shards ~partition ~params ~clocks
         ~delay:delay_policy ~initial_edges:edges ~trace ~faults ~fault_seed:seed ()
@@ -485,11 +503,10 @@ let sim_cmd =
         Format.printf "parallel dispatch: sequential fallback (%s)@." reason
     end;
     Option.iter
-      (fun path ->
-        write_file path (Dsim.Trace.to_csv trace);
-        Format.printf "wrote %s (%d entries)@." path
-          (List.length (Dsim.Trace.entries trace)))
-      trace_csv;
+      (fun (path, oc) ->
+        (try close_out oc with Sys_error reason -> cannot_write path reason);
+        Format.printf "wrote %s (%d entries)@." path (Dsim.Trace.total trace))
+      csv_out;
     Format.printf "max global skew = %.4f (bound G(n) = %.4f)@."
       (Gcs.Metrics.max_global_skew recorder)
       (Gcs.Params.global_skew_bound params);
@@ -558,15 +575,10 @@ let sim_cmd =
     in
     Option.iter
       (fun guarantees ->
-        let conformance =
-          Audit.Conformance.audit
-            (Audit.Conformance.of_params params ~horizon
-               ~check_gaps:(loss = 0. && not no_gap_check)
-               ~check_lost_timers:(not no_lost_check) ~faults ())
-            (Dsim.Trace.entries trace)
-        in
         let report =
-          Audit.Report.merge conformance (Audit.Guarantees.report guarantees)
+          Audit.Report.merge
+            (Audit.Conformance.finish conformance)
+            (Audit.Guarantees.report guarantees)
         in
         Format.printf "audit: %a@." Audit.Report.pp report;
         if not (Audit.Report.ok report && Gcs.Invariant.ok monitor) then begin

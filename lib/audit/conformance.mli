@@ -1,5 +1,5 @@
-(** Offline conformance auditor: replays a structured trace and checks
-    every obligation the model of Section 3.2 places on the simulator.
+(** Conformance auditor: reads a structured trace and checks every
+    obligation the model of Section 3.2 places on the simulator.
 
     The auditor reconstructs the dynamic edge set from [Edge_add] /
     [Edge_remove] entries and a per-directed-link, per-epoch send queue
@@ -41,8 +41,8 @@
     extra deliver/drop with no matching send on its link. Byzantine
     windows corrupt content, not timing, so they need no excusal here.
 
-    The trace must carry a structured log ([log_limit] > total events);
-    counters alone are not enough to audit. *)
+    The auditor needs every structured entry: feed it online, passing
+    {!step} to [Dsim.Trace.create ~on_entry] before the engine exists. *)
 
 type config = {
   delay_bound : float;  (** T *)
@@ -78,10 +78,10 @@ val audit : config -> Dsim.Trace.entry list -> Report.t
 
 (** {1 Incremental interface}
 
-    The same checks, fed one entry at a time — this is what the bounded
-    model explorer uses to audit a trace as the engine produces it, and
-    [audit] above is implemented on top of it, so the two can never
-    diverge. *)
+    The same checks, fed one entry at a time — this is what [sim
+    --audit], {!Scenario.run} and the bounded model explorer use to audit
+    a trace as the engine produces it, and [audit] above is implemented
+    on top of it, so the two can never diverge. *)
 
 type state
 (** In-progress audit: the reconstructed edge set, per-link send queues

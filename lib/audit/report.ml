@@ -16,6 +16,21 @@ let merge a b =
     probes = a.probes + b.probes;
   }
 
+let of_validity inv =
+  {
+    violations =
+      List.map
+        (fun v ->
+          {
+            time = v.Gcs.Invariant.time;
+            rule = "validity-" ^ v.Gcs.Invariant.kind;
+            detail = Printf.sprintf "node %d: %s" v.Gcs.Invariant.node v.Gcs.Invariant.detail;
+          })
+        (Gcs.Invariant.violations inv);
+    events_audited = 0;
+    probes = Gcs.Invariant.probes inv;
+  }
+
 let pp_violation fmt v =
   Format.fprintf fmt "t=%.9g %s: %s" v.time v.rule v.detail
 

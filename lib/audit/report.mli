@@ -18,6 +18,10 @@ val merge : t -> t -> t
 (** Union of violations (re-sorted by time, stable on ties) and summed
     counters. *)
 
+val of_validity : Gcs.Invariant.checker -> t
+(** The validity checker's violations as a report: rule
+    ["validity-" ^ kind], detail ["node N: ..."], with its probe count. *)
+
 val pp_violation : Format.formatter -> violation -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -166,7 +166,10 @@ let run s =
     | _ -> Gcs.Sim.Max_only
   in
   let clocks = Gcs.Drift.assign params ~horizon:s.horizon ~seed:s.seed drift in
-  let trace = Dsim.Trace.create ~log_limit:2_000_000 () in
+  let conformance =
+    Conformance.create (Conformance.of_params params ~horizon:s.horizon ~faults:s.faults ())
+  in
+  let trace = Dsim.Trace.create ~on_entry:(Conformance.step conformance) () in
   let cfg =
     Gcs.Sim.config ~algo ~params ~clocks ~delay ~trace ~initial_edges:edges
       ~faults:s.faults ~fault_seed:(s.seed + 4) ()
@@ -188,24 +191,6 @@ let run s =
          (Dsim.Prng.of_int (s.seed + 2))
          ~n:s.n ~base:edges ~rate:0.3 ~horizon:s.horizon);
   Gcs.Sim.run_until sim s.horizon;
-  let conformance =
-    Conformance.audit
-      (Conformance.of_params params ~horizon:s.horizon ~faults:s.faults ())
-      (Dsim.Trace.entries trace)
-  in
-  let validity =
-    {
-      Report.violations =
-        List.map
-          (fun v ->
-            {
-              Report.time = v.Gcs.Invariant.time;
-              rule = "validity-" ^ v.Gcs.Invariant.kind;
-              detail = Printf.sprintf "node %d: %s" v.Gcs.Invariant.node v.Gcs.Invariant.detail;
-            })
-          (Gcs.Invariant.violations invariants);
-      events_audited = 0;
-      probes = Gcs.Invariant.probes invariants;
-    }
-  in
-  Report.merge conformance (Report.merge (Guarantees.report guarantees) validity)
+  Report.merge
+    (Conformance.finish conformance)
+    (Report.merge (Guarantees.report guarantees) (Report.of_validity invariants))

@@ -58,8 +58,9 @@ val generate : ?faults:bool -> Dsim.Prng.t -> t
     existence. *)
 
 val run : t -> Report.t
-(** Build and run the scenario with a structured trace, then audit it:
-    conformance over the trace, guarantees ({!Guarantees}) and validity
+(** Build and run the scenario and audit it as it runs: conformance
+    fed every trace entry as it is recorded (no log is kept, so no
+    length cap applies), guarantees ({!Guarantees}) and validity
     ({!Gcs.Invariant}) sampled during the run — all three fault-aware
     when the scenario carries a schedule (the simulation uses fault seed
     [seed + 4]). The local-skew envelope is only asserted for the

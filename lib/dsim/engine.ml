@@ -415,10 +415,10 @@ type ('msg, 'timer) t = {
   mutable cand_wheel : bool;
   mutable cand_ctrl : bool;
   (* Parallel-window eligibility, fixed at creation: several shards, a
-     pure delay policy with positive lookahead, no fault injection and no
-     entry streaming. Everything else always takes the sequential path. *)
+     pure delay policy with positive lookahead and no fault injection.
+     Everything else always takes the sequential path. *)
   par_ok : bool;
-  log_on : bool; (* the trace retains entries; lanes must buffer them *)
+  log_on : bool; (* the trace wants entries; lanes must buffer them *)
   mutable executor : ((unit -> unit) array -> unit) option;
       (* runs one window's lane thunks to completion (Runner.run);
          [None] runs them in the caller, in index order *)
@@ -523,10 +523,10 @@ let push_from t lane ~owner ~time ~kind ~a ~b ~c ~d payload =
   else push_ev t ~owner ~time ~kind ~a ~b ~c ~d payload
 
 (* Lane-aware trace record: buffered during a window (counter delta plus,
-   when the trace retains entries, the structured entry), direct
+   when the trace wants entries, the structured entry), direct
    otherwise. The buffered entries replay at the barrier in the global
-   (time, seq) order, so the retained log is byte-identical to the
-   sequential run's. *)
+   (time, seq) order, so the log and the consumer see exactly the
+   sequential run's entries. *)
 let lane_record t lane ~time kind a b c =
   if lane.lpar then begin
     let i = Trace.kind_index kind in
@@ -770,8 +770,7 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       par_ok =
         shards > 1 && delay.Delay.pure
         && delay.Delay.min_lat > 0.
-        && fault_state = None
-        && not (Trace.streams tr);
+        && fault_state = None;
       log_on = Trace.wants_entries tr;
       executor = None;
       lane_thunks = [||];
@@ -1107,8 +1106,7 @@ let par_blocker t =
     Some ("impure delay policy (" ^ Delay.describe t.delay ^ ")")
   else if t.delay.Delay.min_lat <= 0. then
     Some "delay policy has zero minimum latency (no lookahead)"
-  else if t.faults <> None then Some "fault injection requires sequential dispatch"
-  else Some "trace entry streaming requires sequential dispatch"
+  else Some "fault injection requires sequential dispatch"
 
 let check_future t at =
   if at < t.fs.now then invalid_arg "Engine: cannot schedule in the past"

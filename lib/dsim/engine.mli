@@ -88,10 +88,9 @@ val create :
     shard; raises [Invalid_argument] on a wrong length or out-of-range
     entry). The partition is a pure performance knob — dispatch order
     and trace are identical under every choice. When the delay policy
-    is pure with positive [min_lat], no faults are injected and the
-    trace does not stream, the run loop dispatches the shards in
-    parallel windows — on one domain by default, or on several via
-    {!set_executor}. A window spans [min_lat] from the earliest pending
+    is pure with positive [min_lat] and no faults are injected, the
+    run loop dispatches the shards in parallel windows — on one domain
+    by default, or on several via {!set_executor}. A window spans [min_lat] from the earliest pending
     event, cut short by the next control event, and closes with its own
     merge barrier (DESIGN §14): no event created inside it can land
     inside it on another shard. Events created inside a window carry
@@ -221,8 +220,8 @@ val set_executor :
     run: window formation, dispatch order and the trace are identical
     with and without one, which is what the parity suite pins. Windows
     only form at all when [shards > 1], the delay policy is pure with
-    positive [min_lat], no fault schedule is installed and the trace
-    does not stream entries; on every other configuration the engine
+    positive [min_lat] and no fault schedule is installed; on every
+    other configuration the engine
     stays on the sequential dispatch path and the executor is never
     called. *)
 
@@ -276,7 +275,7 @@ val partition : shards:int -> Dyngraph.t -> int array
 val par_blocker : ('msg, 'timer) t -> string option
 (** [None] when this engine can form parallel dispatch windows; otherwise
     a one-line reason for the sequential fallback (single shard, impure
-    or zero-lookahead delay policy, fault injection, streaming trace) —
+    or zero-lookahead delay policy, fault injection) —
     surfaced by [gcs_sim sim --window-stats]. *)
 
 val footprint_words : ('msg, 'timer) t -> int

@@ -75,8 +75,8 @@ type entry = { time : float; kind : kind; a : int; b : int; c : int }
 type t = {
   counters : int array;
   log_limit : int;
-  verbosity : int;
-  sink : Format.formatter;
+  on_entry : (entry -> unit) option;
+  entries_on : bool; (* log_limit > 0 || on_entry <> None *)
   mutable log : entry list; (* newest first *)
   mutable log_size : int;
   (* Parallel-dispatch shape counters, bumped by the engine's (single)
@@ -92,12 +92,12 @@ type t = {
   mutable cross_shard : int;
 }
 
-let create ?(log_limit = 0) ?(verbosity = 0) ?(sink = Format.err_formatter) () =
+let create ?(log_limit = 0) ?on_entry () =
   {
     counters = Array.make kind_count 0;
     log_limit;
-    verbosity;
-    sink;
+    on_entry;
+    entries_on = log_limit > 0 || on_entry <> None;
     log = [];
     log_size = 0;
     windows = 0;
@@ -129,12 +129,12 @@ let pp_entry fmt e =
     pp_detail e
 
 let record_slow t ~time kind a b c =
-  if t.log_limit > 0 && t.log_size < t.log_limit then begin
-    t.log <- { time; kind; a; b; c } :: t.log;
+  let e = { time; kind; a; b; c } in
+  if t.log_size < t.log_limit then begin
+    t.log <- e :: t.log;
     t.log_size <- t.log_size + 1
   end;
-  if t.verbosity > 0 then
-    Format.fprintf t.sink "%a@." pp_entry { time; kind; a; b; c }
+  match t.on_entry with Some f -> f e | None -> ()
 
 (* Inlined so the counters-only configuration — every experiment's hot
    path — compiles to an in-caller counter bump: crossing a function
@@ -142,7 +142,7 @@ let record_slow t ~time kind a b c =
 let[@inline] record t ~time kind a b c =
   let i = kind_index kind in
   Array.unsafe_set t.counters i (Array.unsafe_get t.counters i + 1);
-  if t.log_limit > 0 || t.verbosity > 0 then record_slow t ~time kind a b c
+  if t.entries_on then record_slow t ~time kind a b c
 
 let note_window t ~span ~events =
   t.windows <- t.windows + 1;
@@ -162,9 +162,7 @@ let window_span t = t.window_span
 
 let cross_shard_events t = t.cross_shard
 
-let wants_entries t = t.log_limit > 0
-
-let streams t = t.verbosity > 0
+let wants_entries t = t.entries_on
 
 let append_entry t ~time kind a b c = record_slow t ~time kind a b c
 
@@ -183,15 +181,15 @@ let counts t = List.map (fun k -> (k, count t k)) all_kinds
 
 let entries t = List.rev t.log
 
+let csv_header = "time,kind,a,b,c\n"
+
+let csv_row e =
+  Printf.sprintf "%.9g,%s,%d,%d,%d\n" e.time (kind_to_string e.kind) e.a e.b e.c
+
 let to_csv t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "time,kind,a,b,c\n";
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "%.9g,%s,%d,%d,%d\n" e.time (kind_to_string e.kind) e.a
-           e.b e.c))
-    (entries t);
+  Buffer.add_string buf csv_header;
+  List.iter (fun e -> Buffer.add_string buf (csv_row e)) (entries t);
   Buffer.contents buf
 
 let pp_summary fmt t =

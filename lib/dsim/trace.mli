@@ -1,10 +1,9 @@
-(** Lightweight execution tracing: per-kind O(1) event counters plus an
-    optional bounded log of structured records.
+(** Lightweight execution tracing: per-kind O(1) event counters, an
+    optional consumer that sees every structured record as it happens,
+    and an optional bounded log that drops records past its limit.
 
-    Recording is allocation-free when the log is off (the default): a
-    record is a counter increment, and the human-readable rendering of an
-    event is derived lazily from its integer fields only when an entry is
-    actually retained ([log_limit > 0]) or streamed ([verbosity > 0]). *)
+    Recording is allocation-free when neither is on (the default): a
+    record is then a counter increment. *)
 
 type kind =
   | Send
@@ -54,28 +53,24 @@ type entry = { time : float; kind : kind; a : int; b : int; c : int }
 
 type t
 
-val create : ?log_limit:int -> ?verbosity:int -> ?sink:Format.formatter -> unit -> t
-(** [log_limit] bounds the number of retained entries (default 0:
-    counters only). [verbosity > 0] (default 0) additionally formats and
-    prints every entry to [sink] (default [Format.err_formatter]) as it
-    is recorded. *)
+val create : ?log_limit:int -> ?on_entry:(entry -> unit) -> unit -> t
+(** [on_entry] (default none) is called with every entry as it is
+    recorded, in the sequential order at every shard and domain count
+    (window entries replay at the merge barrier). Create the trace
+    before the engine: it records the initial topology at creation.
+    [log_limit] bounds the retained entries (default 0: no log). *)
 
 val record : t -> time:float -> kind -> int -> int -> int -> unit
-(** [record t ~time kind a b c] bumps the kind's counter and, only if the
-    log or streaming is enabled, retains/prints the structured entry.
-    Pass [-1] for fields the kind does not use. *)
+(** [record t ~time kind a b c] bumps the kind's counter and, only if a
+    consumer or the log is on, passes on and retains the structured
+    entry. Pass [-1] for fields the kind does not use. *)
 
 val wants_entries : t -> bool
-(** Whether entries are retained ([log_limit > 0]). The engine's parallel
-    lanes only buffer structured entries when this holds. *)
-
-val streams : t -> bool
-(** Whether entries are formatted and printed as recorded
-    ([verbosity > 0]). Streaming interleaves with dispatch order, so the
-    engine keeps dispatch sequential whenever this holds. *)
+(** Whether a consumer is attached or [log_limit > 0]. The engine's
+    parallel lanes only buffer structured entries when this holds. *)
 
 val append_entry : t -> time:float -> kind -> int -> int -> int -> unit
-(** Retain (and stream, if enabled) an entry {e without} bumping its
+(** Pass an entry to the consumer and the log {e without} bumping its
     counter. Only for replaying records whose counters were already
     accounted for — the engine's barrier merge folds per-lane counter
     deltas via {!merge_counts} and appends the buffered entries here, in
@@ -137,7 +132,13 @@ val pp_detail : Format.formatter -> entry -> unit
 val pp_entry : Format.formatter -> entry -> unit
 (** One line: time, kind, detail. *)
 
+val csv_header : string
+(** ["time,kind,a,b,c\n"]. *)
+
+val csv_row : entry -> string
+(** One newline-terminated CSV row; what {!to_csv} emits per entry. *)
+
 val to_csv : t -> string
-(** Retained entries as CSV with header [time,kind,a,b,c]. *)
+(** Retained entries as CSV: {!csv_header}, then one {!csv_row} each. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 (** Shared experiment plumbing: standard configurations, one-call
     simulation runs with metrics and invariant monitoring attached, and a
     uniform result format (tables + pass/fail checks) consumed by the
-    bench harness, the CLI and the test suite. *)
+    CLI and the test suite. *)
 
 type check = { name : string; pass : bool; detail : string }
 

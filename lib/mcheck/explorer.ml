@@ -96,7 +96,6 @@ type branch = {
   b_log : (int * int) array;  (* (taken, options) per choice point *)
   b_report : Report.t option;  (* None: pruned before completion *)
   b_events : int;
-  b_trace : Dsim.Trace.t;
   b_samples : (float * float array * float array) list;  (* chronological *)
 }
 
@@ -113,12 +112,13 @@ let complete_edges n =
    - delay draws and (when [s.tie]) same-instant dispatch orders consume
      choices from [dr];
    - the engine tie-break hook doubles as a clean between-events probe:
-     the shared Invariant checker, the Lemma 6.8 Lmax-lag bound and the
-     incremental Conformance feed all advance there (and once more at the
-     horizon);
+     the shared Invariant checker and the Lemma 6.8 Lmax-lag bound
+     advance there (and once more at the horizon);
+   - the trace's consumer feeds each entry to the incremental
+     Conformance checker as it is recorded, and to [csv] when given;
    - [entry_shim] / [view_shim] let tests inject broken-engine behavior
      into the checkers without breaking the real engine. *)
-let run_branch (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
+let run_branch ?csv (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
     ~sample =
   let params = Gcs.Params.make ~n:s.Spec.n () in
   let rho = params.Gcs.Params.rho in
@@ -148,7 +148,16 @@ let run_branch (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
         pending := (src, dst, now +. d) :: !pending;
         d)
   in
-  let trace = Dsim.Trace.create ~log_limit:1_000_000 () in
+  let conf =
+    Audit.Conformance.create
+      (Audit.Conformance.of_params params ~horizon:s.Spec.horizon
+         ~faults:s.Spec.faults ())
+  in
+  let on_entry e =
+    Option.iter (fun buf -> Buffer.add_string buf (Dsim.Trace.csv_row e)) csv;
+    List.iter (Audit.Conformance.step conf) (entry_shim e)
+  in
+  let trace = Dsim.Trace.create ~on_entry () in
   let cfg =
     Gcs.Sim.config ~algo:Gcs.Sim.Gradient ~params
       ~clocks ~delay ~trace
@@ -178,22 +187,6 @@ let run_branch (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
   let check_lag = s.Spec.faults = [] && not s.Spec.churn in
   let lag_bound = Audit.Guarantees.lmax_lag_bound params in
   let lag_violations = ref [] in
-  let conf =
-    Audit.Conformance.create
-      (Audit.Conformance.of_params params ~horizon:s.Spec.horizon
-         ~faults:s.Spec.faults ())
-  in
-  let fed = ref 0 in
-  let feed () =
-    let rec drop k l =
-      if k = 0 then l else match l with [] -> [] | _ :: t -> drop (k - 1) t
-    in
-    List.iter
-      (fun e ->
-        incr fed;
-        List.iter (Audit.Conformance.step conf) (entry_shim e))
-      (drop !fed (Dsim.Trace.entries trace))
-  in
   let samples = ref [] in
   let probe () =
     let time = Gcs.Sim.now sim in
@@ -225,8 +218,7 @@ let run_branch (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
         ( time,
           Array.init s.Spec.n view.Gcs.Metrics.clock_of,
           Array.init s.Spec.n view.Gcs.Metrics.lmax_of )
-        :: !samples;
-    feed ()
+        :: !samples
   in
   Dsim.Engine.set_tie_break engine
     (Some
@@ -236,23 +228,6 @@ let run_branch (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
   let finish_run () =
     probe ();
     let conformance = Audit.Conformance.finish conf in
-    let validity =
-      {
-        Report.violations =
-          List.map
-            (fun v ->
-              {
-                Report.time = v.Gcs.Invariant.time;
-                rule = "validity-" ^ v.Gcs.Invariant.kind;
-                detail =
-                  Printf.sprintf "node %d: %s" v.Gcs.Invariant.node
-                    v.Gcs.Invariant.detail;
-              })
-            (Gcs.Invariant.violations inv);
-        events_audited = 0;
-        probes = Gcs.Invariant.probes inv;
-      }
-    in
     let lag_report =
       { Report.violations = List.rev !lag_violations; events_audited = 0; probes = 0 }
     in
@@ -278,7 +253,7 @@ let run_branch (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
       }
     in
     Report.merge conformance
-      (Report.merge validity (Report.merge lag_report clamp_report))
+      (Report.merge (Report.of_validity inv) (Report.merge lag_report clamp_report))
   in
   let report =
     match Gcs.Sim.run_until sim s.Spec.horizon with
@@ -289,7 +264,6 @@ let run_branch (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
     b_log = Array.of_list (List.rev dr.log_rev);
     b_report = report;
     b_events = Dsim.Engine.events_processed engine;
-    b_trace = trace;
     b_samples = List.rev !samples;
   }
 
@@ -454,20 +428,22 @@ let explore_deepening ?max_states ?(budget_ms = 0.) ?max_violations ?quantum
 (* Replay, sampling, shrinking                                         *)
 (* ------------------------------------------------------------------ *)
 
-let replay_branch ?(entry_shim = no_entry_shim) ?(view_shim = no_view_shim)
+let replay_branch ?csv ?(entry_shim = no_entry_shim) ?(view_shim = no_view_shim)
     ~sample (s : Spec.t) =
   (match Spec.validate s with
   | Ok () -> ()
   | Error m -> invalid_arg ("Mcheck.Explorer.replay: " ^ m));
   let on_fresh ~pos:_ ~options:_ ~key:_ = 0 in
-  run_branch s
+  run_branch ?csv s
     ~tape:(Array.of_list s.Spec.choices)
     ~on_fresh ~entry_shim ~view_shim ~quantum:default_quantum ~sample
 
 let replay ?entry_shim ?view_shim s =
-  let br = replay_branch ?entry_shim ?view_shim ~sample:false s in
+  let csv = Buffer.create 4096 in
+  Buffer.add_string csv Dsim.Trace.csv_header;
+  let br = replay_branch ~csv ?entry_shim ?view_shim ~sample:false s in
   match br.b_report with
-  | Some r -> (r, Dsim.Trace.to_csv br.b_trace)
+  | Some r -> (r, Buffer.contents csv)
   | None -> assert false (* replay never prunes *)
 
 let samples s =

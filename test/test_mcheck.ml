@@ -149,6 +149,26 @@ let test_pinned_cex_replays () =
        (String.concat ", " (rules clean)))
     true (Report.ok clean)
 
+(* A churned, faulted replay's CSV and report, pinned: the CSV is built
+   by the trace consumer, so it must hold every record from the initial
+   topology on, and the conformance checker fed by the same consumer must
+   audit all of them. *)
+let test_replay_csv_pinned () =
+  let spec =
+    Spec.make ~n:3 ~churn:true
+      ~faults:
+        [
+          Dsim.Fault.Crash { node = 2; at = 1. };
+          Dsim.Fault.Restart { node = 2; at = 2.; corrupt = false };
+        ]
+      ~choices:[ 1; 2; 0; 1; 2 ] ()
+  in
+  let r, csv = Explorer.replay spec in
+  Alcotest.(check string) "CSV digest" "7eda5c7496dd9344cb6fed1f68a09e0a"
+    (Digest.to_hex (Digest.string csv));
+  Alcotest.(check string) "report" "PASS: 0 violations (88 trace events, 58 probes)"
+    (Report.render r)
+
 let test_shrink_keeps_failure () =
   let view_shim v =
     { v with Gcs.Metrics.lmax_of = (fun i -> v.Gcs.Metrics.clock_of i -. 1.) }
@@ -429,6 +449,8 @@ let suite =
       test_catches_legality_breach;
     Alcotest.test_case "pinned counterexample replays byte-identically" `Quick
       test_pinned_cex_replays;
+    Alcotest.test_case "replay CSV and report match their pins" `Quick
+      test_replay_csv_pinned;
     Alcotest.test_case "shrinking preserves the failure" `Quick
       test_shrink_keeps_failure;
     Alcotest.test_case "incremental audit equals batch audit" `Quick

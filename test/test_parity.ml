@@ -199,7 +199,7 @@ let test_shard_parity_faulted () =
    keeps control events interleaving with the windows. The contract:
    (shards, jobs) is pure placement — every combination must reproduce
    the sequential trace byte for byte. *)
-let run_sim_windowed ?(faults = []) ?(shards = 1) ?(jobs = 1) () =
+let run_sim_windowed ?(faults = []) ?(shards = 1) ?(jobs = 1) ?on_entry () =
   let n = 24 in
   let horizon = 50. in
   let params = Gcs.Params.make ~n () in
@@ -207,7 +207,11 @@ let run_sim_windowed ?(faults = []) ?(shards = 1) ?(jobs = 1) () =
   let clocks = Gcs.Drift.assign params ~horizon ~seed:5 Gcs.Drift.Split_extremes in
   let bound = params.Gcs.Params.delay_bound in
   let delay = Dsim.Delay.uniform_keyed ~seed:9 ~lo:(0.25 *. bound) ~bound () in
-  let trace = Trace.create ~log_limit:500_000 () in
+  let trace =
+    match on_entry with
+    | None -> Trace.create ~log_limit:500_000 ()
+    | Some on_entry -> Trace.create ~on_entry ()
+  in
   let cfg =
     Gcs.Sim.config ~shards ~params ~clocks ~delay ~initial_edges:edges ~trace
       ~faults ~fault_seed:21 ()
@@ -257,6 +261,33 @@ let test_parallel_dispatch_parity () =
             base_csv (Trace.to_csv trace))
         [ 1; shards ])
     [ 2; 4; 7 ]
+
+(* A consumer with no log beside it: window entries replay to it at the
+   barrier, so the CSV it writes as records happen equals the sequential
+   run's log byte for byte at every (shards, jobs). *)
+let test_consumer_parity_under_windows () =
+  let _, base_trace = run_sim_windowed ~shards:1 () in
+  let base_csv = Trace.to_csv base_trace in
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun jobs ->
+          let buf = Buffer.create 4096 in
+          Buffer.add_string buf Trace.csv_header;
+          let _, trace =
+            run_sim_windowed ~shards ~jobs
+              ~on_entry:(fun e -> Buffer.add_string buf (Trace.csv_row e))
+              ()
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "windows formed (shards=%d jobs=%d)" shards jobs)
+            (shards > 1) (Trace.windows trace > 0);
+          Alcotest.(check string)
+            (Printf.sprintf "consumer CSV = sequential log (shards=%d jobs=%d)"
+               shards jobs)
+            base_csv (Buffer.contents buf))
+        [ 1; 2 ])
+    [ 1; 2; 4 ]
 
 (* Quiet-control window parity: without churn the control queue goes
    quiet after the initial discovery burst, so nothing but the horizon
@@ -397,6 +428,8 @@ let suite =
     case "sim: sharded fault campaign, byte-identical" test_shard_parity_faulted;
     case "sim: parallel windows, shards x jobs grid, byte-identical"
       test_parallel_dispatch_parity;
+    case "sim: a consumer under windows writes the sequential CSV"
+      test_consumer_parity_under_windows;
     case "sim: adaptive windows, shards x jobs x topology x partition grid"
       test_adaptive_window_parity;
     case "sim: window buffers do not grow with the horizon"

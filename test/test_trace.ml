@@ -65,19 +65,30 @@ let test_to_csv () =
   Alcotest.(check bool) "send row" true (contains csv "0.25,send,0,1,-1");
   Alcotest.(check bool) "deliver row" true (contains csv "1.5,deliver,0,1,2")
 
-let test_stream_verbosity () =
+let test_printing_consumer () =
   let buf = Buffer.create 64 in
   let sink = Format.formatter_of_buffer buf in
-  let t = Trace.create ~verbosity:1 ~sink () in
+  let t = Trace.create ~on_entry:(Format.fprintf sink "%a@." Trace.pp_entry) () in
   Trace.record t ~time:0.5 Trace.Send 0 1 (-1);
-  Format.pp_print_flush sink ();
   let s = Buffer.contents buf in
-  Alcotest.(check bool) "streamed" true (contains s "send");
+  Alcotest.(check bool) "printed" true (contains s "send");
   Alcotest.(check bool) "detail" true (contains s "0->1");
   Alcotest.(check int) "nothing retained" 0 (List.length (Trace.entries t))
 
-(* The tentpole invariant: turning the log on must not change what is
-   counted — same workload, same counters, with or without retention. *)
+(* The consumer sees every record, in order, whatever the log's cap: an
+   audit fed by it no longer depends on the cap. *)
+let test_consumer_sees_past_log_limit () =
+  let seen = ref [] in
+  let t = Trace.create ~log_limit:2 ~on_entry:(fun e -> seen := e :: !seen) () in
+  for i = 0 to 9 do
+    Trace.record t ~time:(float_of_int i) Trace.Send 0 i (-1)
+  done;
+  Alcotest.(check (list int)) "consumer saw all 10 in order" (List.init 10 Fun.id)
+    (List.rev_map (fun e -> e.Trace.b) !seen);
+  Alcotest.(check int) "log kept 2" 2 (List.length (Trace.entries t))
+
+(* Turning the log or a consumer on must not change what is counted —
+   same workload, same counters, with or without retention. *)
 let test_counters_match_on_vs_off () =
   let run trace =
     let engine =
@@ -111,18 +122,24 @@ let test_counters_match_on_vs_off () =
   in
   let off = Dsim.Trace.create () in
   let on = Dsim.Trace.create ~log_limit:100_000 () in
+  let consumed = ref 0 in
+  let consumer = Dsim.Trace.create ~on_entry:(fun _ -> incr consumed) () in
   run off;
   run on;
+  run consumer;
   List.iter
     (fun k ->
-      Alcotest.(check int)
-        (Printf.sprintf "counter %s" (Trace.kind_to_string k))
-        (Trace.count off k) (Trace.count on k))
+      let name = Trace.kind_to_string k in
+      Alcotest.(check int) ("log on: counter " ^ name) (Trace.count off k) (Trace.count on k);
+      Alcotest.(check int) ("consumer on: counter " ^ name) (Trace.count off k)
+        (Trace.count consumer k))
     Trace.all_kinds;
   Alcotest.(check bool) "log actually retained entries" true
     (List.length (Trace.entries on) > 0);
   Alcotest.(check int) "entries bounded by total" (Trace.total on)
-    (List.length (Trace.entries on))
+    (List.length (Trace.entries on));
+  Alcotest.(check int) "consumer saw every record" (Trace.total consumer) !consumed;
+  Alcotest.(check int) "consumer kept no log" 0 (List.length (Trace.entries consumer))
 
 let suite =
   [
@@ -133,6 +150,7 @@ let suite =
     case "kind names distinct" test_kind_names_distinct;
     case "summary printing" test_summary_prints;
     case "entries to csv" test_to_csv;
-    case "stream verbosity" test_stream_verbosity;
+    case "printing consumer" test_printing_consumer;
+    case "consumer sees records past the log limit" test_consumer_sees_past_log_limit;
     case "counters identical with log on vs off" test_counters_match_on_vs_off;
   ]
