@@ -41,7 +41,23 @@ let resolve_jobs jobs =
   Runner.set_default_jobs jobs;
   jobs
 
-let make_params ~n ~rho ~b0 = Gcs.Params.make ~rho ?b0 ~n ()
+(* A bad flag value is a usage error: name the flag and exit 2 before
+   any engine runs, rather than escaping as an uncaught exception. *)
+let invalid_flag flag fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "invalid --%s: %s@." flag msg;
+      exit 2)
+    fmt
+
+let make_params ~n ~rho ~b0 =
+  if n < 2 then invalid_flag "nodes" "must be at least 2 (got %d)" n;
+  if not (rho > 0. && rho <= 0.5) then
+    invalid_flag "rho" "must lie in (0, 1/2] (got %g)" rho;
+  (* With n and rho valid and the other parameters at their defaults,
+     only b0 can still break the paper's constraints. *)
+  try Gcs.Params.make ~rho ?b0 ~n ()
+  with Invalid_argument msg -> invalid_flag "b0" "%s" msg
 
 (* ------------------------- output plumbing ------------------------- *)
 
@@ -56,6 +72,16 @@ let cannot_write path reason =
   in
   Format.eprintf "gcs_sim: cannot write %s: %s@." path reason;
   exit 2
+
+(* Output files open before the run, so a bad path fails at once. *)
+let open_out_or_exit path =
+  (path, try open_out path with Sys_error reason -> cannot_write path reason)
+
+let output_or_exit (path, oc) s =
+  try output_string oc s with Sys_error reason -> cannot_write path reason
+
+let close_or_exit (path, oc) =
+  try close_out oc with Sys_error reason -> cannot_write path reason
 
 let rec mkdir_p dir =
   if Sys.file_exists dir then begin
@@ -121,7 +147,9 @@ let exp_cmd =
           (fun id ->
             match Experiments.Registry.find id with
             | Some e -> e
-            | None -> Fmt.failwith "unknown experiment id %s (try 'list')" id)
+            | None ->
+              Format.eprintf "unknown experiment id %s (try 'list')@." id;
+              exit 2)
           ids
     in
     let results =
@@ -203,7 +231,7 @@ let build_topology kind ~n ~seed =
   | Grid ->
     let rows = max 2 (int_of_float (sqrt (float_of_int n))) in
     if n mod rows <> 0 then
-      Fmt.failwith "grid topology needs n divisible by %d (got n=%d)" rows n;
+      invalid_flag "nodes" "the grid topology needs a multiple of %d (got %d)" rows n;
     S.grid ~rows ~cols:(n / rows)
   | Complete -> S.complete n
   | Tree -> S.binary_tree n
@@ -212,8 +240,8 @@ let build_topology kind ~n ~seed =
     snd (S.random_geometric (Dsim.Prng.of_int seed) ~n ~radius:(1.8 /. sqrt (float_of_int n)))
   | Cluster ->
     (* ~64-node communities over a shuffled id space: the contiguous
-       shard split cuts almost every edge, so this is the showcase (and
-       regression) input for --partition greedy. *)
+       shard split cuts almost every edge, the worst case for cross-shard
+       traffic under --shards. *)
     let clusters = max 1 (min (n / 2) (max 2 (n / 64))) in
     S.cluster (Dsim.Prng.of_int seed) ~n ~clusters ~degree:4
 
@@ -285,39 +313,12 @@ let sim_cmd =
     Arg.(value & opt int 1
          & info [ "shards" ] ~docv:"K"
              ~doc:
-               "Partition engine state into $(docv) independently scheduled \
-                node ranges. With a pure delay policy and no faults the \
-                shards dispatch in parallel windows (on up to --jobs \
-                domains); the execution and trace are byte-identical at \
-                every shard and jobs count.")
-  in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:
-               "Domains dispatching the parallel windows (capped at --shards; \
-                0 = one per recommended core). Only a placement knob: the \
-                execution and trace are byte-identical for every value, and \
-                1 keeps everything on the calling domain.")
-  in
-  let partition =
-    Arg.(value
-         & opt (enum [ ("contiguous", `Contiguous); ("greedy", `Greedy) ]) `Contiguous
-         & info [ "partition" ] ~docv:"HOW"
-             ~doc:
-               "How node ids map to shards: contiguous ranges (default) or \
-                greedy, the traffic-aware edge-cut partitioner run over the \
-                initial topology. A pure performance knob: the execution \
-                and trace are byte-identical under either.")
-  in
-  let window_stats =
-    Arg.(value & flag
-         & info [ "window-stats" ]
-             ~doc:
-               "Print parallel-dispatch window statistics after the run: \
-                windows formed (each closes with one merge barrier), mean \
-                window span, windowed and cross-shard events, and the \
-                reason when the engine fell back to sequential dispatch.")
+               "Split engine state into $(docv) contiguous node ranges. With \
+                a pure delay policy and no faults the shards dispatch in \
+                parallel windows, one domain each as far as the domain \
+                budget (GCS_JOBS, else one per recommended core) allows, and \
+                a sharded run prints its window statistics. The execution and \
+                trace are byte-identical at every shard count.")
   in
   let no_gap_check =
     Arg.(value & flag
@@ -334,46 +335,18 @@ let sim_cmd =
                 algorithms with per-peer timeouts shorter than dT'.")
   in
   let run n rho b0 seed topology algo drift delay horizon churn_rate new_edge timeline
-      plot loss csv trace_csv audit shards jobs partition window_stats
-      fault_spec no_gap_check no_lost_check =
+      plot loss csv trace_csv audit shards fault_spec no_gap_check no_lost_check =
     let params = make_params ~n ~rho ~b0 in
-    if shards < 1 then begin
-      Format.eprintf "invalid --shards: must be at least 1 (got %d)@." shards;
-      exit 2
-    end;
-    if jobs < 0 then begin
-      Format.eprintf "invalid --jobs: must be non-negative (got %d)@." jobs;
-      exit 2
-    end;
-    if jobs <> 1 && shards < 2 then begin
-      Format.eprintf
-        "invalid --jobs: needs --shards of at least 2 to dispatch in parallel \
-         (got --jobs %d with --shards %d)@."
-        jobs shards;
-      exit 2
-    end;
-    (* Like exp/fuzz: an explicit --jobs becomes the ambient domain
-       budget, so the scoped dispatch pool below really gets that many
-       domains (the runner still caps nested fan-outs against it). *)
-    let jobs = resolve_jobs jobs in
-    (* Validate like --faults does: a bad id must be a clean exit 2, not an
-       uncaught Invalid_argument out of the engine mid-run. *)
+    if not (horizon > 0.) then invalid_flag "horizon" "must be positive (got %g)" horizon;
+    if not (loss >= 0. && loss < 1.) then
+      invalid_flag "loss" "must lie in [0, 1) (got %g)" loss;
+    if shards < 1 then invalid_flag "shards" "must be at least 1 (got %d)" shards;
     (match new_edge with
     | Some (u, v, t) ->
-      if u < 0 || v < 0 || u >= n || v >= n then begin
-        Format.eprintf
-          "invalid --new-edge: node ids must lie in [0, %d] (got %d,%d)@."
-          (n - 1) u v;
-        exit 2
-      end;
-      if u = v then begin
-        Format.eprintf "invalid --new-edge: self-loop %d,%d@." u v;
-        exit 2
-      end;
-      if t < 0. then begin
-        Format.eprintf "invalid --new-edge: negative time %g@." t;
-        exit 2
-      end
+      if u < 0 || v < 0 || u >= n || v >= n then
+        invalid_flag "new-edge" "node ids must lie in [0, %d] (got %d,%d)" (n - 1) u v;
+      if u = v then invalid_flag "new-edge" "self-loop %d,%d" u v;
+      if t < 0. then invalid_flag "new-edge" "negative time %g" t
     | None -> ());
     let faults =
       if fault_spec = "" then []
@@ -412,30 +385,24 @@ let sim_cmd =
     in
     (* The auditor and the CSV writer take entries as they are recorded,
        so no cap applies. Both exist before the engine, which records the
-       initial topology at creation; a bad CSV path fails before the run. *)
+       initial topology at creation. *)
     let conformance =
       Audit.Conformance.create
         (Audit.Conformance.of_params params ~horizon
            ~check_gaps:(loss = 0. && not no_gap_check)
            ~check_lost_timers:(not no_lost_check) ~faults ())
     in
-    let csv_out =
-      Option.map
-        (fun path -> (path, try open_out path with Sys_error r -> cannot_write path r))
-        trace_csv
-    in
-    let write_row (path, oc) row =
-      try output_string oc row with Sys_error reason -> cannot_write path reason
-    in
-    Option.iter (fun out -> write_row out Dsim.Trace.csv_header) csv_out;
+    let timeline_out = Option.map open_out_or_exit csv in
+    let csv_out = Option.map open_out_or_exit trace_csv in
+    Option.iter (fun out -> output_or_exit out Dsim.Trace.csv_header) csv_out;
     let on_entry e =
       if audit then Audit.Conformance.step conformance e;
-      Option.iter (fun out -> write_row out (Dsim.Trace.csv_row e)) csv_out
+      Option.iter (fun out -> output_or_exit out (Dsim.Trace.csv_row e)) csv_out
     in
     let on_entry = if audit || csv_out <> None then Some on_entry else None in
     let trace = Dsim.Trace.create ?on_entry () in
     let cfg =
-      Gcs.Sim.config ~algo ~shards ~partition ~params ~clocks
+      Gcs.Sim.config ~algo ~shards ~params ~clocks
         ~delay:delay_policy ~initial_edges:edges ~trace ~faults ~fault_seed:seed ()
     in
     let sim = Gcs.Sim.create cfg in
@@ -464,12 +431,12 @@ let sim_cmd =
              ~faults ~every:(horizon /. 200.) ~until:horizon ())
       else None
     in
-    (* Windows only form when shards > 1 and the configuration is pure
-       (Engine.set_executor doc); a pool is pointless otherwise. The
-       executor is cleared before the pool is torn down so the later
-       audit replay and metric reads never race a dead pool. *)
-    if shards > 1 && jobs > 1 then
-      Runner.scoped ~jobs:(min jobs shards) (fun pool ->
+    (* Windows run one domain per shard, as far as the ambient domain
+       budget allows; a pool is pointless when the engine cannot form
+       windows. The executor is cleared before the pool is torn down so
+       the later metric reads never race a dead pool. *)
+    if Dsim.Engine.par_blocker engine = None then
+      Runner.scoped ~jobs:shards (fun pool ->
           Dsim.Engine.set_executor engine (Some (Runner.run pool));
           Fun.protect
             ~finally:(fun () -> Dsim.Engine.set_executor engine None)
@@ -488,7 +455,7 @@ let sim_cmd =
       (Dsim.Engine.events_processed engine)
       (Gcs.Sim.total_messages sim) (Gcs.Sim.total_jumps sim);
     Format.printf "event counts:@.%a@." Dsim.Trace.pp_summary trace;
-    if window_stats then begin
+    if shards > 1 then begin
       let w = Dsim.Trace.windows trace in
       Format.printf
         "window stats: windows=%d mean-span=%.4f windowed-events=%d \
@@ -503,9 +470,9 @@ let sim_cmd =
         Format.printf "parallel dispatch: sequential fallback (%s)@." reason
     end;
     Option.iter
-      (fun (path, oc) ->
-        (try close_out oc with Sys_error reason -> cannot_write path reason);
-        Format.printf "wrote %s (%d entries)@." path (Dsim.Trace.total trace))
+      (fun out ->
+        close_or_exit out;
+        Format.printf "wrote %s (%d entries)@." (fst out) (Dsim.Trace.total trace))
       csv_out;
     Format.printf "max global skew = %.4f (bound G(n) = %.4f)@."
       (Gcs.Metrics.max_global_skew recorder)
@@ -602,7 +569,7 @@ let sim_cmd =
         (Gcs.Metrics.samples recorder)
     end;
     Option.iter
-      (fun path ->
+      (fun out ->
         let table =
           Analysis.Table.create ~title:"timeline"
             ~columns:
@@ -620,9 +587,10 @@ let sim_cmd =
                 Analysis.Table.Int s.Gcs.Metrics.events;
               ])
           (Gcs.Metrics.samples recorder);
-        write_file path (Analysis.Table.to_csv table);
-        Format.printf "wrote %s@." path)
-      csv;
+        output_or_exit out (Analysis.Table.to_csv table);
+        close_or_exit out;
+        Format.printf "wrote %s@." (fst out))
+      timeline_out;
     if plot then begin
       let samples = Gcs.Metrics.samples recorder in
       let series f = List.map (fun s -> (s.Gcs.Metrics.time, f s)) samples in
@@ -638,8 +606,7 @@ let sim_cmd =
     Term.(
       const run $ n_arg $ rho_arg $ b0_arg $ seed_arg $ topology $ algo $ drift $ delay
       $ horizon $ churn_rate $ new_edge $ timeline $ plot $ loss $ csv $ trace_csv
-      $ audit $ shards $ jobs $ partition $ window_stats $ faults
-      $ no_gap_check $ no_lost_check)
+      $ audit $ shards $ faults $ no_gap_check $ no_lost_check)
 
 (* ------------------------------- fuzz ------------------------------ *)
 

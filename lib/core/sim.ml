@@ -17,14 +17,12 @@ type config = {
   algo : algo;
   trace : Dsim.Trace.t option;
   shards : int;
-  partition : [ `Contiguous | `Greedy | `Explicit of int array ];
   faults : Dsim.Fault.schedule;
   fault_seed : int;
 }
 
-let config ?(algo = Gradient) ?discovery_lag ?trace ?(shards = 1)
-    ?(partition = `Contiguous) ?(faults = []) ?(fault_seed = 0) ~params ~clocks
-    ~delay ~initial_edges () =
+let config ?(algo = Gradient) ?discovery_lag ?trace ?(shards = 1) ?(faults = [])
+    ?(fault_seed = 0) ~params ~clocks ~delay ~initial_edges () =
   let discovery_lag =
     match discovery_lag with
     | Some lag -> lag
@@ -46,7 +44,7 @@ let config ?(algo = Gradient) ?discovery_lag ?trace ?(shards = 1)
   | Error m -> invalid_arg ("Sim.config: " ^ m));
   if shards < 1 then invalid_arg "Sim.config: shards must be positive";
   { params; clocks; delay; discovery_lag; initial_edges; algo; trace; shards;
-    partition; faults; fault_seed }
+    faults; fault_seed }
 
 type impl = Gradient_node of Node.t | Max_node of Baseline_max.t
 
@@ -81,8 +79,7 @@ let create cfg =
     Engine.create ~clocks:cfg.clocks ~delay:cfg.delay ~discovery_lag:cfg.discovery_lag
       ~initial_edges:cfg.initial_edges ?trace:cfg.trace
       ~faults:cfg.faults ~fault_seed:cfg.fault_seed ~corrupt_msg
-      ~timer_label:Proto.timer_label ~scheduler ~shards:cfg.shards
-      ~partition:cfg.partition ()
+      ~timer_label:Proto.timer_label ~scheduler ~shards:cfg.shards ()
   in
   let n = cfg.params.Params.n in
   (* Build node implementations while installing handlers: the ctx only

@@ -24,7 +24,6 @@ type config = {
   algo : algo;
   trace : Dsim.Trace.t option;
   shards : int;
-  partition : [ `Contiguous | `Greedy | `Explicit of int array ];
   faults : Dsim.Fault.schedule;
   fault_seed : int;
 }
@@ -34,7 +33,6 @@ val config :
   ?discovery_lag:float ->
   ?trace:Dsim.Trace.t ->
   ?shards:int ->
-  ?partition:[ `Contiguous | `Greedy | `Explicit of int array ] ->
   ?faults:Dsim.Fault.schedule ->
   ?fault_seed:int ->
   params:Params.t ->
@@ -48,13 +46,9 @@ val config :
     clocks violate the drift bound, the array length differs from
     [params.n], or [faults] fails {!Dsim.Fault.validate}. Timers wait in
     the engine's timer wheel with [ΔH / 16] granules. [shards] (default
-    1) partitions the engine's node state into that many independently
-    scheduled lanes; executions are byte-identical at every value (see
-    {!Dsim.Engine.create}).
-    [partition] (default [`Contiguous]) chooses how nodes map to shards:
-    [`Greedy] runs the traffic-aware edge-cut partitioner over the
-    initial topology, [`Explicit] supplies the map — both pure
-    performance knobs, the trace is identical under any of them.
+    1) splits the engine's node state into that many contiguous id
+    ranges, each an independently scheduled lane; executions are
+    byte-identical at every value (see {!Dsim.Engine.create}).
     [faults] (default none) is a deterministic fault-injection schedule,
     replayed from [fault_seed]; Byzantine windows corrupt outgoing
     ⟨L, Lmax⟩ upward by a few [b0] units. *)

@@ -94,8 +94,8 @@ val per_edge :
 val describe : t -> string
 (** One-line human description of a policy's engine-relevant shape —
     constant value, or purity/lossiness plus bound and minimum latency.
-    [gcs_sim sim --window-stats] prints it when explaining why a run did
-    or did not take the parallel dispatch path. *)
+    A sharded [gcs_sim sim] run prints it when explaining why it did not
+    take the parallel dispatch path. *)
 
 val lossy : Prng.t -> rate:float -> t -> t
 (** [lossy prng ~rate policy] drops each message independently with the

@@ -182,55 +182,6 @@ let add_edge g ~now u v =
     true
   end
 
-(* Parallel-window seam (DESIGN §14). A topology event whose endpoints
-   share a shard can dispatch inside that shard's window — but only if
-   every allocation the dispatch might need happened up front: growing
-   the pool or an adjacency array from a lane domain would race with the
-   read-only neighbor scans other lanes run concurrently. [reserve] is
-   called at schedule time (always sequential) and pre-allocates the
-   slot and both adjacency entries without changing edge presence;
-   [flip_add]/[flip_remove] then only write lane-owned cells — the
-   slot's presence/epoch/since bytes and the two endpoints' degrees —
-   plus nothing shared except [live], which they skip entirely: the
-   lane accumulates a delta the barrier folds back via [adjust_live]. *)
-let reserve g u v =
-  if u < 0 || v < 0 || u >= g.node_count || v >= g.node_count || u = v then
-    false
-  else begin
-    (let s = find_slot g u v in
-     if s < 0 then begin
-       let s = alloc_slot g u v in
-       adj_insert g u ~at:(-1 - find_slot g u v) ~peer:v ~slot:s;
-       adj_insert g v ~at:(-1 - find_slot g v u) ~peer:u ~slot:s
-     end);
-    true
-  end
-
-let flip_add g ~now u v =
-  let s = find_slot g u v in
-  if s < 0 || present g s then false
-  else begin
-    Bytes.set g.epresent s '\001';
-    g.eepoch.(s) <- g.eepoch.(s) + 1;
-    g.esince.(s) <- now;
-    g.deg.(u) <- g.deg.(u) + 1;
-    g.deg.(v) <- g.deg.(v) + 1;
-    true
-  end
-
-let flip_remove g u v =
-  let s = find_slot g u v in
-  if s >= 0 && present g s then begin
-    Bytes.set g.epresent s '\000';
-    g.eepoch.(s) <- g.eepoch.(s) + 1;
-    g.deg.(u) <- g.deg.(u) - 1;
-    g.deg.(v) <- g.deg.(v) - 1;
-    true
-  end
-  else false
-
-let adjust_live g delta = g.live <- g.live + delta
-
 let remove_edge g ~now u v =
   check_nodes g u v;
   ignore now;

@@ -38,38 +38,6 @@ val remove_edge : t -> now:float -> int -> int -> bool
 val epoch : t -> int -> int -> int
 (** Number of changes this edge has undergone (0 if never touched). *)
 
-(** {2 Parallel-window seam}
-
-    A topology event whose endpoints share a shard may dispatch inside
-    that shard's parallel window (DESIGN §14). The protocol: {!reserve}
-    runs at schedule time — always sequential — and pre-allocates the
-    edge's pool slot and both adjacency entries without changing
-    presence, so the in-window flip below never allocates or touches
-    shared arrays. {!flip_add}/{!flip_remove} write only cells the
-    owning lane may touch (the slot's presence/epoch/since and the two
-    endpoints' degrees) and deliberately skip the global {!edge_count}
-    counter; the lane accumulates a live-edge delta that the barrier
-    folds back with {!adjust_live}. *)
-
-val reserve : t -> int -> int -> bool
-(** Pre-allocate the edge's slot and adjacency entries (presence
-    unchanged). Returns [false] — reserving nothing — when an endpoint
-    is out of range or the edge is a self-loop; such events must keep
-    dispatching sequentially so they raise exactly as before. *)
-
-val flip_add : t -> now:float -> int -> int -> bool
-(** {!add_edge} minus validation, allocation and the {!edge_count}
-    bump. Requires a prior {!reserve}; returns [false] if the slot is
-    missing or the edge is already present. *)
-
-val flip_remove : t -> int -> int -> bool
-(** {!remove_edge} minus validation and the {!edge_count} drop. Returns
-    [false] if the edge is absent. *)
-
-val adjust_live : t -> int -> unit
-(** Fold a lane's accumulated live-edge delta back into
-    {!edge_count}. *)
-
 val since : t -> int -> int -> float option
 (** If present, the real time at which the edge last appeared. *)
 

@@ -3,8 +3,8 @@
    closure) — so pushing an event allocates nothing. The decoding key:
 
      kind              a      b        c      d      payload
-     k_edge_add        u      v               rsvd
-     k_edge_remove     u      v               rsvd
+     k_edge_add        u      v
+     k_edge_remove     u      v
      k_discover_add    node   peer     epoch
      k_discover_rm     node   peer     epoch
      k_absence         node   peer
@@ -15,11 +15,8 @@
      k_callback                                      unit -> unit
      k_commute_cb                                    unit -> unit
 
-   [rsvd] on topology events records whether the edge's graph storage
-   was pre-allocated at schedule time (Dyngraph.reserve), which is what
-   licenses in-window dispatch when both endpoints share a shard. Timers
-   wait in the per-shard wheels, never in a queue: [k_timer] only tags
-   a wheel entry held in the tie-break scratch. *)
+   Timers wait in the per-shard wheels, never in a queue: [k_timer] only
+   tags a wheel entry held in the tie-break scratch. *)
 let k_edge_add = 0
 let k_edge_remove = 1
 let k_discover_add = 2
@@ -343,9 +340,6 @@ type lane = {
   lf : lscratch;
   mutable lpar : bool; (* inside a parallel window *)
   mutable lcre : int; (* provisional ranks handed out this window *)
-  mutable ldelta : int;
-      (* live-edge delta from in-window topology flips, folded into the
-         graph's edge count at the barrier *)
   (* Running totals; lane-owned, summed by the accessors. *)
   mutable levents : int;
   mutable llive : int;
@@ -374,18 +368,17 @@ type ('msg, 'timer) t = {
   delay : Delay.t;
   discovery_lag : float;
   graph : Dyngraph.t;
-  (* Sharding: [part.(id)] names the shard owning node [id] — filled by
-     a contiguous split, the traffic-aware greedy partitioner or an
-     explicit caller array ([[||]] at one shard; nodes joining after
+  (* Sharding: [part.(id)] names the shard owning node [id] — equal
+     contiguous id ranges ([[||]] at one shard; nodes joining after
      construction land in the last shard). Each shard owns an event
      queue, an outbox and a timer wheel.
      Sequentially-created events draw ranks from one global sequence
      counter; window-created events get provisional block ranks that the
      barrier rewrites to the exact sequential ranks, so the (time, seq)
      merge order, and therefore the trace, is byte-identical at every
-     shard count and every partition. Global events whose dispatch must
-     stay sequential (faults, callbacks, multi-shard topology) live in a
-     dedicated control queue when [shards > 1]. *)
+     shard count. Global events whose dispatch must stay sequential
+     (topology changes, faults, callbacks) live in a dedicated control
+     queue when [shards > 1]. *)
   shards : int;
   part : int array;
   queues : Equeue.t array;
@@ -475,10 +468,10 @@ let[@inline] ctrl_kind kind =
 (* Sequential push of an encoded event for the node [owner]: draws the
    next global rank and goes straight to the owner's queue (or the
    control queue for order-sensitive kinds under sharding). All
-   harness-side scheduling and all sequential dispatch lands here.
-   Topology events whose edge was reserved ([d = 1]) and whose endpoints
-   share a shard skip the control queue: their dispatch only touches that
-   shard's state, so they can run inside its window (DESIGN §14). *)
+   harness-side scheduling and all sequential dispatch lands here, so
+   this is also the one guard against a commuting callback scheduling a
+   non-commuting event from inside a window: it fails before anything
+   is pushed or mutated. *)
 let push_ev t ~owner ~time ~kind ~a ~b ~c ~d payload =
   if t.in_cb && t.cb_lane.lpar then
     failwith
@@ -486,11 +479,8 @@ let push_ev t ~owner ~time ~kind ~a ~b ~c ~d payload =
        a parallel window";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  if
-    t.shards > 1
-    && ctrl_kind kind
-    && not (kind <= k_edge_remove && d = 1 && shard_of t a = shard_of t b)
-  then Equeue.push t.control ~time ~seq ~kind ~a ~b ~c ~d payload
+  if t.shards > 1 && ctrl_kind kind then
+    Equeue.push t.control ~time ~seq ~kind ~a ~b ~c ~d payload
   else
     Equeue.push t.queues.(shard_of t owner) ~time ~seq ~kind ~a ~b ~c ~d payload
 
@@ -583,14 +573,10 @@ let lane_mark lane ~time ~seq =
   lane.ment.(len) <- lane.blen;
   lane.mlen <- len + 1
 
-(* Shard partitioning --------------------------------------------------
-
-   [shard_of] only affects which queue an event waits in and which lane
-   dispatches it — never the (time, seq) dispatch order — so any
-   total function from ids to shards yields the same trace. What it does
-   change is how many events cross shards (outbox traffic through the
-   merge barrier), so the partition is a pure performance knob. *)
-
+(* Shard split: equal contiguous id ranges. [shard_of] only affects
+   which queue an event waits in and which lane dispatches it — never
+   the (time, seq) dispatch order — so the trace is the same at every
+   shard count. *)
 let contiguous_part ~n ~shards =
   if shards <= 1 then [||]
   else begin
@@ -598,67 +584,8 @@ let contiguous_part ~n ~shards =
     Array.init n (fun i -> min (i / chunk) (shards - 1))
   end
 
-(* Greedy traffic-aware partition: grow each shard by BFS from the lowest
-   unassigned id, visiting neighbors in increasing order, up to the
-   balanced capacity ceil(n/shards). Deterministic, O(n + edges), and it
-   reproduces the contiguous split exactly on a path (each BFS sweep
-   walks the next chunk of the line), while cutting far fewer edges than
-   a blind contiguous split on clustered or scrambled topologies. *)
-let partition ~shards g =
-  if shards < 1 then invalid_arg "Engine.partition: need at least one shard";
-  let n = Dyngraph.n g in
-  if shards = 1 then Array.make n 0
-  else begin
-    let cap = (n + shards - 1) / shards in
-    let part = Array.make n (-1) in
-    let inq = Array.make n (-1) in (* shard a node is queued for *)
-    let queue = Array.make n 0 in
-    let next_seed = ref 0 in
-    for s = 0 to shards - 1 do
-      let qh = ref 0 and qt = ref 0 in
-      let filled = ref 0 in
-      let continue_ = ref true in
-      while !filled < cap && !continue_ do
-        let u =
-          if !qh < !qt then begin
-            let u = queue.(!qh) in
-            incr qh;
-            u
-          end
-          else begin
-            while !next_seed < n && part.(!next_seed) >= 0 do
-              incr next_seed
-            done;
-            if !next_seed < n then !next_seed else -1
-          end
-        in
-        if u < 0 then continue_ := false
-        else if part.(u) < 0 then begin
-          part.(u) <- s;
-          incr filled;
-          List.iter
-            (fun v ->
-              if part.(v) < 0 && inq.(v) <> s then begin
-                inq.(v) <- s;
-                queue.(!qt) <- v;
-                incr qt
-              end)
-            (Dyngraph.neighbors g u)
-        end
-      done
-    done;
-    (* A shard can fill before its frontier empties; anything still
-       unassigned joins the last shard (it has spare capacity: the
-       others stopped exactly at [cap]). *)
-    for u = 0 to n - 1 do
-      if part.(u) < 0 then part.(u) <- shards - 1
-    done;
-    part
-  end
-
 let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
-    ~timer_label ?scheduler ?(shards = 1) ?partition:(pmode = `Contiguous)
-    ?(faults = []) ?(fault_seed = 0) ?corrupt_msg () =
+    ~timer_label ?scheduler ?(shards = 1) ?(faults = []) ?(fault_seed = 0) ?corrupt_msg () =
   let n = Array.length clocks in
   if n = 0 then invalid_arg "Engine.create: no nodes";
   if discovery_lag < 0. then invalid_arg "Engine.create: negative discovery lag";
@@ -687,30 +614,11 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
     | None -> if delay.Delay.bound > 0. then delay.Delay.bound /. 16. else 1.
   in
   let tr = match trace with Some tr -> tr | None -> Trace.create () in
-  (* Build the graph and apply the initial edges before anything else:
-     the traffic-aware partitioner is seeded from the initial topology.
-     The trace records and discovery events for fresh edges are emitted
-     after [t] exists, in the same list order as before, so rank
-     allocation is unchanged. *)
+  (* The initial edges go into the graph first; their trace records and
+     discovery events are emitted once [t] exists, in list order. *)
   let graph = Dyngraph.create ~n in
   let fresh_edges =
     List.filter (fun (u, v) -> Dyngraph.add_edge graph ~now:0. u v) initial_edges
-  in
-  let part =
-    if shards = 1 then [||]
-    else
-      match pmode with
-      | `Contiguous -> contiguous_part ~n ~shards
-      | `Greedy -> partition ~shards graph
-      | `Explicit p ->
-        if Array.length p <> n then
-          invalid_arg "Engine.create: partition array length <> n";
-        Array.iter
-          (fun s ->
-            if s < 0 || s >= shards then
-              invalid_arg "Engine.create: partition entry out of range")
-          p;
-        Array.copy p
   in
   let mk_lane s =
     {
@@ -718,7 +626,6 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       lf = { lnow = 0.; lhead = infinity; lwstop = infinity };
       lpar = false;
       lcre = 0;
-      ldelta = 0;
       levents = 0;
       llive = 0;
       lstale = 0;
@@ -746,7 +653,7 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       discovery_lag;
       graph;
       shards;
-      part;
+      part = contiguous_part ~n ~shards;
       queues = Array.init shards (fun _ -> Equeue.create ());
       outboxes = Array.init shards (fun _ -> Outbox.create ());
       wheels = Array.init shards (fun _ -> Timewheel.create ~granularity ());
@@ -1098,7 +1005,7 @@ let shards t = t.shards
 
 (* Why this engine cannot take the parallel dispatch path (None when it
    can). Mirrors the [par_ok] conjunction at creation, in check order,
-   so `gcs_sim sim --window-stats` can explain a sequential fallback. *)
+   so a sharded `gcs_sim sim` run can explain a sequential fallback. *)
 let par_blocker t =
   if t.par_ok then None
   else if t.shards <= 1 then Some "single shard"
@@ -1111,33 +1018,16 @@ let par_blocker t =
 let check_future t at =
   if at < t.fs.now then invalid_arg "Engine: cannot schedule in the past"
 
-(* Topology events pre-allocate the edge's graph storage at schedule time
-   ([d = 1] on success): a reserved single-shard event may then dispatch
-   inside its shard's parallel window without allocating or touching
-   shared arrays. An unreservable pair (out of range, self-loop) keeps
-   [d = 0] and dispatches sequentially, so it raises from [add_edge] /
-   [remove_edge] exactly as it always did. *)
-(* The reservation mutates shared graph storage, so it must not run from
-   inside a window — fail before touching the graph rather than letting
-   [push_ev]'s guard fire after the damage. *)
-let check_not_in_window t =
-  if t.in_cb && t.cb_lane.lpar then
-    failwith
-      "Engine: a commuting callback scheduled a non-commuting event inside \
-       a parallel window"
-
+(* Topology events are control events under sharding: they dispatch
+   sequentially between windows, never inside one. *)
 let schedule_edge_add t ~at u v =
-  check_not_in_window t;
   check_future t at;
-  let d = if Dyngraph.reserve t.graph u v then 1 else 0 in
-  push_ev t ~owner:(min u v) ~time:at ~kind:k_edge_add ~a:u ~b:v ~c:0 ~d
+  push_ev t ~owner:(min u v) ~time:at ~kind:k_edge_add ~a:u ~b:v ~c:0 ~d:0
     no_payload
 
 let schedule_edge_remove t ~at u v =
-  check_not_in_window t;
   check_future t at;
-  let d = if Dyngraph.reserve t.graph u v then 1 else 0 in
-  push_ev t ~owner:(min u v) ~time:at ~kind:k_edge_remove ~a:u ~b:v ~c:0 ~d
+  push_ev t ~owner:(min u v) ~time:at ~kind:k_edge_remove ~a:u ~b:v ~c:0 ~d:0
     no_payload
 
 let at ?(commuting = false) t ~time f =
@@ -1271,13 +1161,11 @@ let apply_restart t f node ~corrupt =
     (Dyngraph.neighbors t.graph node)
 
 (* Dispatch the event latched in [q]'s registers. [lane] is the owner's
-   lane; node-addressed kinds may run inside a parallel window, in which
-   case [now] is the lane's event time and all records buffer. Faults
-   and plain callbacks are only ever dispatched sequentially: under
-   sharding they live in the control queue, and at one shard there are
-   no windows. Topology events whose edge was reserved and is internal
-   to one shard, and commuting callbacks, may additionally dispatch
-   inside that shard's window — their branches check [lane.lpar]. *)
+   lane; node-addressed kinds and commuting callbacks may run inside a
+   parallel window, in which case [now] is the lane's event time and all
+   records buffer. Topology changes, faults and plain callbacks are only
+   ever dispatched sequentially: under sharding they live in the control
+   queue, and at one shard there are no windows. *)
 let dispatch t lane q kind =
   let now = if lane.lpar then lane.lf.lnow else t.fs.now in
   if kind = k_deliver then begin
@@ -1338,44 +1226,14 @@ let dispatch t lane q kind =
   end
   else if kind = k_edge_add then begin
     let u = Equeue.ev_a q and v = Equeue.ev_b q in
-    if lane.lpar then begin
-      (* Reserved single-shard edge, dispatched inside the owning lane's
-         window: the flip writes only lane-owned cells (both endpoints
-         live here), discoveries stay in-lane, and the live-edge count is
-         settled at the barrier. *)
-      if Dyngraph.flip_add t.graph ~now u v then begin
-        lane.ldelta <- lane.ldelta + 1;
-        lane_record t lane ~time:now Edge_add u v (-1);
-        let epoch = Dyngraph.epoch t.graph u v in
-        let dt = now +. t.discovery_lag in
-        push_from t lane ~owner:u ~time:dt ~kind:k_discover_add ~a:u ~b:v
-          ~c:epoch ~d:0 no_payload;
-        push_from t lane ~owner:v ~time:dt ~kind:k_discover_add ~a:v ~b:u
-          ~c:epoch ~d:0 no_payload
-      end
-    end
-    else if Dyngraph.add_edge t.graph ~now:t.fs.now u v then begin
+    if Dyngraph.add_edge t.graph ~now:t.fs.now u v then begin
       Trace.record t.trace ~time:t.fs.now Edge_add u v (-1);
       schedule_discovery t u v ~epoch:(Dyngraph.epoch t.graph u v) ~add:true
     end
   end
   else if kind = k_edge_remove then begin
     let u = Equeue.ev_a q and v = Equeue.ev_b q in
-    if lane.lpar then begin
-      if Dyngraph.flip_remove t.graph u v then begin
-        lane.ldelta <- lane.ldelta - 1;
-        lane_record t lane ~time:now Edge_remove u v (-1);
-        Fifo_store.remove t.fifo.(u) v;
-        Fifo_store.remove t.fifo.(v) u;
-        let epoch = Dyngraph.epoch t.graph u v in
-        let dt = now +. t.discovery_lag in
-        push_from t lane ~owner:u ~time:dt ~kind:k_discover_rm ~a:u ~b:v
-          ~c:epoch ~d:0 no_payload;
-        push_from t lane ~owner:v ~time:dt ~kind:k_discover_rm ~a:v ~b:u
-          ~c:epoch ~d:0 no_payload
-      end
-    end
-    else if Dyngraph.remove_edge t.graph ~now:t.fs.now u v then begin
+    if Dyngraph.remove_edge t.graph ~now:t.fs.now u v then begin
       Trace.record t.trace ~time:t.fs.now Edge_remove u v (-1);
       (* The FIFO floors of the removed edge belong to a finished epoch:
          drop them so a later re-add starts fresh instead of queueing new
@@ -1795,10 +1653,6 @@ let run_window t ~wstop ~horizon =
     end;
     Trace.merge_counts tr lane.lcounters;
     Array.fill lane.lcounters 0 Trace.kind_count 0;
-    if lane.ldelta <> 0 then begin
-      Dyngraph.adjust_live t.graph lane.ldelta;
-      lane.ldelta <- 0
-    end;
     lane.lcre <- 0;
     lane.mlen <- 0;
     lane.blen <- 0;

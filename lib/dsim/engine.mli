@@ -52,7 +52,6 @@ val create :
   timer_label:('timer -> int) ->
   ?scheduler:[ `Wheel of float ] ->
   ?shards:int ->
-  ?partition:[ `Contiguous | `Greedy | `Explicit of int array ] ->
   ?faults:Fault.schedule ->
   ?fault_seed:int ->
   ?corrupt_msg:(src:int -> Prng.t -> 'msg -> 'msg) ->
@@ -80,29 +79,25 @@ val create :
     a sixteenth of the delay policy's bound (1 for a zero bound).
     Granularity changes speed, never the dispatch order or the trace.
 
-    [shards] (default 1) partitions the node ids into that many groups,
-    each owning its own event queue and timer wheel. [partition] picks the id-to-shard map:
-    [`Contiguous] (the default) splits ids into equal ranges, [`Greedy]
-    runs the traffic-aware partitioner {!partition} over the initial
-    topology, and [`Explicit p] uses [p] verbatim ([p.(id)] is the
-    shard; raises [Invalid_argument] on a wrong length or out-of-range
-    entry). The partition is a pure performance knob — dispatch order
-    and trace are identical under every choice. When the delay policy
-    is pure with positive [min_lat] and no faults are injected, the
-    run loop dispatches the shards in parallel windows — on one domain
-    by default, or on several via {!set_executor}. A window spans [min_lat] from the earliest pending
+    [shards] (default 1) splits the node ids into that many equal
+    contiguous ranges, each owning its own event queue and timer wheel.
+    When the delay policy is pure with positive [min_lat] and no faults
+    are injected, the run loop dispatches the shards in parallel
+    windows — on one domain by default, or on several via
+    {!set_executor}. A window spans [min_lat] from the earliest pending
     event, cut short by the next control event, and closes with its own
     merge barrier (DESIGN §14): no event created inside it can land
     inside it on another shard. Events created inside a window carry
     provisional per-shard rank blocks that the barrier rewrites to the
-    exact dense ranks the sequential run would have assigned, so the dispatch order and trace are
-    byte-identical at every shard count {e and} every domain count,
-    including [shards = 1]. Order-sensitive global events (faults,
-    callbacks, topology changes spanning two shards) are kept in a
-    dedicated control queue and always dispatch sequentially between
-    windows; topology events internal to one shard and callbacks
-    declared commuting ({!at}) ride the lane queues and may dispatch
-    inside windows. Raises [Invalid_argument] when [shards < 1].
+    exact dense ranks the sequential run would have assigned, so the
+    dispatch order and trace are byte-identical at every shard count
+    {e and} every domain count, including [shards = 1]. Inside a window
+    only node events (deliveries, discoveries, absence notices, timers)
+    and callbacks declared commuting ({!at}) dispatch; every
+    order-sensitive global event — topology changes, faults, plain
+    callbacks — waits in a dedicated control queue and dispatches
+    sequentially between windows. Raises [Invalid_argument] when
+    [shards < 1].
 
     [faults] (default []) is a deterministic fault schedule (validated
     against [n]; raises [Invalid_argument] on a malformed one). Crash and
@@ -260,23 +255,11 @@ val queue_depth : ('msg, 'timer) t -> int
 
 val shards : ('msg, 'timer) t -> int
 
-val partition : shards:int -> Dyngraph.t -> int array
-(** Traffic-aware shard partition of a graph's current topology: greedy
-    BFS growth from the lowest unassigned id, each shard capped at
-    ⌈n/shards⌉ nodes, neighbors visited in increasing order.
-    Deterministic and O(n + edges). On a path topology it reproduces the
-    contiguous split exactly (each sweep claims the next segment of the
-    line); on clustered or shuffled id spaces it cuts far fewer edges
-    than a contiguous split, which means fewer cross-shard events
-    through the merge barrier. {!create}'s [`Greedy] runs it on the
-    initial topology; feed its result to [`Explicit] to reuse one. Raises
-    [Invalid_argument] when [shards < 1]. *)
-
 val par_blocker : ('msg, 'timer) t -> string option
 (** [None] when this engine can form parallel dispatch windows; otherwise
     a one-line reason for the sequential fallback (single shard, impure
-    or zero-lookahead delay policy, fault injection) —
-    surfaced by [gcs_sim sim --window-stats]. *)
+    or zero-lookahead delay policy, fault injection) — printed by a
+    sharded [gcs_sim sim] run. *)
 
 val footprint_words : ('msg, 'timer) t -> int
 (** Words currently allocated by engine-owned storage: event queues,

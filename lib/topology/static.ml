@@ -115,9 +115,8 @@ let non_tree_edges ~n edges =
    rings plus random chords, sparse bridges closing a ring of clusters.
    Because membership comes from a random permutation, nodes of one
    community are scattered across the id range — the contiguous shard
-   split cuts almost every intra-cluster edge, which is exactly the
-   adversarial case the traffic-aware partitioner exists for. O(n *
-   degree) construction, usable at the tens-of-thousands scale the
+   split cuts almost every intra-cluster edge, the adversarial case for
+   cross-shard traffic. O(n * degree) construction, usable at the tens-of-thousands scale the
    parallel-dispatch smoke runs at. *)
 let cluster prng ~n ~clusters ~degree =
   check_n ~min:2 n;

@@ -30,7 +30,7 @@ val cluster :
     in a ring by single bridge edges (always connected). Node ids are
     scattered by a random permutation, so a contiguous shard split cuts
     almost every intra-cluster edge — the adversarial input for
-    {!Dsim.Engine.partition}. O(n * degree); [clusters] in [1, n/2],
+    sharded dispatch. O(n * degree); [clusters] in [1, n/2],
     [degree >= 2]. *)
 
 val random_geometric :

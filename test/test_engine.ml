@@ -626,61 +626,9 @@ let test_footprint_linear_in_n () =
        ratio)
     true (ratio < 8.)
 
-(* The traffic-aware partitioner is a pure performance knob (any id->shard
-   map yields the same trace), so its regression surface is its *shape*:
-   shards=1 must be the all-zeros map, a path must reproduce the
-   contiguous split exactly (the greedy BFS walks the line segment by
-   segment), a scrambled clustered graph must beat the contiguous cut
-   while staying balanced. *)
-let test_partition_shapes () =
-  let graph_of ~n edges =
-    let g = Dsim.Dyngraph.create ~n in
-    List.iter (fun (u, v) -> ignore (Dsim.Dyngraph.add_edge g ~now:0. u v)) edges;
-    g
-  in
-  let edge_cut g part =
-    Dsim.Dyngraph.fold_edges g
-      (fun acc u v -> if part.(u) <> part.(v) then acc + 1 else acc)
-      0
-  in
-  let n = 24 in
-  let pathg = graph_of ~n (Topology.Static.path n) in
-  Alcotest.(check (array int))
-    "shards=1 is the zero map" (Array.make n 0) (Engine.partition ~shards:1 pathg);
-  List.iter
-    (fun shards ->
-      let chunk = (n + shards - 1) / shards in
-      let contiguous = Array.init n (fun i -> min (i / chunk) (shards - 1)) in
-      Alcotest.(check (array int))
-        (Printf.sprintf "path reproduces the contiguous split (shards=%d)" shards)
-        contiguous
-        (Engine.partition ~shards pathg))
-    [ 2; 4; 7 ];
-  let n = 96 in
-  let edges =
-    Topology.Static.cluster (Dsim.Prng.of_int 7) ~n ~clusters:8 ~degree:4
-  in
-  let cg = graph_of ~n edges in
-  let chunk = (n + 3) / 4 in
-  let contiguous = Array.init n (fun i -> min (i / chunk) 3) in
-  let greedy = Engine.partition ~shards:4 cg in
-  Alcotest.(check bool)
-    "greedy cuts fewer edges than contiguous on scrambled clusters" true
-    (edge_cut cg greedy < edge_cut cg contiguous);
-  let counts = Array.make 4 0 in
-  Array.iter (fun s -> counts.(s) <- counts.(s) + 1) greedy;
-  Array.iteri
-    (fun s c ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shard %d non-empty and within capacity" s)
-        true
-        (c > 0 && c <= chunk))
-    counts
-
 let suite =
   [
     case "message delivery" test_delivery;
-    case "partition: shapes, balance" test_partition_shapes;
     case "joined pair keys cannot collide" test_join_no_pair_key_collision;
     case "join-heavy churn keeps per-link FIFO" test_join_churn_fifo_order;
     case "footprint grows O(n), not O(n^2)" test_footprint_linear_in_n;

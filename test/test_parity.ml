@@ -1,6 +1,6 @@
 (* Scheduling parity: every engine configuration that claims to match the
-   sequential reference — shard count, domain count, partition, window
-   mode — must reproduce its dispatch order, structured trace and
+   sequential reference — shard count, domain count, window mode —
+   must reproduce its dispatch order, structured trace and
    counters byte for byte (DESIGN.md §10, §14). The sequential runs
    themselves are pinned to digests recorded when timers still shared
    the event heap, the engine's original single-queue order: the wheel
@@ -293,15 +293,13 @@ let test_consumer_parity_under_windows () =
    quiet after the initial discovery burst, so nothing but the horizon
    cuts the engine's [min_lat] windows short, and every window closes
    with its own merge barrier. The grid pins two things at once, per topology:
-   every (shards, jobs, partition) point still reproduces the sequential
-   trace byte for byte, and windows and barriers stay one to one. The
-   cluster topology scatters community members across the id range,
-   which is the worst case for the contiguous split and the showcase for
-   the greedy partitioner; both maps must agree on the trace. Window
+   every (shards, jobs) point still reproduces the sequential trace byte
+   for byte, and windows and barriers stay one to one. The cluster
+   topology scatters community members across the id range, the worst
+   case for the contiguous split (most events cross shards). Window
    accounting must stay honest too: the events the windows dispatched
    are a real, positive share of all events dispatched. *)
-let run_sim_adaptive ~edges ?(shards = 1) ?(jobs = 1) ?(partition = `Contiguous)
-    ?(horizon = 50.) () =
+let run_sim_adaptive ~edges ?(shards = 1) ?(jobs = 1) ?(horizon = 50.) () =
   let n = 24 in
   let params = Gcs.Params.make ~n () in
   let clocks = Gcs.Drift.assign params ~horizon ~seed:5 Gcs.Drift.Split_extremes in
@@ -309,8 +307,7 @@ let run_sim_adaptive ~edges ?(shards = 1) ?(jobs = 1) ?(partition = `Contiguous)
   let delay = Dsim.Delay.uniform_keyed ~seed:9 ~lo:(0.25 *. bound) ~bound () in
   let trace = Trace.create ~log_limit:500_000 () in
   let cfg =
-    Gcs.Sim.config ~shards ~partition ~params ~clocks ~delay ~initial_edges:edges
-      ~trace ()
+    Gcs.Sim.config ~shards ~params ~clocks ~delay ~initial_edges:edges ~trace ()
   in
   let sim = Gcs.Sim.create cfg in
   (if jobs > 1 then begin
@@ -346,33 +343,24 @@ let test_adaptive_window_parity () =
         (fun shards ->
           List.iter
             (fun jobs ->
-              List.iter
-                (fun (pname, partition) ->
-                  let sim, trace =
-                    run_sim_adaptive ~edges ~shards ~jobs ~partition ()
-                  in
-                  let tag =
-                    Printf.sprintf "(%s shards=%d jobs=%d partition=%s)" name
-                      shards jobs pname
-                  in
-                  Alcotest.(check int)
-                    ("events processed " ^ tag)
-                    (Dsim.Engine.events_processed (Gcs.Sim.engine base))
-                    (Dsim.Engine.events_processed (Gcs.Sim.engine sim));
-                  Alcotest.(check string)
-                    ("byte-identical trace " ^ tag)
-                    base_csv (Trace.to_csv trace);
-                  Alcotest.(check int)
-                    ("one barrier per window " ^ tag)
-                    (Trace.windows trace) (Trace.barriers trace);
-                  let events = Dsim.Engine.events_processed (Gcs.Sim.engine sim) in
-                  Alcotest.(check bool)
-                    (Printf.sprintf "0 < window events %d <= events %d %s"
-                       (Trace.window_events trace) events tag)
-                    true
-                    (Trace.window_events trace > 0
-                    && Trace.window_events trace <= events))
-                [ ("contiguous", `Contiguous); ("greedy", `Greedy) ])
+              let sim, trace = run_sim_adaptive ~edges ~shards ~jobs () in
+              let tag = Printf.sprintf "(%s shards=%d jobs=%d)" name shards jobs in
+              Alcotest.(check int)
+                ("events processed " ^ tag)
+                (Dsim.Engine.events_processed (Gcs.Sim.engine base))
+                (Dsim.Engine.events_processed (Gcs.Sim.engine sim));
+              Alcotest.(check string)
+                ("byte-identical trace " ^ tag)
+                base_csv (Trace.to_csv trace);
+              Alcotest.(check int)
+                ("one barrier per window " ^ tag)
+                (Trace.windows trace) (Trace.barriers trace);
+              let events = Dsim.Engine.events_processed (Gcs.Sim.engine sim) in
+              Alcotest.(check bool)
+                (Printf.sprintf "0 < window events %d <= events %d %s"
+                   (Trace.window_events trace) events tag)
+                true
+                (Trace.window_events trace > 0 && Trace.window_events trace <= events))
             [ 1; shards ])
         [ 2; 4; 7 ])
     topologies
@@ -421,6 +409,53 @@ let test_parallel_trace_audits_clean () =
   Alcotest.(check bool) "events audited" true
     (report.Audit.Report.events_audited > 0)
 
+(* The window seams' misuse guards, on a churn-free 4-shard run whose
+   windows run uninterrupted. A commuting callback dispatching inside a
+   window may not schedule a control event: a topology change or a
+   plain callback fails loudly before anything is pushed, so the graph
+   is untouched. A pure policy that draws below its own [min_lat] is
+   caught at the first cross-shard send inside a window. *)
+let windowed_sim delay =
+  let n = 24 in
+  let params = Gcs.Params.make ~n () in
+  let clocks = Gcs.Drift.assign params ~horizon:50. ~seed:5 Gcs.Drift.Split_extremes in
+  Gcs.Sim.create
+    (Gcs.Sim.config ~shards:4 ~params ~clocks ~delay:(delay params.Gcs.Params.delay_bound)
+       ~initial_edges:(Topology.Static.ring n) ())
+
+let test_commuting_callback_guard () =
+  List.iter
+    (fun (what, schedule) ->
+      let sim =
+        windowed_sim (fun bound -> Delay.uniform_keyed ~seed:9 ~lo:(0.25 *. bound) ~bound ())
+      in
+      let engine = Gcs.Sim.engine sim in
+      let edges = Dsim.Dyngraph.edge_count (Engine.graph engine) in
+      Engine.at ~commuting:true engine ~time:10. (fun () -> schedule engine);
+      Alcotest.check_raises what
+        (Failure
+           "Engine: a commuting callback scheduled a non-commuting event inside a \
+            parallel window")
+        (fun () -> Gcs.Sim.run_until sim 20.);
+      Alcotest.(check int)
+        ("edge count unchanged after " ^ what)
+        edges
+        (Dsim.Dyngraph.edge_count (Engine.graph engine)))
+    [
+      ("schedule_edge_add", fun e -> Engine.schedule_edge_add e ~at:15. 0 12);
+      ("Engine.at", fun e -> Engine.at e ~time:15. ignore);
+    ]
+
+let test_min_lat_guard () =
+  let sim =
+    windowed_sim (fun bound ->
+        Delay.directed ~pure:true ~min_lat:(0.5 *. bound) ~bound (fun ~src:_ ~dst:_ ~now:_ ->
+            0.1 *. bound))
+  in
+  Alcotest.check_raises "draw below min_lat"
+    (Failure "Engine: delay policy violated its min_lat promise inside a parallel window")
+    (fun () -> Gcs.Sim.run_until sim 20.)
+
 let suite =
   [
     case "engine: timer-heavy protocol matches its pin" test_engine_pinned;
@@ -430,13 +465,16 @@ let suite =
       test_parallel_dispatch_parity;
     case "sim: a consumer under windows writes the sequential CSV"
       test_consumer_parity_under_windows;
-    case "sim: adaptive windows, shards x jobs x topology x partition grid"
+    case "sim: adaptive windows, shards x jobs x topology grid"
       test_adaptive_window_parity;
     case "sim: window buffers do not grow with the horizon"
       test_window_footprint_bounded;
     case "sim: faulted campaign falls back sequential under jobs=4"
       test_parallel_dispatch_parity_faulted;
     case "parallel trace passes conformance audit" test_parallel_trace_audits_clean;
+    case "window guard: commuting callback cannot schedule control events"
+      test_commuting_callback_guard;
+    case "window guard: a draw below min_lat fails loudly" test_min_lat_guard;
     case "sim: seeded churn matches its pin" test_sim_pinned;
     case "sim: fault campaign matches its pin" test_sim_pinned_faulted;
     case "wheel trace passes conformance audit" test_wheel_trace_audits_clean;
