@@ -193,34 +193,48 @@ let params_cmd =
 type topology_kind =
   | Path | Ring | Star | Grid | Complete | Tree | Er | Geometric | Cluster
 
-let topology_conv =
-  Arg.enum
-    [
-      ("path", Path); ("ring", Ring); ("star", Star); ("grid", Grid);
-      ("complete", Complete); ("tree", Tree); ("er", Er); ("geometric", Geometric);
-      ("cluster", Cluster);
-    ]
+let topologies =
+  [
+    ("path", Path); ("ring", Ring); ("star", Star); ("grid", Grid);
+    ("complete", Complete); ("tree", Tree); ("er", Er); ("geometric", Geometric);
+    ("cluster", Cluster);
+  ]
 
-let algo_conv =
-  Arg.enum
-    [
-      ("gradient", Gcs.Sim.Gradient);
-      ("flat", Gcs.Sim.Flat_gradient);
-      ("max", Gcs.Sim.Max_only);
-    ]
+let algos =
+  [ ("gradient", Gcs.Sim.Gradient); ("flat", Gcs.Sim.Flat_gradient); ("max", Gcs.Sim.Max_only) ]
 
 type drift_kind = Dperfect | Dsplit | Dalternating | Drandom | Dgradient
 
-let drift_conv =
-  Arg.enum
-    [
-      ("perfect", Dperfect); ("split", Dsplit); ("alternating", Dalternating);
-      ("random", Drandom); ("gradient", Dgradient);
-    ]
+let drifts =
+  [
+    ("perfect", Dperfect); ("split", Dsplit); ("alternating", Dalternating);
+    ("random", Drandom); ("gradient", Dgradient);
+  ]
 
 type delay_kind = Ymax | Yzero | Yuniform
 
-let delay_conv = Arg.enum [ ("max", Ymax); ("zero", Yzero); ("uniform", Yuniform) ]
+let delays = [ ("max", Ymax); ("zero", Yzero); ("uniform", Yuniform) ]
+
+(* The flag value an enum was parsed from. *)
+let name_of table v = fst (List.find (fun (_, x) -> x = v) table)
+
+(* A --faults schedule that does not parse, or names a node outside
+   [0, n), is a usage error. *)
+let faults_of_flag ~n spec =
+  let checked f = Result.map (fun () -> f) (Dsim.Fault.validate ~n f) in
+  match Result.bind (Dsim.Fault.of_spec spec) checked with
+  | Ok faults -> faults
+  | Error msg -> invalid_flag "faults" "%s" msg
+
+(* A word the shell reads back unchanged, quoted only when it must be. *)
+let shell_word w =
+  let plain = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' | ',' | '/' | ':' | '=' | '@'
+    | '+' ->
+      true
+    | _ -> false
+  in
+  if w <> "" && String.for_all plain w then w else Filename.quote w
 
 let build_topology kind ~n ~seed =
   let module S = Topology.Static in
@@ -248,19 +262,19 @@ let build_topology kind ~n ~seed =
 let sim_cmd =
   let doc = "Run an ad-hoc simulation and print a skew summary." in
   let topology =
-    Arg.(value & opt topology_conv Path & info [ "topology" ] ~docv:"TOPO"
+    Arg.(value & opt (enum topologies) Path & info [ "topology" ] ~docv:"TOPO"
            ~doc:"One of path, ring, star, grid, complete, tree, er, geometric, cluster.")
   in
   let algo =
-    Arg.(value & opt algo_conv Gcs.Sim.Gradient
+    Arg.(value & opt (enum algos) Gcs.Sim.Gradient
          & info [ "algo" ] ~docv:"ALGO" ~doc:"gradient, flat or max.")
   in
   let drift =
-    Arg.(value & opt drift_conv Dsplit
+    Arg.(value & opt (enum drifts) Dsplit
          & info [ "drift" ] ~docv:"DRIFT" ~doc:"perfect, split, alternating, random, gradient.")
   in
   let delay =
-    Arg.(value & opt delay_conv Ymax & info [ "delay" ] ~docv:"DELAY" ~doc:"max, zero or uniform.")
+    Arg.(value & opt (enum delays) Ymax & info [ "delay" ] ~docv:"DELAY" ~doc:"max, zero or uniform.")
   in
   let horizon =
     Arg.(value & opt float 300. & info [ "horizon" ] ~docv:"T" ~doc:"Simulated time.")
@@ -320,22 +334,8 @@ let sim_cmd =
                 a sharded run prints its window statistics. The execution and \
                 trace are byte-identical at every shard count.")
   in
-  let no_gap_check =
-    Arg.(value & flag
-         & info [ "no-gap-check" ]
-             ~doc:
-               "Audit opt-out: skip the receipt-gap (liveness) rule. Use for \
-                algorithms that do not broadcast every subjective dH.")
-  in
-  let no_lost_check =
-    Arg.(value & flag
-         & info [ "no-lost-check" ]
-             ~doc:
-               "Audit opt-out: skip the lost-timer cadence rule. Use for \
-                algorithms with per-peer timeouts shorter than dT'.")
-  in
   let run n rho b0 seed topology algo drift delay horizon churn_rate new_edge timeline
-      plot loss csv trace_csv audit shards fault_spec no_gap_check no_lost_check =
+      plot loss csv trace_csv audit shards fault_spec =
     let params = make_params ~n ~rho ~b0 in
     if not (horizon > 0.) then invalid_flag "horizon" "must be positive (got %g)" horizon;
     if not (loss >= 0. && loss < 1.) then
@@ -348,19 +348,37 @@ let sim_cmd =
       if u = v then invalid_flag "new-edge" "self-loop %d,%d" u v;
       if t < 0. then invalid_flag "new-edge" "negative time %g" t
     | None -> ());
-    let faults =
-      if fault_spec = "" then []
-      else
-        match Dsim.Fault.of_spec fault_spec with
-        | Ok sched -> (
-          match Dsim.Fault.validate ~n sched with
-          | Ok () -> sched
-          | Error msg ->
-            Format.eprintf "invalid --faults schedule: %s@." msg;
-            exit 2)
-        | Error msg ->
-          Format.eprintf "cannot parse --faults spec: %s@." msg;
-          exit 2
+    let faults = faults_of_flag ~n fault_spec in
+    (* Every flag that shapes the run, floats printed to read back bit
+       for bit: pasting the line replays the execution exactly. *)
+    let run_line =
+      let f = Dsim.Fault.exact_float in
+      (* cmdliner reads a value that starts with '-' only as --flag=value *)
+      let flag name value =
+        if String.starts_with ~prefix:"-" value then [ "--" ^ name ^ "=" ^ value ]
+        else [ "--" ^ name; value ]
+      in
+      let some name to_s = function Some v -> flag name (to_s v) | None -> [] in
+      List.concat
+        [
+          [ "gcs_sim"; "sim" ];
+          flag "nodes" (string_of_int n);
+          flag "rho" (f rho);
+          some "b0" f b0;
+          flag "seed" (string_of_int seed);
+          flag "topology" (name_of topologies topology);
+          flag "algo" (name_of algos algo);
+          flag "drift" (name_of drifts drift);
+          flag "delay" (name_of delays delay);
+          flag "horizon" (f horizon);
+          flag "churn" (f churn_rate);
+          some "new-edge" (fun (u, v, t) -> Printf.sprintf "%d,%d,%s" u v (f t)) new_edge;
+          flag "loss" (f loss);
+          flag "shards" (string_of_int shards);
+          (if faults = [] then [] else flag "faults" (Dsim.Fault.to_spec faults));
+          (if audit then [ "--audit" ] else []);
+        ]
+      |> List.map shell_word |> String.concat " "
     in
     let edges = build_topology topology ~n ~seed in
     let drift_spec =
@@ -389,8 +407,7 @@ let sim_cmd =
     let conformance =
       Audit.Conformance.create
         (Audit.Conformance.of_params params ~horizon
-           ~check_gaps:(loss = 0. && not no_gap_check)
-           ~check_lost_timers:(not no_lost_check) ~faults ())
+           ~check_gaps:(loss = 0.) ~faults ())
     in
     let timeline_out = Option.map open_out_or_exit csv in
     let csv_out = Option.map open_out_or_exit trace_csv in
@@ -443,14 +460,7 @@ let sim_cmd =
             (fun () -> Gcs.Sim.run_until sim horizon))
     else Gcs.Sim.run_until sim horizon;
     Format.printf "%a@.@." Gcs.Params.pp params;
-    Format.printf "algo=%s topology=%s n=%d horizon=%g seed=%d@."
-      (Gcs.Sim.algo_to_string algo)
-      (match topology with
-      | Path -> "path" | Ring -> "ring" | Star -> "star" | Grid -> "grid"
-      | Complete -> "complete" | Tree -> "tree" | Er -> "er" | Geometric -> "geometric"
-      | Cluster -> "cluster")
-      n horizon seed;
-    if faults <> [] then Format.printf "faults=%s@." (Dsim.Fault.to_spec faults);
+    Format.printf "run: %s@." run_line;
     Format.printf "events=%d messages=%d jumps=%d@."
       (Dsim.Engine.events_processed engine)
       (Gcs.Sim.total_messages sim) (Gcs.Sim.total_jumps sim);
@@ -501,45 +511,6 @@ let sim_cmd =
     List.iter
       (fun v -> Format.printf "  %a@." Gcs.Invariant.pp_violation v)
       (Gcs.Invariant.violations monitor);
-    (* A sim --audit failure should hand back a one-command repro the way
-       fuzz failures do. Only the part of sim's knob space whose recipe
-       coincides with Scenario.run's maps to a spec that replays the
-       identical execution (same PRNG streams, same clock assignment):
-       anything else would print a spec reproducing a different run. *)
-    let scenario_of_sim () =
-      let ( let* ) = Option.bind in
-      let* s_topo =
-        match topology with
-        | Path -> Some 0 | Ring -> Some 1 | Tree -> Some 2 | _ -> None
-      in
-      let* s_drift =
-        (* alternating/walk periods differ (Scenario pins 17/9, sim scales
-           with the horizon), so only the horizon-free patterns map *)
-        match drift with Dperfect -> Some 0 | Dsplit -> Some 1 | _ -> None
-      in
-      let s_delay = match delay with Ymax -> 0 | Yzero -> 1 | Yuniform -> 2 in
-      let s_algo =
-        match algo with
-        | Gcs.Sim.Gradient -> 0 | Gcs.Sim.Flat_gradient -> 1 | Gcs.Sim.Max_only -> 2
-      in
-      let* s_churn =
-        (* Scenario churn is rate 0.3 from seed + 2; sim matches exactly
-           at that rate *)
-        if churn_rate = 0. then Some false
-        else if churn_rate = 0.3 then Some true
-        else None
-      in
-      if
-        rho <> 0.05 || b0 <> None || loss > 0. || new_edge <> None
-        || faults <> [] (* scenario fault replay uses fault seed + 4 *)
-      then None
-      else
-        Some
-          {
-            Audit.Scenario.n; topo = s_topo; drift = s_drift; delay = s_delay;
-            algo = s_algo; churn = s_churn; seed; horizon; faults = [];
-          }
-    in
     Option.iter
       (fun guarantees ->
         let report =
@@ -549,14 +520,7 @@ let sim_cmd =
         in
         Format.printf "audit: %a@." Audit.Report.pp report;
         if not (Audit.Report.ok report && Gcs.Invariant.ok monitor) then begin
-          (match scenario_of_sim () with
-          | Some sc ->
-            Format.printf "replay spec: %s@." (Audit.Scenario.to_spec sc)
-          | None ->
-            Format.printf
-              "replay spec: (these flags fall outside the fuzz scenario \
-               space — rerun gcs_sim sim with the same arguments to \
-               reproduce)@.");
+          Format.printf "replay: %s@." run_line;
           exit 1
         end)
       guarantees;
@@ -606,7 +570,7 @@ let sim_cmd =
     Term.(
       const run $ n_arg $ rho_arg $ b0_arg $ seed_arg $ topology $ algo $ drift $ delay
       $ horizon $ churn_rate $ new_edge $ timeline $ plot $ loss $ csv $ trace_csv
-      $ audit $ shards $ faults $ no_gap_check $ no_lost_check)
+      $ audit $ shards $ faults)
 
 (* ------------------------------- fuzz ------------------------------ *)
 
@@ -812,15 +776,7 @@ let mcheck_cmd =
             out;
           if not (Audit.Report.ok report) then exit 1))
     | None ->
-      let faults =
-        if fault_spec = "" then []
-        else
-          match Dsim.Fault.of_spec fault_spec with
-          | Ok sched -> sched
-          | Error msg ->
-            Format.eprintf "cannot parse --faults spec: %s@." msg;
-            exit 2
-      in
+      let faults = faults_of_flag ~n fault_spec in
       if faults <> [] && fault_grid then begin
         Format.eprintf "--faults and --fault-grid are mutually exclusive@.";
         exit 2

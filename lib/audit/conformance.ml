@@ -7,12 +7,10 @@ type config = {
   min_lost_gap : float;
   horizon : float;
   check_gaps : bool;
-  check_lost_timers : bool;
   faults : Dsim.Fault.schedule;
 }
 
-let of_params params ~horizon ?(check_gaps = true) ?(check_lost_timers = true)
-    ?(faults = []) () =
+let of_params params ~horizon ?(check_gaps = true) ?(faults = []) () =
   {
     delay_bound = params.Gcs.Params.delay_bound;
     discovery_bound = params.Gcs.Params.discovery_bound;
@@ -23,7 +21,6 @@ let of_params params ~horizon ?(check_gaps = true) ?(check_lost_timers = true)
     min_lost_gap = Gcs.Params.delta_t' params /. (1. +. params.Gcs.Params.rho);
     horizon;
     check_gaps;
-    check_lost_timers;
     faults;
   }
 
@@ -36,11 +33,7 @@ let sender_outage cfg ~src t0 t1 =
   Dsim.Fault.crashed_in cfg.faults ~node:src t0 t1
   || Dsim.Fault.restarted_in cfg.faults ~node:src t0 t1
 
-(* Float comparisons tolerate accumulation relative to the magnitudes
-   involved, mirroring Invariant's slack policy. *)
-let eps_abs = 1e-9
-let eps_rel = 1e-7
-let slack m = eps_abs +. (eps_rel *. Float.abs m)
+let slack = Gcs.Invariant.slack
 
 (* One outstanding discovery obligation: change [o_epoch] at [o_time]
    must reach both endpoints by [o_deadline] unless superseded by a
@@ -251,7 +244,7 @@ let on_deliver st ~time src dst epoch =
    after the last delivery v -> node means the engine fired it early or
    dropped a re-arm. *)
 let on_timer_fire st ~time node label =
-  if st.cfg.check_lost_timers && label >= 1 then begin
+  if label >= 1 then begin
     let v = label - 1 in
     match Hashtbl.find_opt st.links (v, node) with
     | Some link when link.last_receipt_epoch >= 0 ->

@@ -25,7 +25,7 @@
       consecutive receipts on an unchanged link may be at most
       [ΔT = T + ΔH/(1-ρ)] apart — the window that calibrates the
       [ΔT'] lost-timeout (Section 5).
-    - {b lost-timer cadence} (optional, [check_lost_timers]): a
+    - {b lost-timer cadence}: a
       [Timer_fire] whose label encodes [lost(v)] (label [v + 1], see
       {!Gcs.Proto.timer_label}) must come at least [ΔT'/(1+ρ)] real time
       after the last delivery from [v] — each receipt re-arms the timer
@@ -52,7 +52,6 @@ type config = {
       (** ΔT'/(1+ρ), the min real time from a receipt to a lost-fire *)
   horizon : float;  (** end of the audited execution *)
   check_gaps : bool;
-  check_lost_timers : bool;
   faults : Dsim.Fault.schedule;  (** the schedule the execution ran under *)
 }
 
@@ -60,16 +59,13 @@ val of_params :
   Gcs.Params.t ->
   horizon:float ->
   ?check_gaps:bool ->
-  ?check_lost_timers:bool ->
   ?faults:Dsim.Fault.schedule ->
   unit ->
   config
 (** [check_gaps] defaults to [true]; disable it for executions whose
     algorithm does not broadcast every [ΔH] or whose delay policy drops
-    messages beyond what the trace records. [check_lost_timers] defaults
-    to [true]; disable it for algorithms with per-peer timeouts shorter
-    than [ΔT'] (e.g. {!Gcs.Hetero}). [faults] defaults to none; it must
-    match the schedule the traced execution was run with. *)
+    messages beyond what the trace records. [faults] defaults to none;
+    it must match the schedule the traced execution was run with. *)
 
 val audit : config -> Dsim.Trace.entry list -> Report.t
 (** Replay the entries (which must be in time order, as recorded) and

@@ -5,17 +5,41 @@ type t = {
   mutable probes : int;
 }
 
-let eps_abs = 1e-9
-let eps_rel = 1e-7
-let slack m = eps_abs +. (eps_rel *. Float.abs m)
+let slack = Gcs.Invariant.slack
 
 (* Lemma 6.8: on a connected network the spread of the Lmax estimates is
    at most (1+rho)(n-1)dT — one dT propagation hop per node, each aged by
-   at most the fastest clock rate. Shared with the model explorer. *)
+   at most the fastest clock rate. *)
 let lmax_lag_bound params =
   (1. +. params.Gcs.Params.rho)
   *. float_of_int (params.Gcs.Params.n - 1)
   *. Gcs.Params.delta_t params
+
+(* The model explorer runs this between every pair of events, so nothing
+   may allocate per probe: the bound is computed once, at the partial
+   application to [params], and the spread is a plain loop rather than a
+   fold over tuples. *)
+let lmax_lag params =
+  let bound = lmax_lag_bound params in
+  let limit = bound +. slack bound in
+  fun view ~alive ~time ->
+    let lo = ref infinity and hi = ref neg_infinity in
+    for i = 0 to view.Gcs.Metrics.n - 1 do
+      if alive i then begin
+        let m = view.Gcs.Metrics.lmax_of i in
+        if m < !lo then lo := m;
+        if m > !hi then hi := m
+      end
+    done;
+    let lag = !hi -. !lo in
+    if lag > limit then
+      Some
+        {
+          Report.time;
+          rule = "lmax-propagation";
+          detail = Printf.sprintf "Lmax lag %.9g > (1+rho)(n-1)dT=%.9g" lag bound;
+        }
+    else None
 
 (* Fold a node statistic over the nodes that are up at [time]; crashed
    nodes keep stale frozen state that proves nothing about the engine. *)
@@ -54,18 +78,10 @@ let probe engine view ~params ~check_envelope ~faults ~suspend_from ~suspend_unt
                                          | Some l -> l
                                          | None -> suspend_until)))
       else add "global-skew-bound" (Printf.sprintf "global skew %.9g > G(n)=%.9g" g g_bound);
-    let lag_bound = lmax_lag_bound params in
-    let lag =
-      fold_alive view faults ~time
-        (fun (lo, hi) i ->
-          let m = view.Gcs.Metrics.lmax_of i in
-          (Float.min lo m, Float.max hi m))
-        (infinity, neg_infinity)
-      |> fun (lo, hi) -> hi -. lo
-    in
-    if (not recovering) && lag > lag_bound +. slack lag_bound then
-      add "lmax-propagation"
-        (Printf.sprintf "Lmax lag %.9g > (1+rho)(n-1)dT=%.9g" lag lag_bound);
+    if not recovering then
+      Option.iter
+        (fun v -> mon.violations <- v :: mon.violations)
+        (lmax_lag params view ~alive ~time);
     if check_envelope then begin
       let graph = Engine.graph engine in
       Dsim.Dyngraph.fold_edges graph

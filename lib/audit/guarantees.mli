@@ -25,10 +25,18 @@
 
 type t
 
-val lmax_lag_bound : Gcs.Params.t -> float
-(** The Lemma 6.8 bound [(1+ρ)(n-1)ΔT] on the spread of the [Lmax]
-    estimates over a connected network — the exact expression the probe
-    checks, exported so the model explorer checks the same number. *)
+val lmax_lag :
+  Gcs.Params.t ->
+  Gcs.Metrics.view ->
+  alive:(int -> bool) ->
+  time:float ->
+  Report.violation option
+(** The Lemma 6.8 rule, the one both this probe and the model explorer
+    run: the spread of [Lmax] over the nodes [alive] accepts must stay
+    within [(1+ρ)(n-1)ΔT]. [Some] carries the ["lmax-propagation"]
+    violation stamped [time]. Apply it to [params] once: the bound is
+    computed then, and each later call allocates nothing when the rule
+    holds. *)
 
 val attach :
   (Gcs.Proto.message, Gcs.Proto.timer) Dsim.Engine.t ->

@@ -16,11 +16,12 @@ let delay_names = [| "maximal"; "zero"; "uniform" |]
 let algo_names = [| "gradient"; "flat"; "max" |]
 
 let to_spec s =
-  Printf.sprintf "n=%d topo=%s drift=%s delay=%s algo=%s churn=%d seed=%d horizon=%g%s"
+  Printf.sprintf "n=%d topo=%s drift=%s delay=%s algo=%s churn=%d seed=%d horizon=%s%s"
     s.n topo_names.(s.topo) drift_names.(s.drift) delay_names.(s.delay)
     algo_names.(s.algo)
     (if s.churn then 1 else 0)
-    s.seed s.horizon
+    s.seed
+    (Dsim.Fault.exact_float s.horizon)
     (* The fault token is omitted when empty so pre-fault specs round-trip
        unchanged (and old specs keep parsing). *)
     (match s.faults with [] -> "" | f -> " faults=" ^ Dsim.Fault.to_spec f)
@@ -75,6 +76,17 @@ module Fields = struct
       | "0" -> Ok false
       | "1" -> Ok true
       | v -> Error (Printf.sprintf "%s=%s is not 0 or 1" key v))
+
+  let horizon fields =
+    Result.bind (get fields "horizon") (fun v ->
+        match float_of_string_opt v with
+        | Some h when h > 0. -> Ok h
+        | _ -> Error (Printf.sprintf "horizon=%s is not a positive number" v))
+
+  let faults fields =
+    match find fields "faults" with
+    | None -> Ok []
+    | Some v -> Dsim.Fault.of_spec v
 end
 
 let of_spec spec =
@@ -100,17 +112,8 @@ let of_spec spec =
   let* algo = named_field "algo" algo_names in
   let* churn = Fields.bool fields "churn" in
   let* seed = Fields.int fields "seed" in
-  let* horizon_s = Fields.get fields "horizon" in
-  let* horizon =
-    match float_of_string_opt horizon_s with
-    | Some h when h > 0. -> Ok h
-    | _ -> Error (Printf.sprintf "horizon=%s is not a positive number" horizon_s)
-  in
-  let* faults =
-    match Fields.find fields "faults" with
-    | None -> Ok []  (* optional: absent in pre-fault specs *)
-    | Some v -> Dsim.Fault.of_spec v
-  in
+  let* horizon = Fields.horizon fields in
+  let* faults = Fields.faults fields in
   if n < 2 then Error "n must be >= 2"
   else
     let* () = Dsim.Fault.validate ~n faults in

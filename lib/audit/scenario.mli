@@ -34,17 +34,24 @@ module Fields : sig
   (** Rejects a token without [=], a key outside [keys], a key given
       twice and an empty value, each with an error naming the key. *)
 
-  val find : t -> string -> string option
   val get : t -> string -> (string, string) result
   val int : t -> string -> (int, string) result
 
   val bool : t -> string -> (bool, string) result
   (** [0] or [1]; anything else is an error. *)
+
+  val horizon : t -> (float, string) result
+  (** The required [horizon=] token, a positive float. *)
+
+  val faults : t -> (Dsim.Fault.schedule, string) result
+  (** The optional [faults=] token ({!Dsim.Fault.of_spec}); absent means
+      no faults. Not range-checked: validate once [n] is known. *)
 end
 
 val to_spec : t -> string
 (** Appends [faults=<Fault.to_spec>] only when the schedule is non-empty,
-    so pre-fault specs round-trip unchanged. *)
+    so pre-fault specs round-trip unchanged. Floats print with
+    {!Dsim.Fault.exact_float}, so [of_spec (to_spec s) = Ok s]. *)
 
 val of_spec : string -> (t, string) result
 (** The [faults=] token is optional (absent means no faults) and is

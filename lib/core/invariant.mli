@@ -15,6 +15,13 @@
 
 type violation = { time : float; node : int; kind : string; detail : string }
 
+val slack : float -> float
+(** [slack m] is the float tolerance for a comparison at magnitude [m]:
+    [1e-9 + 1e-7 |m|]. Every probe and audit rule (this monitor,
+    [Audit.Conformance], [Audit.Guarantees], the model explorer) compares
+    with it, so long horizons neither mask real deficits nor turn float
+    accumulation into spurious violations. *)
+
 type checker
 (** The engine-independent core: a sequence of probe observations checked
     against the rules above. {!attach} drives one from engine callbacks;
@@ -38,9 +45,6 @@ val observe :
   checker -> time:float -> l:(int -> float) -> lmax:(int -> float) -> unit
 (** Feed one probe: the clock accessors are sampled for every node alive
     at [time]. Observation times must be non-decreasing. *)
-
-val observe_view : checker -> Metrics.view -> time:float -> unit
-(** {!observe} with the accessors of a metrics view. *)
 
 val attach :
   (Proto.message, Proto.timer) Dsim.Engine.t ->

@@ -42,8 +42,6 @@ let dynamic_local_skew p dt =
 
 let stable_local_skew p = p.b0 +. (2. *. p.rho *. w p)
 
-let local_skew_subjective p dt_subj = b p dt_subj +. (2. *. p.rho *. w p)
-
 let validate p =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   if p.n < 2 then err "n must be at least 2 (got %d)" p.n

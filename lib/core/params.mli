@@ -88,10 +88,5 @@ val dynamic_local_skew : t -> float -> float
 val stable_local_skew : t -> float
 (** [lim_{dt -> ∞} dynamic_local_skew p dt = B0 + 2 rho W]. *)
 
-val local_skew_subjective : t -> float -> float
-(** Theorem 6.12's bound in terms of [B^v_u]: [B(Δt_subj - ...) + 2 rho W]
-    evaluated directly on a subjective age; used by per-edge envelope
-    checks where the node's own view of edge age is available. *)
-
 val pp : Format.formatter -> t -> unit
 (** Print the parameter set and all derived quantities. *)

@@ -7,5 +7,3 @@ let timer_label = function Tick -> 0 | Lost v -> v + 1
 type ctx = (message, timer) Dsim.Engine.ctx
 
 type handlers = (message, timer) Dsim.Engine.handlers
-
-let pp_message fmt m = Format.fprintf fmt "<L=%g, Lmax=%g>" m.l m.lmax

@@ -16,5 +16,3 @@ val timer_label : timer -> int
 type ctx = (message, timer) Dsim.Engine.ctx
 
 type handlers = (message, timer) Dsim.Engine.handlers
-
-val pp_message : Format.formatter -> message -> unit

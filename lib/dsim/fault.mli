@@ -43,8 +43,15 @@ val last_time : schedule -> float option
 (** Earliest effect time / latest time at which any op is still active
     ([at] for crash/restart, [until] for windows). [None] on []. *)
 
+val exact_float : float -> string
+(** The first of [%.15g], [%.16g] and [%.17g] that [float_of_string]
+    reads back to the same float: the shortest decimal that replays bit
+    for bit. Every replay grammar (this one, [Audit.Scenario],
+    [Mcheck.Spec], [gcs_sim sim]'s [run:] line) prints floats with it. *)
+
 val to_spec : schedule -> string
-(** One token: ops joined by [';'] in the grammar above. [""] on []. *)
+(** One token: ops joined by [';'] in the grammar above, times printed
+    with {!exact_float}. [""] on []. *)
 
 val of_spec : string -> (schedule, string) result
 (** Inverse of {!to_spec}. Does not range-check nodes (use {!validate}
@@ -53,8 +60,7 @@ val of_spec : string -> (schedule, string) result
 val generate : Prng.t -> n:int -> horizon:float -> schedule
 (** Draw a small random schedule: up to two crash/restart pairs (possibly
     corrupting), up to one duplication or reordering window, and up to one
-    Byzantine window. All times are quantized to 0.25 so specs round-trip
-    exactly through {!to_spec}/{!of_spec}. *)
+    Byzantine window. All times are quantized to 0.25. *)
 
 val alive : schedule -> node:int -> at:float -> bool
 (** [false] iff the schedule has the node down (crashed, not yet
@@ -75,11 +81,6 @@ val duplicated : schedule -> src:int -> dst:int -> at:float -> bool
 (** Is a duplication window for the directed link active at [at]? *)
 
 val reordered : schedule -> src:int -> dst:int -> at:float -> bool
-
-val reorder_near : schedule -> src:int -> dst:int -> at:float -> slop:float -> bool
-(** Like {!reordered} but widening each window by [slop] on both sides —
-    used by the auditor, which sees deliveries up to a delay bound after
-    the send that was reordered. *)
 
 val byzantine : schedule -> node:int -> at:float -> bool
 (** Is a Byzantine window for the node's outgoing messages active at

@@ -71,12 +71,8 @@ let rate_at c t =
 let segments c =
   Array.to_list (Array.init (Array.length c.starts) (fun i -> (c.starts.(i), c.rates.(i))))
 
-let max_rate c = Array.fold_left Float.max neg_infinity c.rates
-
-let min_rate c = Array.fold_left Float.min infinity c.rates
-
 let within_drift ~rho c =
-  min_rate c >= 1. -. rho && max_rate c <= 1. +. rho
+  Array.for_all (fun r -> r >= 1. -. rho && r <= 1. +. rho) c.rates
 
 let fastest ~rho = constant (1. +. rho)
 

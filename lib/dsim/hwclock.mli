@@ -34,10 +34,6 @@ val rate_at : t -> float -> float
 val segments : t -> (float * float) list
 (** The defining [(start_time, rate)] schedule. *)
 
-val max_rate : t -> float
-
-val min_rate : t -> float
-
 val within_drift : rho:float -> t -> bool
 (** Do all rates lie in [\[1-rho, 1+rho\]]? *)
 

@@ -127,8 +127,6 @@ val detail : entry -> string
 (** The entry's detail rendered as the engine's traditional short form,
     e.g. ["3->4"], ["{0,1}"], ["2:{2,5}"]. *)
 
-val pp_detail : Format.formatter -> entry -> unit
-
 val pp_entry : Format.formatter -> entry -> unit
 (** One line: time, kind, detail. *)
 

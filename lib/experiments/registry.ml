@@ -83,8 +83,3 @@ let all =
 let find id =
   let id = String.uppercase_ascii id in
   List.find_opt (fun e -> e.id = id) all
-
-(* Entries are independently seeded, so the registry fans out over the
-   domain pool; Runner.map's order-preserving merge keeps the result list
-   (and anything printed from it) byte-identical to the serial path. *)
-let run_all ?jobs ~quick () = Runner.map ?jobs (fun e -> e.run ~quick) all

@@ -11,8 +11,3 @@ val all : entry list
 
 val find : string -> entry option
 (** Case-insensitive lookup by id ("e1" .. "e8"). *)
-
-val run_all : ?jobs:int -> quick:bool -> unit -> Common.result list
-(** Run every experiment on {!Runner.map}'s domain pool ([jobs] defaults
-    to {!Runner.default_jobs}); results come back in registry order and
-    are byte-identical for every [jobs]. *)

@@ -88,10 +88,6 @@ let canon ~quantum ~n ~now ~epending ~view ~alive ~pending =
 (* One branch = one deterministic execution                            *)
 (* ------------------------------------------------------------------ *)
 
-let eps_abs = 1e-9
-let eps_rel = 1e-7
-let slack m = eps_abs +. (eps_rel *. Float.abs m)
-
 type branch = {
   b_log : (int * int) array;  (* (taken, options) per choice point *)
   b_report : Report.t option;  (* None: pruned before completion *)
@@ -185,7 +181,8 @@ let run_branch ?csv (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
      disconnects tiny graphs and faults legitimately break it until
      recovery, so the lag probe is scoped to the clean configurations. *)
   let check_lag = s.Spec.faults = [] && not s.Spec.churn in
-  let lag_bound = Audit.Guarantees.lmax_lag_bound params in
+  let lmax_lag = Audit.Guarantees.lmax_lag params in
+  let alive = Gcs.Sim.alive sim in
   let lag_violations = ref [] in
   let samples = ref [] in
   let probe () =
@@ -193,25 +190,9 @@ let run_branch ?csv (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
     Gcs.Invariant.observe inv ~time ~l:view.Gcs.Metrics.clock_of
       ~lmax:view.Gcs.Metrics.lmax_of;
     if check_lag then begin
-      let lo = ref infinity and hi = ref neg_infinity in
-      for i = 0 to s.Spec.n - 1 do
-        if Gcs.Sim.alive sim i then begin
-          let m = view.Gcs.Metrics.lmax_of i in
-          if m < !lo then lo := m;
-          if m > !hi then hi := m
-        end
-      done;
-      let lag = !hi -. !lo in
-      if lag > lag_bound +. slack lag_bound then
-        lag_violations :=
-          {
-            Report.time;
-            rule = "lmax-propagation";
-            detail =
-              Printf.sprintf "Lmax lag %.9g > (1+rho)(n-1)dT=%.9g" lag
-                lag_bound;
-          }
-          :: !lag_violations
+      match lmax_lag view ~alive ~time with
+      | Some v -> lag_violations := v :: !lag_violations
+      | None -> ()
     end;
     if sample then
       samples :=

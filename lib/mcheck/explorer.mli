@@ -8,7 +8,7 @@
     6 obligations with the {e same} checker code as the offline auditor
     ({!Audit.Conformance.step} fed incrementally, the
     {!Gcs.Invariant.checker} validity rules, and the Lemma 6.8 Lmax-lag
-    bound from {!Audit.Guarantees.lmax_lag_bound}).
+    rule {!Audit.Guarantees.lmax_lag}).
 
     There is no snapshotting: a branch is identified by its {e choice
     tape} (the option index taken at each choice point), and the engine's
@@ -141,5 +141,3 @@ val roots :
     [alphabet] (default ["sf"], so [2^n] assignments), optionally crossed
     with a small fault grid ([fault_grid], default off: no-faults plus a
     crash of node [n-1] at [t=1] with restart at [t=2]). *)
-
-val default_quantum : float

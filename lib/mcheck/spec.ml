@@ -47,8 +47,10 @@ let choices_token = function
   | cs -> String.concat "." (List.map string_of_int cs)
 
 let to_spec s =
-  Printf.sprintf "n=%d delays=%d drift=%s horizon=%g depth=%d tie=%d churn=%d%s choices=%s"
-    s.n s.delays s.drift s.horizon s.depth
+  Printf.sprintf "n=%d delays=%d drift=%s horizon=%s depth=%d tie=%d churn=%d%s choices=%s"
+    s.n s.delays s.drift
+    (Dsim.Fault.exact_float s.horizon)
+    s.depth
     (if s.tie then 1 else 0)
     (if s.churn then 1 else 0)
     (match s.faults with [] -> "" | f -> " faults=" ^ Dsim.Fault.to_spec f)
@@ -65,20 +67,11 @@ let of_spec spec =
   let* n = F.int fields "n" in
   let* delays = F.int fields "delays" in
   let* drift = F.get fields "drift" in
-  let* horizon_s = F.get fields "horizon" in
-  let* horizon =
-    match float_of_string_opt horizon_s with
-    | Some h when h > 0. -> Ok h
-    | _ -> Error (Printf.sprintf "horizon=%s is not a positive number" horizon_s)
-  in
+  let* horizon = F.horizon fields in
   let* depth = F.int fields "depth" in
   let* tie = F.bool fields "tie" in
   let* churn = F.bool fields "churn" in
-  let* faults =
-    match F.find fields "faults" with
-    | None -> Ok [] (* optional, like Scenario specs *)
-    | Some v -> Dsim.Fault.of_spec v
-  in
+  let* faults = F.faults fields in
   let* choices_s = F.get fields "choices" in
   let* choices =
     if choices_s = "-" then Ok []

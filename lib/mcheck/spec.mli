@@ -54,7 +54,7 @@ val to_spec : t -> string
 (** One line, e.g.
     [n=2 delays=3 drift=sf horizon=4 depth=12 tie=1 churn=0 choices=0.2.1].
     The fault token is omitted when the schedule is empty; an empty tape
-    prints as [choices=-]. *)
+    prints as [choices=-]. Floats print with {!Dsim.Fault.exact_float}. *)
 
 val of_spec : string -> (t, string) result
 (** Inverse of {!to_spec}: [of_spec (to_spec s) = Ok s]. Unknown or

@@ -72,11 +72,11 @@ let resolve_jobs = function
    what is left of it. *)
 let capped_jobs requested = min requested (max 1 (default_jobs () - Atomic.get live))
 
-let map_indexed ?jobs f items =
+let map ?jobs f items =
   let arr = Array.of_list items in
   let n = Array.length arr in
   let jobs = min (capped_jobs (resolve_jobs jobs)) n in
-  if jobs <= 1 then List.mapi (fun i x -> f i x) items
+  if jobs <= 1 then List.map f items
   else begin
     let pool =
       {
@@ -97,7 +97,7 @@ let map_indexed ?jobs f items =
     let domains =
       List.init jobs (fun _ ->
           Atomic.incr live;
-          Domain.spawn (fun () -> worker pool (fun i -> f i arr.(i))))
+          Domain.spawn (fun () -> worker pool (fun i -> f arr.(i))))
     in
     List.iter
       (fun d ->
@@ -115,14 +115,6 @@ let map_indexed ?jobs f items =
          (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
          pool.results)
   end
-
-let map ?jobs f items = map_indexed ?jobs (fun _ x -> f x) items
-
-let map_prng ?jobs prng f items =
-  (* Split serially, in item order, before any fan-out: the streams (and
-     the parent's final state) are independent of jobs and scheduling. *)
-  let streams = Array.of_list (List.map (fun _ -> Dsim.Prng.split prng) items) in
-  map_indexed ?jobs (fun i x -> f streams.(i) x) items
 
 let sweep ?jobs f points = map ?jobs (fun p -> (p, f p)) points
 

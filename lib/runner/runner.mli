@@ -13,16 +13,11 @@
       whatever order the workers finished in. [map ~jobs f items] equals
       [List.map f items] element for element, so any output derived from
       it (reports, tables, CSV) is byte-identical for every [jobs].
-    - {b Per-item split streams.} {!map_prng} derives one child stream
-      per item by calling {!Dsim.Prng.split} on the parent serially, in
-      item order, {e before} any work is distributed. Child streams — and
-      the parent's state afterwards — therefore depend only on the parent
-      seed and the number of items, never on [jobs] or scheduling.
-    - {b No shared mutable state.} The pool hands each worker the item
-      and (for {!map_prng}) its private stream; workers may not touch
-      anything else that is mutable. All code run under the pool must be
-      domain-safe, which every experiment and scenario audit in this
-      repository is (each builds its own engine, trace and tables).
+    - {b No shared mutable state.} The pool hands each worker its item;
+      workers may not touch anything else that is mutable. All code run
+      under the pool must be domain-safe, which every experiment and
+      scenario audit in this repository is (each builds its own engine,
+      trace and tables).
 
     Exceptions raised by [f] are caught per item; the pool always drains
     the queue and joins every domain, then re-raises the exception of the
@@ -61,13 +56,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     [jobs = 1] (or fewer items than that) no domain is spawned and the
     call is exactly [List.map f items]. [jobs] defaults to
     {!default_jobs}. Raises [Invalid_argument] on [jobs < 1]. *)
-
-val map_prng :
-  ?jobs:int -> Dsim.Prng.t -> (Dsim.Prng.t -> 'a -> 'b) -> 'a list -> 'b list
-(** [map_prng ~jobs prng f items] is {!map}, with each item assigned its
-    own {!Dsim.Prng.split} child of [prng] (split serially in item order
-    before fan-out, advancing [prng] once per item). [f] must draw only
-    from the stream it is handed. *)
 
 val sweep : ?jobs:int -> ('a -> 'b) -> 'a list -> ('a * 'b) list
 (** [sweep ~jobs f points] runs [f] on every grid point in parallel and

@@ -74,9 +74,25 @@ let flapping ~extra ~period ~up_for ~horizon =
   in
   normalize (List.concat (List.mapi per_edge extra))
 
+(* The C(n,2) pairs (u, v), u < v, in lexicographic order: row u starts
+   at rank u(2n-u-1)/2. *)
+let row_start ~n u = u * ((2 * n) - u - 1) / 2
+
+let unrank_pair ~n rank =
+  (* binary search for the last row starting at or before [rank] *)
+  let rec row lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if row_start ~n mid <= rank then row mid hi else row lo mid
+  in
+  let u = row 0 (n - 1) in
+  (u, rank - row_start ~n u + u + 1)
+
 let random_churn prng ~n ~base ~rate ~horizon =
   if rate <= 0. then invalid_arg "Churn.random_churn: rate must be positive";
-  let tree = Edge_set.of_list (Static.spanning_tree ~n base) in
+  let tree_edges = Static.spanning_tree ~n base in
+  let tree = Edge_set.of_list tree_edges in
   let present =
     ref
       (Edge_set.of_list
@@ -84,10 +100,25 @@ let random_churn prng ~n ~base ~rate ~horizon =
             (fun e -> not (Edge_set.mem e tree))
             (List.map (fun (u, v) -> Dsim.Dyngraph.normalize u v) base)))
   in
-  let candidates =
-    Array.of_list (List.filter (fun e -> not (Edge_set.mem e tree)) (Static.complete n))
+  (* The candidates are the non-tree pairs in lexicographic order, never
+     listed: draw [i] is the i-th pair rank that skips the sorted tree
+     ranks. Tree edge j (rank r_j) comes before that pair iff the r_j - j
+     non-tree pairs ahead of it number at most [i]; [skip] holds those
+     counts, nondecreasing, so a binary search counts the edges to skip. *)
+  let skip =
+    Array.of_list (List.mapi (fun j (u, v) -> row_start ~n u + (v - u - 1) - j) tree_edges)
   in
-  if Array.length candidates = 0 then []
+  let skipped i =
+    let rec count lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if skip.(mid) <= i then count (mid + 1) hi else count lo mid
+    in
+    count 0 (Array.length skip)
+  in
+  let candidates = (n * (n - 1) / 2) - Array.length skip in
+  if candidates <= 0 then []
   else begin
     let events = ref [] in
     let t = ref 0. in
@@ -98,8 +129,8 @@ let random_churn prng ~n ~base ~rate ~horizon =
       t := !t +. (-.mean *. log u);
       if !t >= horizon then continue := false
       else begin
-        let u', v' = Prng.pick prng candidates in
-        let key = Dsim.Dyngraph.normalize u' v' in
+        let i = Prng.int prng candidates in
+        let key = unrank_pair ~n (i + skipped i) in
         if Edge_set.mem key !present then begin
           present := Edge_set.remove key !present;
           events := { time = !t; op = Remove; u = fst key; v = snd key } :: !events

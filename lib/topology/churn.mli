@@ -6,14 +6,12 @@ type op = Add | Remove
 
 type event = { time : float; op : op; u : int; v : int }
 
-val compare_event : event -> event -> int
-(** Chronological order (ties broken deterministically). At equal
-    timestamps and endpoints, [Add] sorts — and is therefore applied —
-    before [Remove]: an edge that is both added and removed at the same
-    instant ends down. [test_churn.ml] pins this tie-break. *)
-
 val normalize : event list -> event list
-(** Sort chronologically and normalize endpoints. *)
+(** Normalize endpoints and sort chronologically, ties broken
+    deterministically. At equal timestamps and endpoints, [Add] sorts —
+    and is therefore applied — before [Remove]: an edge that is both
+    added and removed at the same instant ends down. [test_churn.ml]
+    pins this tie-break. *)
 
 val schedule : ('msg, 'timer) Dsim.Engine.t -> event list -> unit
 (** Push every event onto an engine. *)

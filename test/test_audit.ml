@@ -15,8 +15,8 @@ let t_bound = params.Gcs.Params.delay_bound
 let d_bound = params.Gcs.Params.discovery_bound
 let dt_bound = Gcs.Params.delta_t params
 
-let cfg ?(check_gaps = true) ?check_lost_timers ?faults horizon =
-  Conformance.of_params params ~horizon ~check_gaps ?check_lost_timers ?faults ()
+let cfg ?(check_gaps = true) ?faults horizon =
+  Conformance.of_params params ~horizon ~check_gaps ?faults ()
 
 let e ?(a = -1) ?(b = -1) ?(c = -1) time kind = { Trace.time; kind; a; b; c }
 
@@ -242,7 +242,7 @@ let test_duplicate_excused_from_fifo () =
 
 (* Lost-timer cadence: a fire at the very instant of a delivery (gap = 0)
    is the benign same-instant race, a strictly positive but sub-minimum
-   gap is a premature fire, and the opt-out silences even that. *)
+   gap is a premature fire. *)
 let test_lost_timer_same_instant_clean () =
   let lost_label = 1 in
   (* label = src + 1 *)
@@ -263,13 +263,7 @@ let test_lost_timer_same_instant_clean () =
   let premature = base @ [ e 0.8 Trace.Timer_fire ~a:1 ~b:lost_label ] in
   check_flags
     (Conformance.audit (cfg ~check_gaps:false 1.0) premature)
-    "premature-lost-timer";
-  let report' =
-    Conformance.audit (cfg ~check_gaps:false ~check_lost_timers:false 1.0) premature
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "opt-out silences (got: %s)" (String.concat ", " (rules report')))
-    true (Report.ok report')
+    "premature-lost-timer"
 
 (* A deliberately broken recovery: node 1's clock freezes across its
    crash and never rejoins, so once the recovery window closes the

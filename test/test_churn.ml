@@ -98,6 +98,56 @@ let test_random_churn_preserves_backbone () =
   let _final = Churn.final_edges ~initial:base events in
   ()
 
+(* Reference oracle for [Churn.random_churn]'s draws: every non-tree pair
+   of [Static.complete n] listed in order, one picked per event. *)
+let listed_random_churn prng ~n ~base ~rate ~horizon =
+  let tree = Static.spanning_tree ~n base in
+  let present = Hashtbl.create 64 in
+  List.iter
+    (fun (u, v) ->
+      let e = Dsim.Dyngraph.normalize u v in
+      if not (List.mem e tree) then Hashtbl.replace present e ())
+    base;
+  let candidates =
+    Array.of_list (List.filter (fun e -> not (List.mem e tree)) (Static.complete n))
+  in
+  let events = ref [] and t = ref 0. in
+  if Array.length candidates > 0 then begin
+    let continue = ref true in
+    while !continue do
+      t := !t +. (-.(1. /. rate) *. log (Float.max 1e-9 (Prng.float prng 1.)));
+      if !t >= horizon then continue := false
+      else begin
+        let ((u, v) as e) = Prng.pick prng candidates in
+        let op = if Hashtbl.mem present e then Churn.Remove else Churn.Add in
+        if op = Churn.Remove then Hashtbl.remove present e else Hashtbl.replace present e ();
+        events := { Churn.time = !t; op; u; v } :: !events
+      end
+    done
+  end;
+  Churn.normalize !events
+
+let test_random_churn_matches_listed () =
+  let bases =
+    [
+      ("ring", 12, Static.ring 12); ("path", 9, Static.path 9);
+      ("complete", 6, Static.complete 6); ("tree", 16, Static.binary_tree 16);
+      ("star", 10, Static.star 10); ("grid", 12, Static.grid ~rows:3 ~cols:4);
+      ("pair", 2, Static.path 2);
+    ]
+  in
+  List.iter
+    (fun (name, n, base) ->
+      List.iter
+        (fun (seed, rate) ->
+          let draw gen = gen (Prng.of_int seed) ~n ~base ~rate ~horizon:40. in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s n=%d seed=%d rate=%g" name n seed rate)
+            true
+            (draw Churn.random_churn = draw listed_random_churn))
+        [ (1, 0.5); (2, 3.); (7, 1.5); (11, 8.) ])
+    bases
+
 let test_random_churn_connectivity_invariant () =
   let n = 10 in
   let base = Static.ring n in
@@ -211,6 +261,7 @@ let suite =
     case "flapping over many edges" test_flapping_many_edges_linearish;
     case "random churn preserves backbone" test_random_churn_preserves_backbone;
     case "random churn keeps connectivity" test_random_churn_connectivity_invariant;
+    case "random churn draws the listed generator's pairs" test_random_churn_matches_listed;
     case "periodic partition" test_periodic_partition;
     case "single new edge" test_single_new_edge;
     case "schedule onto engine" test_schedule_applies_to_engine;

@@ -57,6 +57,29 @@ let test_fault_spec_all_ops_roundtrip () =
     | Ok s' -> Alcotest.check scenario_t "second roundtrip" s s'
     | Error msg -> Alcotest.failf "second parse failed: %s" msg)
 
+(* Both replay grammars print floats that read back bit for bit: any
+   horizon and any fault time survive to_spec/of_spec, not just the 0.25
+   grid the generators draw on. *)
+let prop_specs_exact_floats =
+  QCheck.Test.make ~name:"specs round-trip arbitrary horizons and fault times" ~count:300
+    QCheck.(triple (float_range 1e-3 1e4) (float_range 0. 1e3) (float_range 0. 1e3))
+    (fun (horizon, t1, t2) ->
+      let a = Float.min t1 t2 and b = Float.max t1 t2 in
+      let faults =
+        Dsim.Fault.
+          [
+            Crash { node = 1; at = a };
+            Restart { node = 1; at = b; corrupt = true };
+            Duplicate { src = 0; dst = 2; from_ = a; until = b };
+            Reorder { src = 2; dst = 3; from_ = a; until = b };
+            Byzantine { node = 3; from_ = a; until = b };
+          ]
+      in
+      let s = { sample with Scenario.horizon; faults } in
+      let m = Mcheck.Spec.make ~n:4 ~horizon ~faults () in
+      Scenario.of_spec (Scenario.to_spec s) = Ok s
+      && Mcheck.Spec.of_spec (Mcheck.Spec.to_spec m) = Ok m)
+
 let test_spec_errors () =
   let expect_error spec =
     match Scenario.of_spec spec with
@@ -210,6 +233,7 @@ let suite =
     Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
     Alcotest.test_case "fault spec with every op roundtrips" `Quick
       test_fault_spec_all_ops_roundtrip;
+    QCheck_alcotest.to_alcotest prop_specs_exact_floats;
     Alcotest.test_case "spec error cases" `Quick test_spec_errors;
     Alcotest.test_case "generate is deterministic" `Quick test_generate_deterministic;
     Alcotest.test_case "shrink converges deterministically" `Quick

@@ -1,9 +1,6 @@
 (* The runner's determinism contract: order-preserving merge (results
-   byte-identical for every pool size), per-item split streams that
-   depend only on the parent seed and item order, and a pool that joins
-   every domain even when the work raises. *)
-
-module Prng = Dsim.Prng
+   byte-identical for every pool size) and a pool that joins every
+   domain even when the work raises. *)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -38,46 +35,6 @@ let test_sweep_pairs_points () =
     "each point paired with its result, in order"
     (List.map (fun p -> (p, p * p)) points)
     (Runner.sweep ~jobs:4 (fun p -> p * p) points)
-
-let test_map_prng_jobs_invariant () =
-  let draw jobs =
-    let parent = Prng.of_int 2024 in
-    let results =
-      Runner.map_prng ~jobs parent
-        (fun g item -> (item, Prng.int g 1_000_000, Prng.int g 1_000_000))
-        (List.init 12 Fun.id)
-    in
-    (* The parent must have advanced identically too: one split per item. *)
-    (results, Prng.next_int64 parent)
-  in
-  let serial = draw 1 in
-  Alcotest.(check bool) "jobs=4 equals jobs=1 (streams and parent state)" true
-    (draw 4 = serial);
-  Alcotest.(check bool) "jobs=3 equals jobs=1" true (draw 3 = serial)
-
-let test_map_prng_streams_distinct () =
-  (* Child streams are pairwise distinct and also avoid the parent's
-     subsequent output (split smoke test over the first draws). *)
-  let parent = Prng.of_int 7 in
-  let children = Runner.map_prng ~jobs:1 parent (fun g _ -> g) (List.init 8 Fun.id) in
-  let streams =
-    List.map (fun g -> List.init 50 (fun _ -> Prng.next_int64 g)) children
-  in
-  let parent_stream = List.init 50 (fun _ -> Prng.next_int64 parent) in
-  let all = parent_stream :: streams in
-  List.iteri
-    (fun i si ->
-      List.iteri
-        (fun j sj ->
-          if i < j then
-            List.iter
-              (fun v ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "streams %d and %d share no values" i j)
-                  false (List.mem v sj))
-              si)
-        all)
-    all
 
 exception Boom of int
 
@@ -189,8 +146,6 @@ let suite =
     case "map equals serial for every pool size" test_map_matches_serial;
     case "map on empty and singleton lists" test_map_empty_and_singleton;
     case "sweep pairs grid points with results" test_sweep_pairs_points;
-    case "map_prng is jobs-invariant" test_map_prng_jobs_invariant;
-    case "split streams do not overlap" test_map_prng_streams_distinct;
     case "pool joins all domains when work raises" test_pool_joins_on_raise;
     case "scoped pool runs barrier rounds" test_scoped_run_rounds;
     case "scoped pool re-raises smallest thunk index" test_scoped_run_raise;
