@@ -432,22 +432,23 @@ let sim_cmd =
            ~n ~base:edges ~rate:churn_rate ~horizon);
     Option.iter (fun (u, v, t) -> Gcs.Sim.add_edge_at sim ~at:t u v) new_edge;
     let watch = match new_edge with Some (u, v, _) -> [ (u, v) ] | None -> [] in
-    let recorder =
-      Gcs.Metrics.attach engine view ~every:(horizon /. 200.) ~until:horizon ~watch ()
-    in
-    let monitor =
-      Gcs.Invariant.attach engine view ~params ~every:(horizon /. 200.) ~until:horizon
-        ~faults ()
-    in
+    (* One probe schedule feeds every monitor: each instant reads every
+       node once, into one snapshot. *)
+    let recorder = Gcs.Metrics.recorder engine ~watch in
+    let monitor = Gcs.Invariant.checker ~n ~params ~faults () in
     let guarantees =
       if audit then
         Some
-          (Audit.Guarantees.attach engine view ~params
+          (Audit.Guarantees.create engine ~params
              ~check_envelope:
                (algo = Gcs.Sim.Gradient && loss = 0. && churn_rate = 0. && faults = [])
-             ~faults ~every:(horizon /. 200.) ~until:horizon ())
+             ~faults)
       else None
     in
+    Gcs.Metrics.every engine view ~every:(horizon /. 200.) ~until:horizon (fun snap ->
+        Gcs.Metrics.record recorder snap;
+        Gcs.Invariant.observe monitor snap;
+        Option.iter (fun g -> Audit.Guarantees.observe g snap) guarantees);
     (* Windows run one domain per shard, as far as the ambient domain
        budget allows; a pool is pointless when the engine cannot form
        windows. The executor is cleared before the pool is torn down so
@@ -490,8 +491,9 @@ let sim_cmd =
     Format.printf "max local skew  = %.4f (stable bound = %.4f)@."
       (Gcs.Metrics.max_local_skew recorder)
       (Gcs.Params.stable_local_skew params);
+    let final = Gcs.Metrics.snapshot view ~time:(Gcs.Sim.now sim) in
     Format.printf "final global/local skew = %.4f / %.4f@."
-      (Gcs.Metrics.global_skew view) (Gcs.Metrics.local_skew view);
+      (Gcs.Metrics.global_skew final) (Gcs.Metrics.local_skew final);
     (match new_edge with
     | Some (u, v, t) ->
       let pair_trace = Gcs.Metrics.pair_trace recorder (u, v) in

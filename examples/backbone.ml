@@ -70,7 +70,7 @@ let () =
     (Analysis.Stats.maximum access_skews)
     (Gcs.Hetero.stable_local_skew_e params ~t_e:t);
   Format.printf "@.end-to-end global skew: %.4f (bound %.4f)@."
-    (Gcs.Metrics.global_skew view)
+    (Gcs.Metrics.global_skew (Gcs.Metrics.snapshot view ~time:horizon))
     (Gcs.Params.global_skew_bound params);
   Format.printf "@.backbone skew over time:@.%s@."
     (Analysis.Plot.sparkline (Gcs.Metrics.pair_trace recorder (List.hd backbone)));

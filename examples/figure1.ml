@@ -51,7 +51,9 @@ let () =
     (sim, recorder)
   in
   let probe, _ = run_beta ~horizon:t1 ~churn:[] ~watch:[] in
-  let skew_uv = Gcs.Metrics.edge_skew (Gcs.Sim.view probe) u v in
+  let skew_uv =
+    Gcs.Metrics.edge_skew (Gcs.Metrics.snapshot (Gcs.Sim.view probe) ~time:t1) u v
+  in
   Format.printf "Fig 1(a): at T1=%.0f, skew(u,v) in beta = %.1f (>= T*d/4 = %.1f)@.@."
     t1 skew_uv
     (Lowerbound.Layered.guaranteed_skew layered v);

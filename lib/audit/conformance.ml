@@ -33,7 +33,7 @@ let sender_outage cfg ~src t0 t1 =
   Dsim.Fault.crashed_in cfg.faults ~node:src t0 t1
   || Dsim.Fault.restarted_in cfg.faults ~node:src t0 t1
 
-let slack = Gcs.Invariant.slack
+let slack = Gcs.Metrics.slack
 
 (* One outstanding discovery obligation: change [o_epoch] at [o_time]
    must reach both endpoints by [o_deadline] unless superseded by a

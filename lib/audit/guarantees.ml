@@ -1,11 +1,6 @@
 module Engine = Dsim.Engine
 
-type t = {
-  mutable violations : Report.violation list;  (* newest first *)
-  mutable probes : int;
-}
-
-let slack = Gcs.Invariant.slack
+let slack = Gcs.Metrics.slack
 
 (* Lemma 6.8: on a connected network the spread of the Lmax estimates is
    at most (1+rho)(n-1)dT — one dT propagation hop per node, each aged by
@@ -17,93 +12,36 @@ let lmax_lag_bound params =
 
 (* The model explorer runs this between every pair of events, so nothing
    may allocate per probe: the bound is computed once, at the partial
-   application to [params], and the spread is a plain loop rather than a
-   fold over tuples. *)
+   application to [params], and the spread is a plain column loop. *)
 let lmax_lag params =
   let bound = lmax_lag_bound params in
   let limit = bound +. slack bound in
-  fun view ~alive ~time ->
-    let lo = ref infinity and hi = ref neg_infinity in
-    for i = 0 to view.Gcs.Metrics.n - 1 do
-      if alive i then begin
-        let m = view.Gcs.Metrics.lmax_of i in
-        if m < !lo then lo := m;
-        if m > !hi then hi := m
-      end
-    done;
-    let lag = !hi -. !lo in
+  fun (s : Gcs.Metrics.snapshot) ~alive ->
+    let lag = Gcs.Metrics.spread alive s.lmax in
     if lag > limit then
       Some
         {
-          Report.time;
+          Report.time = s.time;
           rule = "lmax-propagation";
           detail = Printf.sprintf "Lmax lag %.9g > (1+rho)(n-1)dT=%.9g" lag bound;
         }
     else None
 
-(* Fold a node statistic over the nodes that are up at [time]; crashed
-   nodes keep stale frozen state that proves nothing about the engine. *)
-let fold_alive view faults ~time f init =
-  let acc = ref init in
-  for i = 0 to view.Gcs.Metrics.n - 1 do
-    if Dsim.Fault.alive faults ~node:i ~at:time then acc := f !acc i
-  done;
-  !acc
+type t = {
+  engine : (Gcs.Proto.message, Gcs.Proto.timer) Engine.t;
+  params : Gcs.Params.t;
+  check_envelope : bool;
+  faults : Dsim.Fault.schedule;
+  suspend_from : float;
+  suspend_until : float;
+  down : Bytes.t; (* per node at the current probe: crashed? *)
+  alive : int -> bool;
+  lmax_lag : Gcs.Metrics.snapshot -> alive:(int -> bool) -> Report.violation option;
+  mutable violations : Report.violation list;  (* newest first *)
+  mutable probes : int;
+}
 
-let probe engine view ~params ~check_envelope ~faults ~suspend_from ~suspend_until mon ()
-    =
-  let time = Engine.now engine in
-  mon.probes <- mon.probes + 1;
-  if time < suspend_from || time > suspend_until then begin
-    let add rule detail =
-      mon.violations <- { Report.time; rule; detail } :: mon.violations
-    in
-    let recovering = faults <> [] && time > suspend_until in
-    let alive i = Dsim.Fault.alive faults ~node:i ~at:time in
-    let g_bound = Gcs.Params.global_skew_bound params in
-    let g =
-      fold_alive view faults ~time
-        (fun (lo, hi) i ->
-          let l = view.Gcs.Metrics.clock_of i in
-          (Float.min lo l, Float.max hi l))
-        (infinity, neg_infinity)
-      |> fun (lo, hi) -> hi -. lo
-    in
-    if g > g_bound +. slack g_bound then
-      if recovering then
-        add "recovery-exceeded"
-          (Printf.sprintf
-             "global skew %.9g > G(n)=%.9g beyond the recovery window (last fault + %.9g)"
-             g g_bound (suspend_until -. (match Dsim.Fault.last_time faults with
-                                         | Some l -> l
-                                         | None -> suspend_until)))
-      else add "global-skew-bound" (Printf.sprintf "global skew %.9g > G(n)=%.9g" g g_bound);
-    if not recovering then
-      Option.iter
-        (fun v -> mon.violations <- v :: mon.violations)
-        (lmax_lag params view ~alive ~time);
-    if check_envelope then begin
-      let graph = Engine.graph engine in
-      Dsim.Dyngraph.fold_edges graph
-        (fun () u v ->
-          if alive u && alive v then
-            match Dsim.Dyngraph.since graph u v with
-            | None -> ()
-            | Some since ->
-              let age = time -. since in
-              let bound = Gcs.Params.dynamic_local_skew params age in
-              let skew = Gcs.Metrics.edge_skew view u v in
-              if (not recovering) && skew > bound +. slack bound then
-                add "local-skew-envelope"
-                  (Printf.sprintf "{%d,%d} age %.9g skew %.9g > s(n,age)=%.9g" u v age
-                     skew bound))
-        ()
-    end
-  end
-
-let attach engine view ~params ?(check_envelope = false) ?(faults = []) ?recovery_bound
-    ~every ~until () =
-  if every <= 0. then invalid_arg "Guarantees.attach: period must be positive";
+let make engine ~params ~check_envelope ~faults ~recovery_bound =
   let recovery_bound =
     match recovery_bound with
     | Some b -> b
@@ -159,16 +97,71 @@ let attach engine view ~params ?(check_envelope = false) ?(faults = []) ?recover
     | Some f, Some l -> (f, l +. recovery_bound)
     | _ -> (infinity, neg_infinity)
   in
-  let mon = { violations = []; probes = 0 } in
-  let rec schedule time =
-    if time <= until then
-      Engine.at engine ~time (fun () ->
-          probe engine view ~params ~check_envelope ~faults ~suspend_from ~suspend_until
-            mon ();
-          schedule (time +. every))
-  in
-  schedule (Engine.now engine);
-  mon
+  let down = Bytes.make params.Gcs.Params.n '\000' in
+  {
+    engine;
+    params;
+    check_envelope;
+    faults;
+    suspend_from;
+    suspend_until;
+    down;
+    alive = (fun i -> Bytes.get down i = '\000');
+    lmax_lag = lmax_lag params;
+    violations = [];
+    probes = 0;
+  }
 
-let report mon =
-  { Report.violations = List.rev mon.violations; events_audited = 0; probes = mon.probes }
+let create engine ~params ~check_envelope ~faults =
+  make engine ~params ~check_envelope ~faults ~recovery_bound:None
+
+let observe g (s : Gcs.Metrics.snapshot) =
+  let time = s.time in
+  g.probes <- g.probes + 1;
+  if time < g.suspend_from || time > g.suspend_until then begin
+    let add rule detail = g.violations <- { Report.time; rule; detail } :: g.violations in
+    let recovering = g.faults <> [] && time > g.suspend_until in
+    (* Crashed nodes keep stale frozen state that proves nothing about
+       the engine. *)
+    Dsim.Fault.mark_down g.faults ~at:time g.down;
+    let g_bound = Gcs.Params.global_skew_bound g.params in
+    let skew = Gcs.Metrics.spread g.alive s.l in
+    if skew > g_bound +. slack g_bound then
+      if recovering then
+        add "recovery-exceeded"
+          (Printf.sprintf
+             "global skew %.9g > G(n)=%.9g beyond the recovery window (last fault + %.9g)"
+             skew g_bound
+             (g.suspend_until
+             -. Option.value (Dsim.Fault.last_time g.faults) ~default:g.suspend_until))
+      else add "global-skew-bound" (Printf.sprintf "global skew %.9g > G(n)=%.9g" skew g_bound);
+    if not recovering then begin
+      Option.iter (fun v -> g.violations <- v :: g.violations) (g.lmax_lag s ~alive:g.alive);
+      if g.check_envelope then begin
+        let graph = Engine.graph g.engine in
+        Dsim.Dyngraph.fold_edges graph
+          (fun () u v ->
+            if g.alive u && g.alive v then
+              match Dsim.Dyngraph.since graph u v with
+              | None -> ()
+              | Some since ->
+                let age = time -. since in
+                let bound = Gcs.Params.dynamic_local_skew g.params age in
+                let skew = Gcs.Metrics.edge_skew s u v in
+                if skew > bound +. slack bound then
+                  add "local-skew-envelope"
+                    (Printf.sprintf "{%d,%d} age %.9g skew %.9g > s(n,age)=%.9g" u v age
+                       skew bound))
+          ()
+      end
+    end
+  end
+
+let attach engine view ~params ?(check_envelope = false) ?(faults = []) ?recovery_bound
+    ~every ~until () =
+  let g = make engine ~params ~check_envelope ~faults ~recovery_bound in
+  Gcs.Metrics.every engine view ~every ~until (observe g);
+  g
+
+let report g =
+  { Report.violations = List.rev g.violations; events_audited = 0; probes = g.probes }

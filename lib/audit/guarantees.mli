@@ -27,16 +27,29 @@ type t
 
 val lmax_lag :
   Gcs.Params.t ->
-  Gcs.Metrics.view ->
+  Gcs.Metrics.snapshot ->
   alive:(int -> bool) ->
-  time:float ->
   Report.violation option
 (** The Lemma 6.8 rule, the one both this probe and the model explorer
     run: the spread of [Lmax] over the nodes [alive] accepts must stay
     within [(1+ρ)(n-1)ΔT]. [Some] carries the ["lmax-propagation"]
-    violation stamped [time]. Apply it to [params] once: the bound is
-    computed then, and each later call allocates nothing when the rule
-    holds. *)
+    violation stamped with the snapshot's time. Apply it to [params]
+    once: the bound is computed then, and each later call allocates
+    nothing when the rule holds. *)
+
+val create :
+  (Gcs.Proto.message, Gcs.Proto.timer) Dsim.Engine.t ->
+  params:Gcs.Params.t ->
+  check_envelope:bool ->
+  faults:Dsim.Fault.schedule ->
+  t
+(** A monitor with no probes yet, for an observer of {!Gcs.Metrics.every}
+    to feed. The engine supplies the live edge ages the envelope needs;
+    the recovery bound is {!attach}'s default. *)
+
+val observe : t -> Gcs.Metrics.snapshot -> unit
+(** Check one probe instant. Node liveness is worked out once per call;
+    while recovering, the envelope is not walked at all. *)
 
 val attach :
   (Gcs.Proto.message, Gcs.Proto.timer) Dsim.Engine.t ->
@@ -49,9 +62,11 @@ val attach :
   until:float ->
   unit ->
   t
-(** Schedule probes from the engine's current time to [until].
-    [check_envelope] defaults to [false]. [recovery_bound] defaults to
-    [(n-1)ΔT + stabilize_real] — max-propagation across the network plus
-    the paper's convergence horizon. *)
+(** A monitor with a probe schedule of its own, from the engine's
+    current time to [until]. [check_envelope] defaults to [false].
+    [recovery_bound] defaults to [(n-1)ΔT + stabilize_real] —
+    max-propagation across the network plus the paper's convergence
+    horizon — stretched by the time any Lmax-inflating fault needs to be
+    burned off. *)
 
 val report : t -> Report.t

@@ -181,13 +181,12 @@ let run s =
   let engine = Gcs.Sim.engine sim in
   let view = Gcs.Sim.view sim in
   let guarantees =
-    Guarantees.attach engine view ~params ~check_envelope:(s.algo = 0) ~faults:s.faults
-      ~every:1. ~until:s.horizon ()
+    Guarantees.create engine ~params ~check_envelope:(s.algo = 0) ~faults:s.faults
   in
-  let invariants =
-    Gcs.Invariant.attach engine view ~params ~every:1. ~until:s.horizon ~faults:s.faults
-      ()
-  in
+  let invariants = Gcs.Invariant.checker ~n:s.n ~params ~faults:s.faults () in
+  Gcs.Metrics.every engine view ~every:1. ~until:s.horizon (fun snap ->
+      Guarantees.observe guarantees snap;
+      Gcs.Invariant.observe invariants snap);
   if s.churn then
     Topology.Churn.schedule engine
       (Topology.Churn.random_churn

@@ -1,5 +1,3 @@
-module Engine = Dsim.Engine
-
 type violation = { time : float; node : int; kind : string; detail : string }
 
 (* The checker is engine-independent: it sees only probe instants and the
@@ -9,6 +7,7 @@ type checker = {
   n : int;
   rate_floor : float;
   faults : Dsim.Fault.schedule;
+  state : Bytes.t; (* per node at the current probe: [up], [down] or [jumped] *)
   mutable violations : violation list; (* newest first *)
   mutable probes : int;
   prev_clock : float array;
@@ -18,13 +17,11 @@ type checker = {
 
 type monitor = checker
 
-(* Float slack must scale with the magnitudes compared: clocks and probe
-   gaps grow with the horizon, and a fixed absolute epsilon both masks
-   real sub-epsilon deficits on short runs and fabricates violations on
-   multi-thousand-unit horizons where rounding alone exceeds it. *)
-let eps_abs = 1e-9
-let eps_rel = 1e-7
-let slack magnitude = eps_abs +. (eps_rel *. Float.abs magnitude)
+let slack = Metrics.slack
+
+let up = '\000'
+let down = '\001'
+let jumped = '\002'
 
 let checker ~n ~params ?rate_floor ?(faults = []) () =
   let rate_floor =
@@ -36,6 +33,7 @@ let checker ~n ~params ?rate_floor ?(faults = []) () =
     n;
     rate_floor;
     faults;
+    state = Bytes.make n up;
     violations = [];
     probes = 0;
     prev_clock = Array.make n 0.;
@@ -43,30 +41,31 @@ let checker ~n ~params ?rate_floor ?(faults = []) () =
     primed = false;
   }
 
-let observe c ~time ~l:clock_of ~lmax:lmax_of =
+let observe c (s : Metrics.snapshot) =
+  let time = s.time in
   c.probes <- c.probes + 1;
+  (* Crashed nodes have no state to check; a node that crashed or
+     restarted since the previous probe lost (or had corrupted) its
+     clock, so the min-rate window does not span the discontinuity. Both
+     are worked out once per probe, for the nodes the schedule names.
+     The window is left-closed, unlike [Fault.crashed_in]: a probe can
+     land at the exact instant of a pending op but before its dispatch
+     (the explorer probes before every same-instant event), so an op at
+     [prev_time] may postdate the previous sample and must still suspend
+     this window. *)
+  Dsim.Fault.mark_down c.faults ~at:time c.state;
+  List.iter
+    (function
+      | Dsim.Fault.Crash { node; at } | Dsim.Fault.Restart { node; at; _ }
+        when at >= c.prev_time && at <= time && Bytes.get c.state node = up ->
+        Bytes.set c.state node jumped
+      | _ -> ())
+    c.faults;
   for i = 0 to c.n - 1 do
-    (* Crashed nodes have no state to check; a node that crashed or
-       restarted since the previous probe lost (or had corrupted) its
-       clock, so the min-rate window does not span the discontinuity. *)
-    let up = Dsim.Fault.alive c.faults ~node:i ~at:time in
-    (* Left-closed window, unlike [Fault.crashed_in]: a probe can land at
-       the exact instant of a pending op but before its dispatch (the
-       explorer probes before every same-instant event), so an op at
-       [prev_time] may postdate the previous sample and must still
-       suspend this window. *)
-    let discontinuity =
-      List.exists
-        (function
-          | Dsim.Fault.Crash { node = v; at }
-          | Dsim.Fault.Restart { node = v; at; _ } ->
-            v = i && at >= c.prev_time && at <= time
-          | _ -> false)
-        c.faults
-    in
-    if up then begin
-      let l = clock_of i in
-      let lmax = lmax_of i in
+    let st = Bytes.get c.state i in
+    if st <> down then begin
+      let l = Float.Array.get s.l i in
+      let lmax = Float.Array.get s.lmax i in
       if lmax < l -. slack l then
         c.violations <-
           {
@@ -76,7 +75,7 @@ let observe c ~time ~l:clock_of ~lmax:lmax_of =
             detail = Printf.sprintf "L=%.9g > Lmax=%.9g" l lmax;
           }
           :: c.violations;
-      if c.primed && not discontinuity then begin
+      if c.primed && st = up then begin
         let dt = time -. c.prev_time in
         let dl = l -. c.prev_clock.(i) in
         if dl < (c.rate_floor *. dt) -. slack (Float.abs l +. dt) then
@@ -97,19 +96,9 @@ let observe c ~time ~l:clock_of ~lmax:lmax_of =
   c.prev_time <- time;
   c.primed <- true
 
-let observe_view c view ~time =
-  observe c ~time ~l:view.Metrics.clock_of ~lmax:view.Metrics.lmax_of
-
 let attach engine view ~params ~every ~until ?rate_floor ?(faults = []) () =
-  if every <= 0. then invalid_arg "Invariant.attach: period must be positive";
   let monitor = checker ~n:view.Metrics.n ~params ?rate_floor ~faults () in
-  let rec schedule time =
-    if time <= until then
-      Engine.at engine ~time (fun () ->
-          observe_view monitor view ~time:(Engine.now engine);
-          schedule (time +. every))
-  in
-  schedule (Engine.now engine);
+  Metrics.every engine view ~every ~until (observe monitor);
   monitor
 
 let violations monitor = List.rev monitor.violations

@@ -15,13 +15,6 @@
 
 type violation = { time : float; node : int; kind : string; detail : string }
 
-val slack : float -> float
-(** [slack m] is the float tolerance for a comparison at magnitude [m]:
-    [1e-9 + 1e-7 |m|]. Every probe and audit rule (this monitor,
-    [Audit.Conformance], [Audit.Guarantees], the model explorer) compares
-    with it, so long horizons neither mask real deficits nor turn float
-    accumulation into spurious violations. *)
-
 type checker
 (** The engine-independent core: a sequence of probe observations checked
     against the rules above. {!attach} drives one from engine callbacks;
@@ -41,10 +34,11 @@ val checker :
     [1 - params.rho]; [faults] (default none) must match the schedule the
     observed execution runs under. *)
 
-val observe :
-  checker -> time:float -> l:(int -> float) -> lmax:(int -> float) -> unit
-(** Feed one probe: the clock accessors are sampled for every node alive
-    at [time]. Observation times must be non-decreasing. *)
+val observe : checker -> Metrics.snapshot -> unit
+(** Feed one probe: the snapshot's columns are checked for every node
+    alive at its time. Liveness and crash/restart discontinuities are
+    worked out once per probe, for the nodes the fault schedule names.
+    Observation times must be non-decreasing. *)
 
 val attach :
   (Proto.message, Proto.timer) Dsim.Engine.t ->
@@ -56,7 +50,8 @@ val attach :
   ?faults:Dsim.Fault.schedule ->
   unit ->
   monitor
-(** [rate_floor] defaults to [1 - params.rho]. With [faults], crashed
+(** {!checker} plus {!Metrics.every}: a checker with a probe schedule of
+    its own. [rate_floor] defaults to [1 - params.rho]. With [faults], crashed
     nodes are skipped and the min-rate window is suspended across any
     crash or restart discontinuity (state loss / corruption legitimately
     moves [L] backwards). *)

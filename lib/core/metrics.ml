@@ -7,38 +7,77 @@ type view = {
   iter_edges : (int -> int -> unit) -> unit;
 }
 
-let fold_clocks view f init =
-  let acc = ref init in
+(* Float slack must scale with the magnitudes compared: clocks and probe
+   gaps grow with the horizon, and a fixed absolute epsilon both masks
+   real sub-epsilon deficits on short runs and fabricates violations on
+   multi-thousand-unit horizons where rounding alone exceeds it. *)
+let eps_abs = 1e-9
+let eps_rel = 1e-7
+let slack magnitude = eps_abs +. (eps_rel *. Float.abs magnitude)
+
+type snapshot = {
+  mutable time : float;
+  l : Float.Array.t;
+  lmax : Float.Array.t;
+  iter_edges : (int -> int -> unit) -> unit;
+}
+
+let fill view (s : snapshot) ~time =
+  s.time <- time;
   for i = 0 to view.n - 1 do
-    acc := f !acc (view.clock_of i)
+    Float.Array.set s.l i (view.clock_of i);
+    Float.Array.set s.lmax i (view.lmax_of i)
+  done
+
+let blank view : snapshot =
+  let column () = Float.Array.make view.n 0. in
+  { time = nan; l = column (); lmax = column (); iter_edges = view.iter_edges }
+
+let snapshot view ~time =
+  let s = blank view in
+  fill view s ~time;
+  s
+
+(* One engine callback per instant, filling one reused snapshot. *)
+let every engine view ~every ~until observe =
+  if every <= 0. then invalid_arg "Metrics.every: period must be positive";
+  let s = blank view in
+  let rec schedule time =
+    if time <= until then
+      Engine.at engine ~time (fun () ->
+          fill view s ~time:(Engine.now engine);
+          observe s;
+          schedule (time +. every))
+  in
+  schedule (Engine.now engine)
+
+let spread keep col =
+  let hi = ref neg_infinity and lo = ref infinity in
+  for i = 0 to Float.Array.length col - 1 do
+    if keep i then begin
+      let x = Float.Array.get col i in
+      if x > !hi then hi := x;
+      if x < !lo then lo := x
+    end
   done;
-  !acc
+  !hi -. !lo
 
-let global_skew view =
-  let max_l = fold_clocks view Float.max neg_infinity in
-  let min_l = fold_clocks view Float.min infinity in
-  max_l -. min_l
+let global_skew (s : snapshot) = spread (fun _ -> true) s.l
 
-let edge_skew view u v = Float.abs (view.clock_of u -. view.clock_of v)
+let edge_skew (s : snapshot) u v = Float.abs (Float.Array.get s.l u -. Float.Array.get s.l v)
 
-let local_skew view =
+let local_skew (s : snapshot) =
   let worst = ref 0. in
-  view.iter_edges (fun u v -> worst := Float.max !worst (edge_skew view u v));
+  s.iter_edges (fun u v -> worst := Float.max !worst (edge_skew s u v));
   !worst
 
-let lmax_lag view =
-  let best = ref neg_infinity and worst = ref infinity in
-  for i = 0 to view.n - 1 do
-    let m = view.lmax_of i in
-    if m > !best then best := m;
-    if m < !worst then worst := m
-  done;
-  !best -. !worst
+let lmax_lag (s : snapshot) = spread (fun _ -> true) s.lmax
 
-let clock_lag view =
+let clock_lag (s : snapshot) =
   let lag = ref 0. in
-  for i = 0 to view.n - 1 do
-    lag := Float.max !lag (view.lmax_of i -. view.clock_of i)
+  for i = 0 to Float.Array.length s.l - 1 do
+    let d = Float.Array.get s.lmax i -. Float.Array.get s.l i in
+    if d > !lag then lag := d
   done;
   !lag
 
@@ -51,68 +90,47 @@ type sample = {
   events : int;
 }
 
-(* Watched pairs live in parallel arrays, not a pair-packed-int Hashtbl:
+(* Watched pairs are a plain array, not a pair-packed-int Hashtbl:
    packing (u, v) as [u * n + v] collides (and mis-decodes) once node ids
    reach or exceed the n the recorder was attached at — exactly what
    happens when nodes join mid-run. The watch list is tiny and scanned
    linearly per sample anyway. *)
 type recorder = {
+  engine : (Proto.message, Proto.timer) Engine.t;
   mutable samples : sample list; (* newest first *)
-  w_u : int array; (* normalized u < v, deduplicated *)
-  w_v : int array;
-  w_traces : (float * float) list ref array;
+  watched : (int * int * (float * float) list ref) array; (* u < v, deduplicated *)
 }
 
-let probe engine view recorder () =
-  let time = Engine.now engine in
-  recorder.samples <-
-    {
-      time;
-      global_skew = global_skew view;
-      local_skew = local_skew view;
-      lmax_lag = lmax_lag view;
-      clock_lag = clock_lag view;
-      events = Engine.events_processed engine;
-    }
-    :: recorder.samples;
-  for i = 0 to Array.length recorder.w_u - 1 do
-    let trace = recorder.w_traces.(i) in
-    trace := (time, edge_skew view recorder.w_u.(i) recorder.w_v.(i)) :: !trace
-  done
+let recorder engine ~watch =
+  let pair (u, v) = Dsim.Dyngraph.normalize u v in
+  let watch = List.sort_uniq compare (List.map pair watch) in
+  { engine; samples = []; watched = Array.of_list (List.map (fun (u, v) -> (u, v, ref [])) watch) }
 
-let attach engine view ~every ~until ?(watch = []) () =
-  if every <= 0. then invalid_arg "Metrics.attach: sampling period must be positive";
-  let watch =
-    List.sort_uniq compare (List.map (fun (u, v) -> Dsim.Dyngraph.normalize u v) watch)
-  in
-  let recorder =
+let record r (s : snapshot) =
+  r.samples <-
     {
-      samples = [];
-      w_u = Array.of_list (List.map fst watch);
-      w_v = Array.of_list (List.map snd watch);
-      w_traces = Array.of_list (List.map (fun _ -> ref []) watch);
+      time = s.time;
+      global_skew = global_skew s;
+      local_skew = local_skew s;
+      lmax_lag = lmax_lag s;
+      clock_lag = clock_lag s;
+      events = Engine.events_processed r.engine;
     }
-  in
-  let rec schedule time =
-    if time <= until then
-      Engine.at engine ~time (fun () ->
-          probe engine view recorder ();
-          schedule (time +. every))
-  in
-  schedule (Engine.now engine);
-  recorder
+    :: r.samples;
+  Array.iter (fun (u, v, trace) -> trace := (s.time, edge_skew s u v) :: !trace) r.watched
+
+let attach engine view ~every:period ~until ?(watch = []) () =
+  let r = recorder engine ~watch in
+  every engine view ~every:period ~until (record r);
+  r
 
 let samples recorder = List.rev recorder.samples
 
 let pair_trace recorder (u, v) =
   let u, v = Dsim.Dyngraph.normalize u v in
-  let rec scan i =
-    if i >= Array.length recorder.w_u then []
-    else if recorder.w_u.(i) = u && recorder.w_v.(i) = v then
-      List.rev !(recorder.w_traces.(i))
-    else scan (i + 1)
-  in
-  scan 0
+  match Array.find_opt (fun (a, b, _) -> a = u && b = v) recorder.watched with
+  | Some (_, _, trace) -> List.rev !trace
+  | None -> []
 
 let recovery_time ~after ~bound samples =
   (* First sample time t >= after such that every sample from t onward has

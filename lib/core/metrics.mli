@@ -1,8 +1,9 @@
-(** Skew measurement: instantaneous queries over a node-state view and a
-    periodic recorder that samples an execution while it runs.
-
-    A {!view} abstracts over which algorithm is running: it exposes each
-    node's logical clock and max-estimate plus the live edge set. *)
+(** Skew measurement. A {!view} abstracts over which algorithm is
+    running: each node's logical clock and max-estimate plus the live edge
+    set. {!every} is the one probe schedule: each instant reads every node
+    through the view once, into a {!snapshot}, and every reduction and
+    monitor works on its columns. A recorder keeps the reductions as
+    samples. *)
 
 type view = {
   n : int;
@@ -12,20 +13,53 @@ type view = {
       (** iterate over edges present now, without allocating *)
 }
 
-val global_skew : view -> float
+val slack : float -> float
+(** [slack m] is the float tolerance for a comparison at magnitude [m]:
+    [1e-9 + 1e-7 |m|]. The probe schedule and every probe and audit rule
+    compare with it, so long horizons neither mask real deficits nor
+    turn float accumulation into spurious violations. *)
+
+type snapshot = private {
+  mutable time : float;  (** the probe instant *)
+  l : Float.Array.t;  (** [L_u] at [time] *)
+  lmax : Float.Array.t;  (** [Lmax_u] at [time] *)
+  iter_edges : (int -> int -> unit) -> unit;  (** the view's edges *)
+}
+
+val snapshot : view -> time:float -> snapshot
+(** Read every node of the view once, into fresh columns. *)
+
+val fill : view -> snapshot -> time:float -> unit
+(** {!snapshot}, in place, into a snapshot of the same view. *)
+
+val every :
+  (Proto.message, Proto.timer) Dsim.Engine.t ->
+  view ->
+  every:float ->
+  until:float ->
+  (snapshot -> unit) ->
+  unit
+(** Probe from the engine's current time to [until]: one engine callback
+    per instant fills one reused snapshot and hands it to the observer,
+    which must not keep it. *)
+
+val spread : (int -> bool) -> Float.Array.t -> float
+(** [max - min] of a column over the nodes the predicate accepts. *)
+
+val global_skew : snapshot -> float
 (** [max_u L_u - min_u L_u] (Definition 3.2 over all pairs). *)
 
-val local_skew : view -> float
+val local_skew : snapshot -> float
 (** Maximum [|L_u - L_v|] over currently present edges (0 if none). *)
 
-val edge_skew : view -> int -> int -> float
+val edge_skew : snapshot -> int -> int -> float
 (** [|L_u - L_v|] for the given pair (present or not). *)
 
-val lmax_lag : view -> float
+val lmax_lag : snapshot -> float
 (** [max_u (max_v Lmax_v - Lmax_u)]: how far the worst-informed node's max
     estimate trails the best (Lemma 6.8's quantity). *)
 
-val clock_lag : view -> float
+val clock_lag : snapshot -> float
 (** [max_u (Lmax_u - L_u)]: how far any node trails its own max estimate;
     spikes while nodes are blocked. *)
 
@@ -40,6 +74,13 @@ type sample = {
 
 type recorder
 
+val recorder :
+  (Proto.message, Proto.timer) Dsim.Engine.t -> watch:(int * int) list -> recorder
+(** [watch] lists node pairs whose skew is traced at every sample
+    (whether or not an edge is present). *)
+
+val record : recorder -> snapshot -> unit
+
 val attach :
   (Proto.message, Proto.timer) Dsim.Engine.t ->
   view ->
@@ -48,9 +89,7 @@ val attach :
   ?watch:(int * int) list ->
   unit ->
   recorder
-(** Schedule periodic probes on the engine from its current time to
-    [until]. [watch] lists node pairs whose pairwise skew is traced at
-    every probe (whether or not an edge is present). *)
+(** {!recorder} on a schedule ({!every}) of its own. *)
 
 val samples : recorder -> sample list
 (** Chronological samples taken so far. *)

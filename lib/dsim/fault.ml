@@ -266,6 +266,14 @@ let alive sched ~node ~at =
     sched;
   not !down
 
+let mark_down sched ~at marks =
+  List.iter
+    (function
+      | Crash { node; _ } | Restart { node; _ } ->
+        Bytes.set marks node (if alive sched ~node ~at then '\000' else '\001')
+      | _ -> ())
+    sched
+
 let dead_during sched ~node t0 t1 =
   (* The node is dead somewhere in [t0, t1] iff it entered the interval
      dead, or some crash op lands inside it. *)

@@ -68,6 +68,11 @@ val alive : schedule -> node:int -> at:float -> bool
     a node is dead from its crash instant up to, but excluding, its
     restart instant. *)
 
+val mark_down : schedule -> at:float -> Bytes.t -> unit
+(** For every node a crash or restart op names, set its byte to ['\001']
+    if {!alive} has it down at [at], else to ['\000']. No other byte
+    changes: a probe works out liveness for all nodes at once. *)
+
 val dead_during : schedule -> node:int -> float -> float -> bool
 (** Does the node's down time intersect the closed interval [[t0, t1]]? *)
 

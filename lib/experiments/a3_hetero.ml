@@ -30,10 +30,11 @@ let run ~quick =
     Hetero.create_sim ~params ~clocks ~delay ~link_bound ~initial_edges:edges ()
   in
   let view = Hetero.view nodes (Dsim.Dyngraph.iter_edges (Dsim.Engine.graph engine)) in
-  let recorder =
-    Gcs.Metrics.attach engine view ~every:0.5 ~until:horizon ~watch:edges ()
-  in
-  let monitor = Gcs.Invariant.attach engine view ~params ~every:0.5 ~until:horizon () in
+  let recorder = Gcs.Metrics.recorder engine ~watch:edges in
+  let monitor = Gcs.Invariant.checker ~n ~params () in
+  Gcs.Metrics.every engine view ~every:0.5 ~until:horizon (fun snap ->
+      Gcs.Metrics.record recorder snap;
+      Gcs.Invariant.observe monitor snap);
   Dsim.Engine.run_until engine horizon;
   let steady_peak e =
     Analysis.Series.max_value

@@ -32,11 +32,14 @@ let launch ?(watch = []) ?(churn = []) ?(sample_every = 1.0) cfg ~horizon =
   let sim = Gcs.Sim.create cfg in
   let engine = Gcs.Sim.engine sim in
   let view = Gcs.Sim.view sim in
-  let recorder = Gcs.Metrics.attach engine view ~every:sample_every ~until:horizon ~watch () in
+  let recorder = Gcs.Metrics.recorder engine ~watch in
   let invariants =
-    Gcs.Invariant.attach engine view ~params:(Gcs.Sim.params sim) ~every:sample_every
-      ~until:horizon ~faults:cfg.Gcs.Sim.faults ()
+    Gcs.Invariant.checker ~n:view.Gcs.Metrics.n ~params:(Gcs.Sim.params sim)
+      ~faults:cfg.Gcs.Sim.faults ()
   in
+  Gcs.Metrics.every engine view ~every:sample_every ~until:horizon (fun snap ->
+      Gcs.Metrics.record recorder snap;
+      Gcs.Invariant.observe invariants snap);
   Topology.Churn.schedule engine churn;
   Gcs.Sim.run_until sim horizon;
   { sim; recorder; invariants }

@@ -29,7 +29,9 @@ let run ~quick =
     run_execution (Layered.alpha_clocks layered) (Layered.alpha_delay_policy layered)
       ~watch:[ (u, v) ] ~churn:[] ~horizon:t2
   in
-  let skew_alpha = Gcs.Metrics.edge_skew (Gcs.Sim.view alpha.Common.sim) u v in
+  let skew_alpha =
+    Gcs.Metrics.edge_skew (Gcs.Metrics.snapshot (Gcs.Sim.view alpha.Common.sim) ~time:t2) u v
+  in
   (* Part B continues the beta execution past t1 with the new edges, so we
      build it in two stages: first run beta to t1 to read the B-chain
      clocks, pick the Lemma 4.3 nodes, then re-run with the insertion

@@ -95,21 +95,13 @@ type branch = {
   b_samples : (float * float array * float array) list;  (* chronological *)
 }
 
-let complete_edges n =
-  let es = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      es := (u, v) :: !es
-    done
-  done;
-  List.rev !es
-
 (* Execute one branch of [s]'s configuration on the real engine:
    - delay draws and (when [s.tie]) same-instant dispatch orders consume
      choices from [dr];
    - the engine tie-break hook doubles as a clean between-events probe:
-     the shared Invariant checker and the Lemma 6.8 Lmax-lag bound
-     advance there (and once more at the horizon);
+     it fills one snapshot, from which the shared Invariant checker, the
+     Lemma 6.8 Lmax-lag bound and the samples all read (once more at the
+     horizon);
    - the trace's consumer feeds each entry to the incremental
      Conformance checker as it is recorded, and to [csv] when given;
    - [entry_shim] / [view_shim] let tests inject broken-engine behavior
@@ -157,7 +149,7 @@ let run_branch ?csv (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
   let cfg =
     Gcs.Sim.config ~algo:Gcs.Sim.Gradient ~params
       ~clocks ~delay ~trace
-      ~initial_edges:(complete_edges s.Spec.n)
+      ~initial_edges:(Topology.Static.complete s.Spec.n)
       ~faults:s.Spec.faults ~fault_seed:0 ()
   in
   let sim = Gcs.Sim.create cfg in
@@ -185,20 +177,20 @@ let run_branch ?csv (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
   let alive = Gcs.Sim.alive sim in
   let lag_violations = ref [] in
   let samples = ref [] in
+  let snap = Gcs.Metrics.snapshot view ~time:0. in
   let probe () =
-    let time = Gcs.Sim.now sim in
-    Gcs.Invariant.observe inv ~time ~l:view.Gcs.Metrics.clock_of
-      ~lmax:view.Gcs.Metrics.lmax_of;
+    Gcs.Metrics.fill view snap ~time:(Gcs.Sim.now sim);
+    Gcs.Invariant.observe inv snap;
     if check_lag then begin
-      match lmax_lag view ~alive ~time with
+      match lmax_lag snap ~alive with
       | Some v -> lag_violations := v :: !lag_violations
       | None -> ()
     end;
     if sample then
       samples :=
-        ( time,
-          Array.init s.Spec.n view.Gcs.Metrics.clock_of,
-          Array.init s.Spec.n view.Gcs.Metrics.lmax_of )
+        ( snap.time,
+          Array.init s.Spec.n (Float.Array.get snap.l),
+          Array.init s.Spec.n (Float.Array.get snap.lmax) )
         :: !samples
   in
   Dsim.Engine.set_tie_break engine

@@ -19,6 +19,7 @@ let () =
       ("node", Test_node.suite);
       ("baseline", Test_baseline.suite);
       ("metrics", Test_metrics.suite);
+      ("probe", Test_probe.suite);
       ("invariant", Test_invariant.suite);
       ("sim", Test_sim.suite);
       ("hetero", Test_hetero.suite);

@@ -13,25 +13,27 @@ let view =
     iter_edges = (fun f -> List.iter (fun (u, v) -> f u v) [ (0, 1); (1, 2) ]);
   }
 
-let test_global_skew () = Alcotest.check feq "max - min" 10. (Metrics.global_skew view)
+let snap = Metrics.snapshot view ~time:0.
+
+let test_global_skew () = Alcotest.check feq "max - min" 10. (Metrics.global_skew snap)
 
 let test_local_skew () =
   (* edge skews: |0-3| = 3, |3-10| = 7 *)
-  Alcotest.check feq "max edge skew" 7. (Metrics.local_skew view)
+  Alcotest.check feq "max edge skew" 7. (Metrics.local_skew snap)
 
 let test_edge_skew () =
-  Alcotest.check feq "pair 0,2 (no edge needed)" 10. (Metrics.edge_skew view 0 2);
-  Alcotest.check feq "symmetric" 3. (Metrics.edge_skew view 1 0)
+  Alcotest.check feq "pair 0,2 (no edge needed)" 10. (Metrics.edge_skew snap 0 2);
+  Alcotest.check feq "symmetric" 3. (Metrics.edge_skew snap 1 0)
 
-let test_lmax_lag () = Alcotest.check feq "best - worst" 5. (Metrics.lmax_lag view)
+let test_lmax_lag () = Alcotest.check feq "best - worst" 5. (Metrics.lmax_lag snap)
 
 let test_clock_lag () =
   (* per node: 5-0=5, 5-3=2, 0 *)
-  Alcotest.check feq "max lag behind own Lmax" 5. (Metrics.clock_lag view)
+  Alcotest.check feq "max lag behind own Lmax" 5. (Metrics.clock_lag snap)
 
 let test_no_edges () =
   let lonely = { view with Metrics.iter_edges = (fun _ -> ()) } in
-  Alcotest.check feq "local skew 0" 0. (Metrics.local_skew lonely)
+  Alcotest.check feq "local skew 0" 0. (Metrics.local_skew (Metrics.snapshot lonely ~time:0.))
 
 let test_recorder () =
   (* Attach to a real (trivial) engine and check sampling cadence. *)
@@ -57,7 +59,7 @@ let test_recorder () =
   Alcotest.(check (list (pair (float 0.) (float 0.)))) "unwatched pair empty" []
     (Metrics.pair_trace rec_ (0, 2));
   Alcotest.(check bool) "max global >= final" true
-    (Metrics.max_global_skew rec_ >= Metrics.global_skew (Gcs.Sim.view sim) -. 1e-9)
+    (Metrics.max_global_skew rec_ >= Metrics.global_skew (Metrics.snapshot (Gcs.Sim.view sim) ~time:10.) -. 1e-9)
 
 let suite =
   [

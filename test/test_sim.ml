@@ -18,7 +18,8 @@ let test_runs_and_syncs () =
   let view = Sim.view sim in
   let p = Sim.params sim in
   Alcotest.(check bool) "global skew below bound" true
-    (Gcs.Metrics.global_skew view <= Params.global_skew_bound p);
+    (Gcs.Metrics.global_skew (Gcs.Metrics.snapshot view ~time:100.)
+    <= Params.global_skew_bound p);
   Alcotest.(check bool) "clocks advanced" true (Sim.logical_clock sim 0 > 50.)
 
 let test_clock_accessors_agree_with_view () =
@@ -120,7 +121,8 @@ let test_larger_network_scales () =
   let events = Dsim.Engine.events_processed (Sim.engine sim) in
   Alcotest.(check bool) "plausible event volume" true (events > 25_000 && events < 300_000);
   Alcotest.(check bool) "global skew within bound" true
-    (Gcs.Metrics.global_skew (Sim.view sim) <= Params.global_skew_bound params)
+    (Gcs.Metrics.global_skew (Gcs.Metrics.snapshot (Sim.view sim) ~time:50.)
+    <= Params.global_skew_bound params)
 
 let suite =
   [
