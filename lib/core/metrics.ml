@@ -38,18 +38,28 @@ let snapshot view ~time =
   fill view s ~time;
   s
 
-(* One engine callback per instant, filling one reused snapshot. *)
+(* One engine callback per instant, filling one reused snapshot. The
+   instants are [start + k every], not a running sum, which drifts past
+   [until] and drops the probe there. The count takes [slack], and a
+   last instant within [slack] of [until] is [until] itself. *)
 let every engine view ~every ~until observe =
   if every <= 0. then invalid_arg "Metrics.every: period must be positive";
   let s = blank view in
-  let rec schedule time =
-    if time <= until then
+  let start = Engine.now engine in
+  let span = (until -. start) /. every in
+  let last = int_of_float (Float.floor (span +. slack span)) in
+  let at_end = Float.abs (span -. float_of_int last) <= slack span in
+  let rec schedule k =
+    if k <= last then
+      let time =
+        if k = last && at_end then until else start +. (float_of_int k *. every)
+      in
       Engine.at engine ~time (fun () ->
           fill view s ~time:(Engine.now engine);
           observe s;
-          schedule (time +. every))
+          schedule (k + 1))
   in
-  schedule (Engine.now engine)
+  schedule 0
 
 let spread keep col =
   let hi = ref neg_infinity and lo = ref infinity in

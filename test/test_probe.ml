@@ -167,9 +167,43 @@ let test_faulted_report_pinned () =
     (faulted_report (two_schedules None))
     (faulted_report one_schedule)
 
+(* The probe at the horizon: [every = H/200] from time 0 must give 201
+   instants, the last exactly at H, for any H — summing the period drifts
+   past H and drops it. *)
+let test_horizon_probe_kept () =
+  let clocks = [| Dsim.Hwclock.perfect; Dsim.Hwclock.perfect |] in
+  let view =
+    { Metrics.n = 2; clock_of = (fun _ -> 0.); lmax_of = (fun _ -> 0.); iter_edges = ignore }
+  in
+  let bad = ref [] in
+  for k = 0 to 1999 do
+    let h = 0.01 *. (10. ** (5. *. float_of_int k /. 1999.)) in
+    let engine =
+      Dsim.Engine.create ~clocks ~delay:(Dsim.Delay.constant ~bound:1.0 0.5)
+        ~timer_label:Gcs.Proto.timer_label ()
+    in
+    for i = 0 to 1 do
+      Dsim.Engine.install engine i (fun _ ->
+          {
+            Dsim.Engine.on_init = ignore;
+            on_discover_add = ignore;
+            on_discover_remove = ignore;
+            on_receive = (fun _ (_ : Gcs.Proto.message) -> ());
+            on_timer = (fun (_ : Gcs.Proto.timer) -> ());
+          })
+    done;
+    let r = Metrics.attach engine view ~every:(h /. 200.) ~until:h () in
+    Dsim.Engine.run_until engine h;
+    let times = List.map (fun s -> s.Metrics.time) (Metrics.samples r) in
+    if List.length times <> 201 || List.nth times (List.length times - 1) <> h then
+      bad := h :: !bad
+  done;
+  Alcotest.(check (list (float 0.))) "horizons that lose or move the last probe" [] !bad
+
 let suite =
   [
     case "one read of every node per instant" test_one_read_per_instant;
     QCheck_alcotest.to_alcotest prop_reductions_match_lists;
     case "faulted report pinned" test_faulted_report_pinned;
+    case "probe kept at the horizon" test_horizon_probe_kept;
   ]
