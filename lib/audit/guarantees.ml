@@ -34,9 +34,7 @@ type t = {
   faults : Dsim.Fault.schedule;
   suspend_from : float;
   suspend_until : float;
-  down : Bytes.t; (* per node at the current probe: crashed? *)
-  alive : int -> bool;
-  lmax_lag : Gcs.Metrics.snapshot -> alive:(int -> bool) -> Report.violation option;
+  down : Bytes.t; (* per node at the current probe: '\001' if crashed *)
   mutable violations : Report.violation list;  (* newest first *)
   mutable probes : int;
 }
@@ -97,7 +95,6 @@ let make engine ~params ~check_envelope ~faults ~recovery_bound =
     | Some f, Some l -> (f, l +. recovery_bound)
     | _ -> (infinity, neg_infinity)
   in
-  let down = Bytes.make params.Gcs.Params.n '\000' in
   {
     engine;
     params;
@@ -105,9 +102,7 @@ let make engine ~params ~check_envelope ~faults ~recovery_bound =
     faults;
     suspend_from;
     suspend_until;
-    down;
-    alive = (fun i -> Bytes.get down i = '\000');
-    lmax_lag = lmax_lag params;
+    down = Bytes.make params.Gcs.Params.n '\000';
     violations = [];
     probes = 0;
   }
@@ -124,8 +119,9 @@ let observe g (s : Gcs.Metrics.snapshot) =
     (* Crashed nodes keep stale frozen state that proves nothing about
        the engine. *)
     Dsim.Fault.mark_down g.faults ~at:time g.down;
+    let alive i = Bytes.get g.down i = '\000' in
     let g_bound = Gcs.Params.global_skew_bound g.params in
-    let skew = Gcs.Metrics.spread g.alive s.l in
+    let skew = Gcs.Metrics.spread alive s.l in
     if skew > g_bound +. slack g_bound then
       if recovering then
         add "recovery-exceeded"
@@ -136,18 +132,21 @@ let observe g (s : Gcs.Metrics.snapshot) =
              -. Option.value (Dsim.Fault.last_time g.faults) ~default:g.suspend_until))
       else add "global-skew-bound" (Printf.sprintf "global skew %.9g > G(n)=%.9g" skew g_bound);
     if not recovering then begin
-      Option.iter (fun v -> g.violations <- v :: g.violations) (g.lmax_lag s ~alive:g.alive);
+      Option.iter (fun v -> g.violations <- v :: g.violations) (lmax_lag g.params s ~alive);
       if g.check_envelope then begin
+        (* s(n, age) never falls below the stable bound, so only an edge
+           skewed past it can break the envelope. *)
+        let floor = Gcs.Params.stable_local_skew g.params in
         let graph = Engine.graph g.engine in
         Dsim.Dyngraph.fold_edges graph
           (fun () u v ->
-            if g.alive u && g.alive v then
+            let skew = Gcs.Metrics.edge_skew s u v in
+            if skew > floor && alive u && alive v then
               match Dsim.Dyngraph.since graph u v with
               | None -> ()
               | Some since ->
                 let age = time -. since in
                 let bound = Gcs.Params.dynamic_local_skew g.params age in
-                let skew = Gcs.Metrics.edge_skew s u v in
                 if skew > bound +. slack bound then
                   add "local-skew-envelope"
                     (Printf.sprintf "{%d,%d} age %.9g skew %.9g > s(n,age)=%.9g" u v age

@@ -33,9 +33,9 @@ val lmax_lag :
 (** The Lemma 6.8 rule, the one both this probe and the model explorer
     run: the spread of [Lmax] over the nodes [alive] accepts must stay
     within [(1+ρ)(n-1)ΔT]. [Some] carries the ["lmax-propagation"]
-    violation stamped with the snapshot's time. Apply it to [params]
-    once: the bound is computed then, and each later call allocates
-    nothing when the rule holds. *)
+    violation stamped with the snapshot's time. Applied to [params], it
+    computes the bound once; a call that finds the rule holding
+    allocates nothing. *)
 
 val create :
   (Gcs.Proto.message, Gcs.Proto.timer) Dsim.Engine.t ->
@@ -43,13 +43,11 @@ val create :
   check_envelope:bool ->
   faults:Dsim.Fault.schedule ->
   t
-(** A monitor with no probes yet, for an observer of {!Gcs.Metrics.every}
-    to feed. The engine supplies the live edge ages the envelope needs;
-    the recovery bound is {!attach}'s default. *)
+(** A monitor for a {!Gcs.Metrics.every} observer to feed, with
+    {!attach}'s default recovery bound; the engine gives edge ages. *)
 
 val observe : t -> Gcs.Metrics.snapshot -> unit
-(** Check one probe instant. Node liveness is worked out once per call;
-    while recovering, the envelope is not walked at all. *)
+(** Check one probe instant. *)
 
 val attach :
   (Gcs.Proto.message, Gcs.Proto.timer) Dsim.Engine.t ->
@@ -62,11 +60,9 @@ val attach :
   until:float ->
   unit ->
   t
-(** A monitor with a probe schedule of its own, from the engine's
-    current time to [until]. [check_envelope] defaults to [false].
-    [recovery_bound] defaults to [(n-1)ΔT + stabilize_real] —
+(** {!create} on a schedule of its own. [check_envelope] defaults to
+    [false]. [recovery_bound] defaults to [(n-1)ΔT + stabilize_real] —
     max-propagation across the network plus the paper's convergence
-    horizon — stretched by the time any Lmax-inflating fault needs to be
-    burned off. *)
+    horizon — plus the time to burn off any Lmax-inflating fault. *)
 
 val report : t -> Report.t

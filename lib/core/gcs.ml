@@ -27,10 +27,11 @@ module Drift = Drift
 (** Whole-network hardware-clock assignments (drift patterns). *)
 
 module Metrics = Metrics
-(** Global/local skew queries and periodic recorders. *)
+(** The probe schedule, its per-instant snapshot, skew reductions and
+    recorders. *)
 
 module Invariant = Invariant
-(** Validity monitors: monotone clocks, rate >= 1/2, L <= Lmax. *)
+(** Validity monitors: monotone clocks, rate >= 1 - rho, L <= Lmax. *)
 
 module Sim = Sim
 (** One-call simulation assembly over any of the three algorithms. *)

@@ -19,9 +19,7 @@ type monitor = checker
 
 let slack = Metrics.slack
 
-let up = '\000'
-let down = '\001'
-let jumped = '\002'
+let up, down, jumped = ('\000', '\001', '\002')
 
 let checker ~n ~params ?rate_floor ?(faults = []) () =
   let rate_floor =
@@ -41,6 +39,9 @@ let checker ~n ~params ?rate_floor ?(faults = []) () =
     primed = false;
   }
 
+let add c ~time node kind detail =
+  c.violations <- { time; node; kind; detail } :: c.violations
+
 let observe c (s : Metrics.snapshot) =
   let time = s.time in
   c.probes <- c.probes + 1;
@@ -53,42 +54,29 @@ let observe c (s : Metrics.snapshot) =
      (the explorer probes before every same-instant event), so an op at
      [prev_time] may postdate the previous sample and must still suspend
      this window. *)
-  Dsim.Fault.mark_down c.faults ~at:time c.state;
-  List.iter
-    (function
-      | Dsim.Fault.Crash { node; at } | Dsim.Fault.Restart { node; at; _ }
-        when at >= c.prev_time && at <= time && Bytes.get c.state node = up ->
-        Bytes.set c.state node jumped
-      | _ -> ())
-    c.faults;
+  if c.faults <> [] then begin
+    Dsim.Fault.mark_down c.faults ~at:time c.state;
+    List.iter
+      (function
+        | Dsim.Fault.Crash { node; at } | Dsim.Fault.Restart { node; at; _ }
+          when at >= c.prev_time && at <= time && Bytes.get c.state node = up ->
+          Bytes.set c.state node jumped
+        | _ -> ())
+      c.faults
+  end;
   for i = 0 to c.n - 1 do
     let st = Bytes.get c.state i in
     if st <> down then begin
       let l = Float.Array.get s.l i in
       let lmax = Float.Array.get s.lmax i in
       if lmax < l -. slack l then
-        c.violations <-
-          {
-            time;
-            node = i;
-            kind = "lmax-dominance";
-            detail = Printf.sprintf "L=%.9g > Lmax=%.9g" l lmax;
-          }
-          :: c.violations;
+        add c ~time i "lmax-dominance" (Printf.sprintf "L=%.9g > Lmax=%.9g" l lmax);
       if c.primed && st = up then begin
         let dt = time -. c.prev_time in
         let dl = l -. c.prev_clock.(i) in
         if dl < (c.rate_floor *. dt) -. slack (Float.abs l +. dt) then
-          c.violations <-
-            {
-              time;
-              node = i;
-              kind = "min-rate";
-              detail =
-                Printf.sprintf "dL=%.9g over dt=%.9g (floor %.3g)" dl dt
-                  c.rate_floor;
-            }
-            :: c.violations
+          add c ~time i "min-rate"
+            (Printf.sprintf "dL=%.9g over dt=%.9g (floor %.3g)" dl dt c.rate_floor)
       end;
       c.prev_clock.(i) <- l
     end

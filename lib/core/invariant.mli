@@ -35,9 +35,7 @@ val checker :
     observed execution runs under. *)
 
 val observe : checker -> Metrics.snapshot -> unit
-(** Feed one probe: the snapshot's columns are checked for every node
-    alive at its time. Liveness and crash/restart discontinuities are
-    worked out once per probe, for the nodes the fault schedule names.
+(** Check one probe's columns for every node alive at its time.
     Observation times must be non-decreasing. *)
 
 val attach :
@@ -50,11 +48,10 @@ val attach :
   ?faults:Dsim.Fault.schedule ->
   unit ->
   monitor
-(** {!checker} plus {!Metrics.every}: a checker with a probe schedule of
-    its own. [rate_floor] defaults to [1 - params.rho]. With [faults], crashed
-    nodes are skipped and the min-rate window is suspended across any
-    crash or restart discontinuity (state loss / corruption legitimately
-    moves [L] backwards). *)
+(** {!checker} on a schedule ({!Metrics.every}) of its own. With
+    [faults], crashed nodes are skipped and the min-rate window is
+    suspended across any crash or restart discontinuity (state loss /
+    corruption legitimately moves [L] backwards). *)
 
 val violations : monitor -> violation list
 

@@ -13,7 +13,7 @@ type view = {
    multi-thousand-unit horizons where rounding alone exceeds it. *)
 let eps_abs = 1e-9
 let eps_rel = 1e-7
-let slack magnitude = eps_abs +. (eps_rel *. Float.abs magnitude)
+let[@inline] slack magnitude = eps_abs +. (eps_rel *. Float.abs magnitude)
 
 type snapshot = {
   mutable time : float;
@@ -74,12 +74,16 @@ let spread keep col =
 
 let global_skew (s : snapshot) = spread (fun _ -> true) s.l
 
-let edge_skew (s : snapshot) u v = Float.abs (Float.Array.get s.l u -. Float.Array.get s.l v)
+let[@inline] edge_skew (s : snapshot) u v = Float.abs (Float.Array.get s.l u -. Float.Array.get s.l v)
 
+(* The running maximum lives in a one-cell float array: a float ref the
+   edge closure captured would box every update. *)
 let local_skew (s : snapshot) =
-  let worst = ref 0. in
-  s.iter_edges (fun u v -> worst := Float.max !worst (edge_skew s u v));
-  !worst
+  let worst = Float.Array.make 1 0. in
+  s.iter_edges (fun u v ->
+      let d = edge_skew s u v in
+      if d > Float.Array.get worst 0 then Float.Array.set worst 0 d);
+  Float.Array.get worst 0
 
 let lmax_lag (s : snapshot) = spread (fun _ -> true) s.lmax
 

@@ -30,7 +30,7 @@ val snapshot : view -> time:float -> snapshot
 (** Read every node of the view once, into fresh columns. *)
 
 val fill : view -> snapshot -> time:float -> unit
-(** {!snapshot}, in place, into a snapshot of the same view. *)
+(** Re-read the view into a snapshot of it, in place. *)
 
 val every :
   (Proto.message, Proto.timer) Dsim.Engine.t ->
@@ -39,9 +39,8 @@ val every :
   until:float ->
   (snapshot -> unit) ->
   unit
-(** Probe from the engine's current time to [until]: one engine callback
-    per instant fills one reused snapshot and hands it to the observer,
-    which must not keep it. *)
+(** Probe from the engine's current time to [until]: each instant, one
+    engine callback fills one reused snapshot for the observer. *)
 
 val spread : (int -> bool) -> Float.Array.t -> float
 (** [max - min] of a column over the nodes the predicate accepts. *)

@@ -69,9 +69,8 @@ val alive : schedule -> node:int -> at:float -> bool
     restart instant. *)
 
 val mark_down : schedule -> at:float -> Bytes.t -> unit
-(** For every node a crash or restart op names, set its byte to ['\001']
-    if {!alive} has it down at [at], else to ['\000']. No other byte
-    changes: a probe works out liveness for all nodes at once. *)
+(** For each node a crash or restart op names, set its byte to ['\001']
+    if {!alive} has it down at [at], else ['\000']; leave the rest. *)
 
 val dead_during : schedule -> node:int -> float -> float -> bool
 (** Does the node's down time intersect the closed interval [[t0, t1]]? *)

@@ -95,6 +95,15 @@ type branch = {
   b_samples : (float * float array * float array) list;  (* chronological *)
 }
 
+let complete_edges n =
+  let es = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      es := (u, v) :: !es
+    done
+  done;
+  List.rev !es
+
 (* Execute one branch of [s]'s configuration on the real engine:
    - delay draws and (when [s.tie]) same-instant dispatch orders consume
      choices from [dr];
@@ -149,7 +158,7 @@ let run_branch ?csv (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
   let cfg =
     Gcs.Sim.config ~algo:Gcs.Sim.Gradient ~params
       ~clocks ~delay ~trace
-      ~initial_edges:(Topology.Static.complete s.Spec.n)
+      ~initial_edges:(complete_edges s.Spec.n)
       ~faults:s.Spec.faults ~fault_seed:0 ()
   in
   let sim = Gcs.Sim.create cfg in
