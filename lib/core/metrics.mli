@@ -39,8 +39,11 @@ val every :
   until:float ->
   (snapshot -> unit) ->
   unit
-(** Probe from the engine's current time to [until]: each instant, one
-    engine callback fills one reused snapshot for the observer. *)
+(** Probe from the engine's current time to a finite [until]: each
+    instant, one engine callback fills one reused snapshot for the
+    observer. The instants are [start + k every], the last one [until]
+    itself when [until - start] is a multiple of [every] up to
+    {!slack}. *)
 
 val spread : (int -> bool) -> Float.Array.t -> float
 (** [max - min] of a column over the nodes the predicate accepts. *)
