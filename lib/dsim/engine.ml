@@ -945,6 +945,9 @@ let set_timer ctx ~after timer =
   let clock = t.clocks.(ctx.id) in
   let now = node_now ctx in
   let deadline = Hwclock.inverse clock (Hwclock.value clock now +. after) in
+  (* Rejected before any bookkeeping changes, or a NaN or infinite delay
+     would leave a live timer that no wheel entry backs. *)
+  if not (Float.is_finite deadline) then invalid_arg "Engine.set_timer: non-finite delay";
   let gen = t.gens.(ctx.id) in
   t.gens.(ctx.id) <- gen + 1;
   (* A re-arm supersedes the pending entry: its wheel slot goes stale and
@@ -1160,7 +1163,7 @@ let apply_restart t f node ~corrupt =
         ~kind:k_discover_add ~a:node ~b:peer ~c:epoch ~d:0 no_payload)
     (Dyngraph.neighbors t.graph node)
 
-(* Dispatch the event latched in [q]'s registers. [lane] is the owner's
+(* Dispatch the event [q] last popped. [lane] is the owner's
    lane; node-addressed kinds and commuting callbacks may run inside a
    parallel window, in which case [now] is the lane's event time and all
    records buffer. Topology changes, faults and plain callbacks are only
@@ -1345,7 +1348,9 @@ let tb_push tb ~seq ~kind ~a ~b ~c ~d payload =
    order, and the hook picks which one dispatches next. [select] peeked
    the wheel up to that instant, so every wheel entry due then already
    sits in its due set, in front of every later one. Each entry goes
-   back to its own structure, the chosen one with its seq lowered to -1
+   back to its own structure (a wheel entry re-arms into the resolved
+   past, so straight into the wheel's due set, an [Equeue] like the
+   queue), the chosen one with its seq lowered to -1
    (below every allocated rank, so it is the next to surface) while the
    others keep their original seqs; the candidate is redirected to the
    chosen entry's structure. The hook is consulted again before each

@@ -146,7 +146,9 @@ val send : ('msg, 'timer) ctx -> dst:int -> 'msg -> unit
 val set_timer : ('msg, 'timer) ctx -> after:float -> 'timer -> unit
 (** Arm (or re-arm) the timer labelled by the given value to fire after
     [after] subjective time units. A previously pending timer with an
-    equal label is superseded. *)
+    equal label is superseded. Raises [Invalid_argument] on a negative
+    delay, or one whose deadline is not finite (NaN, infinity), and then
+    arms nothing. *)
 
 val cancel_timer : ('msg, 'timer) ctx -> 'timer -> unit
 

@@ -4,10 +4,11 @@
    four int operands and one optional boxed payload (the message or
    callback, which the engine cannot unbox without losing genericity).
    The operand columns sit in a free-listed slot pool; the ordering
-   structures move (time, seq, slot) triples only. Popping decodes the
-   event into per-queue registers ([ev_kind] .. [ev_payload]) read by the
-   dispatcher — returning a tuple or record would put an allocation back
-   on the hot path.
+   structures move (time, seq, slot) triples only. A popped event keeps
+   its slot until [release] or the next pop, and [ev_kind] .. [ev_payload]
+   read its operands in place — returning a tuple or record would put an
+   allocation back on the hot path, and copying them out would cost every
+   pop, including the timer wheel's, whose due set reads none of them.
 
    Ordering lives in three sources: a binary heap on (time, seq) and two
    sorted runs beside it. Most events are created in the order they will
@@ -67,13 +68,7 @@ type t = {
   mutable free : int; (* head of the free list, -1 when exhausted *)
   mutable pool_len : int;
   mutable prov : int; (* live entries whose seq is provisional *)
-  (* Registers holding the last popped event. *)
-  mutable p_kind : int;
-  mutable p_a : int;
-  mutable p_b : int;
-  mutable p_c : int;
-  mutable p_d : int;
-  mutable p_payload : Obj.t;
+  mutable popped : int; (* slot of the last popped event, or -1 *)
 }
 
 let src_none = -1
@@ -110,12 +105,7 @@ let create ?(capacity = 64) () =
     free = -1;
     pool_len = 0;
     prov = 0;
-    p_kind = -1;
-    p_a = 0;
-    p_b = 0;
-    p_c = 0;
-    p_d = 0;
-    p_payload = dummy;
+    popped = -1;
   }
 
 let size q = q.hsize + q.run1.r_len + q.run2.r_len
@@ -281,7 +271,22 @@ let[@inline] head_seq q s =
 
 let[@inline always] next_time q = if q.src = src_none then infinity else head_time q q.src
 
-let top_seq q = if q.src = src_none then max_int else head_seq q q.src
+let[@inline] top_seq q = if q.src = src_none then max_int else head_seq q q.src
+
+(* Pool slot of the head; raises [Invalid_argument name] when empty. *)
+let[@inline] head_slot q name =
+  let s = q.src in
+  if s = src_none then invalid_arg name
+  else if s = src_heap then Array.unsafe_get q.slots 0
+  else
+    let r = run_of q s in
+    Array.unsafe_get r.r_slots r.r_head
+
+let[@inline] top_a q = Array.unsafe_get q.ia (head_slot q "Equeue.top_a: empty queue")
+
+let[@inline] top_b q = Array.unsafe_get q.ib (head_slot q "Equeue.top_b: empty queue")
+
+let[@inline] top_c q = Array.unsafe_get q.ic (head_slot q "Equeue.top_c: empty queue")
 
 (* Whether run [r]'s head precedes non-empty source [s]'s. *)
 let[@inline] run_head_before r q s =
@@ -318,7 +323,8 @@ let push q ~time ~seq ~kind ~a ~b ~c ~d payload =
   q.ib.(slot) <- b;
   q.ic.(slot) <- c;
   q.id_.(slot) <- d;
-  q.payloads.(slot) <- payload;
+  (* A free slot holds [dummy]: payload-less events skip the write barrier. *)
+  if payload != dummy then q.payloads.(slot) <- payload;
   let r1 = q.run1 and r2 = q.run2 in
   let dest =
     if run_accepts r1 time seq then
@@ -340,9 +346,20 @@ let push q ~time ~seq ~kind ~a ~b ~c ~d payload =
   else run_append (run_of q dest) ~time ~seq ~slot;
   if first then q.src <- dest
 
+(* Free the popped event's slot; a free slot holds [dummy]. *)
+let release q =
+  let slot = q.popped in
+  if slot >= 0 then begin
+    q.popped <- -1;
+    if Array.unsafe_get q.payloads slot != dummy then q.payloads.(slot) <- dummy;
+    q.ia.(slot) <- q.free;
+    q.free <- slot
+  end
+
 let pop q =
   let s = q.src in
   if s = src_none then invalid_arg "Equeue.pop: empty queue";
+  release q;
   let slot =
     if s = src_heap then begin
       let sl = Array.unsafe_get q.slots 0 in
@@ -360,15 +377,7 @@ let pop q =
     end
   in
   q.src <- choose q;
-  q.p_kind <- q.kinds.(slot);
-  q.p_a <- q.ia.(slot);
-  q.p_b <- q.ib.(slot);
-  q.p_c <- q.ic.(slot);
-  q.p_d <- q.id_.(slot);
-  q.p_payload <- q.payloads.(slot);
-  q.payloads.(slot) <- dummy;
-  q.ia.(slot) <- q.free;
-  q.free <- slot
+  q.popped <- slot
 
 (* Rewriting seq values in place is safe exactly when the rewrite
    preserves the pairwise order of the live seqs: the heap shape and the
@@ -406,19 +415,17 @@ let remap_batch q ~finals =
     q.src <- choose q
   end
 
-let release q = q.p_payload <- dummy
+let ev_kind q = q.kinds.(q.popped)
 
-let ev_kind q = q.p_kind
+let ev_a q = q.ia.(q.popped)
 
-let ev_a q = q.p_a
+let ev_b q = q.ib.(q.popped)
 
-let ev_b q = q.p_b
+let ev_c q = q.ic.(q.popped)
 
-let ev_c q = q.p_c
+let ev_d q = q.id_.(q.popped)
 
-let ev_d q = q.p_d
-
-let ev_payload q = q.p_payload
+let ev_payload q = q.payloads.(q.popped)
 
 (* Allocated footprint in words, for memory-growth checks: heap columns
    (seqs/slots + the off-heap time column counted at 1 word/cell), the

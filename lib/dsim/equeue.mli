@@ -12,6 +12,10 @@
     off-heap Float64 [Bigarray] for the heap); the steady-state
     push/pop cycle allocates nothing.
 
+    It is the simulator's one [(time, seq)] order structure: the engine's
+    event queues are [Equeue]s, and so is each timer wheel's due set,
+    whose entries {!top_a} .. {!top_c} read before they are popped.
+
     Tie-break sequence numbers are supplied by the caller: the engine
     owns one global counter shared by all of its per-shard queues and
     its timer wheels, which is what makes the sharded merge order — and
@@ -39,8 +43,9 @@ val push :
     across every queue sharing the engine's counter. *)
 
 val pop : t -> unit
-(** Remove the earliest event and latch it into the registers read by
-    {!ev_kind} .. {!ev_payload}. Raises [Invalid_argument] when empty. *)
+(** Remove the earliest event; {!ev_kind} .. {!ev_payload} read it until
+    the next pop or {!release}, which first frees the previous one.
+    Raises [Invalid_argument] when empty. *)
 
 val next_time : t -> float
 (** Time of the earliest event, or [infinity] when empty. Inlined across
@@ -51,6 +56,13 @@ val top_seq : t -> int
     equal-time comparison against another source then always prefers the
     non-empty side. *)
 
+val top_a : t -> int
+val top_b : t -> int
+
+val top_c : t -> int
+(** Operands [a], [b] and [c] of the earliest event, read in place
+    without popping it. Raise [Invalid_argument] when empty. *)
+
 val ev_kind : t -> int
 val ev_a : t -> int
 val ev_b : t -> int
@@ -58,11 +70,13 @@ val ev_c : t -> int
 val ev_d : t -> int
 
 val ev_payload : t -> Obj.t
-(** Registers of the last {!pop}ped event. The payload register keeps the
-    payload alive until the next pop (or {!release}). *)
+(** Operands of the last {!pop}ped event, read in place. Its slot, and so
+    its payload, stays held until the next pop or {!release}. *)
 
 val release : t -> unit
-(** Clear the payload register so the GC can reclaim the last payload. *)
+(** Free the last popped event's slot so the GC can reclaim its payload;
+    {!ev_kind} .. {!ev_payload} must not be read again until the next
+    pop. *)
 
 val prov_flag : int
 (** Seqs at or above this value are provisional per-lane block ranks

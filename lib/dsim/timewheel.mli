@@ -6,9 +6,11 @@
     granule at the right level. The engine's run loop resolves entries
     lazily: {!peek} advances an internal cursor granule by granule,
     cascading coarser levels down as their boundaries are crossed, and
-    moves the current granule's entries into the due set: a binary heap
-    ordered by [(deadline, seq)] with one sorted run beside it, which
-    takes in O(1) every entry that does not precede its tail.
+    moves the current granule's entries into the due set: an {!Equeue}
+    holding each entry as a kind-0 event ([a] = node, [b] = label,
+    [c] = gen, its deadline as the time), so the wheel holds buckets only
+    and the queue's one [(time, seq)] order structure decides which entry
+    surfaces first.
 
     The wheel never decides whether an entry is live: cancellation and
     re-arm are generation-counter checks performed by the engine when an
@@ -44,8 +46,9 @@ val size : t -> int
 
 val footprint_words : t -> int
 (** Words currently allocated across the bucket table, bucket storage
-    (including drained buckets kept for reuse), the due heap and the due
-    run — read by the engine's memory-growth checks. *)
+    (including drained buckets kept for reuse) and the due set's
+    {!Equeue.footprint_words} — read by the engine's memory-growth
+    checks. *)
 
 val peek : t -> upto:float -> bool
 (** [peek w ~upto] is [true] iff the earliest entry's deadline is
@@ -82,6 +85,5 @@ val remap_batch : t -> finals:int array -> unit
     wheel's provisional count (maintained by {!arm}/{!pop}) is
     exhausted; a wheel holding none pays one load. The rewrite must
     preserve the pairwise order of the live seqs, which the engine's
-    barrier re-ranking guarantees (see {!Equeue.remap_batch}); the due
-    heap's shape and the due run's order are untouched, which is valid
-    exactly under that condition (DESIGN §14). *)
+    barrier re-ranking guarantees (see {!Equeue.remap_batch}, which
+    rewrites the due set). *)

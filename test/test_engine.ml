@@ -280,6 +280,47 @@ let test_periodic_timer_chain () =
   Engine.run_until h.engine 100.;
   Alcotest.(check int) "five ticks" 5 !count
 
+(* A timer whose wheel granule is past the int range must wait like any
+   far-future timer: surfacing it at once would hold the wheel's cursor
+   back, so no earlier timer could fire. *)
+let test_far_future_timer_does_not_starve () =
+  let h =
+    make
+      ~on_init:(fun ctx i ->
+        if i = 0 then begin
+          Engine.set_timer ctx ~after:1e19 "far";
+          Engine.set_timer ctx ~after:1. "near"
+        end)
+      ()
+  in
+  Engine.run_until h.engine 5.;
+  Alcotest.check feq "near fires at 1" 1. (time_of h "0:timer(near)");
+  Alcotest.(check bool) "far waits" false (has h "0:timer(far)");
+  Alcotest.(check int) "far stays armed" 1 (Engine.live_timers h.engine)
+
+(* A NaN or infinite delay is refused before any bookkeeping: no live
+   timer is counted and nothing is left behind to fire or go stale. *)
+let test_non_finite_delay_rejected () =
+  let refused = ref [] in
+  let h =
+    make
+      ~on_init:(fun ctx i ->
+        if i = 0 then
+          List.iter
+            (fun after ->
+              try Engine.set_timer ctx ~after "bad"
+              with Invalid_argument msg -> refused := msg :: !refused)
+            [ Float.nan; infinity ])
+      ()
+  in
+  Engine.run_until h.engine 5.;
+  Alcotest.(check int) "no live timer" 0 (Engine.live_timers h.engine);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending_events h.engine);
+  Alcotest.(check bool) "never fires" false (has h "0:timer(bad)");
+  Alcotest.(check (list string)) "refused by name"
+    [ "Engine.set_timer: non-finite delay"; "Engine.set_timer: non-finite delay" ]
+    !refused
+
 let test_callback () =
   let h = make () in
   let hits = ref [] in
@@ -650,6 +691,8 @@ let suite =
     case "timer cancellation" test_timer_cancellation;
     case "timer re-arm supersedes" test_timer_rearm_supersedes;
     case "periodic timer chain" test_periodic_timer_chain;
+    case "far-future timer does not starve" test_far_future_timer_does_not_starve;
+    case "non-finite timer delay rejected" test_non_finite_delay_rejected;
     case "scheduled callbacks" test_callback;
     case "run_until advances time" test_run_until_advances_now;
     case "bad destination rejected" test_bad_destination;

@@ -2,9 +2,10 @@ module Equeue = Dsim.Equeue
 
 let case name f = Alcotest.test_case name `Quick f
 
-(* Push an event whose [a] operand names it, so pops can be checked. *)
+(* Push an event whose operands name it ([a = id], [b = -id],
+   [c = 2 id + 1]), so pops and head reads can be checked. *)
 let push q ~time ~seq id =
-  Equeue.push q ~time ~seq ~kind:0 ~a:id ~b:0 ~c:0 ~d:0 (Obj.repr id)
+  Equeue.push q ~time ~seq ~kind:0 ~a:id ~b:(-id) ~c:((2 * id) + 1) ~d:0 (Obj.repr id)
 
 (* Pop everything as (time, a) pairs. *)
 let drain q =
@@ -23,7 +24,13 @@ let test_empty () =
   Alcotest.(check bool) "is_empty" true (Equeue.is_empty q);
   Alcotest.(check int) "size 0" 0 (Equeue.size q);
   Alcotest.(check bool) "next_time infinity" true (Equeue.next_time q = infinity);
-  Alcotest.(check int) "top_seq max_int" max_int (Equeue.top_seq q)
+  Alcotest.(check int) "top_seq max_int" max_int (Equeue.top_seq q);
+  List.iter
+    (fun (name, read) ->
+      Alcotest.check_raises name
+        (Invalid_argument (Printf.sprintf "Equeue.%s: empty queue" name))
+        (fun () -> ignore (read q)))
+    [ ("top_a", Equeue.top_a); ("top_b", Equeue.top_b); ("top_c", Equeue.top_c) ]
 
 let test_next_time_and_pop () =
   let q = Equeue.create () in
@@ -129,6 +136,22 @@ let[@inline never] push_and_pop q w =
     (Obj.repr (Bytes.make 16 'y'));
   Equeue.pop q
 
+(* A popped event's operands are read in place, so its slot must stay
+   out of the pool until [release]: the engine pushes the handler's new
+   events before it is done reading the one it popped. *)
+let test_popped_held_until_release () =
+  let q = Equeue.create ~capacity:1 () in
+  push q ~time:1. ~seq:0 7;
+  Equeue.pop q;
+  push q ~time:0.5 ~seq:1 8;
+  push q ~time:0.7 ~seq:2 9;
+  Alcotest.(check (list int)) "operands intact after pushes" [ 0; 7; -7; 15; 0 ]
+    [ Equeue.ev_kind q; Equeue.ev_a q; Equeue.ev_b q; Equeue.ev_c q; Equeue.ev_d q ];
+  Alcotest.(check int) "payload intact" 7 (Obj.obj (Equeue.ev_payload q));
+  Equeue.release q;
+  Alcotest.(check (list (pair (float 0.) int))) "the rest in order" [ (0.5, 8); (0.7, 9) ]
+    (drain q)
+
 let test_release () =
   let q = Equeue.create () in
   let w = Weak.create 1 in
@@ -200,9 +223,20 @@ let matches_reference ops =
   let model = ref [] (* (time, seq, id), sorted *) in
   let now = ref 0. and last = ref 0. in
   let next = ref 0 and cre = ref 0 and id = ref 0 in
+  (* The head operands, read in place, must be the model head's after
+     every push, pop and remap. *)
+  let heads_ok = ref true in
+  let check_head () =
+    match !model with
+    | [] -> ()
+    | (_, _, i) :: _ ->
+      if Equeue.top_a q <> i || Equeue.top_b q <> -i || Equeue.top_c q <> (2 * i) + 1
+      then heads_ok := false
+  in
   let put time seq i =
     push q ~time ~seq i;
-    model := List.merge compare [ (time, seq, i) ] !model
+    model := List.merge compare [ (time, seq, i) ] !model;
+    check_head ()
   in
   let push_new time prov =
     let seq =
@@ -231,6 +265,7 @@ let matches_reference ops =
       model := rest;
       let ok = Equeue.next_time q = time && Equeue.top_seq q = seq in
       Equeue.pop q;
+      check_head ();
       now := time;
       if ok && Equeue.ev_a q = i then Some (seq, i) else None
   in
@@ -251,6 +286,7 @@ let matches_reference ops =
                if s >= Equeue.prov_flag then (t, finals.(s land Equeue.cre_mask), i)
                else (t, s, i))
              !model);
+      check_head ();
       true
     | Rebreak j -> (
       match !model with
@@ -269,7 +305,7 @@ let matches_reference ops =
   in
   List.for_all (fun op -> step op && Equeue.size q = List.length !model) ops
   && List.for_all (fun _ -> step Pop) !model
-  && Equeue.is_empty q
+  && Equeue.is_empty q && !heads_ok
 
 let prop_matches_reference =
   QCheck.Test.make ~name:"push/pop/remap_batch match a sorted reference"
@@ -310,6 +346,7 @@ let suite =
     case "rejects bad input by name" test_rejects_bad_input;
     case "growth to 1000" test_growth_to_1000;
     case "growth past the requested capacity" test_growth_past_capacity;
+    case "popped event held until release" test_popped_held_until_release;
     case "release frees the payload" test_release;
     QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_stream_matches_reference;

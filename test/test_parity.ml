@@ -28,8 +28,9 @@ let check_pinned ~md5 ~events ~pending ~live engine trace =
 (* A timer-heavy toy protocol over int timer labels: each node keeps a
    periodic label-0 tick broadcasting to all peers it has heard from, and
    per-source label-(src+1) timeouts re-armed on every receipt — the same
-   arm/re-arm/cancel pattern as the gradient algorithm's Lost timers. *)
-let build ~trace =
+   arm/re-arm/cancel pattern as the gradient algorithm's Lost timers.
+   [scheduler] passes through to [Engine.create]. *)
+let build ?scheduler ~trace () =
   let n = 8 in
   let clocks =
     Array.init n (fun i ->
@@ -40,7 +41,7 @@ let build ~trace =
   let initial_edges = Topology.Static.ring n in
   let engine =
     Engine.create ~clocks ~delay ~discovery_lag:0.4 ~initial_edges ~trace
-      ~timer_label:(fun t -> t) ()
+      ~timer_label:(fun t -> t) ?scheduler ()
   in
   for i = 0 to n - 1 do
     Engine.install engine i (fun ctx ->
@@ -77,9 +78,13 @@ let build ~trace =
   Engine.schedule_edge_add engine ~at:33.9 3 4;
   engine
 
-let test_engine_pinned () =
+(* Granularity sets how many granules the wheel walks, never the order:
+   the pin holds at the default width (a sixteenth of the delay bound),
+   at a coarse 4.0, where several ticks share a granule and out-of-order
+   arrivals go into the due set's heap, and at a fine 1e-3. *)
+let test_engine_pinned ?scheduler () =
   let trace = Trace.create ~log_limit:200_000 () in
-  let engine = build ~trace in
+  let engine = build ?scheduler ~trace () in
   Engine.run_until engine 80.;
   check_pinned ~md5:"44463a9ee8acd5eec299f95ac4221ea4" ~events:2238 ~pending:35
     ~live:26 engine trace
@@ -459,6 +464,10 @@ let test_min_lat_guard () =
 let suite =
   [
     case "engine: timer-heavy protocol matches its pin" test_engine_pinned;
+    case "engine: the pin holds at granularity 4.0"
+      (test_engine_pinned ~scheduler:(`Wheel 4.0));
+    case "engine: the pin holds at granularity 1e-3"
+      (test_engine_pinned ~scheduler:(`Wheel 1e-3));
     case "sim: sharded = unsharded, byte-identical" test_shard_parity;
     case "sim: sharded fault campaign, byte-identical" test_shard_parity_faulted;
     case "sim: parallel windows, shards x jobs grid, byte-identical"

@@ -18,7 +18,7 @@ let build_sim ?(n = 64) ~horizon () =
    call (clock reads, queue pushes, trace records) boxes its float
    arguments and results regardless of [@inline] annotations: the n=64
    path reads ~45 words/event and n=1024 ~44. A release build inlines
-   those and reads 17.00 at n=1024 (semantic payloads: message records,
+   those and reads 17.01 at n=1024 (semantic payloads: message records,
    timer variant blocks, delay-sampler closures), so that row holds the
    release ceiling of 19 and is only checked under release. Regressions
    that reintroduce per-event closures, lists or boxed options blow past

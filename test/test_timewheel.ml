@@ -76,6 +76,20 @@ let test_far_future_clamped () =
     [ (50.0, 2); (100.0, 1) ]
     popped
 
+(* A deadline whose granule is past the int range must park like any
+   far-future entry, not wrap into the resolved past and sit at the head
+   of the due set, where it would keep [peek] from ever advancing to the
+   nearer entry armed after it. *)
+let test_beyond_int_range_parks () =
+  let w = Tw.create ~granularity:1.0 () in
+  Tw.arm w ~node:0 ~label:0 ~gen:0 ~seq:0 ~deadline:1e19;
+  Tw.arm w ~node:1 ~label:0 ~gen:0 ~seq:1 ~deadline:5.0;
+  Alcotest.(check bool) "near entry due by 10" true (Tw.peek w ~upto:10.);
+  Alcotest.(check (float 0.)) "near entry first" 5.0 (Tw.top_time w);
+  Tw.pop w;
+  Alcotest.(check bool) "far entry not due" false (Tw.peek w ~upto:1e6);
+  Alcotest.(check int) "far entry held" 1 (Tw.size w)
+
 let test_arm_into_resolved_past () =
   let w = Tw.create ~granularity:1.0 () in
   Tw.arm w ~node:0 ~label:0 ~gen:0 ~seq:1 ~deadline:8.0;
@@ -359,9 +373,9 @@ let test_bucket_growth_preserves_order_and_gens () =
    timeout ahead. So arms mostly land one of two offsets past the
    frontier or repeat the last deadline; a few land far ahead (past the
    span of the small shapes, so they clamp) or behind the frontier
-   (straight into the due set, behind the run's tail). [Next] advances
+   (straight into the due set, behind its runs' tails). [Next] advances
    the frontier to the earliest deadline and pops it. Its sequences run
-   long enough for the due run's ring to grow and wrap, and [Rebreak]
+   long enough for the due set's run rings to grow and wrap, and [Rebreak]
    replays the engine's tie-break hook: pop the whole group due at the
    head deadline, re-arm it there with the chosen member's seq lowered
    to -1, and pop that member next. *)
@@ -565,6 +579,7 @@ let suite =
     case "equal deadlines break by seq" test_seq_ties;
     case "cascade across levels" test_cascade_across_levels;
     case "far-future deadlines clamp and re-cascade" test_far_future_clamped;
+    case "deadlines past the int range park" test_beyond_int_range_parks;
     case "arm into already-resolved granule" test_arm_into_resolved_past;
     case "peek honours upto; top fields; size" test_peek_respects_upto;
     case "interleaved arm/drain stays ordered" test_interleaved_arm_and_drain;
