@@ -238,27 +238,28 @@ let on_deliver st ~time src dst epoch =
   link.last_receipt <- time;
   link.last_receipt_epoch <- epoch
 
-(* [label] >= 1 encodes lost(v) with v = label - 1 (Tick is 0; -1 means
-   the trace predates timer labels). Every receipt from v re-arms the
-   timer for subjective ΔT', so a live fire earlier than [min_lost_gap]
-   after the last delivery v -> node means the engine fired it early or
-   dropped a re-arm. *)
+(* [label] is {!Gcs.Proto.timer_label}'s encoding (-1 means the trace
+   predates timer labels). Every receipt from v re-arms lost(v) for
+   subjective ΔT', so a live fire earlier than [min_lost_gap] after the
+   last delivery v -> node means the engine fired it early or dropped a
+   re-arm. *)
 let on_timer_fire st ~time node label =
-  if label >= 1 then begin
-    let v = label - 1 in
-    match Hashtbl.find_opt st.links (v, node) with
-    | Some link when link.last_receipt_epoch >= 0 ->
-      let gap = time -. link.last_receipt in
-      (* gap = 0 is the same-instant race: a delivery processed at the
-         fire's own timestamp updated the anchor, but the fire was armed
-         by the receipt *before* it — not premature. Only a strictly
-         positive yet too-small gap convicts the engine. *)
-      if gap > slack time && gap < st.cfg.min_lost_gap -. slack time then
-        violationf st ~time "premature-lost-timer"
-          "%d's lost(%d) fired %.9g after the last receipt, minimum gap %.9g" node v gap
-          st.cfg.min_lost_gap
-    | _ -> ()
-  end
+  if label >= 0 then
+    match Gcs.Proto.timer_of_label label with
+    | Tick -> ()
+    | Lost v -> (
+      match Hashtbl.find_opt st.links (v, node) with
+      | Some link when link.last_receipt_epoch >= 0 ->
+        let gap = time -. link.last_receipt in
+        (* gap = 0 is the same-instant race: a delivery processed at the
+           fire's own timestamp updated the anchor, but the fire was armed
+           by the receipt *before* it — not premature. Only a strictly
+           positive yet too-small gap convicts the engine. *)
+        if gap > slack time && gap < st.cfg.min_lost_gap -. slack time then
+          violationf st ~time "premature-lost-timer"
+            "%d's lost(%d) fired %.9g after the last receipt, minimum gap %.9g" node v
+            gap st.cfg.min_lost_gap
+      | _ -> ())
 
 let on_drop_in_flight st ~time src dst epoch =
   let e = edge_state st src dst in

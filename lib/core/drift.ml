@@ -9,21 +9,30 @@ type spec =
   | Random_walk of float
   | Custom of (int -> Hwclock.t)
 
+(* Clocks are immutable, so a pattern with a few distinct clocks builds
+   each once and shares it: [Split_extremes] and [Alternating] cost two
+   clocks, not one per node. *)
 let assign params ~horizon ~seed spec =
   let n = params.Params.n in
   let rho = params.Params.rho in
-  let clock_for i =
+  let clock_for =
     match spec with
-    | Perfect -> Hwclock.perfect
-    | Split_extremes -> if i < n / 2 then Hwclock.fastest ~rho else Hwclock.slowest ~rho
+    | Perfect -> fun _ -> Hwclock.perfect
+    | Split_extremes ->
+      let fast = Hwclock.fastest ~rho and slow = Hwclock.slowest ~rho in
+      fun i -> if i < n / 2 then fast else slow
     | Gradient_rates ->
-      let frac = if n = 1 then 0. else float_of_int i /. float_of_int (n - 1) in
-      Hwclock.constant (1. +. rho -. (2. *. rho *. frac))
+      fun i ->
+        let frac = if n = 1 then 0. else float_of_int i /. float_of_int (n - 1) in
+        Hwclock.constant (1. +. rho -. (2. *. rho *. frac))
     | Alternating period ->
-      Hwclock.two_rate ~rho ~period ~horizon ~fast_first:(i mod 2 = 0)
+      let fast = Hwclock.two_rate ~rho ~period ~horizon ~fast_first:true
+      and slow = Hwclock.two_rate ~rho ~period ~horizon ~fast_first:false in
+      fun i -> if i mod 2 = 0 then fast else slow
     | Random_walk segment_mean ->
-      let prng = Prng.of_int (seed + (7919 * i)) in
-      Hwclock.random_walk prng ~rho ~segment_mean ~horizon
-    | Custom f -> f i
+      fun i ->
+        let prng = Prng.of_int (seed + (7919 * i)) in
+        Hwclock.random_walk prng ~rho ~segment_mean ~horizon
+    | Custom f -> f
   in
   Array.init n clock_for

@@ -219,16 +219,18 @@ let adjust_clock t =
     Estimate.set t.l ~at:h target
   end
 
-let send_update t v =
+let current_update t =
   let h = hardware_clock t in
+  { Proto.l = Estimate.get t.l ~at:h; lmax = Estimate.get t.lmax ~at:h }
+
+let send_update t v msg =
   t.messages_sent <- t.messages_sent + 1;
-  Engine.send t.ctx ~dst:v
-    { Proto.l = Estimate.get t.l ~at:h; lmax = Estimate.get t.lmax ~at:h }
+  Engine.send t.ctx ~dst:v msg
 
 let on_init t () = Engine.set_timer t.ctx ~after:t.params.Params.delta_h Proto.Tick
 
 let on_discover_add t v =
-  send_update t v;
+  send_update t v (current_update t);
   (let i = find t v in
    if i >= 0 then t.p_upsilon.(i) <- true
    else begin
@@ -251,9 +253,9 @@ let on_discover_remove t v =
    end);
   adjust_clock t
 
+(* The receipt re-arms lost(v) in place: [set_timer] on an armed label
+   supersedes the pending entry, exactly as a cancel before it would. *)
 let on_receive t v { Proto.l = l_v; lmax = lmax_v } =
-  let lost = Proto.Lost v in
-  Engine.cancel_timer t.ctx lost;
   let h = hardware_clock t in
   let i = find t v in
   let i =
@@ -285,12 +287,15 @@ let on_receive t v { Proto.l = l_v; lmax = lmax_v } =
   let after =
     match t.timeout with Tm_const d -> d | Tm_fun f -> f ~peer:v
   in
-  Engine.set_timer t.ctx ~after lost
+  Engine.set_timer t.ctx ~after (Proto.Lost v)
 
 let on_timer t = function
   | Proto.Tick ->
+    (* One handler, one [h] and no state change between sends: every
+       member of Υ gets the same immutable update. *)
+    let msg = current_update t in
     for i = 0 to t.p_len - 1 do
-      if t.p_upsilon.(i) then send_update t t.p_id.(i)
+      if t.p_upsilon.(i) then send_update t t.p_id.(i) msg
     done;
     adjust_clock t;
     Engine.set_timer t.ctx ~after:t.params.Params.delta_h Proto.Tick

@@ -4,6 +4,11 @@ type timer = Tick | Lost of int
 
 let timer_label = function Tick -> 0 | Lost v -> v + 1
 
+let timer_of_label = function
+  | 0 -> Tick
+  | l when l > 0 -> Lost (l - 1)
+  | l -> invalid_arg (Printf.sprintf "Proto.timer_of_label: negative label %d" l)
+
 type ctx = (message, timer) Dsim.Engine.ctx
 
 type handlers = (message, timer) Dsim.Engine.handlers

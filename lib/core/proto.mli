@@ -13,6 +13,10 @@ val timer_label : timer -> int
 (** Injective int encoding for the engine's timer tables and trace
     records: [Tick] is [0], [Lost v] is [v + 1]. *)
 
+val timer_of_label : int -> timer
+(** The inverse of {!timer_label}, for readers of trace records. Raises
+    [Invalid_argument] on a negative label. *)
+
 type ctx = (message, timer) Dsim.Engine.ctx
 
 type handlers = (message, timer) Dsim.Engine.handlers

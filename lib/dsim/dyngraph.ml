@@ -200,6 +200,10 @@ let epoch g u v =
   let s = find_slot g u v in
   if s >= 0 then Array.unsafe_get g.eepoch s else 0
 
+let live_epoch g u v =
+  let s = find_slot g u v in
+  if s >= 0 && present g s then Array.unsafe_get g.eepoch s else -1
+
 let since g u v =
   let s = find_slot g u v in
   if s >= 0 && present g s then Some g.esince.(s) else None

@@ -38,6 +38,10 @@ val remove_edge : t -> now:float -> int -> int -> bool
 val epoch : t -> int -> int -> int
 (** Number of changes this edge has undergone (0 if never touched). *)
 
+val live_epoch : t -> int -> int -> int
+(** The edge's {!epoch} if it is present, else [-1]: {!has_edge} and
+    {!epoch} in one adjacency search. *)
+
 val since : t -> int -> int -> float option
 (** If present, the real time at which the edge last appeared. *)
 

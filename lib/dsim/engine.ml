@@ -127,59 +127,66 @@ module Iset = struct
 end
 
 (* One node's armed timers, sorted by encoded label: the live generation
-   plus the ['timer] value to hand back to [on_timer] when the wheel
-   entry surfaces. Values are [Obj.t] so a
-   retired slot can be reset to a sentinel, exactly as in [Equeue]; the
-   casts never escape: every stored value is a ['timer] of the owning
-   engine and slots at or beyond [len] always hold [dummy]. *)
+   of each. The timer value itself is not kept here: a wheel entry
+   surfaces with its label, and the engine looks the value up in its
+   shard's label table ([timers], filled by [remember_timer]). *)
 module Armed = struct
   type t = {
     mutable labels : int array;
     mutable gens : int array;
-    mutable vals : Obj.t array;
     mutable len : int;
   }
 
-  let dummy : Obj.t = Obj.repr ()
-
-  let create () = { labels = [||]; gens = [||]; vals = [||]; len = 0 }
+  let create () = { labels = [||]; gens = [||]; len = 0 }
 
   let find s label = bfind s.labels s.len label
 
-  let insert s ~at label gen v =
+  let insert s ~at label gen =
     if s.len >= Array.length s.labels then begin
       let cap = max 4 (2 * Array.length s.labels) in
-      let ls = Array.make cap 0
-      and gs = Array.make cap 0
-      and vs = Array.make cap dummy in
+      let ls = Array.make cap 0 and gs = Array.make cap 0 in
       Array.blit s.labels 0 ls 0 s.len;
       Array.blit s.gens 0 gs 0 s.len;
-      Array.blit s.vals 0 vs 0 s.len;
       s.labels <- ls;
-      s.gens <- gs;
-      s.vals <- vs
+      s.gens <- gs
     end;
     let tail = s.len - at in
     if tail > 0 then begin
       Array.blit s.labels at s.labels (at + 1) tail;
-      Array.blit s.gens at s.gens (at + 1) tail;
-      Array.blit s.vals at s.vals (at + 1) tail
+      Array.blit s.gens at s.gens (at + 1) tail
     end;
     s.labels.(at) <- label;
     s.gens.(at) <- gen;
-    s.vals.(at) <- v;
     s.len <- s.len + 1
 
   let remove_at s i =
     let tail = s.len - i - 1 in
     if tail > 0 then begin
       Array.blit s.labels (i + 1) s.labels i tail;
-      Array.blit s.gens (i + 1) s.gens i tail;
-      Array.blit s.vals (i + 1) s.vals i tail
+      Array.blit s.gens (i + 1) s.gens i tail
     end;
-    s.len <- s.len - 1;
-    s.vals.(s.len) <- dummy
+    s.len <- s.len - 1
 end
+
+(* The per-node stores start out as one shared empty sentinel each and
+   get their own record on the node's first insert ([claim]): most nodes
+   never note an absence, and a node that never sends or arms pays one
+   pointer per store. Every write path either goes through [claim] or
+   only touches a found entry, which the sentinel never has. *)
+let fifo_none = Fifo_store.create ()
+
+let iset_none = Iset.create ()
+
+let armed_none = Armed.create ()
+
+let[@inline] claim tbl i ~none ~fresh =
+  let s = tbl.(i) in
+  if s != none then s
+  else begin
+    let s = fresh () in
+    tbl.(i) <- s;
+    s
+  end
 
 (* Cross-shard mailbox: events a lane creates for nodes another lane owns
    during a parallel dispatch window. Only the owning lane's domain
@@ -391,6 +398,11 @@ type ('msg, 'timer) t = {
   timer_label : 'timer -> int;
       (* Encodes a label for Timer_fire/Timer_stale trace records and
          keys the armed tables and wheel entries. *)
+  timers : 'timer option array array;
+      (* per shard: label -> the timer value first armed under it, so a
+         surfacing wheel entry hands [on_timer] its value back. One cell
+         per label, filled once; a lane only touches its own shard's
+         table, as timers never cross shards. *)
   mutable armed : Armed.t array; (* per-node armed-label table *)
   mutable absence_pending : Iset.t array;
       (* node -> peers with a pending absence notice *)
@@ -620,6 +632,9 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
   let fresh_edges =
     List.filter (fun (u, v) -> Dyngraph.add_edge graph ~now:0. u v) initial_edges
   in
+  (* The initial discovery burst, two events per fresh edge, is the
+     queue's first peak; sizing for it up front skips the doublings. *)
+  let burst = (2 * List.length fresh_edges + shards - 1) / shards in
   let mk_lane s =
     {
       ls = s;
@@ -654,7 +669,7 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       graph;
       shards;
       part = contiguous_part ~n ~shards;
-      queues = Array.init shards (fun _ -> Equeue.create ());
+      queues = Array.init shards (fun _ -> Equeue.create ~capacity:(max 64 burst) ());
       outboxes = Array.init shards (fun _ -> Outbox.create ());
       wheels = Array.init shards (fun _ -> Timewheel.create ~granularity ());
       lanes;
@@ -662,9 +677,10 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       trace = tr;
       handlers = Array.make n None;
       timer_label;
-      armed = Array.init n (fun _ -> Armed.create ());
-      absence_pending = Array.init n (fun _ -> Iset.create ());
-      fifo = Array.init n (fun _ -> Fifo_store.create ());
+      timers = Array.make shards [||];
+      armed = Array.make n armed_none;
+      absence_pending = Array.make n iset_none;
+      fifo = Array.make n fifo_none;
       gens = Array.make n 0;
       next_seq = 0;
       fs = { now = 0.; cand_time = infinity; whorizon = infinity };
@@ -745,15 +761,17 @@ let ensure_nodes t n' =
     in
     t.handlers <- grow_opt t.handlers;
     t.restart_handlers <- grow_opt t.restart_handlers;
-    let grow_make a fresh =
-      Array.init cap' (fun i -> if i < cap then a.(i) else fresh ())
+    let grow_stores a none =
+      let a' = Array.make cap' none in
+      Array.blit a 0 a' 0 cap;
+      a'
     in
-    t.absence_pending <- grow_make t.absence_pending Iset.create;
-    t.fifo <- grow_make t.fifo Fifo_store.create;
+    t.absence_pending <- grow_stores t.absence_pending iset_none;
+    t.fifo <- grow_stores t.fifo fifo_none;
     let gens' = Array.make cap' 0 in
     Array.blit t.gens 0 gens' 0 cap;
     t.gens <- gens';
-    t.armed <- grow_make t.armed Armed.create;
+    t.armed <- grow_stores t.armed armed_none;
     match t.faults with
     | None -> ()
     | Some f ->
@@ -832,8 +850,8 @@ let send ctx ~dst msg =
   let src = ctx.id in
   if dst < 0 || dst >= t.n || dst = src then invalid_arg "Engine.send: bad destination";
   let now = node_now ctx in
-  if Dyngraph.has_edge t.graph src dst then begin
-    let epoch = Dyngraph.epoch t.graph src dst in
+  let epoch = Dyngraph.live_epoch t.graph src dst in
+  if epoch >= 0 then begin
     (* The send carries its edge epoch so an offline auditor can pair it
        with the matching deliver/drop under the per-epoch FIFO discipline. *)
     lane_record t lane ~time:now Send src dst epoch;
@@ -907,6 +925,7 @@ let send ctx ~dst msg =
           floor
         end
         else begin
+          let fs = claim t.fifo src ~none:fifo_none ~fresh:Fifo_store.create in
           Fifo_store.insert fs ~at:(lnot i) dst epoch deliver_at;
           deliver_at
         end
@@ -932,11 +951,25 @@ let send ctx ~dst msg =
     (* The model: the sender discovers the absence within D. Coalesce
        multiple failed sends into a single pending notification. *)
     if not (Iset.mem t.absence_pending.(src) dst) then begin
-      Iset.add t.absence_pending.(src) dst;
+      Iset.add (claim t.absence_pending src ~none:iset_none ~fresh:Iset.create) dst;
       push_from t lane ~owner:src ~time:(now +. t.discovery_lag) ~kind:k_absence
         ~a:src ~b:dst ~c:0 ~d:0 no_payload
     end
   end
+
+(* Record [timer] as the value of [label] in the lane's shard table, the
+   first time the label is armed there. Injectivity of [timer_label]
+   makes every later value under the label equal to it, so a re-arm
+   writes nothing here and allocates nothing that outlives the call. *)
+let remember_timer t lane label timer =
+  let vals = t.timers.(lane.ls) in
+  if label >= Array.length vals then begin
+    let vals' = Array.make (max 8 (max (label + 1) (2 * Array.length vals))) None in
+    Array.blit vals 0 vals' 0 (Array.length vals);
+    vals'.(label) <- Some timer;
+    t.timers.(lane.ls) <- vals'
+  end
+  else match vals.(label) with None -> vals.(label) <- Some timer | Some _ -> ()
 
 let set_timer ctx ~after timer =
   let t = ctx.engine in
@@ -953,16 +986,18 @@ let set_timer ctx ~after timer =
   (* A re-arm supersedes the pending entry: its wheel slot goes stale and
      will be discarded when it surfaces; the live count is unchanged. *)
   let label = t.timer_label timer in
+  if label < 0 then invalid_arg "Engine.set_timer: negative timer label";
+  remember_timer t lane label timer;
   let s = t.armed.(ctx.id) in
   let i = Armed.find s label in
   if i >= 0 then begin
     lane.lstale <- lane.lstale + 1;
-    s.Armed.gens.(i) <- gen;
-    s.Armed.vals.(i) <- Obj.repr timer
+    s.Armed.gens.(i) <- gen
   end
   else begin
     lane.llive <- lane.llive + 1;
-    Armed.insert s ~at:(lnot i) label gen (Obj.repr timer)
+    Armed.insert (claim t.armed ctx.id ~none:armed_none ~fresh:Armed.create) ~at:(lnot i)
+      label gen
   end;
   (* The tie-break rank comes from the engine's global counter (or the
      lane's provisional block inside a window) so wheel timers keep the
@@ -1101,11 +1136,12 @@ let footprint_words t =
            + Array.length lane.lfinal
            + (4 * Array.length lane.mseq)
            + (5 * Array.length lane.bk)
+           + Array.length t.timers.(s)
   done;
   for i = 0 to t.n - 1 do
     acc := !acc + Fifo_store.footprint_words t.fifo.(i)
            + Array.length t.absence_pending.(i).Iset.keys
-           + (3 * Array.length t.armed.(i).Armed.labels)
+           + (2 * Array.length t.armed.(i).Armed.labels)
   done;
   !acc + Dyngraph.footprint_words t.graph
 
@@ -1131,15 +1167,14 @@ let apply_crash t f node =
   f.f_alive.(node) <- false;
   f.f_inc.(node) <- f.f_inc.(node) + 1;
   let lane = t.lanes.(shard_of t node) in
+  (* The guards keep the shared empty stores unwritten. *)
   let s = t.armed.(node) in
   let k = s.Armed.len in
-  for i = 0 to k - 1 do
-    s.Armed.vals.(i) <- Armed.dummy
-  done;
-  s.Armed.len <- 0;
+  if k > 0 then s.Armed.len <- 0;
   lane.llive <- lane.llive - k;
   lane.lstale <- lane.lstale + k;
-  t.fifo.(node).Fifo_store.len <- 0
+  let fs = t.fifo.(node) in
+  if fs.Fifo_store.len > 0 then fs.Fifo_store.len <- 0
 
 let apply_restart t f node ~corrupt =
   f.f_alive.(node) <- true;
@@ -1186,9 +1221,7 @@ let dispatch t lane q kind =
         (not f.f_alive.(dst)) || inc <> f.f_inc.(src)
     in
     if crash_lost then lane_record t lane ~time:now Drop_lossy src dst epoch
-    else if
-      Dyngraph.has_edge t.graph src dst && Dyngraph.epoch t.graph src dst = epoch
-    then begin
+    else if Dyngraph.live_epoch t.graph src dst = epoch then begin
       lane_record t lane ~time:now Deliver src dst epoch;
       (handlers_of t dst).on_receive src (Obj.obj (Equeue.ev_payload q))
     end
@@ -1288,12 +1321,14 @@ let run_wheel_head t lane w =
   let s = t.armed.(node) in
   let i = Armed.find s label in
   if i >= 0 && s.Armed.gens.(i) = gen then begin
-    let timer = Obj.obj s.Armed.vals.(i) in
     Armed.remove_at s i;
     lane.llive <- lane.llive - 1;
     lane.levents <- lane.levents + 1;
     lane_record t lane ~time:now Timer_fire node label (-1);
-    (handlers_of t node).on_timer timer
+    (* Armed labels always have a value: [set_timer] stored it first. *)
+    match t.timers.(lane.ls).(label) with
+    | Some timer -> (handlers_of t node).on_timer timer
+    | None -> assert false
   end
   else begin
     lane.lstale <- lane.lstale - 1;

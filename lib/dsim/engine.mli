@@ -63,10 +63,17 @@ val create :
     endpoints; the paper's [D] is an upper bound on it. [initial_edges]
     exist from time 0 and are discovered at time [0.].
 
-    [timer_label] encodes a timer label as a non-negative int. Armed
-    timers are keyed by it — distinct labels of one node must encode to
-    distinct ints, and re-arming an equal encoding supersedes the pending
-    timer — and [Timer_fire]/[Timer_stale] trace records carry it.
+    [timer_label] encodes a timer label as a non-negative int, and must
+    be injective: distinct timer values encode to distinct ints. Armed
+    timers are keyed by the encoding — re-arming an equal encoding
+    supersedes the pending timer — and [Timer_fire]/[Timer_stale] trace
+    records carry it. The engine holds armed timers as their labels
+    only: it keeps the value first armed under each label in a table
+    indexed by the label (one cell per label up to the largest armed,
+    per shard) and hands that value to [on_timer] when a timer under the
+    label fires, which injectivity makes equal to the value armed. Keep
+    labels small and dense, as the protocol's [Proto.timer_label]
+    encoding is.
 
     Armed timers wait in a hierarchical timer wheel, not in the event
     queue: O(1) arm/cancel/re-arm in dense int arrays, and superseded
@@ -146,9 +153,10 @@ val send : ('msg, 'timer) ctx -> dst:int -> 'msg -> unit
 val set_timer : ('msg, 'timer) ctx -> after:float -> 'timer -> unit
 (** Arm (or re-arm) the timer labelled by the given value to fire after
     [after] subjective time units. A previously pending timer with an
-    equal label is superseded. Raises [Invalid_argument] on a negative
-    delay, or one whose deadline is not finite (NaN, infinity), and then
-    arms nothing. *)
+    equal label is superseded, exactly as a {!cancel_timer} before the
+    call would: no need to cancel first. Raises [Invalid_argument] on a
+    negative delay, one whose deadline is not finite (NaN, infinity), or
+    a negative encoded label, and then arms nothing. *)
 
 val cancel_timer : ('msg, 'timer) ctx -> 'timer -> unit
 
@@ -266,9 +274,11 @@ val par_blocker : ('msg, 'timer) t -> string option
 val footprint_words : ('msg, 'timer) t -> int
 (** Words currently allocated by engine-owned storage: event queues,
     outboxes, timer wheels, the lanes' pooled window buffers (final-rank
-    table, dispatch log, trace-entry buffer), per-node FIFO/absence/armed
-    tables and the dynamic graph. Grows as O(n + edges ever present), never O(n²) —
-    pinned by the scaling tests. *)
+    table, dispatch log, trace-entry buffer), the per-shard timer-value
+    tables, per-node FIFO/absence/armed tables (each empty until the
+    node's first insert) and the dynamic graph. Grows as
+    O(n + edges ever present), never O(n²) — pinned by the scaling
+    tests. *)
 
 val live_timers : ('msg, 'timer) t -> int
 (** Currently armed timer labels across all nodes (each cancel or re-arm

@@ -1,19 +1,29 @@
 (* Hierarchical timer wheel: [levels] rings of [slots] buckets each, where
    a level-[l] bucket spans [granularity * slots^l] time units. Entries
-   are four ints plus an unboxed float deadline in per-bucket parallel
-   arrays. A bucket holds storage only while it holds entries: draining
-   one returns its arrays to a free list, and the next empty bucket to
-   receive an entry takes them back, so arming allocates nothing once the
-   wheel has warmed up, and creating one costs a pointer per bucket and
-   a 16-slot due set — short-lived engines (the model explorer builds
-   one per explored branch) pay only for the storage they use.
+   are four ints plus an unboxed float deadline in one pool of parallel
+   columns, and each bucket is a FIFO list threaded through the pool's
+   [next] column ([head]/[tail] per bucket). A drained entry's slot goes
+   back on the pool's free list and the next arm takes it, so arming
+   allocates nothing once the wheel has warmed up, and the pool's
+   capacity follows the peak number of entries held at once, not the
+   largest burst any one bucket ever saw. Creating a wheel costs two ints
+   per bucket and a 16-slot due set — short-lived engines (the model
+   explorer builds one per explored branch) pay only for what they use.
+
+   The lists are FIFO so that a drained granule feeds the due set in arm
+   order: cascades move whole lists head to tail and append at the new
+   bucket's tail, so an entry never overtakes one armed before it. The
+   engine arms in increasing seq, so most of a granule's entries reach
+   the due set as in-order appends, which [Equeue] takes into a run in
+   O(1) instead of sifting them into its heap.
 
    The cursor is the next unresolved granule (granule = deadline /
    granularity, floored). Resolving granule [c] first cascades every
-   coarser ring whose boundary [c] crosses (top ring first), re-arming
+   coarser ring whose boundary [c] crosses (top ring first), re-placing
    each displaced entry relative to the new cursor, then drains level-0
-   slot [c mod slots] into the due set. Two invariants make the merge
-   with the event queue exact:
+   slot [c mod slots] the same way: after the cascades every entry there
+   has granule [c], now below the cursor, so it goes to the due set. Two
+   invariants make the merge with the event queue exact:
 
    - every bucket entry's granule is >= cursor, so its deadline is
      >= cursor * granularity;
@@ -32,20 +42,9 @@
 
    Entries further than [slots^levels] granules away are parked at the
    top ring's last covered slot and re-cascaded when the cursor gets
-   there; the granule check in [resolve] re-arms instead of surfacing
-   them, so clamping never reorders anything. *)
-
-(* One bucket: entries in [0, len) of the parallel arrays; [next] links
-   the free list. *)
-type bucket = {
-  mutable len : int;
-  mutable next : bucket;
-  mutable b_deadline : float array;
-  mutable b_seq : int array;
-  mutable b_node : int array;
-  mutable b_label : int array;
-  mutable b_gen : int array;
-}
+   there; re-placing checks the stored deadline's granule, so a parked
+   entry lands where it belongs instead of surfacing, and clamping never
+   reorders anything. *)
 
 type t = {
   granularity : float;
@@ -56,21 +55,23 @@ type t = {
   mutable cursor : int;
   mutable bucket_count : int;
   mutable prov : int; (* held entries whose seq is provisional *)
-  (* Bucket [l * slots + s]; [unused] while it holds no entries. *)
-  buckets : bucket array;
+  (* Bucket [l * slots + s] is the list from [head] to [tail] (slot
+     indices into the pool, -1 when empty). *)
+  head : int array;
+  tail : int array;
+  (* Entry pool: parallel columns, [e_next] links a bucket's list or the
+     free list. Slots below [pool_len] have been handed out at least
+     once; [free] heads the list of those returned. *)
+  mutable e_deadline : float array;
+  mutable e_seq : int array;
+  mutable e_node : int array;
+  mutable e_label : int array;
+  mutable e_gen : int array;
+  mutable e_next : int array;
+  mutable free : int;
+  mutable pool_len : int;
   due : Equeue.t; (* resolved entries, in (deadline, seq) order *)
-  (* Drained buckets, linked through [next] and ended by [unused]: their
-     capacity goes to the next bucket that fills instead of being
-     reallocated from 4 — under sustained re-arm traffic that churn
-     dominated the wheel's minor-heap traffic. *)
-  mutable free : bucket;
 }
-
-(* Shared placeholder for empty buckets and the free list's end: only
-   ever read (its length is 0), never pushed into or drained. *)
-let rec unused =
-  { len = 0; next = unused; b_deadline = [||]; b_seq = [||]; b_node = [||];
-    b_label = [||]; b_gen = [||] }
 
 let no_payload = Obj.repr ()
 
@@ -92,64 +93,64 @@ let create ~granularity ?(slots = 64) ?(levels = 4) () =
     cursor = 0;
     bucket_count = 0;
     prov = 0;
-    buckets = Array.make (levels * slots) unused;
+    head = Array.make (levels * slots) (-1);
+    tail = Array.make (levels * slots) (-1);
+    e_deadline = [||];
+    e_seq = [||];
+    e_node = [||];
+    e_label = [||];
+    e_gen = [||];
+    e_next = [||];
+    free = -1;
+    pool_len = 0;
     due = Equeue.create ~capacity:16 ();
-    free = unused;
   }
 
 let size t = t.bucket_count + Equeue.size t.due
 
 let footprint_words t =
-  let bucket_words bk = 7 + (5 * Array.length bk.b_deadline) in
-  let acc = ref (Equeue.footprint_words t.due + Array.length t.buckets) in
-  Array.iter (fun bk -> if bk != unused then acc := !acc + bucket_words bk) t.buckets;
-  let bk = ref t.free in
-  while !bk != unused do
-    acc := !acc + bucket_words !bk;
-    bk := !bk.next
-  done;
-  !acc
+  Equeue.footprint_words t.due + (2 * Array.length t.head)
+  + (6 * Array.length t.e_next)
 
 let[@inline] due_push t ~deadline ~seq ~node ~label ~gen =
   Equeue.push t.due ~time:deadline ~seq ~kind:0 ~a:node ~b:label ~c:gen ~d:0 no_payload
 
-let bucket_push t b ~deadline ~seq ~node ~label ~gen =
-  let bk =
-    let bk = t.buckets.(b) in
-    if bk != unused then bk
-    else begin
-      let bk =
-        if t.free != unused then begin
-          let bk = t.free in
-          t.free <- bk.next;
-          bk
-        end
-        else
-          { len = 0; next = unused; b_deadline = [| 0.; 0.; 0.; 0. |];
-            b_seq = [| 0; 0; 0; 0 |]; b_node = [| 0; 0; 0; 0 |];
-            b_label = [| 0; 0; 0; 0 |]; b_gen = [| 0; 0; 0; 0 |] }
-      in
-      t.buckets.(b) <- bk;
-      bk
-    end
-  in
-  let len = bk.len in
-  if len >= Array.length bk.b_deadline then begin
-    let cap = max 4 (2 * len) in
-    let g_f a = let c = Array.make cap 0. in Array.blit a 0 c 0 len; c in
-    let g_i a = let c = Array.make cap 0 in Array.blit a 0 c 0 len; c in
-    bk.b_deadline <- g_f bk.b_deadline;
-    bk.b_seq <- g_i bk.b_seq;
-    bk.b_node <- g_i bk.b_node;
-    bk.b_label <- g_i bk.b_label;
-    bk.b_gen <- g_i bk.b_gen
-  end;
-  bk.b_deadline.(len) <- deadline;
-  bk.b_seq.(len) <- seq;
-  bk.b_node.(len) <- node;
-  bk.b_label.(len) <- label;
-  bk.b_gen.(len) <- gen;
-  bk.len <- len + 1;
+let grow_pool t =
+  let len = t.pool_len in
+  let cap = max 16 (2 * len) in
+  let g_f a = let c = Array.make cap 0. in Array.blit a 0 c 0 len; c in
+  let g_i a = let c = Array.make cap 0 in Array.blit a 0 c 0 len; c in
+  t.e_deadline <- g_f t.e_deadline;
+  t.e_seq <- g_i t.e_seq;
+  t.e_node <- g_i t.e_node;
+  t.e_label <- g_i t.e_label;
+  t.e_gen <- g_i t.e_gen;
+  t.e_next <- g_i t.e_next
+
+(* A slot for a new entry: a returned one if any, else a fresh one. *)
+let alloc t =
+  if t.free >= 0 then begin
+    let e = t.free in
+    t.free <- t.e_next.(e);
+    e
+  end
+  else begin
+    if t.pool_len = Array.length t.e_next then grow_pool t;
+    let e = t.pool_len in
+    t.pool_len <- e + 1;
+    e
+  end
+
+let release t e =
+  t.e_next.(e) <- t.free;
+  t.free <- e
+
+(* Append slot [e] at bucket [b]'s tail. *)
+let append t b e =
+  t.e_next.(e) <- -1;
+  let tl = t.tail.(b) in
+  if tl < 0 then t.head.(b) <- e else t.e_next.(tl) <- e;
+  t.tail.(b) <- e;
   t.bucket_count <- t.bucket_count + 1
 
 (* Capped at 2^61 granules: a deadline past the int range would wrap
@@ -159,62 +160,66 @@ let[@inline] granule t deadline =
   let g = Float.floor (deadline /. t.granularity) in
   if g < 0x1p61 then int_of_float g else 1 lsl 61
 
-(* Place an entry relative to the current cursor: already-resolved
-   granules go straight to [due]; everything else picks the ring whose
-   reach covers its distance, with far-future entries parked at the top
-   ring's last covered granule (their stored deadline is untouched, so
-   they re-place themselves correctly when that slot is revisited). *)
-let place t ~deadline ~seq ~node ~label ~gen =
-  let g = granule t deadline in
-  if g < t.cursor then due_push t ~deadline ~seq ~node ~label ~gen
-  else begin
-    let d = g - t.cursor in
-    let gp = if d >= t.span then t.cursor + t.span - 1 else g in
-    let dp = gp - t.cursor in
-    let l = ref 0 in
-    while dp >= t.w_pow.(!l + 1) do incr l done;
-    let slot = (gp / t.w_pow.(!l)) mod t.slots in
-    bucket_push t ((!l * t.slots) + slot) ~deadline ~seq ~node ~label ~gen
-  end
+(* The bucket covering granule [g] >= cursor: the ring whose reach covers
+   its distance, with far-future entries parked at the top ring's last
+   covered granule (their stored deadline is untouched, so they re-place
+   themselves correctly when that slot is revisited). *)
+let bucket_of t g =
+  let d = g - t.cursor in
+  let gp = if d >= t.span then t.cursor + t.span - 1 else g in
+  let dp = gp - t.cursor in
+  let l = ref 0 in
+  while dp >= t.w_pow.(!l + 1) do incr l done;
+  (!l * t.slots) + ((gp / t.w_pow.(!l)) mod t.slots)
 
 let arm t ~node ~label ~gen ~seq ~deadline =
   if not (Float.is_finite deadline) || deadline < 0. then
     invalid_arg "Timewheel.arm: bad deadline";
   if seq >= Equeue.prov_flag then t.prov <- t.prov + 1;
-  place t ~deadline ~seq ~node ~label ~gen
-
-(* Detach non-empty bucket [b] for draining: a re-placed entry may land
-   back in [b] (a parked far-future entry can stay on the top ring, and
-   with one level it re-parks in the very slot being drained), so the
-   drain reads from storage the concurrent pushes cannot touch, and only
-   [release]s it to the free list once the drain is done. *)
-let detach t b =
-  let bk = t.buckets.(b) in
-  t.buckets.(b) <- unused;
-  t.bucket_count <- t.bucket_count - bk.len;
-  bk
-
-let release t bk =
-  bk.len <- 0;
-  bk.next <- t.free;
-  t.free <- bk
-
-(* Empty bucket [b] and re-place every entry it held. *)
-let redistribute t b =
-  if t.buckets.(b).len > 0 then begin
-    let bk = detach t b in
-    for k = 0 to bk.len - 1 do
-      place t ~deadline:bk.b_deadline.(k) ~seq:bk.b_seq.(k) ~node:bk.b_node.(k)
-        ~label:bk.b_label.(k) ~gen:bk.b_gen.(k)
-    done;
-    release t bk
+  let g = granule t deadline in
+  (* An already-resolved granule goes straight to the due set. *)
+  if g < t.cursor then due_push t ~deadline ~seq ~node ~label ~gen
+  else begin
+    let e = alloc t in
+    t.e_deadline.(e) <- deadline;
+    t.e_seq.(e) <- seq;
+    t.e_node.(e) <- node;
+    t.e_label.(e) <- label;
+    t.e_gen.(e) <- gen;
+    append t (bucket_of t g) e
   end
+
+(* Empty bucket [b] and re-place every entry it held, head first, relative
+   to the current cursor: an entry whose granule is now resolved moves to
+   the due set and frees its slot, any other is relinked into its new
+   bucket without being copied. The list is detached first, and each
+   entry's successor read before it is relinked, because an entry may
+   land back in [b] (a parked far-future entry can stay on the top ring,
+   and with one level it re-parks in the very slot being drained). *)
+let redistribute t b =
+  let e = ref t.head.(b) in
+  t.head.(b) <- -1;
+  t.tail.(b) <- -1;
+  while !e >= 0 do
+    let cur = !e in
+    e := t.e_next.(cur);
+    t.bucket_count <- t.bucket_count - 1;
+    let deadline = t.e_deadline.(cur) in
+    let g = granule t deadline in
+    if g < t.cursor then begin
+      due_push t ~deadline ~seq:t.e_seq.(cur) ~node:t.e_node.(cur)
+        ~label:t.e_label.(cur) ~gen:t.e_gen.(cur);
+      release t cur
+    end
+    else append t (bucket_of t g) cur
+  done
 
 (* Resolve granule [cursor]: cascade each coarser ring whose boundary the
    cursor crosses (coarsest first, so entries can fall several rings in
-   one step), then surface level-0 slot [cursor mod slots] — after the
-   cascades every entry there has granule = cursor (parked entries are
-   caught by the granule check and re-placed instead). *)
+   one step), then advance the cursor and drain level-0 slot
+   [cursor mod slots] — after the cascades every entry there has the
+   just-resolved granule (parked entries are caught by the granule check
+   and re-placed instead). *)
 let resolve t =
   let c = t.cursor in
   let b = c mod t.slots in
@@ -226,19 +231,7 @@ let resolve t =
         redistribute t ((l * t.slots) + ((c / t.w_pow.(l)) mod t.slots))
     done;
   t.cursor <- c + 1;
-  if t.buckets.(b).len > 0 then begin
-    let bk = detach t b in
-    for k = 0 to bk.len - 1 do
-      let deadline = bk.b_deadline.(k) in
-      if granule t deadline = c then
-        due_push t ~deadline ~seq:bk.b_seq.(k) ~node:bk.b_node.(k)
-          ~label:bk.b_label.(k) ~gen:bk.b_gen.(k)
-      else
-        place t ~deadline ~seq:bk.b_seq.(k) ~node:bk.b_node.(k)
-          ~label:bk.b_label.(k) ~gen:bk.b_gen.(k)
-    done;
-    release t bk
-  end
+  if t.head.(b) >= 0 then redistribute t b
 
 let peek t ~upto =
   let due = t.due in
@@ -273,23 +266,23 @@ let pop t =
   if Equeue.top_seq t.due >= Equeue.prov_flag then t.prov <- t.prov - 1;
   Equeue.pop t.due
 
-(* Buckets are unordered flat arrays, so any value rewrite is safe there;
-   the due set's order preconditions are [Equeue.remap_batch]'s. The
+(* Any value rewrite is safe in the buckets, which decide no order; the
+   due set's order preconditions are [Equeue.remap_batch]'s. The
    provisional count held by [arm]/[pop] makes the no-window-creations
-   case one load instead of a sweep over every bucket. *)
+   case one load instead of a walk over every bucket. *)
 let remap_batch t ~finals =
   if t.prov > 0 then begin
     let left = ref t.prov in
     let b = ref 0 in
-    while !left > 0 && !b < Array.length t.buckets do
-      let bk = t.buckets.(!b) in
-      let seq = bk.b_seq in
-      for k = 0 to bk.len - 1 do
-        let s = seq.(k) in
+    while !left > 0 && !b < Array.length t.head do
+      let e = ref t.head.(!b) in
+      while !e >= 0 do
+        let s = t.e_seq.(!e) in
         if s >= Equeue.prov_flag then begin
-          seq.(k) <- finals.(s land Equeue.cre_mask);
+          t.e_seq.(!e) <- finals.(s land Equeue.cre_mask);
           decr left
-        end
+        end;
+        e := t.e_next.(!e)
       done;
       incr b
     done;

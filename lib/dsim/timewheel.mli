@@ -1,16 +1,19 @@
 (** Hierarchical timer wheel for the engine's periodic timer traffic.
 
     The wheel holds integer-identified timer entries — [(node, label, gen,
-    seq)] plus a float deadline — in dense per-bucket arrays. Arming is
-    O(1): the entry is appended to the bucket covering its deadline's
-    granule at the right level. The engine's run loop resolves entries
+    seq)] plus a float deadline — in one pool of dense parallel columns
+    with a free list of slots; each bucket is a FIFO list of pool slots.
+    Arming is O(1): the entry takes a free slot and is appended to the
+    bucket covering its deadline's granule at the right level. Storage
+    follows the number of entries held at once, not the largest burst
+    any one bucket took. The engine's run loop resolves entries
     lazily: {!peek} advances an internal cursor granule by granule,
     cascading coarser levels down as their boundaries are crossed, and
-    moves the current granule's entries into the due set: an {!Equeue}
-    holding each entry as a kind-0 event ([a] = node, [b] = label,
-    [c] = gen, its deadline as the time), so the wheel holds buckets only
-    and the queue's one [(time, seq)] order structure decides which entry
-    surfaces first.
+    moves the current granule's entries, in arm order, into the due set:
+    an {!Equeue} holding each entry as a kind-0 event ([a] = node,
+    [b] = label, [c] = gen, its deadline as the time), so the wheel holds
+    buckets only and the queue's one [(time, seq)] order structure
+    decides which entry surfaces first.
 
     The wheel never decides whether an entry is live: cancellation and
     re-arm are generation-counter checks performed by the engine when an
@@ -45,10 +48,11 @@ val size : t -> int
     surfaced. *)
 
 val footprint_words : t -> int
-(** Words currently allocated across the bucket table, bucket storage
-    (including drained buckets kept for reuse) and the due set's
-    {!Equeue.footprint_words} — read by the engine's memory-growth
-    checks. *)
+(** Words currently allocated across the bucket table (two ints per
+    bucket), the entry pool (six words per slot, free slots included)
+    and the due set's {!Equeue.footprint_words} — read by the engine's
+    memory-growth checks. The pool at most doubles past the peak number
+    of entries held at once. *)
 
 val peek : t -> upto:float -> bool
 (** [peek w ~upto] is [true] iff the earliest entry's deadline is

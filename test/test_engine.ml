@@ -395,6 +395,106 @@ let test_absence_notifications_coalesce () =
   Alcotest.(check int) "coalesced to one notification" 1 (List.length removes);
   Alcotest.(check int) "three drops counted" 3 (Trace.count trace Trace.Drop_no_edge)
 
+(* The engine keeps armed timers as int labels and hands [on_timer] the
+   value it first saw under the label back. With the interned string
+   labels above, every fire must log the very string that was armed,
+   including for a label re-armed, and for one cancelled and armed
+   again. *)
+let test_timer_values_by_label () =
+  let h =
+    make
+      ~on_init:(fun ctx i ->
+        if i = 0 then begin
+          Engine.set_timer ctx ~after:1. "a";
+          Engine.set_timer ctx ~after:2. "b";
+          Engine.set_timer ctx ~after:3. "a";
+          Engine.cancel_timer ctx "b";
+          Engine.set_timer ctx ~after:4. "b";
+          Engine.set_timer ctx ~after:5. "c"
+        end
+        else Engine.set_timer ctx ~after:6. "a")
+      ()
+  in
+  Engine.run_until h.engine 10.;
+  Alcotest.(check (list (pair (float 1e-9) string)))
+    "each fire carries its armed value"
+    [ (3., "0:timer(a)"); (4., "0:timer(b)"); (5., "0:timer(c)"); (6., "1:timer(a)") ]
+    (List.filter (fun (_, e) -> String.contains e '(' && String.sub e 2 5 = "timer")
+       (entries h))
+
+let test_negative_label_rejected () =
+  let engine =
+    Engine.create ~clocks:[| Hwclock.perfect; Hwclock.perfect |]
+      ~delay:(Delay.constant ~bound:1. 0.5) ~timer_label:(fun l -> l) ()
+  in
+  let arm = ref (fun () -> ()) in
+  for i = 0 to 1 do
+    Engine.install engine i (fun ctx ->
+        if i = 0 then arm := (fun () -> Engine.set_timer ctx ~after:1. (-1));
+        {
+          Engine.on_init = (fun () -> ());
+          on_discover_add = (fun _ -> ());
+          on_discover_remove = (fun _ -> ());
+          on_receive = (fun _ () -> ());
+          on_timer = (fun _ -> ());
+        })
+  done;
+  Alcotest.check_raises "negative label"
+    (Invalid_argument "Engine.set_timer: negative timer label") !arm;
+  Alcotest.(check int) "nothing armed" 0 (Engine.live_timers engine)
+
+(* The per-node stores start as one shared empty sentinel each and get
+   their own record on a node's first insert. A first insert written into
+   the sentinel would show up in every other node's store; each case
+   below would see that. *)
+let test_lazy_armed_store_private () =
+  let h =
+    make ~n:3
+      ~on_init:(fun ctx i ->
+        if i = 0 then Engine.set_timer ctx ~after:1. "x"
+        else if i = 1 then Engine.cancel_timer ctx "x")
+      ()
+  in
+  Engine.run_until h.engine 0.5;
+  Alcotest.(check int) "one live timer" 1 (Engine.live_timers h.engine);
+  Engine.run_until h.engine 5.;
+  Alcotest.(check bool) "node 0's timer fires" true (has h "0:timer(x)");
+  Alcotest.(check bool) "node 2 has none" false (has h "2:timer(x)")
+
+let test_lazy_fifo_store_private () =
+  (* Node 0's message to 1 takes 0.9, node 2's takes 0.1: both edges are
+     at epoch 1, so a shared FIFO store would floor node 2's delivery at
+     node 0's. *)
+  let delay =
+    Delay.directed ~bound:1. (fun ~src ~dst:_ ~now:_ -> if src = 0 then 0.9 else 0.1)
+  in
+  let h =
+    make ~n:3 ~delay ~initial_edges:[ (0, 1); (1, 2) ]
+      ~on_init:(fun ctx i -> if i <> 1 then Engine.send ctx ~dst:1 (string_of_int i))
+      ()
+  in
+  Engine.run_until h.engine 5.;
+  Alcotest.check feq "node 0's message" 0.9 (time_of h "1:recv(0,0)");
+  Alcotest.check feq "node 2's message" 0.1 (time_of h "1:recv(2,2)")
+
+let test_lazy_absence_store_private () =
+  let h =
+    make ~n:3 ~discovery_lag:1.
+      ~on_init:(fun ctx i -> if i <> 1 then Engine.send ctx ~dst:1 "m")
+      ()
+  in
+  Engine.run_until h.engine 5.;
+  Alcotest.check feq "node 0 learns the absence" 1. (time_of h "0:rem(1)");
+  Alcotest.check feq "node 2 learns the absence" 1. (time_of h "2:rem(1)")
+
+let prop_proto_label_round_trip =
+  let open Gcs.Proto in
+  QCheck.Test.make ~name:"Proto.timer_of_label inverts timer_label" ~count:500
+    QCheck.(option (int_bound 1_000_000))
+    (fun o ->
+      let x = match o with None -> Tick | Some v -> Lost v in
+      timer_of_label (timer_label x) = x)
+
 let test_same_time_add_then_remove () =
   (* Scheduled in this order at the same instant, the sequence number
      orders them deterministically: add then remove leaves the edge
@@ -690,6 +790,12 @@ let suite =
     case "subjective timers follow drift" test_subjective_timer;
     case "timer cancellation" test_timer_cancellation;
     case "timer re-arm supersedes" test_timer_rearm_supersedes;
+    case "timer values come back by label" test_timer_values_by_label;
+    case "negative timer label rejected" test_negative_label_rejected;
+    case "first armed timer stays private" test_lazy_armed_store_private;
+    case "first FIFO floor stays private" test_lazy_fifo_store_private;
+    case "first absence notice stays private" test_lazy_absence_store_private;
+    QCheck_alcotest.to_alcotest prop_proto_label_round_trip;
     case "periodic timer chain" test_periodic_timer_chain;
     case "far-future timer does not starve" test_far_future_timer_does_not_starve;
     case "non-finite timer delay rejected" test_non_finite_delay_rejected;

@@ -18,11 +18,14 @@ let build_sim ?(n = 64) ~horizon () =
    call (clock reads, queue pushes, trace records) boxes its float
    arguments and results regardless of [@inline] annotations: the n=64
    path reads ~45 words/event and n=1024 ~44. A release build inlines
-   those and reads 17.01 at n=1024 (semantic payloads: message records,
-   timer variant blocks, delay-sampler closures), so that row holds the
-   release ceiling of 19 and is only checked under release. Regressions
-   that reintroduce per-event closures, lists or boxed options blow past
-   both (the pre-rework engine sat near 90). *)
+   most of those and reads 15.90 at n=1024. Most of that is still floats
+   boxed across calls (clock reads, queue pushes, trace records), not
+   payloads: an experiment that unboxed them took a reading of 14.4 down
+   to 4.5; message records and [Lost v] values are the rest. That row
+   holds a release ceiling of 17, the reading plus 1.1 words (7 %), and
+   is only checked under release. Regressions that reintroduce per-event
+   closures, lists or boxed options blow past both (the pre-rework
+   engine sat near 90). *)
 let test_minor_words_budget () =
   let horizon = 60. in
   List.iter
@@ -40,7 +43,29 @@ let test_minor_words_budget () =
           Alcotest.failf "n=%d: minor words/event %.2f exceeds budget %.1f (%d events)"
             n per_event limit events
       end)
-    [ (64, 60., false); (1024, 19., true) ]
+    [ (64, 60., false); (1024, 17., true) ]
+
+(* Promotion ceiling, release only: words promoted to the major heap per
+   event on the path at n=4096. An event's garbage should die young; a
+   store that keeps each event's allocation alive until the next one
+   (a timer value per re-arm, a message per peer per tick) promotes it
+   instead, and the heap grows far past the live data. It reads 1.11;
+   with a timer value kept per armed label and a message built per peer
+   it read 2.97. The ceiling of 1.5 sits between the two. *)
+let test_promoted_words_ceiling () =
+  if Profile.name = "release" then begin
+    let horizon = 60. in
+    let sim = build_sim ~n:4096 ~horizon () in
+    Gc.full_major ();
+    let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+    Gcs.Sim.run_until sim horizon;
+    let promoted = (Gc.quick_stat ()).Gc.promoted_words -. p0 in
+    let events = Dsim.Engine.events_processed (Gcs.Sim.engine sim) in
+    let per_event = promoted /. float_of_int events in
+    if per_event > 1.5 then
+      Alcotest.failf "n=4096: promoted words/event %.3f exceeds ceiling 1.5 (%d events)"
+        per_event events
+  end
 
 (* Throughput guard: a generous ns/event ceiling that a healthy dev build
    clears by an order of magnitude but any accidental O(n) scan on the
@@ -161,6 +186,7 @@ let test_wheel_relieves_heap () =
 let suite =
   [
     case "minor words/event within budget (trace off)" test_minor_words_budget;
+    case "promoted words/event under ceiling (release)" test_promoted_words_ceiling;
     case "ns/event under quadratic-regression ceiling" test_ns_per_event_ceiling;
     case "sim footprint grows O(n) from 16k to 64k" test_sim_footprint_linear;
     case "global skew within G(n) at n=1024" test_global_skew_bound_n1024;

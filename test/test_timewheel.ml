@@ -289,12 +289,11 @@ let test_differential_vs_reference () =
       done)
     [ (2, 1, 1.0); (4, 2, 1.0); (3, 2, 0.25); (4, 3, 1.0) ]
 
-(* Bucket growth seam: a hot bucket (one granule hammered by hundreds of
+(* Pool growth seam: a hot bucket (one granule hammered by hundreds of
    entries, the shape a dense node range's Tick timers produce) must keep
    the (deadline, seq) surfacing order and every entry's generation while
-   its arrays double repeatedly from the cold start, and again when its
-   storage circulates through the detached-bucket scratch on a second
-   burst into the same granule. *)
+   the entry pool doubles repeatedly from the cold start, and again when
+   later bursts reuse the slots the first one returned. *)
 let test_bucket_growth_preserves_order_and_gens () =
   let w = Tw.create ~granularity:1.0 () in
   let burst ~seq0 ~deadline count =
@@ -323,9 +322,8 @@ let test_bucket_growth_preserves_order_and_gens () =
       Alcotest.(check int) "label preserved" seq label;
       Alcotest.(check int) "node preserved" (seq mod 7) node)
     popped;
-  (* Second burst into a later granule: the grown arrays circulate via the
-     drain scratch; ordering must survive the swap and no growth beyond
-     the first warm-up is required. *)
+  (* Second burst into a later granule: it takes the slots the first
+     burst returned; ordering must survive the reuse. *)
   burst ~seq0:1000 ~deadline:9.0 300;
   let popped2 = drain w ~upto:10.0 in
   let expect2 =
@@ -333,15 +331,12 @@ let test_bucket_growth_preserves_order_and_gens () =
     @ List.init 150 (fun i -> (9.25, 1000 + (2 * i) + 1))
   in
   Alcotest.(check (list (pair (float 1e-12) int)))
-    "(deadline, seq) order after scratch swap" expect2 (deadlines_seqs popped2);
+    "(deadline, seq) order after slot reuse" expect2 (deadlines_seqs popped2);
   ignore fp_grown;
-  (* Storage circulates: each drain swaps the hot bucket's arrays with
-     the scratch set, so after a burst per slot plus one revisit (one
-     revolution later, 64 level-0 granules of 1.0, deadlines 69/73 land
-     back in the slots 5/9 warmed above) every party of the rotation —
-     both hot slots and the scratch — holds full-sized arrays. From that
-     point further equal-sized bursts must not grow the footprint at
-     all. *)
+  (* Storage is reused: once a burst of this size has been held, further
+     equal-sized bursts (one revolution later, 64 level-0 granules of 1.0,
+     deadlines 69/73 land back in the slots 5/9 used above) must not grow
+     the footprint at all. *)
   burst ~seq0:2000 ~deadline:69.0 300;
   let popped3 = drain w ~upto:70.0 in
   Alcotest.(check int) "third burst surfaced" 300 (List.length popped3);
@@ -354,6 +349,47 @@ let test_bucket_growth_preserves_order_and_gens () =
        (Tw.footprint_words w))
     true
     (Tw.footprint_words w <= fp_warm)
+
+(* The pool does not hoard: storage follows the entries held at once, not
+   the largest burst any bucket ever took. Each round arms a large burst
+   into one granule and small ones into nine others, all live together,
+   then drains them; the large granule moves every round. Entry storage
+   is six columns that at most double past the peak, so the footprint
+   stays within 2 * 6 * peak size, plus the due set (which the largest
+   drained granule sizes; [due_words] rebuilds one that took the same
+   bursts) and the fixed bucket table. Per-bucket storage that kept its
+   capacity would end up with every bucket sized for the large burst. *)
+let test_rotating_bursts_do_not_hoard () =
+  let big = 1000 and small = 10 and granules = 10 in
+  let w = Tw.create ~granularity:1.0 () in
+  let seq = ref 0 in
+  let peak = ref 0 in
+  let due_words =
+    let q = Dsim.Equeue.create ~capacity:16 () in
+    for k = 0 to big - 1 do
+      Dsim.Equeue.push q ~time:1. ~seq:k ~kind:0 ~a:0 ~b:0 ~c:0 ~d:0 (Obj.repr ())
+    done;
+    Dsim.Equeue.footprint_words q
+  in
+  for round = 0 to 19 do
+    let base = float_of_int (1 + (round * granules)) in
+    for g = 0 to granules - 1 do
+      let count = if g = round mod granules then big else small in
+      for _ = 1 to count do
+        Tw.arm w ~node:0 ~label:0 ~gen:0 ~seq:!seq ~deadline:(base +. float_of_int g);
+        incr seq
+      done
+    done;
+    peak := max !peak (Tw.size w);
+    let popped = drain w ~upto:(base +. float_of_int granules) in
+    Alcotest.(check int) "round drained" ((granules - 1) * small + big) (List.length popped)
+  done;
+  let fixed = 2 * 4 * 64 in
+  let bound = (2 * 6 * !peak) + due_words + fixed in
+  let fp = Tw.footprint_words w in
+  if fp > bound then
+    Alcotest.failf "footprint %d words exceeds %d (peak %d entries, due set %d words)" fp
+      bound !peak due_words
 
 (* Model-based check: random arm / peek / pop / remap_batch sequences
    against a sorted (deadline, seq) list, on small wheels so entries
@@ -576,6 +612,7 @@ let suite =
   [
     case "pops in (deadline, seq) order" test_ordering;
     case "bucket growth keeps order and gens" test_bucket_growth_preserves_order_and_gens;
+    case "rotating bursts do not hoard storage" test_rotating_bursts_do_not_hoard;
     case "equal deadlines break by seq" test_seq_ties;
     case "cascade across levels" test_cascade_across_levels;
     case "far-future deadlines clamp and re-cascade" test_far_future_clamped;
