@@ -1,9 +1,10 @@
 module Engine = Dsim.Engine
+module Int_set = Set.Make (Int)
 
 type t = {
   ctx : Proto.ctx;
   params : Params.t;
-  mutable upsilon : int list; (* sorted, no duplicates *)
+  mutable upsilon : Int_set.t;
   l : Estimate.t;
   lmax : Estimate.t;
   mutable discrete_jumps : int;
@@ -14,7 +15,7 @@ let create params ctx =
   {
     ctx;
     params;
-    upsilon = [];
+    upsilon = Int_set.empty;
     l = Estimate.create ~value:0. ~anchor:0.;
     lmax = Estimate.create ~value:0. ~anchor:0.;
     discrete_jumps = 0;
@@ -42,26 +43,10 @@ let send_update t v msg =
   t.messages_sent <- t.messages_sent + 1;
   Engine.send t.ctx ~dst:v msg
 
-(* Send the one update to every member of Υ, in increasing id order; a
-   plain recursion, so a tick allocates no iteration closure. *)
-let rec broadcast t msg = function
-  | [] -> ()
-  | v :: rest ->
-    send_update t v msg;
-    broadcast t msg rest
-
-let rec insert v = function
-  | [] -> [ v ]
-  | x :: rest as l -> if v < x then v :: l else if v = x then l else x :: insert v rest
-
-let rec remove v = function
-  | [] -> []
-  | x :: rest -> if x = v then rest else if x > v then x :: rest else x :: remove v rest
-
 (* Fault-injection restart: same contract as Node.restart — forget the
    neighbor set, reset (or corrupt) the clock registers, re-arm the tick. *)
 let restart t ~corrupt =
-  t.upsilon <- [];
+  t.upsilon <- Int_set.empty;
   let h = hardware_clock t in
   (match corrupt with
   | None ->
@@ -82,8 +67,8 @@ let handlers t =
     on_discover_add =
       (fun v ->
         send_update t v (current_update t);
-        t.upsilon <- insert v t.upsilon);
-    on_discover_remove = (fun v -> t.upsilon <- remove v t.upsilon);
+        t.upsilon <- Int_set.add v t.upsilon);
+    on_discover_remove = (fun v -> t.upsilon <- Int_set.remove v t.upsilon);
     on_receive =
       (fun v { Proto.lmax = lmax_v; _ } ->
         ignore v;
@@ -93,13 +78,15 @@ let handlers t =
     on_timer =
       (function
       | Proto.Tick ->
-        broadcast t (current_update t) t.upsilon;
+        (* One update per tick, the same value to every member of Υ. *)
+        let msg = current_update t in
+        Int_set.iter (fun v -> send_update t v msg) t.upsilon;
         adjust_clock t;
         Engine.set_timer t.ctx ~after:t.params.Params.delta_h Proto.Tick
       | Proto.Lost _ -> ());
   }
 
-let upsilon t = t.upsilon
+let upsilon t = Int_set.elements t.upsilon
 
 let discrete_jumps t = t.discrete_jumps
 

@@ -64,16 +64,19 @@ val create :
     exist from time 0 and are discovered at time [0.].
 
     [timer_label] encodes a timer label as a non-negative int, and must
-    be injective: distinct timer values encode to distinct ints. Armed
-    timers are keyed by the encoding — re-arming an equal encoding
-    supersedes the pending timer — and [Timer_fire]/[Timer_stale] trace
-    records carry it. The engine holds armed timers as their labels
-    only: it keeps the value first armed under each label in a table
-    indexed by the label (one cell per label up to the largest armed,
-    per shard) and hands that value to [on_timer] when a timer under the
-    label fires, which injectivity makes equal to the value armed. Keep
-    labels small and dense, as the protocol's [Proto.timer_label]
-    encoding is.
+    be injective over every timer value armed on the engine, by any
+    node: distinct timer values encode to distinct ints. Armed timers
+    are keyed by the encoding — re-arming an equal encoding supersedes
+    the pending timer — and [Timer_fire]/[Timer_stale] trace records
+    carry it. The engine holds armed timers as their labels only: it
+    keeps the value first armed under each label, by any node, in one
+    engine-wide table indexed by the label, and hands that value to
+    [on_timer] when a timer under the label fires. Injectivity makes it
+    equal to the value armed; a non-injective encoding gets back the
+    first value any node armed under the label. The table costs one
+    word per label up to the largest armed plus two per distinct label
+    armed, so keep labels small and dense, as the protocol's
+    [Proto.timer_label] encoding is.
 
     Armed timers wait in a hierarchical timer wheel, not in the event
     queue: O(1) arm/cancel/re-arm in dense int arrays, and superseded
@@ -274,11 +277,13 @@ val par_blocker : ('msg, 'timer) t -> string option
 val footprint_words : ('msg, 'timer) t -> int
 (** Words currently allocated by engine-owned storage: event queues,
     outboxes, timer wheels, the lanes' pooled window buffers (final-rank
-    table, dispatch log, trace-entry buffer), the per-shard timer-value
-    tables, per-node FIFO/absence/armed tables (each empty until the
-    node's first insert) and the dynamic graph. Grows as
-    O(n + edges ever present), never O(n²) — pinned by the scaling
-    tests. *)
+    table, dispatch log, trace-entry buffer), the timer label table
+    (its cells and one two-word box per filled cell; the timer values
+    are the caller's), per-node FIFO/absence/armed tables (each empty
+    until the node's first insert) and the dynamic graph. Grows as
+    O(n + edges ever present + the largest timer label), never O(n²);
+    each shard adds only its own queue, wheel, outbox and buffers —
+    pinned by the scaling tests. *)
 
 val live_timers : ('msg, 'timer) t -> int
 (** Currently armed timer labels across all nodes (each cancel or re-arm

@@ -422,26 +422,47 @@ let test_timer_values_by_label () =
     (List.filter (fun (_, e) -> String.contains e '(' && String.sub e 2 5 = "timer")
        (entries h))
 
+(* The negative label is refused before any bookkeeping changes: an
+   engine that saw the refused arm then runs a later arm exactly like one
+   that never saw it. *)
 let test_negative_label_rejected () =
-  let engine =
-    Engine.create ~clocks:[| Hwclock.perfect; Hwclock.perfect |]
-      ~delay:(Delay.constant ~bound:1. 0.5) ~timer_label:(fun l -> l) ()
+  let run ~refuse =
+    let engine =
+      Engine.create ~clocks:[| Hwclock.perfect; Hwclock.perfect |]
+        ~delay:(Delay.constant ~bound:1. 0.5) ~timer_label:(fun l -> l) ()
+    in
+    let ctx0 = ref None and fired = ref [] in
+    for i = 0 to 1 do
+      Engine.install engine i (fun ctx ->
+          if i = 0 then ctx0 := Some ctx;
+          {
+            Engine.on_init = (fun () -> ());
+            on_discover_add = (fun _ -> ());
+            on_discover_remove = (fun _ -> ());
+            on_receive = (fun _ () -> ());
+            on_timer = (fun l -> fired := (Engine.now engine, l) :: !fired);
+          })
+    done;
+    let ctx = Option.get !ctx0 in
+    if refuse then
+      Alcotest.check_raises "negative label"
+        (Invalid_argument "Engine.set_timer: negative timer label") (fun () ->
+          Engine.set_timer ctx ~after:1. (-1));
+    let footprint = Engine.footprint_words engine in
+    let live = Engine.live_timers engine in
+    Engine.set_timer ctx ~after:1. 3;
+    Engine.set_timer ctx ~after:2. 3;
+    Engine.run_until engine 5.;
+    (footprint, live, List.rev !fired, Engine.events_processed engine)
   in
-  let arm = ref (fun () -> ()) in
-  for i = 0 to 1 do
-    Engine.install engine i (fun ctx ->
-        if i = 0 then arm := (fun () -> Engine.set_timer ctx ~after:1. (-1));
-        {
-          Engine.on_init = (fun () -> ());
-          on_discover_add = (fun _ -> ());
-          on_discover_remove = (fun _ -> ());
-          on_receive = (fun _ () -> ());
-          on_timer = (fun _ -> ());
-        })
-  done;
-  Alcotest.check_raises "negative label"
-    (Invalid_argument "Engine.set_timer: negative timer label") !arm;
-  Alcotest.(check int) "nothing armed" 0 (Engine.live_timers engine)
+  let f, live, fired, events = run ~refuse:true
+  and f', live', fired', events' = run ~refuse:false in
+  Alcotest.(check int) "nothing armed" 0 live;
+  Alcotest.(check int) "no storage" f' f;
+  Alcotest.(check int) "live as without it" live' live;
+  Alcotest.(check (list (pair (float 1e-9) int))) "later arms fire as without it" fired' fired;
+  Alcotest.(check (list (pair (float 1e-9) int))) "the re-arm wins" [ (2., 3) ] fired;
+  Alcotest.(check int) "events as without it" events' events
 
 (* The per-node stores start as one shared empty sentinel each and get
    their own record on a node's first insert. A first insert written into

@@ -5,12 +5,12 @@
 
 let case name f = Alcotest.test_case name `Quick f
 
-let build_sim ?(n = 64) ~horizon () =
+let build_sim ?(n = 64) ?shards ~horizon () =
   let params = Gcs.Params.make ~n () in
   let edges = Topology.Static.path n in
   let clocks = Gcs.Drift.assign params ~horizon ~seed:1 Gcs.Drift.Split_extremes in
   let delay = Dsim.Delay.maximal ~bound:params.Gcs.Params.delay_bound in
-  let cfg = Gcs.Sim.config ~params ~clocks ~delay ~initial_edges:edges () in
+  let cfg = Gcs.Sim.config ?shards ~params ~clocks ~delay ~initial_edges:edges () in
   Gcs.Sim.create cfg
 
 (* Minor-heap budget with tracing off (counters only, the default).
@@ -88,19 +88,31 @@ let test_ns_per_event_ceiling () =
     Alcotest.failf "ns/event %.0f exceeds ceiling 50000 at n=%d (%d events)"
       ns n events
 
+let sim_footprint ?shards n =
+  let sim = build_sim ~n ?shards ~horizon:10. () in
+  Gcs.Sim.run_until sim 10.;
+  Dsim.Engine.footprint_words (Gcs.Sim.engine sim)
+
 (* Engine storage on the full protocol grows as O(n + live edges): the
    path quadruples from 16k to 64k nodes, so the footprint may grow ~4x
    (it reads 4.00); a per-node table sized by n, O(n^2) in all, pushes
    the ratio toward 16. *)
 let test_sim_footprint_linear () =
-  let footprint n =
-    let sim = build_sim ~n ~horizon:10. () in
-    Gcs.Sim.run_until sim 10.;
-    Dsim.Engine.footprint_words (Gcs.Sim.engine sim)
-  in
-  let ratio = float_of_int (footprint 65_536) /. float_of_int (footprint 16_384) in
+  let ratio = float_of_int (sim_footprint 65_536) /. float_of_int (sim_footprint 16_384) in
   if ratio > 8. then
     Alcotest.failf "sim footprint 16k -> 64k grew %.2fx (must be <= 8, O(n^2) gives ~16)"
+      ratio
+
+(* Sharding splits node state, it does not copy it: on 64 shards the
+   16k path's footprint stays within 1.6x of one shard's (it reads 1.39;
+   the extra is the lanes' window buffers and the per-shard queues and
+   wheels). A timer-value table per shard, indexed by label and so about
+   n long in every shard whose nodes have far neighbours, read 1.84. *)
+let test_sim_footprint_sharded () =
+  let one = sim_footprint 16_384 and many = sim_footprint ~shards:64 16_384 in
+  let ratio = float_of_int many /. float_of_int one in
+  if ratio > 1.6 then
+    Alcotest.failf "sim footprint at 16k on 64 shards is %.2fx one shard's (must be <= 1.6)"
       ratio
 
 (* E1 end to end at n=1024: the measured global skew stays under the
@@ -189,6 +201,7 @@ let suite =
     case "promoted words/event under ceiling (release)" test_promoted_words_ceiling;
     case "ns/event under quadratic-regression ceiling" test_ns_per_event_ceiling;
     case "sim footprint grows O(n) from 16k to 64k" test_sim_footprint_linear;
+    case "sim footprint on 64 shards near one shard's" test_sim_footprint_sharded;
     case "global skew within G(n) at n=1024" test_global_skew_bound_n1024;
     case "timer state bounded under sustained traffic" test_bounded_timer_state;
     case "wheel keeps timers out of the event heap" test_wheel_relieves_heap;
