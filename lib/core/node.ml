@@ -1,10 +1,5 @@
 module Engine = Dsim.Engine
 
-(* All-float record, so the field lives unboxed and the running minimum
-   in [adjust_clock] can be updated without allocating (a [float ref] or
-   a mutable float field in a mixed record would box every store). *)
-type scratch = { mutable acc : float }
-
 type tolerance =
   | Tol_default
   | Tol_const of float
@@ -13,79 +8,101 @@ type tolerance =
 type timeout = Timeout_default | Timeout_fun of (peer:int -> float)
 
 (* Lowered tolerance. [Tol_default] becomes the closed linear form of
-   {!Params.b} — [max floor (icpt -. slope *. age)] over precomputed
-   floats — so the per-peer term in [adjust_clock] is pure unboxed
-   arithmetic; a closure-field call there boxes the float argument and
-   result on every Γ member of every event. The inline record is
-   all-float, hence flat. *)
-type tol =
-  | T_const of float
-  | T_linear of { floor : float; icpt : float; slope : float }
-  | T_fun of (peer:int -> float -> float)
+   {!Params.b} — [max floor (icpt -. slope *. age)] — and [Tol_const b]
+   the constant [b], both over floats kept in [regs], so the per-peer
+   term in [adjust_clock] is pure unboxed arithmetic; a closure-field
+   call there boxes the float argument and result on every Γ member of
+   every event. Only the closure form needs a block. *)
+type tol = T_const | T_linear | T_fun of (peer:int -> float -> float)
 
-type tmo = Tm_const of float | Tm_fun of (peer:int -> float)
+(* Every float register of the node in one all-float record, so each
+   field lives unboxed and a store allocates nothing (a mutable float
+   field in a mixed record would box every store). [L] and [Lmax] are
+   kept as (value, anchor) with [get at = value +. (at -. anchor)], the
+   arithmetic of {!Estimate}; [acc] is AdjustClock's running minimum;
+   the rest are constants of the lowered tolerance. *)
+type regs = {
+  mutable l : float;
+  mutable l_at : float;
+  mutable lmax : float;
+  mutable lmax_at : float;
+  mutable acc : float;
+  b_floor : float; (* [T_linear]'s floor, or [T_const]'s value *)
+  b_icpt : float;
+  b_slope : float;
+}
 
-(* Peer state lives in parallel arrays sorted by peer id — one slot per
-   peer currently in Υ or Γ, flat floats instead of a Hashtbl of boxed
-   cells, so the per-event [AdjustClock] minimum is a cache-linear loop
-   and membership updates are a binary search plus a blit. The estimate
-   [L^v_u] is stored inline as (value, anchor) with
-   [get at = value +. (at -. anchor)], exactly {!Estimate}'s arithmetic. *)
+(* Peer state lives in two columns sorted by peer id — one slot per peer
+   currently in Υ or Γ, flat instead of a Hashtbl of boxed cells, so the
+   per-event [AdjustClock] minimum is a cache-linear loop and membership
+   updates are a binary search plus a blit. [peers.(i)] packs the id
+   with the two membership bits below it; [pf] holds, at stride 3, C^v
+   (the hardware clock when v last entered Γ) and the estimate [L^v_u]
+   as (value, anchor). Two blocks per node, not one per field. *)
 type t = {
   ctx : Proto.ctx;
   params : Params.t;
   tolerance : tol;
-  timeout : tmo;
-  mutable p_id : int array;
-  mutable p_gamma : bool array; (* v ∈ Γ: heard from within subjective ΔT' *)
-  mutable p_upsilon : bool array; (* v ∈ Υ: edge believed present *)
-  mutable p_c : float array; (* C^v_u: hardware clock when v last entered Γ *)
-  mutable p_val : float array; (* L^v_u estimate value ... *)
-  mutable p_anchor : float array; (* ... anchored at this hardware time *)
+  timeout : float;
+      (* [ΔT'] unless [timeout_fun] is set. Kept boxed, outside [regs]:
+         every receipt passes it to [Engine.set_timer], and a float read
+         from an all-float record would be boxed afresh for that call. *)
+  timeout_fun : (peer:int -> float) option;
+  mutable peers : int array; (* id lsl 2 lor Γ bit lor Υ bit *)
+  mutable pf : float array; (* C^v, L^v value, L^v anchor per slot *)
   mutable p_len : int;
-  scratch : scratch;
-  l : Estimate.t;
-  lmax : Estimate.t;
+  r : regs;
   mutable discrete_jumps : int;
   mutable messages_sent : int;
 }
 
+(* v ∈ Γ: heard from within subjective ΔT'. *)
+let gamma_bit = 2
+
+(* v ∈ Υ: edge believed present. *)
+let upsilon_bit = 1
+
+let[@inline] peer_of p = p lsr 2
+
 let create ?(tolerance = Tol_default) ?(timeout = Timeout_default) params ctx =
-  let tolerance =
+  let tolerance, b_floor, b_icpt, b_slope =
     match tolerance with
-    | Tol_const b -> T_const b
-    | Tol_fun f -> T_fun f
+    | Tol_const b -> (T_const, b, 0., 0.)
+    | Tol_fun f -> (T_fun f, 0., 0., 0.)
     | Tol_default ->
-      (* Close over Params.b's linear form (Section 5):
+      (* Params.b's linear form (Section 5):
          B(dt) = max(b0, 5G + unit + b0 - b0 * dt / unit). *)
       let unit = (1. +. params.Params.rho) *. Params.tau params in
-      T_linear
-        {
-          floor = params.Params.b0;
-          icpt = (5. *. Params.global_skew_bound params) +. unit +. params.Params.b0;
-          slope = params.Params.b0 /. unit;
-        }
+      ( T_linear,
+        params.Params.b0,
+        (5. *. Params.global_skew_bound params) +. unit +. params.Params.b0,
+        params.Params.b0 /. unit )
   in
-  let timeout =
+  let timeout_fun, timeout =
     match timeout with
-    | Timeout_fun f -> Tm_fun f
-    | Timeout_default -> Tm_const (Params.delta_t' params)
+    | Timeout_fun f -> (Some f, 0.)
+    | Timeout_default -> (None, Params.delta_t' params)
   in
   {
     ctx;
     params;
     tolerance;
     timeout;
-    p_id = [||];
-    p_gamma = [||];
-    p_upsilon = [||];
-    p_c = [||];
-    p_val = [||];
-    p_anchor = [||];
+    timeout_fun;
+    peers = [||];
+    pf = [||];
     p_len = 0;
-    scratch = { acc = 0. };
-    l = Estimate.create ~value:0. ~anchor:0.;
-    lmax = Estimate.create ~value:0. ~anchor:0.;
+    r =
+      {
+        l = 0.;
+        l_at = 0.;
+        lmax = 0.;
+        lmax_at = 0.;
+        acc = 0.;
+        b_floor;
+        b_icpt;
+        b_slope;
+      };
     discrete_jumps = 0;
     messages_sent = 0;
   }
@@ -96,71 +113,52 @@ let id t = Engine.node_id t.ctx
 
 let params_of t = t.params
 
-let logical_clock t = Estimate.get t.l ~at:(hardware_clock t)
+let logical_clock t = t.r.l +. (hardware_clock t -. t.r.l_at)
 
-let max_estimate t = Estimate.get t.lmax ~at:(hardware_clock t)
+let max_estimate t = t.r.lmax +. (hardware_clock t -. t.r.lmax_at)
 
 (* Slot management ---------------------------------------------------- *)
 
 (* Index of peer [v], or [lnot] of its insertion point when absent. *)
 let find t v =
   let lo = ref 0 and hi = ref t.p_len in
-  let ids = t.p_id in
+  let peers = t.peers in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if ids.(mid) < v then lo := mid + 1 else hi := mid
+    if peer_of peers.(mid) < v then lo := mid + 1 else hi := mid
   done;
-  if !lo < t.p_len && ids.(!lo) = v then !lo else lnot !lo
+  if !lo < t.p_len && peer_of peers.(!lo) = v then !lo else lnot !lo
+
+let[@inline] has t i bit = t.peers.(i) land bit <> 0
+
+let[@inline] set_bit t i bit = t.peers.(i) <- t.peers.(i) lor bit
+
+let[@inline] clear_bit t i bit = t.peers.(i) <- t.peers.(i) land lnot bit
 
 let grow t =
-  let cap = max 4 (2 * Array.length t.p_id) in
-  let ids = Array.make cap 0
-  and ga = Array.make cap false
-  and up = Array.make cap false
-  and c = Array.make cap 0.
-  and vl = Array.make cap 0.
-  and an = Array.make cap 0. in
-  Array.blit t.p_id 0 ids 0 t.p_len;
-  Array.blit t.p_gamma 0 ga 0 t.p_len;
-  Array.blit t.p_upsilon 0 up 0 t.p_len;
-  Array.blit t.p_c 0 c 0 t.p_len;
-  Array.blit t.p_val 0 vl 0 t.p_len;
-  Array.blit t.p_anchor 0 an 0 t.p_len;
-  t.p_id <- ids;
-  t.p_gamma <- ga;
-  t.p_upsilon <- up;
-  t.p_c <- c;
-  t.p_val <- vl;
-  t.p_anchor <- an
+  let cap = max 2 (2 * Array.length t.peers) in
+  let peers = Array.make cap 0 and pf = Array.make (3 * cap) 0. in
+  Array.blit t.peers 0 peers 0 t.p_len;
+  Array.blit t.pf 0 pf 0 (3 * t.p_len);
+  t.peers <- peers;
+  t.pf <- pf
 
 (* Insert a fresh (non-Γ, non-Υ) slot for [v] at position [at]. *)
 let insert t ~at v =
-  if t.p_len >= Array.length t.p_id then grow t;
+  if t.p_len >= Array.length t.peers then grow t;
   let tail = t.p_len - at in
-  Array.blit t.p_id at t.p_id (at + 1) tail;
-  Array.blit t.p_gamma at t.p_gamma (at + 1) tail;
-  Array.blit t.p_upsilon at t.p_upsilon (at + 1) tail;
-  Array.blit t.p_c at t.p_c (at + 1) tail;
-  Array.blit t.p_val at t.p_val (at + 1) tail;
-  Array.blit t.p_anchor at t.p_anchor (at + 1) tail;
-  t.p_id.(at) <- v;
-  t.p_gamma.(at) <- false;
-  t.p_upsilon.(at) <- false;
-  t.p_c.(at) <- 0.;
-  t.p_val.(at) <- 0.;
-  t.p_anchor.(at) <- 0.;
+  Array.blit t.peers at t.peers (at + 1) tail;
+  Array.blit t.pf (3 * at) t.pf (3 * (at + 1)) (3 * tail);
+  t.peers.(at) <- v lsl 2;
+  Array.fill t.pf (3 * at) 3 0.;
   t.p_len <- t.p_len + 1
 
 (* Drop slot [i] once the peer is in neither Γ nor Υ. *)
 let drop_if_empty t i =
-  if (not t.p_gamma.(i)) && not t.p_upsilon.(i) then begin
+  if t.peers.(i) land (gamma_bit lor upsilon_bit) = 0 then begin
     let tail = t.p_len - i - 1 in
-    Array.blit t.p_id (i + 1) t.p_id i tail;
-    Array.blit t.p_gamma (i + 1) t.p_gamma i tail;
-    Array.blit t.p_upsilon (i + 1) t.p_upsilon i tail;
-    Array.blit t.p_c (i + 1) t.p_c i tail;
-    Array.blit t.p_val (i + 1) t.p_val i tail;
-    Array.blit t.p_anchor (i + 1) t.p_anchor i tail;
+    Array.blit t.peers (i + 1) t.peers i tail;
+    Array.blit t.pf (3 * (i + 1)) t.pf (3 * i) (3 * tail);
     t.p_len <- t.p_len - 1
   end
 
@@ -170,12 +168,13 @@ let drop_if_empty t i =
    callers only (introspection); the hot loop in [adjust_clock] matches
    once outside its iteration instead. *)
 let tol_at t i h =
+  let r = t.r in
   match t.tolerance with
-  | T_const b -> b
-  | T_linear { floor; icpt; slope } ->
-    let b = icpt -. (slope *. (h -. t.p_c.(i))) in
-    if b < floor then floor else b
-  | T_fun f -> f ~peer:t.p_id.(i) (h -. t.p_c.(i))
+  | T_const -> r.b_floor
+  | T_linear ->
+    let b = r.b_icpt -. (r.b_slope *. (h -. t.pf.(3 * i))) in
+    if b < r.b_floor then r.b_floor else b
+  | T_fun f -> f ~peer:(peer_of t.peers.(i)) (h -. t.pf.(3 * i))
 
 (* Procedure AdjustClock:
    L <- max{L, min{Lmax, min_{v in Gamma}(L^v + B(H - C^v))}}.
@@ -183,45 +182,51 @@ let tol_at t i h =
    and constant forms then run entirely on unboxed floats. *)
 let adjust_clock t =
   let h = hardware_clock t in
-  let l = Estimate.get t.l ~at:h in
-  let lmax = Estimate.get t.lmax ~at:h in
-  t.scratch.acc <- infinity;
+  let r = t.r in
+  let l = r.l +. (h -. r.l_at) in
+  let lmax = r.lmax +. (h -. r.lmax_at) in
+  let peers = t.peers and pf = t.pf in
+  r.acc <- infinity;
   (match t.tolerance with
-  | T_const b ->
+  | T_const ->
+    let b = r.b_floor in
     for i = 0 to t.p_len - 1 do
-      if t.p_gamma.(i) then begin
-        let cap = t.p_val.(i) +. (h -. t.p_anchor.(i)) +. b in
-        if cap < t.scratch.acc then t.scratch.acc <- cap
+      if peers.(i) land gamma_bit <> 0 then begin
+        let j = 3 * i in
+        let cap = pf.(j + 1) +. (h -. pf.(j + 2)) +. b in
+        if cap < r.acc then r.acc <- cap
       end
     done
-  | T_linear { floor; icpt; slope } ->
+  | T_linear ->
+    let floor = r.b_floor and icpt = r.b_icpt and slope = r.b_slope in
     for i = 0 to t.p_len - 1 do
-      if t.p_gamma.(i) then begin
-        let b = icpt -. (slope *. (h -. t.p_c.(i))) in
+      if peers.(i) land gamma_bit <> 0 then begin
+        let j = 3 * i in
+        let b = icpt -. (slope *. (h -. pf.(j))) in
         let b = if b < floor then floor else b in
-        let cap = t.p_val.(i) +. (h -. t.p_anchor.(i)) +. b in
-        if cap < t.scratch.acc then t.scratch.acc <- cap
+        let cap = pf.(j + 1) +. (h -. pf.(j + 2)) +. b in
+        if cap < r.acc then r.acc <- cap
       end
     done
   | T_fun f ->
     for i = 0 to t.p_len - 1 do
-      if t.p_gamma.(i) then begin
-        let cap =
-          t.p_val.(i) +. (h -. t.p_anchor.(i))
-          +. f ~peer:t.p_id.(i) (h -. t.p_c.(i))
-        in
-        if cap < t.scratch.acc then t.scratch.acc <- cap
+      if peers.(i) land gamma_bit <> 0 then begin
+        let j = 3 * i in
+        let cap = pf.(j + 1) +. (h -. pf.(j + 2)) +. f ~peer:(peer_of peers.(i)) (h -. pf.(j)) in
+        if cap < r.acc then r.acc <- cap
       end
     done);
-  let target = if lmax < t.scratch.acc then lmax else t.scratch.acc in
+  let target = if lmax < r.acc then lmax else r.acc in
   if target > l then begin
     t.discrete_jumps <- t.discrete_jumps + 1;
-    Estimate.set t.l ~at:h target
+    r.l <- target;
+    r.l_at <- h
   end
 
 let current_update t =
   let h = hardware_clock t in
-  { Proto.l = Estimate.get t.l ~at:h; lmax = Estimate.get t.lmax ~at:h }
+  let r = t.r in
+  { Proto.l = r.l +. (h -. r.l_at); lmax = r.lmax +. (h -. r.lmax_at) }
 
 let send_update t v msg =
   t.messages_sent <- t.messages_sent + 1;
@@ -232,11 +237,14 @@ let on_init t () = Engine.set_timer t.ctx ~after:t.params.Params.delta_h Proto.T
 let on_discover_add t v =
   send_update t v (current_update t);
   (let i = find t v in
-   if i >= 0 then t.p_upsilon.(i) <- true
-   else begin
-     insert t ~at:(lnot i) v;
-     t.p_upsilon.(lnot i) <- true
-   end);
+   let i =
+     if i >= 0 then i
+     else begin
+       insert t ~at:(lnot i) v;
+       lnot i
+     end
+   in
+   set_bit t i upsilon_bit);
   adjust_clock t
 
 let on_discover_remove t v =
@@ -247,8 +255,7 @@ let on_discover_remove t v =
   Engine.cancel_timer t.ctx (Proto.Lost v);
   (let i = find t v in
    if i >= 0 then begin
-     t.p_gamma.(i) <- false;
-     t.p_upsilon.(i) <- false;
+     clear_bit t i (gamma_bit lor upsilon_bit);
      drop_if_empty t i
    end);
   adjust_clock t
@@ -266,27 +273,23 @@ let on_receive t v { Proto.l = l_v; lmax = lmax_v } =
       at
     end
   in
-  if t.p_gamma.(i) then begin
-    (* Line 20: the estimate is refreshed on every receipt; C^v only when
-       v (re-)enters Gamma (lines 17-19, cf. Lemma 6.10). *)
-    t.p_val.(i) <- l_v;
-    t.p_anchor.(i) <- h
-  end
-  else begin
-    t.p_gamma.(i) <- true;
-    t.p_c.(i) <- h;
-    t.p_val.(i) <- l_v;
-    t.p_anchor.(i) <- h
-  end;
+  let j = 3 * i in
+  (* Line 20: the estimate is refreshed on every receipt; C^v only when
+     v (re-)enters Gamma (lines 17-19, cf. Lemma 6.10). *)
+  if not (has t i gamma_bit) then t.pf.(j) <- h;
+  t.pf.(j + 1) <- l_v;
+  t.pf.(j + 2) <- h;
   (* A message can only arrive on an edge the environment delivered on, so
      v belongs in Upsilon even if the discover(add) was suppressed as
      transient. *)
-  t.p_upsilon.(i) <- true;
-  ignore (Estimate.raise_to t.lmax ~at:h lmax_v);
+  set_bit t i (gamma_bit lor upsilon_bit);
+  let r = t.r in
+  if lmax_v > r.lmax +. (h -. r.lmax_at) then begin
+    r.lmax <- lmax_v;
+    r.lmax_at <- h
+  end;
   adjust_clock t;
-  let after =
-    match t.timeout with Tm_const d -> d | Tm_fun f -> f ~peer:v
-  in
+  let after = match t.timeout_fun with None -> t.timeout | Some f -> f ~peer:v in
   Engine.set_timer t.ctx ~after (Proto.Lost v)
 
 let on_timer t = function
@@ -295,14 +298,14 @@ let on_timer t = function
        member of Υ gets the same immutable update. *)
     let msg = current_update t in
     for i = 0 to t.p_len - 1 do
-      if t.p_upsilon.(i) then send_update t t.p_id.(i) msg
+      if has t i upsilon_bit then send_update t (peer_of t.peers.(i)) msg
     done;
     adjust_clock t;
     Engine.set_timer t.ctx ~after:t.params.Params.delta_h Proto.Tick
   | Proto.Lost v ->
     (let i = find t v in
      if i >= 0 then begin
-       t.p_gamma.(i) <- false;
+       clear_bit t i gamma_bit;
        drop_if_empty t i
      end);
     adjust_clock t
@@ -319,16 +322,19 @@ let on_timer t = function
 let restart t ~corrupt =
   t.p_len <- 0;
   let h = hardware_clock t in
-  (match corrupt with
-  | None ->
-    Estimate.set t.l ~at:h 0.;
-    Estimate.set t.lmax ~at:h 0.
-  | Some prng ->
-    let scale = Float.max 1. (2. *. h) in
-    let l_val = Dsim.Prng.float prng scale in
-    let lmax_val = l_val +. Dsim.Prng.float prng (0.5 *. scale) in
-    Estimate.set t.l ~at:h l_val;
-    Estimate.set t.lmax ~at:h lmax_val);
+  let r = t.r in
+  let l_val, lmax_val =
+    match corrupt with
+    | None -> (0., 0.)
+    | Some prng ->
+      let scale = Float.max 1. (2. *. h) in
+      let l_val = Dsim.Prng.float prng scale in
+      (l_val, l_val +. Dsim.Prng.float prng (0.5 *. scale))
+  in
+  r.l <- l_val;
+  r.l_at <- h;
+  r.lmax <- lmax_val;
+  r.lmax_at <- h;
   (* Timers were purged by the engine; re-arm the periodic tick exactly
      as on_init does. Lost timers re-arm as messages arrive. *)
   Engine.set_timer t.ctx ~after:t.params.Params.delta_h Proto.Tick
@@ -345,29 +351,29 @@ let handlers t =
 
 (* Introspection ------------------------------------------------------ *)
 
-let members t which =
+let members t bit =
   let out = ref [] in
   for i = t.p_len - 1 downto 0 do
-    if which.(i) then out := t.p_id.(i) :: !out
+    if has t i bit then out := peer_of t.peers.(i) :: !out
   done;
   !out
 
-let gamma t = members t t.p_gamma
+let gamma t = members t gamma_bit
 
-let upsilon t = members t t.p_upsilon
+let upsilon t = members t upsilon_bit
 
 let in_gamma t v =
   let i = find t v in
-  if i >= 0 && t.p_gamma.(i) then i else -1
+  if i >= 0 && has t i gamma_bit then i else -1
 
 let peer_estimate t v =
   let i = in_gamma t v in
   if i < 0 then None
-  else Some (t.p_val.(i) +. (hardware_clock t -. t.p_anchor.(i)))
+  else Some (t.pf.((3 * i) + 1) +. (hardware_clock t -. t.pf.((3 * i) + 2)))
 
 let peer_age t v =
   let i = in_gamma t v in
-  if i < 0 then None else Some (hardware_clock t -. t.p_c.(i))
+  if i < 0 then None else Some (hardware_clock t -. t.pf.(3 * i))
 
 let peer_tolerance t v =
   let i = in_gamma t v in
@@ -375,14 +381,14 @@ let peer_tolerance t v =
 
 let is_blocked t =
   let h = hardware_clock t in
-  let l = Estimate.get t.l ~at:h in
-  if Estimate.get t.lmax ~at:h <= l then false
+  let l = t.r.l +. (h -. t.r.l_at) in
+  if t.r.lmax +. (h -. t.r.lmax_at) <= l then false
   else begin
     let blocked = ref false in
     for i = 0 to t.p_len - 1 do
       if
-        t.p_gamma.(i)
-        && l -. (t.p_val.(i) +. (h -. t.p_anchor.(i))) > tol_at t i h
+        has t i gamma_bit
+        && l -. (t.pf.((3 * i) + 1) +. (h -. t.pf.((3 * i) + 2))) > tol_at t i h
       then blocked := true
     done;
     !blocked

@@ -394,7 +394,8 @@ type ('msg, 'timer) t = {
   lanes : lane array; (* per shard *)
   control : Equeue.t; (* order-sensitive global events; empty at shards=1 *)
   trace : Trace.t;
-  mutable handlers : ('msg, 'timer) handlers option array;
+  mutable handlers : ('msg, 'timer) handlers array;
+      (* [no_handlers] until the node is installed *)
   timer_label : 'timer -> int;
       (* Encodes a label for Timer_fire/Timer_stale trace records and
          keys the armed tables and wheel entries. *)
@@ -443,7 +444,8 @@ type ('msg, 'timer) t = {
   faults : fault_state option;
   corrupt_msg : (src:int -> Prng.t -> 'msg -> 'msg) option;
       (* Applied to messages a Byzantine node sends during its window. *)
-  mutable restart_handlers : (corrupt:Prng.t option -> unit) option array;
+  mutable restart_handlers : (corrupt:Prng.t option -> unit) array;
+      (* [no_restart] until the node registers one *)
   mutable tie_break : (int -> int) option;
       (* Adversary hook: given the size k of the same-instant event group
          across the queue and the wheel, returns the index (in seq order)
@@ -460,6 +462,20 @@ and ('msg, 'timer) handlers = {
 }
 
 type ('msg, 'timer) ctx = { engine : ('msg, 'timer) t; id : int; lane : lane }
+
+(* Shared sentinels for a node with no handlers or restart entry point
+   yet: a plain cell per node instead of an option box around each. The
+   checks compare physically against them. *)
+let no_handlers =
+  {
+    on_init = ignore;
+    on_discover_add = ignore;
+    on_discover_remove = ignore;
+    on_receive = (fun _ _ -> ());
+    on_timer = ignore;
+  }
+
+let no_restart ~corrupt:_ = ()
 
 let[@inline] shard_of t id =
   if id < Array.length t.part then Array.unsafe_get t.part id
@@ -634,13 +650,10 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
     List.filter (fun (u, v) -> Dyngraph.add_edge graph ~now:0. u v) initial_edges
   in
   (* The initial discovery burst, two events per fresh edge, is the
-     queue's first peak. [~capacity] sizes the queue's event pool for
-     it, so set-up skips the pool's doublings and the garbage they
-     leave. It sizes the heap columns too, which these in-order pushes
-     never use, while the runs that do take them still double. Alone,
-     on path64k (release, 2-vCPU host, 10 alternating pairs), it reads
-     0.114 s set-up and 282.5 MiB peak RSS against 0.156 s and
-     286.5 MiB without it. *)
+     queue's first peak. [~capacity] sizes the queue's event pool and
+     the run these in-order pushes fill, so set-up skips their doublings
+     and the garbage they leave; the heap, which they never reach,
+     starts empty. *)
   let burst = (2 * List.length fresh_edges + shards - 1) / shards in
   let mk_lane s =
     {
@@ -682,7 +695,7 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       lanes;
       control = Equeue.create ~capacity:64 ();
       trace = tr;
-      handlers = Array.make n None;
+      handlers = Array.make n no_handlers;
       timer_label;
       timers = [||];
       timers_set = 0;
@@ -711,7 +724,7 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       cb_lane = lanes.(0);
       faults = fault_state;
       corrupt_msg;
-      restart_handlers = Array.make n None;
+      restart_handlers = Array.make n no_restart;
       tie_break = None;
       tb =
         {
@@ -763,18 +776,13 @@ let ensure_nodes t n' =
   let cap = Array.length t.handlers in
   if n' > cap then begin
     let cap' = max n' (2 * cap) in
-    let grow_opt a =
-      let a' = Array.make cap' None in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    t.handlers <- grow_opt t.handlers;
-    t.restart_handlers <- grow_opt t.restart_handlers;
     let grow_stores a none =
       let a' = Array.make cap' none in
       Array.blit a 0 a' 0 cap;
       a'
     in
+    t.handlers <- grow_stores t.handlers no_handlers;
+    t.restart_handlers <- grow_stores t.restart_handlers no_restart;
     t.absence_pending <- grow_stores t.absence_pending iset_none;
     t.fifo <- grow_stores t.fifo fifo_none;
     let gens' = Array.make cap' 0 in
@@ -806,27 +814,20 @@ let add_node t ~clock =
   id
 
 let handlers_of t i =
-  match t.handlers.(i) with
-  | Some h -> h
-  | None -> invalid_arg (Printf.sprintf "Engine: node %d has no handlers installed" i)
+  let h = t.handlers.(i) in
+  if h == no_handlers then
+    invalid_arg (Printf.sprintf "Engine: node %d has no handlers installed" i);
+  h
 
 let install t i build =
   if i < 0 || i >= t.n then invalid_arg "Engine.install: node out of range";
-  if t.started then begin
-    (* A node that joined mid-run installs and initializes on the spot;
-       re-installing a live node's algorithm is not a thing. *)
-    match t.handlers.(i) with
-    | Some _ -> invalid_arg "Engine.install: engine already started"
-    | None ->
-      let ctx = { engine = t; id = i; lane = t.lanes.(shard_of t i) } in
-      let h = build ctx in
-      t.handlers.(i) <- Some h;
-      h.on_init ()
-  end
-  else begin
-    let ctx = { engine = t; id = i; lane = t.lanes.(shard_of t i) } in
-    t.handlers.(i) <- Some (build ctx)
-  end
+  (* A node that joined mid-run installs and initializes on the spot;
+     re-installing a live node's algorithm is not a thing. *)
+  if t.started && t.handlers.(i) != no_handlers then
+    invalid_arg "Engine.install: engine already started";
+  let h = build { engine = t; id = i; lane = t.lanes.(shard_of t i) } in
+  t.handlers.(i) <- h;
+  if t.started then h.on_init ()
 
 (* Node-side API ----------------------------------------------------- *)
 
@@ -835,7 +836,7 @@ let node_id ctx = ctx.id
 let node_count ctx = ctx.engine.n
 
 let on_restart ctx h =
-  ctx.engine.restart_handlers.(ctx.id) <- Some h
+  ctx.engine.restart_handlers.(ctx.id) <- h
 
 let alive t i =
   match t.faults with None -> true | Some f -> f.f_alive.(i)
@@ -917,27 +918,34 @@ let send ctx ~dst msg =
          previous life of the edge is dead — in-flight messages of that
          epoch are dropped at delivery, so nothing can be overtaken. A
          reordering fault window suspends the floor (the link stops being
-         FIFO for its duration) without touching the recorded state. *)
-      let fs = t.fifo.(src) in
-      let i = bfind fs.Fifo_store.dst fs.Fifo_store.len dst in
+         FIFO for its duration) without touching the recorded state.
+         Under a constant delay [c] no floor can bind, so none is kept: a
+         sender's sends leave at non-decreasing [now] (dispatch time on
+         the sequential path, the lane's clock inside a window), so a
+         stored floor [now' +. c] with [now' <= now] never exceeds
+         [now +. c] (float addition is monotone), and duplicates and
+         reorder windows never write one. *)
       let deliver_at =
-        if reordered then deliver_at
-        else if i >= 0 then begin
-          let floor =
-            if fs.Fifo_store.epoch.(i) = epoch
-               && fs.Fifo_store.deadline.(i) > deliver_at
-            then fs.Fifo_store.deadline.(i)
-            else deliver_at
-          in
-          fs.Fifo_store.epoch.(i) <- epoch;
-          fs.Fifo_store.deadline.(i) <- floor;
-          floor
-        end
-        else begin
-          let fs = claim t.fifo src ~none:fifo_none ~fresh:Fifo_store.create in
-          Fifo_store.insert fs ~at:(lnot i) dst epoch deliver_at;
-          deliver_at
-        end
+        if reordered || t.delay.Delay.const >= 0. then deliver_at
+        else
+          let fs = t.fifo.(src) in
+          let i = bfind fs.Fifo_store.dst fs.Fifo_store.len dst in
+          if i >= 0 then begin
+            let floor =
+              if fs.Fifo_store.epoch.(i) = epoch
+                 && fs.Fifo_store.deadline.(i) > deliver_at
+              then fs.Fifo_store.deadline.(i)
+              else deliver_at
+            in
+            fs.Fifo_store.epoch.(i) <- epoch;
+            fs.Fifo_store.deadline.(i) <- floor;
+            floor
+          end
+          else begin
+            let fs = claim t.fifo src ~none:fifo_none ~fresh:Fifo_store.create in
+            Fifo_store.insert fs ~at:(lnot i) dst epoch deliver_at;
+            deliver_at
+          end
       in
       push_from t lane ~owner:dst ~time:deliver_at ~kind:k_deliver ~a:src
         ~b:dst ~c:epoch ~d:inc (Obj.repr msg);
@@ -1208,9 +1216,7 @@ let apply_restart t f node ~corrupt =
     end
     else None
   in
-  (match t.restart_handlers.(node) with
-  | Some h -> h ~corrupt:corrupt_prng
-  | None -> ());
+  t.restart_handlers.(node) ~corrupt:corrupt_prng;
   (* The restarted node relearns its current neighborhood within the
      discovery lag, as if every incident edge had just appeared to it. *)
   List.iter

@@ -151,7 +151,14 @@ val hardware_clock : ('msg, 'timer) ctx -> float
 
 val send : ('msg, 'timer) ctx -> dst:int -> 'msg -> unit
 (** Send a message. If the edge to [dst] is currently absent the message
-    is dropped and the absence will be (re-)discovered within the lag. *)
+    is dropped and the absence will be (re-)discovered within the lag.
+
+    FIFO order per directed link and edge epoch is kept by a per-sender
+    floor store of the latest delivery time per destination. It exists
+    only under a drawing delay policy ([Delay.const < 0.]), from the
+    sender's first send on a live edge. Under a constant delay no floor
+    can bind (one sender's sends leave at non-decreasing times, so each
+    lands no earlier than the one before), and none is kept. *)
 
 val set_timer : ('msg, 'timer) ctx -> after:float -> 'timer -> unit
 (** Arm (or re-arm) the timer labelled by the given value to fire after
@@ -280,7 +287,8 @@ val footprint_words : ('msg, 'timer) t -> int
     table, dispatch log, trace-entry buffer), the timer label table
     (its cells and one two-word box per filled cell; the timer values
     are the caller's), per-node FIFO/absence/armed tables (each empty
-    until the node's first insert) and the dynamic graph. Grows as
+    until the node's first insert; the FIFO tables stay empty under a
+    constant delay, see {!send}) and the dynamic graph. Grows as
     O(n + edges ever present + the largest timer label), never O(n²);
     each shard adds only its own queue, wheel, outbox and buffers —
     pinned by the scaling tests. *)

@@ -25,7 +25,15 @@
    and remap, so [next_time] and [top_seq] read one field and one cell.
    Heap times live in an off-heap Float64 [Bigarray] and run times in
    flat float arrays, so the steady-state push/pop cycle allocates
-   nothing and the GC never scans a time column. *)
+   nothing and the GC never scans a time column.
+
+   Storage is claimed where it is used. The [kind], [d] and payload
+   columns are empty until a push writes a value other than their
+   default (0, 0, [dummy]) and are then made at pool size; until then
+   every slot reads the default. The timer wheel's due set, which only
+   pushes defaults there, never makes them. [~capacity] sizes the pool
+   and the run an in-order stream fills; the heap starts empty, as
+   in-order pushes never reach it. *)
 
 type ba = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -40,7 +48,7 @@ let cre_mask = (1 lsl 40) - 1
 
 (* One sorted run: a ring of (time, seq, slot) triples, non-decreasing
    in (time, seq) from [r_head] for [r_len] cells. The capacity is a
-   power of two, and zero until the first append. *)
+   power of two, or zero. *)
 type run = {
   mutable r_times : float array;
   mutable r_seqs : int array;
@@ -58,7 +66,9 @@ type t = {
   run1 : run;
   run2 : run;
   mutable src : int; (* holder of the head, or [src_none] *)
-  (* Slot pool: operand columns, free-listed through [ia]. *)
+  (* Slot pool: operand columns, free-listed through [ia]. [kinds], [id_]
+     and [payloads] are [[||]] until a push writes a non-default value
+     into them; [ia] always has the pool's length. *)
   mutable kinds : int array;
   mutable ia : int array;
   mutable ib : int array;
@@ -83,25 +93,44 @@ let dummy : Obj.t = Obj.repr ()
 
 let ba_make cap : ba = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout cap
 
-let run_make () = { r_times = [||]; r_seqs = [||]; r_slots = [||]; r_head = 0; r_len = 0 }
+(* A run of [cap] cells: the least power of two at or above [cap], or
+   none at all for [cap = 0]. *)
+let run_make cap =
+  let p = ref 0 in
+  if cap > 0 then begin
+    p := 1;
+    while !p < cap do
+      p := 2 * !p
+    done
+  end;
+  let p = !p in
+  {
+    r_times = Array.make p 0.;
+    r_seqs = Array.make p 0;
+    r_slots = Array.make p 0;
+    r_head = 0;
+    r_len = 0;
+  }
 
 let create ?(capacity = 64) () =
   if capacity < 0 then invalid_arg "Equeue.create: negative capacity";
   let cap = max 1 capacity in
   {
-    times = ba_make cap;
-    seqs = Array.make cap 0;
-    slots = Array.make cap 0;
+    times = ba_make 0;
+    seqs = [||];
+    slots = [||];
     hsize = 0;
-    run1 = run_make ();
-    run2 = run_make ();
+    run1 = run_make 0;
+    (* An empty [run1] defers to [run2] ([push]'s best fit), so an
+       in-order stream fills [run2]. *)
+    run2 = run_make cap;
     src = src_none;
-    kinds = Array.make cap 0;
+    kinds = [||];
     ia = Array.make cap 0;
     ib = Array.make cap 0;
     ic = Array.make cap 0;
-    id_ = Array.make cap 0;
-    payloads = Array.make cap dummy;
+    id_ = [||];
+    payloads = [||];
     free = -1;
     pool_len = 0;
     prov = 0;
@@ -160,28 +189,30 @@ let run_append r ~time ~seq ~slot =
 
 let[@inline] run_of q s = if s = src_run1 then q.run1 else q.run2
 
+(* Double the pool; an absent lazy column stays absent. *)
 let grow_pool q =
-  let cap = Array.length q.kinds in
+  let cap = Array.length q.ia in
   let cap' = 2 * cap in
-  let grow a =
-    let a' = Array.make cap' 0 in
-    Array.blit a 0 a' 0 cap;
-    a'
+  let grow a zero =
+    if Array.length a = 0 then a
+    else begin
+      let a' = Array.make cap' zero in
+      Array.blit a 0 a' 0 cap;
+      a'
+    end
   in
-  q.kinds <- grow q.kinds;
-  q.ia <- grow q.ia;
-  q.ib <- grow q.ib;
-  q.ic <- grow q.ic;
-  q.id_ <- grow q.id_;
-  let p' = Array.make cap' dummy in
-  Array.blit q.payloads 0 p' 0 cap;
-  q.payloads <- p'
+  q.kinds <- grow q.kinds 0;
+  q.ia <- grow q.ia 0;
+  q.ib <- grow q.ib 0;
+  q.ic <- grow q.ic 0;
+  q.id_ <- grow q.id_ 0;
+  q.payloads <- grow q.payloads dummy
 
 (* Heap ---------------------------------------------------------------- *)
 
 let grow_heap q =
   let cap = Array.length q.seqs in
-  let cap' = 2 * cap in
+  let cap' = max 16 (2 * cap) in
   let times' = ba_make cap' in
   Bigarray.Array1.blit q.times (Bigarray.Array1.sub times' 0 cap);
   q.times <- times';
@@ -312,19 +343,32 @@ let push q ~time ~seq ~kind ~a ~b ~c ~d payload =
       s
     end
     else begin
-      if q.pool_len >= Array.length q.kinds then grow_pool q;
+      if q.pool_len >= Array.length q.ia then grow_pool q;
       let s = q.pool_len in
       q.pool_len <- s + 1;
       s
     end
   in
-  q.kinds.(slot) <- kind;
   q.ia.(slot) <- a;
   q.ib.(slot) <- b;
   q.ic.(slot) <- c;
-  q.id_.(slot) <- d;
+  (* A present lazy column takes every write (the slot may hold a stale
+     value); an absent one is made by the first non-default write. *)
+  if Array.length q.kinds > 0 then q.kinds.(slot) <- kind
+  else if kind <> 0 then begin
+    q.kinds <- Array.make (Array.length q.ia) 0;
+    q.kinds.(slot) <- kind
+  end;
+  if Array.length q.id_ > 0 then q.id_.(slot) <- d
+  else if d <> 0 then begin
+    q.id_ <- Array.make (Array.length q.ia) 0;
+    q.id_.(slot) <- d
+  end;
   (* A free slot holds [dummy]: payload-less events skip the write barrier. *)
-  if payload != dummy then q.payloads.(slot) <- payload;
+  if payload != dummy then begin
+    if Array.length q.payloads = 0 then q.payloads <- Array.make (Array.length q.ia) dummy;
+    q.payloads.(slot) <- payload
+  end;
   let r1 = q.run1 and r2 = q.run2 in
   let dest =
     if run_accepts r1 time seq then
@@ -351,7 +395,8 @@ let release q =
   let slot = q.popped in
   if slot >= 0 then begin
     q.popped <- -1;
-    if Array.unsafe_get q.payloads slot != dummy then q.payloads.(slot) <- dummy;
+    let p = q.payloads in
+    if Array.length p > 0 && Array.unsafe_get p slot != dummy then p.(slot) <- dummy;
     q.ia.(slot) <- q.free;
     q.free <- slot
   end
@@ -415,7 +460,7 @@ let remap_batch q ~finals =
     q.src <- choose q
   end
 
-let ev_kind q = q.kinds.(q.popped)
+let ev_kind q = if Array.length q.kinds = 0 then 0 else q.kinds.(q.popped)
 
 let ev_a q = q.ia.(q.popped)
 
@@ -423,15 +468,16 @@ let ev_b q = q.ib.(q.popped)
 
 let ev_c q = q.ic.(q.popped)
 
-let ev_d q = q.id_.(q.popped)
+let ev_d q = if Array.length q.id_ = 0 then 0 else q.id_.(q.popped)
 
-let ev_payload q = q.payloads.(q.popped)
+let ev_payload q = if Array.length q.payloads = 0 then dummy else q.payloads.(q.popped)
 
 (* Allocated footprint in words, for memory-growth checks: heap columns
    (seqs/slots + the off-heap time column counted at 1 word/cell), the
-   run columns, and the pool columns. *)
+   run columns, and the pool columns that exist. *)
 let footprint_words q =
   let heap_cap = Array.length q.seqs in
   let run_cap = Array.length q.run1.r_seqs + Array.length q.run2.r_seqs in
-  let pool_cap = Array.length q.kinds in
-  (3 * heap_cap) + (3 * run_cap) + (6 * pool_cap)
+  (3 * heap_cap) + (3 * run_cap)
+  + (3 * Array.length q.ia)
+  + Array.length q.kinds + Array.length q.id_ + Array.length q.payloads

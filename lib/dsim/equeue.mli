@@ -24,9 +24,17 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [create ?capacity ()] pre-allocates room for [capacity] events
-    (default 64); the queue still grows on demand past it. Raises
-    [Invalid_argument] on a negative capacity. *)
+(** [create ?capacity ()] sizes the slot pool for [capacity] events
+    (default 64) and one sorted run for an in-order stream of as many
+    (rounded up to a power of two). The heap starts empty, since
+    in-order pushes never reach it; everything grows on demand.
+
+    The [kind], [d] and payload columns are allocated lazily, at pool
+    size, by the first push that writes a value other than their
+    default (0, 0 and [Obj.repr ()]); while a column is absent,
+    {!ev_kind}, {!ev_d} and {!ev_payload} read the default. A queue
+    that only pushes defaults there, like a timer wheel's due set, never
+    allocates them. Raises [Invalid_argument] on a negative capacity. *)
 
 val push :
   t ->
@@ -102,5 +110,5 @@ val is_empty : t -> bool
 
 val footprint_words : t -> int
 (** Words currently allocated across the heap, run and pool columns
-    (the off-heap time column counted at one word per cell) — the engine's
-    memory-growth checks read this. *)
+    that exist (the off-heap time column counted at one word per cell) —
+    the engine's memory-growth checks read this. *)

@@ -38,7 +38,9 @@
    The due set is an [Equeue.t], the same (time, seq) order structure
    the engine's event queues use: a resolved entry goes in as a kind-0
    event with [a = node], [b = label], [c = gen] and its deadline as the
-   time. The wheel itself holds buckets only and decides no order.
+   time. As it writes no kind, d or payload, the queue never allocates
+   those columns. The wheel itself holds buckets only and decides no
+   order.
 
    Entries further than [slots^levels] granules away are parked at the
    top ring's last covered slot and re-cascaded when the cursor gets

@@ -15,18 +15,16 @@ let run ~quick =
   let sim = Gcs.Sim.create cfg in
   let engine = Gcs.Sim.engine sim in
   Gcs.Sim.add_edge_at sim ~at:t_add 0 (n - 1);
-  (* Sample the effective (weighted) diameter. *)
+  (* Sample the effective (weighted) diameter every 2.0 from t = 5. The
+     weights are read from the live graph and nodes, not the snapshot. *)
   let samples = ref [] in
   let nodes = Array.init n (fun i -> Option.get (Gcs.Sim.gradient_node sim i)) in
-  let rec probe t =
-    if t <= horizon then
-      Dsim.Engine.at engine ~time:t (fun () ->
-          let current = Dsim.Dyngraph.edges (Dsim.Engine.graph engine) in
-          let weighted = Gcs.Weights.weighted_edges nodes current in
-          samples := (t, Gcs.Weights.effective_diameter ~n weighted) :: !samples;
-          probe (t +. 2.))
-  in
-  probe 5.;
+  Gcs.Sim.run_until sim 5.;
+  Gcs.Metrics.every engine (Gcs.Sim.view sim) ~every:2. ~until:horizon (fun _ ->
+      let current = Dsim.Dyngraph.edges (Dsim.Engine.graph engine) in
+      let weighted = Gcs.Weights.weighted_edges nodes current in
+      samples :=
+        (Dsim.Engine.now engine, Gcs.Weights.effective_diameter ~n weighted) :: !samples);
   Gcs.Sim.run_until sim horizon;
   let series = List.rev !samples in
   let value_at t = Option.value ~default:nan (Analysis.Series.value_at series t) in

@@ -161,6 +161,57 @@ let test_release () =
   Alcotest.(check bool) "released payload collected" true (Weak.get w 0 = None);
   Alcotest.(check int) "remaining event untouched" 1 (Equeue.size q)
 
+(* The kind, d and payload columns exist only once a push writes a
+   value other than their default. A queue of default pushes holds the
+   run it fills and the pool's three operand columns, nothing else, and
+   reads the defaults back; the first payload, kind or d write adds one
+   column at pool size, and earlier slots still read the default. *)
+let test_lazy_columns () =
+  let q = Equeue.create ~capacity:8 () in
+  let plain time seq a =
+    Equeue.push q ~time ~seq ~kind:0 ~a ~b:0 ~c:0 ~d:0 (Obj.repr ())
+  in
+  for i = 0 to 4 do
+    plain (float_of_int i) i i
+  done;
+  (* Five in-order pushes: the 8-cell run and the 8-slot pool's [a], [b]
+     and [c] columns, 3 words per cell each. The three pushes below fill
+     the pool without growing it (the popped slot stays held). *)
+  Alcotest.(check int) "no lazy column" (3 * 8 + 3 * 8) (Equeue.footprint_words q);
+  Equeue.pop q;
+  Alcotest.(check (list int)) "defaults read back" [ 0; 0; 0 ]
+    [ Equeue.ev_kind q; Equeue.ev_d q; Equeue.ev_a q ];
+  Alcotest.(check bool) "no payload" true (Equeue.ev_payload q == Obj.repr ());
+  let base = Equeue.footprint_words q in
+  Equeue.push q ~time:5. ~seq:5 ~kind:0 ~a:5 ~b:0 ~c:0 ~d:0 (Obj.repr "five");
+  Alcotest.(check int) "payload column at pool size" (base + 8) (Equeue.footprint_words q);
+  Equeue.push q ~time:6. ~seq:6 ~kind:3 ~a:6 ~b:0 ~c:0 ~d:0 (Obj.repr ());
+  Alcotest.(check int) "kind column at pool size" (base + 16) (Equeue.footprint_words q);
+  Equeue.push q ~time:7. ~seq:7 ~kind:0 ~a:7 ~b:0 ~c:0 ~d:5 (Obj.repr ());
+  Alcotest.(check int) "d column at pool size" (base + 24) (Equeue.footprint_words q);
+  let read () =
+    Equeue.pop q;
+    let p = Equeue.ev_payload q in
+    ( Equeue.ev_a q,
+      Equeue.ev_kind q,
+      Equeue.ev_d q,
+      if p == Obj.repr () then "-" else (Obj.obj p : string) )
+  in
+  let rest = List.init 7 (fun _ -> read ()) in
+  Alcotest.(check (list (pair int (pair int (pair int string)))))
+    "each event reads its own operands"
+    [
+      (1, (0, (0, "-")));
+      (2, (0, (0, "-")));
+      (3, (0, (0, "-")));
+      (4, (0, (0, "-")));
+      (5, (0, (0, "five")));
+      (6, (3, (0, "-")));
+      (7, (0, (5, "-")));
+    ]
+    (List.map (fun (a, k, d, p) -> (a, (k, (d, p)))) rest);
+  Alcotest.(check bool) "drained" true (Equeue.is_empty q)
+
 (* Model-based check: random push / pop / remap_batch sequences against a
    sorted (time, seq) list. Pushes draw either the next final rank or
    the next provisional rank, as the engine's lanes do inside a window;
@@ -177,7 +228,12 @@ let test_release () =
    sequences run long enough for the runs' rings to grow and wrap, and
    [Rebreak] replays the engine's tie-break hook: pop the whole group at
    the head time, push it back with the chosen member's seq lowered to
-   -1, and pop that member next. *)
+   -1, and pop that member next.
+
+   Both kinds of push are mixed, as the lazy columns see them: events
+   before a drawn [plain_until], and the even ones after it, push the
+   defaults (kind 0, d 0, no payload), the others a kind, a d and a
+   boxed payload. Every pop checks all three against the event's own. *)
 type op =
   | Push of int * bool (* at this time *)
   | After of float * bool (* this long after the last popped time *)
@@ -218,8 +274,11 @@ let pp_op = function
   | Remap -> "remap"
   | Rebreak j -> Printf.sprintf "rebreak %d" j
 
-let matches_reference ops =
+let plain ~plain_until i = i < plain_until || i mod 2 = 0
+
+let matches_reference (plain_until, ops) =
   let q = Equeue.create ~capacity:2 () in
+  let plain = plain ~plain_until in
   let model = ref [] (* (time, seq, id), sorted *) in
   let now = ref 0. and last = ref 0. in
   let next = ref 0 and cre = ref 0 and id = ref 0 in
@@ -234,7 +293,11 @@ let matches_reference ops =
       then heads_ok := false
   in
   let put time seq i =
-    push q ~time ~seq i;
+    if plain i then
+      Equeue.push q ~time ~seq ~kind:0 ~a:i ~b:(-i) ~c:((2 * i) + 1) ~d:0 (Obj.repr ())
+    else
+      Equeue.push q ~time ~seq ~kind:(1 + (i mod 7)) ~a:i ~b:(-i) ~c:((2 * i) + 1)
+        ~d:(i + 1) (Obj.repr (string_of_int i));
     model := List.merge compare [ (time, seq, i) ] !model;
     check_head ()
   in
@@ -256,6 +319,14 @@ let matches_reference ops =
     last := time;
     true
   in
+  let operands_ok i =
+    if plain i then
+      Equeue.ev_kind q = 0 && Equeue.ev_d q = 0 && Equeue.ev_payload q == Obj.repr ()
+    else
+      Equeue.ev_kind q = 1 + (i mod 7)
+      && Equeue.ev_d q = i + 1
+      && (Obj.obj (Equeue.ev_payload q) : string) = string_of_int i
+  in
   (* Pop the model's head from both sides; [Some (seq, id)] when they
      agree. *)
   let pop_head () =
@@ -267,7 +338,7 @@ let matches_reference ops =
       Equeue.pop q;
       check_head ();
       now := time;
-      if ok && Equeue.ev_a q = i then Some (seq, i) else None
+      if ok && Equeue.ev_a q = i && operands_ok i then Some (seq, i) else None
   in
   let step = function
     | Push (t, prov) -> push_new (float_of_int t) prov
@@ -307,16 +378,21 @@ let matches_reference ops =
   && List.for_all (fun _ -> step Pop) !model
   && Equeue.is_empty q && !heads_ok
 
+let print_case = QCheck.Print.(pair int (list pp_op))
+
 let prop_matches_reference =
   QCheck.Test.make ~name:"push/pop/remap_batch match a sorted reference"
     ~count:300
-    QCheck.(make ~print:(Print.list pp_op) Gen.(list_size (int_bound 60) op_gen))
+    QCheck.(
+      make ~print:print_case Gen.(pair (int_bound 40) (list_size (int_bound 60) op_gen)))
     matches_reference
 
 let prop_stream_matches_reference =
   QCheck.Test.make ~name:"in-order streams with ties, tail poisoning, remaps and re-pushes"
     ~count:300
-    QCheck.(make ~print:(Print.list pp_op) Gen.(list_size (int_range 100 300) stream_gen))
+    QCheck.(
+      make ~print:print_case
+        Gen.(pair (int_bound 200) (list_size (int_range 100 300) stream_gen)))
     matches_reference
 
 (* Pushes at a handful of times with increasing seqs: within each time
@@ -351,4 +427,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_stream_matches_reference;
     QCheck_alcotest.to_alcotest prop_equal_times;
+    case "lazy kind, d and payload columns" test_lazy_columns;
   ]

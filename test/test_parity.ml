@@ -461,6 +461,57 @@ let test_min_lat_guard () =
     (Failure "Engine: delay policy violated its min_lat promise inside a parallel window")
     (fun () -> Gcs.Sim.run_until sim 20.)
 
+(* Under a constant delay the engine keeps no FIFO floors: one sender's
+   sends leave at non-decreasing times, so a floor could never bind. The
+   same policy with [const = -1.] draws the same constant through its
+   closure and takes the floor path; the two must trace byte for byte
+   alike, on a path and on a churned ring with a reorder window. The
+   drawn run's footprint also holds the floor stores, 12 words per
+   sending node at degree <= 2 (three 4-cell columns), and the constant
+   run's none of them. *)
+let run_const_delay ~churn ~drawn () =
+  let n = 64 in
+  let horizon = 40. in
+  let params = Gcs.Params.make ~n () in
+  let edges = (if churn then Topology.Static.ring else Topology.Static.path) n in
+  let clocks = Gcs.Drift.assign params ~horizon ~seed:3 Gcs.Drift.Split_extremes in
+  let bound = params.Gcs.Params.delay_bound in
+  let delay = Delay.constant ~bound (0.6 *. bound) in
+  let delay = if drawn then { delay with Delay.const = -1. } else delay in
+  let faults =
+    if churn then [ Dsim.Fault.Reorder { src = 7; dst = 8; from_ = 10.; until = 25. } ]
+    else []
+  in
+  let trace = Trace.create ~log_limit:1_000_000 () in
+  let cfg =
+    Gcs.Sim.config ~params ~clocks ~delay ~initial_edges:edges ~trace ~faults ()
+  in
+  let sim = Gcs.Sim.create cfg in
+  if churn then
+    Topology.Churn.schedule (Gcs.Sim.engine sim)
+      (Topology.Churn.random_churn (Dsim.Prng.of_int 13) ~n ~base:edges ~rate:0.4
+         ~horizon);
+  Gcs.Sim.run_until sim horizon;
+  (Trace.to_csv trace, Engine.footprint_words (Gcs.Sim.engine sim))
+
+let test_fifo_elision_exact () =
+  List.iter
+    (fun churn ->
+      let name = if churn then "churned ring" else "path" in
+      let csv, words = run_const_delay ~churn ~drawn:false () in
+      let csv', words' = run_const_delay ~churn ~drawn:true () in
+      Alcotest.(check bool) (name ^ ": trace is not empty") true
+        (String.length csv > 100_000);
+      Alcotest.(check string) (name ^ ": byte-identical trace") csv' csv;
+      if churn then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: no floor store (%d vs %d words)" name words words')
+          true
+          (words' - words >= 12 * 64)
+      else
+        Alcotest.(check int) (name ^ ": no floor store") (12 * 64) (words' - words))
+    [ false; true ]
+
 let suite =
   [
     case "engine: timer-heavy protocol matches its pin" test_engine_pinned;
@@ -487,4 +538,6 @@ let suite =
     case "sim: seeded churn matches its pin" test_sim_pinned;
     case "sim: fault campaign matches its pin" test_sim_pinned_faulted;
     case "wheel trace passes conformance audit" test_wheel_trace_audits_clean;
+    case "constant delay: no FIFO floors, byte-identical to the drawn path"
+      test_fifo_elision_exact;
   ]

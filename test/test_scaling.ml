@@ -18,11 +18,11 @@ let build_sim ?(n = 64) ?shards ~horizon () =
    call (clock reads, queue pushes, trace records) boxes its float
    arguments and results regardless of [@inline] annotations: the n=64
    path reads ~45 words/event and n=1024 ~44. A release build inlines
-   most of those and reads 15.90 at n=1024. Most of that is still floats
+   most of those and reads 15.68 at n=1024. Most of that is still floats
    boxed across calls (clock reads, queue pushes, trace records), not
    payloads: an experiment that unboxed them took a reading of 14.4 down
    to 4.5; message records and [Lost v] values are the rest. That row
-   holds a release ceiling of 17, the reading plus 1.1 words (7 %), and
+   holds a release ceiling of 17, the reading plus 1.3 words (8 %), and
    is only checked under release. Regressions that reintroduce per-event
    closures, lists or boxed options blow past both (the pre-rework
    engine sat near 90). *)
@@ -49,7 +49,7 @@ let test_minor_words_budget () =
    event on the path at n=4096. An event's garbage should die young; a
    store that keeps each event's allocation alive until the next one
    (a timer value per re-arm, a message per peer per tick) promotes it
-   instead, and the heap grows far past the live data. It reads 1.11;
+   instead, and the heap grows far past the live data. It reads 0.91;
    with a timer value kept per armed label and a message built per peer
    it read 2.97. The ceiling of 1.5 sits between the two. *)
 let test_promoted_words_ceiling () =
@@ -65,6 +65,30 @@ let test_promoted_words_ceiling () =
     if per_event > 1.5 then
       Alcotest.failf "n=4096: promoted words/event %.3f exceeds ceiling 1.5 (%d events)"
         per_event events
+  end
+
+(* Live words per node, release only: an n=16,384 path after set-up
+   and its first instant, measured as the live-heap growth across
+   [Sim.create] and [run_until 0.01]. Node state is O(degree), and every
+   node's handful of heap blocks pays a header and growth slack; this
+   pins how many words that takes. It reads 160.2; with six peer
+   arrays, two [Estimate.t] registers, option-boxed handlers, FIFO
+   floor stores under a constant delay and eager queue columns it read
+   226.2. The ceiling is the reading plus 5 %. *)
+let test_live_words_per_node () =
+  if Profile.name = "release" then begin
+    let n = 16_384 in
+    Gc.full_major ();
+    let w0 = (Gc.stat ()).Gc.live_words in
+    let sim = build_sim ~n ~horizon:60. () in
+    Gcs.Sim.run_until sim 0.01;
+    Gc.full_major ();
+    let per_node =
+      float_of_int ((Gc.stat ()).Gc.live_words - w0) /. float_of_int n
+    in
+    ignore (Sys.opaque_identity sim);
+    if per_node > 168. then
+      Alcotest.failf "n=%d: %.1f live words per node exceeds ceiling 168" n per_node
   end
 
 (* Throughput guard: a generous ns/event ceiling that a healthy dev build
@@ -205,4 +229,5 @@ let suite =
     case "global skew within G(n) at n=1024" test_global_skew_bound_n1024;
     case "timer state bounded under sustained traffic" test_bounded_timer_state;
     case "wheel keeps timers out of the event heap" test_wheel_relieves_heap;
+    case "live words per node after set-up (release)" test_live_words_per_node;
   ]
