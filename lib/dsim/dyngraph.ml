@@ -7,19 +7,19 @@
    Hashtbl — that key collides once node ids reach or exceed the n the
    graph was built with (e.g. n=4: {1,7} and {2,3} both pack to 11), and
    it caps the id space at construction time. Sorted-array lookups are
-   collision-free for any id, allocation-free, and [add_node] grows the
-   graph in place for populations that join mid-run. *)
+   collision-free for any id and allocation-free. The node set is fixed
+   at [create]: a join is an edge that appears at an isolated node. *)
 
 type t = {
-  mutable node_count : int;
+  node_count : int;
   (* Per-node adjacency: [adj_peer.(u)] holds the sorted peer ids of every
      edge {u, peer} ever touched (present or not); [adj_slot.(u)] is the
      parallel edge-pool slot. [adj_len.(u)] entries are live; the rest is
      capacity. [deg.(u)] counts currently-present neighbors. *)
-  mutable adj_peer : int array array;
-  mutable adj_slot : int array array;
-  mutable adj_len : int array;
-  mutable deg : int array;
+  adj_peer : int array array;
+  adj_slot : int array array;
+  adj_len : int array;
+  deg : int array;
   (* Edge pool, one slot per edge ever touched, normalized u < v. *)
   mutable eu : int array;
   mutable ev : int array;
@@ -50,29 +50,6 @@ let create ~n =
   }
 
 let n g = g.node_count
-
-let add_node g =
-  let id = g.node_count in
-  let cap = Array.length g.adj_len in
-  if id >= cap then begin
-    let cap' = max 8 (2 * cap) in
-    let grow_arr a = Array.init cap' (fun i -> if i < cap then a.(i) else empty_ints) in
-    g.adj_peer <- grow_arr g.adj_peer;
-    g.adj_slot <- grow_arr g.adj_slot;
-    let grow_int a =
-      let a' = Array.make cap' 0 in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    g.adj_len <- grow_int g.adj_len;
-    g.deg <- grow_int g.deg
-  end;
-  g.adj_peer.(id) <- empty_ints;
-  g.adj_slot.(id) <- empty_ints;
-  g.adj_len.(id) <- 0;
-  g.deg.(id) <- 0;
-  g.node_count <- id + 1;
-  id
 
 let normalize u v = if u <= v then (u, v) else (v, u)
 

@@ -9,15 +9,10 @@
 type t
 
 val create : n:int -> t
-(** Graph over nodes [0 .. n-1] with no edges. Storage is edge-sparse:
-    O(n + edges ever touched), never O(n²). *)
+(** Graph over the fixed node set [0 .. n-1], with no edges. Storage is
+    edge-sparse: O(n + edges ever touched), never O(n²). *)
 
 val n : t -> int
-
-val add_node : t -> int
-(** Grow the graph by one node and return its id (the previous {!n}).
-    Existing edges, epochs and adjacency are untouched; the new node may
-    immediately participate in {!add_edge}. *)
 
 val normalize : int -> int -> int * int
 (** Order an edge's endpoints as [(min, max)]. *)

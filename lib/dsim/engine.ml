@@ -29,6 +29,10 @@ let k_restart = 8
 let k_callback = 9
 let k_commute_cb = 10
 
+let kind_names =
+  [| "edge-add"; "edge-remove"; "discover-add"; "discover-remove"; "absence";
+     "deliver"; "timer"; "crash"; "restart"; "callback"; "commuting-callback" |]
+
 let no_payload : Obj.t = Obj.repr ()
 
 (* Binary search in the first [len] cells of sorted [keys]: the index of
@@ -188,87 +192,6 @@ let[@inline] claim tbl i ~none ~fresh =
     s
   end
 
-(* Cross-shard mailbox: events a lane creates for nodes another lane owns
-   during a parallel dispatch window. Only the owning lane's domain
-   touches its outbox inside a window; the coordinating domain remaps the
-   provisional ranks and flushes every outbox into the destination queues
-   at the merge barrier (DESIGN §14). Outside windows, pushes go straight
-   to the owner's queue and outboxes stay empty. *)
-module Outbox = struct
-  type t = {
-    mutable dst : int array; (* destination shard *)
-    mutable times : float array;
-    mutable seqs : int array;
-    mutable kinds : int array;
-    mutable ia : int array;
-    mutable ib : int array;
-    mutable ic : int array;
-    mutable id_ : int array;
-    mutable payloads : Obj.t array;
-    mutable len : int;
-  }
-
-  let create () =
-    {
-      dst = [||];
-      times = [||];
-      seqs = [||];
-      kinds = [||];
-      ia = [||];
-      ib = [||];
-      ic = [||];
-      id_ = [||];
-      payloads = [||];
-      len = 0;
-    }
-
-  let grow ob =
-    let cap = max 8 (2 * Array.length ob.dst) in
-    let g_i a =
-      let a' = Array.make cap 0 in
-      Array.blit a 0 a' 0 ob.len;
-      a'
-    in
-    ob.dst <- g_i ob.dst;
-    ob.seqs <- g_i ob.seqs;
-    ob.kinds <- g_i ob.kinds;
-    ob.ia <- g_i ob.ia;
-    ob.ib <- g_i ob.ib;
-    ob.ic <- g_i ob.ic;
-    ob.id_ <- g_i ob.id_;
-    let f' = Array.make cap 0. in
-    Array.blit ob.times 0 f' 0 ob.len;
-    ob.times <- f';
-    let p' = Array.make cap no_payload in
-    Array.blit ob.payloads 0 p' 0 ob.len;
-    ob.payloads <- p'
-
-  let add ob ~dst ~time ~seq ~kind ~a ~b ~c ~d payload =
-    if ob.len >= Array.length ob.dst then grow ob;
-    let i = ob.len in
-    ob.dst.(i) <- dst;
-    ob.times.(i) <- time;
-    ob.seqs.(i) <- seq;
-    ob.kinds.(i) <- kind;
-    ob.ia.(i) <- a;
-    ob.ib.(i) <- b;
-    ob.ic.(i) <- c;
-    ob.id_.(i) <- d;
-    ob.payloads.(i) <- payload;
-    ob.len <- i + 1
-
-  let flush ob (queues : Equeue.t array) =
-    for i = 0 to ob.len - 1 do
-      Equeue.push queues.(ob.dst.(i)) ~time:ob.times.(i) ~seq:ob.seqs.(i)
-        ~kind:ob.kinds.(i) ~a:ob.ia.(i) ~b:ob.ib.(i) ~c:ob.ic.(i) ~d:ob.id_.(i)
-        ob.payloads.(i);
-      ob.payloads.(i) <- no_payload
-    done;
-    ob.len <- 0
-
-  let footprint_words ob = 9 * Array.length ob.dst
-end
-
 (* Live fault-injection state. Allocated only when the engine was created
    with a non-empty schedule, so the no-fault hot path pays exactly one
    option-tag check per send/delivery. The PRNG drives every fault-local
@@ -278,8 +201,8 @@ end
 type fault_state = {
   ops : Fault.schedule;
   fprng : Prng.t;
-  mutable f_alive : bool array;
-  mutable f_inc : int array; (* per-node incarnation, bumped at each crash *)
+  f_alive : bool array;
+  f_inc : int array; (* per-node incarnation, bumped at each crash *)
 }
 
 (* All-float so the per-event [now] store writes an unboxed double; a
@@ -370,15 +293,18 @@ type lane = {
 }
 
 type ('msg, 'timer) t = {
-  mutable n : int;
-  mutable clocks : Hwclock.t array;
+  n : int;
+  clocks : Hwclock.t array;
   delay : Delay.t;
   discovery_lag : float;
   graph : Dyngraph.t;
   (* Sharding: [part.(id)] names the shard owning node [id] — equal
-     contiguous id ranges ([[||]] at one shard; nodes joining after
-     construction land in the last shard). Each shard owns an event
-     queue, an outbox and a timer wheel.
+     contiguous id ranges ([[||]] at one shard, where every node is in
+     shard 0). Each shard owns an event queue, an outbox and a timer
+     wheel. The outbox is an [Equeue] too: it holds the deliveries the
+     shard's lane creates for other lanes inside a parallel window, until
+     the window's barrier re-ranks and drains them into their owners'
+     queues (DESIGN §14). Outside windows it stays empty.
      Sequentially-created events draw ranks from one global sequence
      counter; window-created events get provisional block ranks that the
      barrier rewrites to the exact sequential ranks, so the (time, seq)
@@ -389,12 +315,12 @@ type ('msg, 'timer) t = {
   shards : int;
   part : int array;
   queues : Equeue.t array;
-  outboxes : Outbox.t array;
+  outboxes : Equeue.t array;
   wheels : Timewheel.t array; (* per shard *)
   lanes : lane array; (* per shard *)
   control : Equeue.t; (* order-sensitive global events; empty at shards=1 *)
   trace : Trace.t;
-  mutable handlers : ('msg, 'timer) handlers array;
+  handlers : ('msg, 'timer) handlers array;
       (* [no_handlers] until the node is installed *)
   timer_label : 'timer -> int;
       (* Encodes a label for Timer_fire/Timer_stale trace records and
@@ -405,11 +331,11 @@ type ('msg, 'timer) t = {
          up to the largest armed, filled once, for the whole engine. *)
   mutable timers_set : int; (* filled cells of [timers] *)
   timers_lock : Mutex.t; (* guards every write to [timers] *)
-  mutable armed : Armed.t array; (* per-node armed-label table *)
-  mutable absence_pending : Iset.t array;
+  armed : Armed.t array; (* per-node armed-label table *)
+  absence_pending : Iset.t array;
       (* node -> peers with a pending absence notice *)
-  mutable fifo : Fifo_store.t array; (* src -> per-destination delivery floors *)
-  mutable gens : int array;
+  fifo : Fifo_store.t array; (* src -> per-destination delivery floors *)
+  gens : int array;
       (* per-node timer generation counters: lane-safe, unlike a global
          one, and still unique per (node, label) *)
   mutable next_seq : int; (* global (time, seq) tie-break counter *)
@@ -444,7 +370,7 @@ type ('msg, 'timer) t = {
   faults : fault_state option;
   corrupt_msg : (src:int -> Prng.t -> 'msg -> 'msg) option;
       (* Applied to messages a Byzantine node sends during its window. *)
-  mutable restart_handlers : (corrupt:Prng.t option -> unit) array;
+  restart_handlers : (corrupt:Prng.t option -> unit) array;
       (* [no_restart] until the node registers one *)
   mutable tie_break : (int -> int) option;
       (* Adversary hook: given the size k of the same-instant event group
@@ -477,9 +403,7 @@ let no_handlers =
 
 let no_restart ~corrupt:_ = ()
 
-let[@inline] shard_of t id =
-  if id < Array.length t.part then Array.unsafe_get t.part id
-  else t.shards - 1
+let[@inline] shard_of t id = if t.shards = 1 then 0 else Array.unsafe_get t.part id
 
 (* Is this kind's dispatch order-sensitive beyond its own node — topology
    changes, faults, harness callbacks? Those mutate global state (the
@@ -517,7 +441,9 @@ let push_ev t ~owner ~time ~kind ~a ~b ~c ~d payload =
    notices): inside a parallel window it allocates a provisional block
    rank and keeps same-lane events local, routing cross-lane events
    through the lane's outbox for the barrier; outside a window it is
-   [push_ev]. Node code never creates control kinds. *)
+   [push_ev]. Node code never creates control kinds, and only a delivery
+   can be addressed to another lane's node: an absence notice goes to
+   its sender, a commuting callback to node 0's lane, which runs it. *)
 let push_from t lane ~owner ~time ~kind ~a ~b ~c ~d payload =
   if lane.lpar then begin
     let j = lane.lcre in
@@ -536,7 +462,12 @@ let push_from t lane ~owner ~time ~kind ~a ~b ~c ~d payload =
         failwith
           "Engine: delay policy violated its min_lat promise inside a \
            parallel window";
-      Outbox.add t.outboxes.(lane.ls) ~dst ~time ~seq ~kind ~a ~b ~c ~d payload
+      if kind <> k_deliver then
+        failwith
+          (Printf.sprintf
+             "Engine: a %s event crossed lanes inside a parallel window"
+             kind_names.(kind));
+      Equeue.push t.outboxes.(lane.ls) ~time ~seq ~kind ~a ~b ~c ~d payload
     end
   end
   else push_ev t ~owner ~time ~kind ~a ~b ~c ~d payload
@@ -690,7 +621,7 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       shards;
       part = contiguous_part ~n ~shards;
       queues = Array.init shards (fun _ -> Equeue.create ~capacity:(max 64 burst) ());
-      outboxes = Array.init shards (fun _ -> Outbox.create ());
+      outboxes = Array.init shards (fun _ -> Equeue.create ~capacity:0 ());
       wheels = Array.init shards (fun _ -> Timewheel.create ~granularity ());
       lanes;
       control = Equeue.create ~capacity:64 ();
@@ -770,49 +701,6 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
        faults);
   t
 
-(* Growth: every per-node table doubles in place so nodes can join a
-   running engine. The graph grows through [Dyngraph.add_node]. *)
-let ensure_nodes t n' =
-  let cap = Array.length t.handlers in
-  if n' > cap then begin
-    let cap' = max n' (2 * cap) in
-    let grow_stores a none =
-      let a' = Array.make cap' none in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    t.handlers <- grow_stores t.handlers no_handlers;
-    t.restart_handlers <- grow_stores t.restart_handlers no_restart;
-    t.absence_pending <- grow_stores t.absence_pending iset_none;
-    t.fifo <- grow_stores t.fifo fifo_none;
-    let gens' = Array.make cap' 0 in
-    Array.blit t.gens 0 gens' 0 cap;
-    t.gens <- gens';
-    t.armed <- grow_stores t.armed armed_none;
-    match t.faults with
-    | None -> ()
-    | Some f ->
-      let alive' = Array.make cap' true in
-      Array.blit f.f_alive 0 alive' 0 cap;
-      f.f_alive <- alive';
-      let inc' = Array.make cap' 0 in
-      Array.blit f.f_inc 0 inc' 0 cap;
-      f.f_inc <- inc'
-  end
-
-let add_node t ~clock =
-  let id = Dyngraph.add_node t.graph in
-  ensure_nodes t (id + 1);
-  let ccap = Array.length t.clocks in
-  if id >= ccap then begin
-    let c' = Array.make (Array.length t.handlers) clock in
-    Array.blit t.clocks 0 c' 0 ccap;
-    t.clocks <- c'
-  end;
-  t.clocks.(id) <- clock;
-  t.n <- id + 1;
-  id
-
 let handlers_of t i =
   let h = t.handlers.(i) in
   if h == no_handlers then
@@ -821,19 +709,12 @@ let handlers_of t i =
 
 let install t i build =
   if i < 0 || i >= t.n then invalid_arg "Engine.install: node out of range";
-  (* A node that joined mid-run installs and initializes on the spot;
-     re-installing a live node's algorithm is not a thing. *)
-  if t.started && t.handlers.(i) != no_handlers then
-    invalid_arg "Engine.install: engine already started";
-  let h = build { engine = t; id = i; lane = t.lanes.(shard_of t i) } in
-  t.handlers.(i) <- h;
-  if t.started then h.on_init ()
+  if t.started then invalid_arg "Engine.install: engine already started";
+  t.handlers.(i) <- build { engine = t; id = i; lane = t.lanes.(shard_of t i) }
 
 (* Node-side API ----------------------------------------------------- *)
 
 let node_id ctx = ctx.id
-
-let node_count ctx = ctx.engine.n
 
 let on_restart ctx h =
   ctx.engine.restart_handlers.(ctx.id) <- h
@@ -1083,14 +964,23 @@ let par_blocker t =
 let check_future t at =
   if at < t.fs.now then invalid_arg "Engine: cannot schedule in the past"
 
+(* Endpoints are checked here, at the call: a bad id would otherwise
+   index the shard split, or fail only once the event dispatches. *)
+let check_edge name t u v =
+  if u < 0 || v < 0 || u >= t.n || v >= t.n || u = v then
+    invalid_arg
+      (Printf.sprintf "Engine.%s: bad edge (%d, %d) over %d nodes" name u v t.n)
+
 (* Topology events are control events under sharding: they dispatch
    sequentially between windows, never inside one. *)
 let schedule_edge_add t ~at u v =
+  check_edge "schedule_edge_add" t u v;
   check_future t at;
   push_ev t ~owner:(min u v) ~time:at ~kind:k_edge_add ~a:u ~b:v ~c:0 ~d:0
     no_payload
 
 let schedule_edge_remove t ~at u v =
+  check_edge "schedule_edge_remove" t u v;
   check_future t at;
   push_ev t ~owner:(min u v) ~time:at ~kind:k_edge_remove ~a:u ~b:v ~c:0 ~d:0
     no_payload
@@ -1124,7 +1014,7 @@ let events_processed t =
 let queue_depth t =
   let acc = ref (Equeue.size t.control) in
   for s = 0 to t.shards - 1 do
-    acc := !acc + Equeue.size t.queues.(s) + t.outboxes.(s).Outbox.len
+    acc := !acc + Equeue.size t.queues.(s) + Equeue.size t.outboxes.(s)
   done;
   !acc
 
@@ -1159,7 +1049,7 @@ let footprint_words t =
   for s = 0 to t.shards - 1 do
     let lane = t.lanes.(s) in
     acc := !acc + Equeue.footprint_words t.queues.(s)
-           + Outbox.footprint_words t.outboxes.(s)
+           + Equeue.footprint_words t.outboxes.(s)
            + Timewheel.footprint_words t.wheels.(s)
            + Array.length lane.lfinal
            + (4 * Array.length lane.mseq)
@@ -1539,7 +1429,7 @@ let seq_step t =
    queue and wheel strictly below the window end (and at most to the
    horizon), logging one mark per dispatch. Runs on its own domain; it
    only touches lane-owned state, performs pure reads of the graph and
-   clocks, and routes cross-lane creations through the lane's outbox. *)
+   clocks, and routes cross-lane deliveries through the lane's outbox. *)
 let lane_window_loop t lane ~wstop ~horizon =
   let s = lane.ls in
   let upto = Float.min wstop horizon in
@@ -1662,9 +1552,10 @@ let barrier_merge t k =
 (* Run one window [cand_time, wstop) on every lane with work below its
    stop, then close it with its merge barrier (DESIGN §14): rewrite
    every provisional rank (queues, wheels, outboxes) to its final rank,
-   flush the outboxes, fold the buffered counters and deltas, and reset
-   the lanes. After the barrier the engine state is exactly what the
-   sequential loop would have produced at this point. The lane set
+   drain the outboxes into the owners' queues, fold the buffered
+   counters and deltas, and reset the lanes. After the barrier the
+   engine state is exactly what the sequential loop would have produced
+   at this point. The lane set
    depends only on engine state, never on the executor, so the window
    structure (and the trace) is identical at every domain count. *)
 let run_window t ~wstop ~horizon =
@@ -1711,13 +1602,9 @@ let run_window t ~wstop ~horizon =
     Equeue.remap_batch t.queues.(lane.ls) ~finals:lane.lfinal;
     Timewheel.remap_batch t.wheels.(lane.ls) ~finals:lane.lfinal;
     let ob = t.outboxes.(lane.ls) in
-    if ob.Outbox.len > 0 then begin
-      Trace.note_cross tr ob.Outbox.len;
-      let seqs = ob.Outbox.seqs and fin = lane.lfinal in
-      for i = 0 to ob.Outbox.len - 1 do
-        let s = seqs.(i) in
-        if s >= prov_flag then seqs.(i) <- fin.(s land cre_mask)
-      done
+    if not (Equeue.is_empty ob) then begin
+      Trace.note_cross tr (Equeue.size ob);
+      Equeue.remap_batch ob ~finals:lane.lfinal
     end;
     Trace.merge_counts tr lane.lcounters;
     Array.fill lane.lcounters 0 Trace.kind_count 0;
@@ -1726,9 +1613,17 @@ let run_window t ~wstop ~horizon =
     lane.blen <- 0;
     lane.lpar <- false
   done;
+  (* Only deliveries cross lanes ([push_from]), so [b] names the owner. *)
   for x = 0 to na - 1 do
     let ob = t.outboxes.(t.w_actives.(x).ls) in
-    if ob.Outbox.len > 0 then Outbox.flush ob t.queues
+    while not (Equeue.is_empty ob) do
+      let time = Equeue.next_time ob and seq = Equeue.top_seq ob in
+      Equeue.pop ob;
+      Equeue.push t.queues.(shard_of t (Equeue.ev_b ob)) ~time ~seq
+        ~kind:(Equeue.ev_kind ob) ~a:(Equeue.ev_a ob) ~b:(Equeue.ev_b ob)
+        ~c:(Equeue.ev_c ob) ~d:(Equeue.ev_d ob) (Equeue.ev_payload ob);
+      Equeue.release ob
+    done
   done;
   t.fs.now <- stop
 

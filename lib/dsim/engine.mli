@@ -2,9 +2,10 @@
 
     The engine realizes the model of Section 3.2 of the paper:
 
-    - a node set [0 .. n-1] (growable through {!add_node}), each with a
-      hardware clock that is an arbitrary piecewise-linear function
-      within the drift bound;
+    - a node set [0 .. n-1], fixed at {!create}, each with a hardware
+      clock that is an arbitrary piecewise-linear function within the
+      drift bound (a node that joins later is one whose edges appear
+      later);
     - an undirected dynamic edge set changed by scheduled add/remove
       events;
     - discovery: endpoints learn of a persistent change [discovery_lag]
@@ -128,23 +129,13 @@ val create :
 
 val install : ('msg, 'timer) t -> int -> (('msg, 'timer) ctx -> ('msg, 'timer) handlers) -> unit
 (** Install node [i]'s algorithm. Must be called for every node before
-    running. The builder receives the node's {!ctx}. After the engine has
-    started, only a node without handlers — one that just joined through
-    {!add_node} — may be installed; its [on_init] then runs immediately.
-    Re-installing a live node raises [Invalid_argument]. *)
-
-val add_node : ('msg, 'timer) t -> clock:Hwclock.t -> int
-(** Grow the network by one node and return its id (the previous node
-    count). The node starts isolated and without handlers; call {!install}
-    to give it an algorithm and {!schedule_edge_add} to connect it. Ids
-    are never reused, and every engine structure grows by O(1) amortized —
-    joining nodes never re-keys existing state. *)
+    running. The builder receives the node's {!ctx}. Raises
+    [Invalid_argument] when [i] is outside [\[0, n)] or once the engine
+    has started (the first {!run_until}). *)
 
 (** {1 Node-side API (used from handlers)} *)
 
 val node_id : ('msg, 'timer) ctx -> int
-
-val node_count : ('msg, 'timer) ctx -> int
 
 val hardware_clock : ('msg, 'timer) ctx -> float
 (** The node's hardware clock value at the current instant. *)
@@ -195,8 +186,14 @@ val trace : ('msg, 'timer) t -> Trace.t
     the private counters-only trace it made otherwise. *)
 
 val schedule_edge_add : ('msg, 'timer) t -> at:float -> int -> int -> unit
+(** [schedule_edge_add t ~at u v] adds the edge [{u, v}] at time [at].
+    Raises [Invalid_argument], naming the function and the pair, when an
+    endpoint is outside [\[0, n)] or [u = v], and when [at] is in the
+    past; nothing is scheduled then. *)
 
 val schedule_edge_remove : ('msg, 'timer) t -> at:float -> int -> int -> unit
+(** Removes the edge [{u, v}] at time [at]; checked as
+    {!schedule_edge_add}. *)
 
 val at :
   ?commuting:bool -> ('msg, 'timer) t -> time:float -> (unit -> unit) -> unit
@@ -269,7 +266,7 @@ val pending_events : ('msg, 'timer) t -> int
     sizes minus the stale timer entries still awaiting lazy removal. *)
 
 val queue_depth : ('msg, 'timer) t -> int
-(** Raw size of the event queues (and pending outbox entries) alone.
+(** Raw size of the event queues and the outbox queues alone.
     Timers wait in the wheels, so sustained timer re-arm traffic leaves
     it bounded by the in-flight message and discovery count. *)
 
@@ -282,8 +279,8 @@ val par_blocker : ('msg, 'timer) t -> string option
     sharded [gcs_sim sim] run. *)
 
 val footprint_words : ('msg, 'timer) t -> int
-(** Words currently allocated by engine-owned storage: event queues,
-    outboxes, timer wheels, the lanes' pooled window buffers (final-rank
+(** Words currently allocated by engine-owned storage: the event queues,
+    the control queue, the per-shard outbox queues, the timer wheels, the lanes' pooled window buffers (final-rank
     table, dispatch log, trace-entry buffer), the timer label table
     (its cells and one two-word box per filled cell; the timer values
     are the caller's), per-node FIFO/absence/armed tables (each empty

@@ -12,9 +12,13 @@
     off-heap Float64 [Bigarray] for the heap); the steady-state
     push/pop cycle allocates nothing.
 
-    It is the simulator's one [(time, seq)] order structure: the engine's
-    event queues are [Equeue]s, and so is each timer wheel's due set,
-    whose entries {!top_a} .. {!top_c} read before they are popped.
+    It is the simulator's one [(time, seq)] order structure. Its users
+    are the engine's per-shard event queues, its control queue (the
+    order-sensitive global events under sharding), each timer wheel's
+    due set, whose entries {!top_a} .. {!top_c} read before they are
+    popped, and the per-shard window outboxes, which hold a parallel
+    window's cross-lane deliveries until its barrier re-ranks them with
+    {!remap_batch} and drains them into the shard queues.
 
     Tie-break sequence numbers are supplied by the caller: the engine
     owns one global counter shared by all of its per-shard queues and

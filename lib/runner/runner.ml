@@ -1,5 +1,5 @@
-(* Fixed-size domain pool with a Mutex/Condition task queue and an
-   order-preserving merge. See runner.mli for the determinism contract. *)
+(* A scoped domain pool with barrier-synchronized rounds, and [map] as
+   one round on it. See runner.mli for the determinism contract. *)
 
 let default =
   let initial =
@@ -22,44 +22,6 @@ let live = Atomic.make 0
 
 let live_domains () = Atomic.get live
 
-(* One pool per map call: the queue holds item indices; it is filled and
-   closed before the workers start, so [Condition.wait] only matters for
-   future producers (none today) — workers drain until empty-and-closed.
-   Each slot of [results] is written by exactly one worker and read by
-   the caller only after joining that worker, so the array never races. *)
-type 'b mpool = {
-  mutex : Mutex.t;
-  nonempty : Condition.t;
-  queue : int Queue.t;
-  mutable closed : bool;
-  results : ('b, exn * Printexc.raw_backtrace) result option array;
-}
-
-let rec take pool =
-  if not (Queue.is_empty pool.queue) then Some (Queue.pop pool.queue)
-  else if pool.closed then None
-  else begin
-    Condition.wait pool.nonempty pool.mutex;
-    take pool
-  end
-
-let worker pool f =
-  let rec loop () =
-    Mutex.lock pool.mutex;
-    let item = take pool in
-    Mutex.unlock pool.mutex;
-    match item with
-    | None -> ()
-    | Some i ->
-      (pool.results.(i) <-
-        Some
-          (match f i with
-          | v -> Ok v
-          | exception e -> Error (e, Printexc.get_raw_backtrace ())));
-      loop ()
-  in
-  loop ()
-
 let resolve_jobs = function
   | None -> default_jobs ()
   | Some j when j >= 1 -> j
@@ -72,60 +34,12 @@ let resolve_jobs = function
    what is left of it. *)
 let capped_jobs requested = min requested (max 1 (default_jobs () - Atomic.get live))
 
-let map ?jobs f items =
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  let jobs = min (capped_jobs (resolve_jobs jobs)) n in
-  if jobs <= 1 then List.map f items
-  else begin
-    let pool =
-      {
-        mutex = Mutex.create ();
-        nonempty = Condition.create ();
-        queue = Queue.create ();
-        closed = false;
-        results = Array.make n None;
-      }
-    in
-    Mutex.lock pool.mutex;
-    for i = 0 to n - 1 do
-      Queue.push i pool.queue
-    done;
-    pool.closed <- true;
-    Condition.broadcast pool.nonempty;
-    Mutex.unlock pool.mutex;
-    let domains =
-      List.init jobs (fun _ ->
-          Atomic.incr live;
-          Domain.spawn (fun () -> worker pool (fun i -> f arr.(i))))
-    in
-    List.iter
-      (fun d ->
-        Domain.join d;
-        Atomic.decr live)
-      domains;
-    (* Deterministic error choice: the smallest failing index wins. *)
-    Array.iter
-      (function
-        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-        | Some (Ok _) | None -> ())
-      pool.results;
-    Array.to_list
-      (Array.map
-         (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
-         pool.results)
-  end
-
-let sweep ?jobs f points = map ?jobs (fun p -> (p, f p)) points
-
-(* ------------------- scoped barrier-synchronized pool ------------------- *)
-
-(* Unlike the per-call pools above, a scoped pool keeps its worker domains
-   alive across many [run] rounds: the engine's parallel dispatch windows
-   fire thousands of tiny barrier-synchronized rounds per run_until, and
-   spawning domains per round would dominate. Workers sleep on [work]
-   between rounds; the caller participates in each round, so a pool of
-   [jobs] runs thunks on [jobs] domains total ([jobs - 1] spawned). *)
+(* A scoped pool keeps its worker domains alive across many [run]
+   rounds: the engine's parallel dispatch windows fire thousands of tiny
+   barrier-synchronized rounds per run_until, and spawning domains per
+   round would dominate. Workers sleep on [work] between rounds; the
+   caller participates in each round, so a pool of [jobs] runs thunks on
+   [jobs] domains total ([jobs - 1] spawned). *)
 type pool = {
   pworkers : int; (* spawned worker domains; the caller makes it +1 *)
   pmutex : Mutex.t;
@@ -205,7 +119,7 @@ let run pool thunks =
     pool.thunks <- [||];
     pool.failures <- [];
     Mutex.unlock pool.pmutex;
-    (* Deterministic error choice, as in map: smallest failing index wins.
+    (* Deterministic error choice: the smallest failing index wins.
        Indices are unique, so the sort never compares the exceptions. *)
     match List.sort (fun (i, _, _) (j, _, _) -> Int.compare i j) failures with
     | (_, e, bt) :: _ -> Printexc.raise_with_backtrace e bt
@@ -244,3 +158,15 @@ let scoped ?jobs f =
       domains
   in
   Fun.protect ~finally:finish (fun () -> f pool)
+
+(* One [run] round over the items. Each result cell is written by one
+   thunk and read only after the round's barrier, so it never races. *)
+let map ?jobs f items =
+  let arr = Array.of_list items in
+  let n = Array.length arr in
+  let results = Array.make n None in
+  scoped ~jobs:(max 1 (min (resolve_jobs jobs) n)) (fun pool ->
+      run pool (Array.init n (fun i () -> results.(i) <- Some (f arr.(i)))));
+  Array.to_list (Array.map Option.get results)
+
+let sweep ?jobs f points = map ?jobs (fun p -> (p, f p)) points

@@ -1,4 +1,4 @@
-(** Deterministic multicore fan-out over a fixed-size domain pool.
+(** Deterministic multicore fan-out over a scoped domain pool.
 
     The simulator's three embarrassingly parallel workloads — the
     experiment registry, the audit fuzzer's seed sweep, and grid-style
@@ -19,9 +19,9 @@
       scenario audit in this repository is (each builds its own engine,
       trace and tables).
 
-    Exceptions raised by [f] are caught per item; the pool always drains
-    the queue and joins every domain, then re-raises the exception of the
-    smallest failing item index (again independent of scheduling).
+    Exceptions raised by [f] are caught per item; every item still runs,
+    the pool joins every domain, and then the exception of the smallest
+    failing item index is re-raised (again independent of scheduling).
 
     {2 Oversubscription cap}
 
@@ -51,11 +51,13 @@ val live_domains : unit -> int
     suite asserts this. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f items] applies [f] to every item on a pool of [jobs]
-    worker domains and returns the results in submission order. With
-    [jobs = 1] (or fewer items than that) no domain is spawned and the
-    call is exactly [List.map f items]. [jobs] defaults to
-    {!default_jobs}. Raises [Invalid_argument] on [jobs < 1]. *)
+(** [map ~jobs f items] applies [f] to every item and returns the
+    results in submission order. It is one {!run} round on a {!scoped}
+    pool of [min jobs (List.length items)] (after the cap above), so it
+    spawns at most [jobs - 1] worker domains and the caller takes items
+    too. With [jobs = 1] no domain is spawned and the items run in the
+    caller, in order. [jobs] defaults to {!default_jobs}. Raises
+    [Invalid_argument] on [jobs < 1]. *)
 
 val sweep : ?jobs:int -> ('a -> 'b) -> 'a list -> ('a * 'b) list
 (** [sweep ~jobs f points] runs [f] on every grid point in parallel and
@@ -65,14 +67,13 @@ val sweep : ?jobs:int -> ('a -> 'b) -> 'a list -> ('a * 'b) list
 
 (** {2 Scoped barrier-synchronized pool}
 
-    {!map} spawns and joins its domains per call, which is right for
-    coarse items (whole experiments, whole audited scenarios) but far too
-    heavy for the engine's parallel dispatch windows: one [run_until]
-    fires many thousands of tiny rounds, each of which must fully
-    complete before the next (an outbox merge barrier, DESIGN §14).
     [scoped] keeps [jobs - 1] worker domains parked on a condition
     variable for the duration of a block, and each {!run} is one
-    barrier-synchronized round over them plus the calling domain. *)
+    barrier-synchronized round over them plus the calling domain. The
+    engine's parallel dispatch windows run many thousands of such tiny
+    rounds per [run_until], each of which must fully complete before the
+    next (an outbox merge barrier, DESIGN §14); {!map} is a single round
+    over coarse items. *)
 
 type pool
 (** A scoped pool. Valid only inside the [scoped] block that created it. *)

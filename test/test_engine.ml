@@ -348,6 +348,40 @@ let test_bad_destination () =
   in
   Engine.run_until h.engine 1.
 
+(* Edge endpoints are checked where the edge is scheduled, at every
+   shard count: an id outside [0, n) or a self-loop raises at the call,
+   naming the function and the pair, and nothing is queued. *)
+let test_bad_edge_endpoints () =
+  List.iter
+    (fun shards ->
+      let engine =
+        Engine.create
+          ~clocks:(Array.make 4 Hwclock.perfect)
+          ~delay:(Delay.constant ~bound:1. 0.5) ~shards
+          ~timer_label:(fun () -> 0) ()
+      in
+      let before = Engine.pending_events engine in
+      List.iter
+        (fun (name, schedule) ->
+          List.iter
+            (fun (u, v) ->
+              Alcotest.check_raises
+                (Printf.sprintf "%s (%d, %d) at %d shards" name u v shards)
+                (Invalid_argument
+                   (Printf.sprintf "Engine.%s: bad edge (%d, %d) over 4 nodes"
+                      name u v))
+                (fun () -> schedule engine ~at:1. u v);
+              Alcotest.(check int)
+                (Printf.sprintf "%s (%d, %d) queued nothing" name u v)
+                before
+                (Engine.pending_events engine))
+            [ (-1, 3); (2, 9); (2, 2) ])
+        [
+          ("schedule_edge_add", Engine.schedule_edge_add);
+          ("schedule_edge_remove", Engine.schedule_edge_remove);
+        ])
+    [ 1; 2 ]
+
 let test_determinism () =
   let build () =
     let trace = Trace.create () in
@@ -636,17 +670,16 @@ let prop_fifo_random_delays =
       Engine.run_until engine 10.;
       List.rev !received = List.init (2 * burst) (fun i -> i + 1))
 
-(* A bare engine over [n] seed nodes whose receive events are logged as
-   (time, src, dst, msg); [grow] more nodes join through [add_node] before
-   the run starts. Used by the join/churn regressions below, which need
-   node ids beyond the seed count — the [make] harness only installs the
-   initial range. *)
+(* A bare engine over [n + grow] nodes, all installed before the run,
+   whose receive events are logged as (time, src, dst, msg). The
+   regressions below wire ids at and beyond [n] to the first [n] with
+   edges scheduled at time 0; the [make] harness has no receive log. *)
 let make_grown ~n ~grow ~delay =
-  let clocks = Array.init n (fun _ -> Hwclock.perfect) in
+  let clocks = Array.init (n + grow) (fun _ -> Hwclock.perfect) in
   let engine = Engine.create ~clocks ~delay ~timer_label:(fun () -> 0) () in
   let log = ref [] in
   let ctxs = Hashtbl.create 16 in
-  let install i =
+  for i = 0 to n + grow - 1 do
     Engine.install engine i (fun ctx ->
         Hashtbl.replace ctxs i ctx;
         {
@@ -657,22 +690,15 @@ let make_grown ~n ~grow ~delay =
             (fun src msg -> log := (Engine.now engine, src, i, msg) :: !log);
           on_timer = (fun _ -> ());
         })
-  in
-  for i = 0 to n - 1 do
-    install i
-  done;
-  for _ = 1 to grow do
-    let id = Engine.add_node engine ~clock:Hwclock.perfect in
-    install id
   done;
   (engine, log, fun i -> Hashtbl.find ctxs i)
 
-(* Joined nodes must get their own FIFO keys. The retired encoding packed
-   the pair (src, dst) as [src * n + dst] with [n] frozen at creation;
-   after joins pushed ids past the seed count, distinct pairs aliased —
-   with a seed of 4 nodes, (1, 7) and (2, 3) both packed to 11, so a slow
-   in-flight message on one link dragged the other link's FIFO floor up
-   and delayed an unrelated delivery. Keying by destination inside a
+(* Distinct links must get distinct FIFO keys. The retired encoding
+   packed the pair (src, dst) as [src * n + dst] with [n] taken from a
+   count smaller than the id range, so distinct pairs aliased — with
+   n = 4, (1, 7) and (2, 3) both packed to 11, and a slow in-flight
+   message on one link dragged the other link's FIFO floor up and
+   delayed an unrelated delivery. Keying by destination inside a
    per-source store makes ids collision-free by construction; this pins
    the exact aliasing pair. *)
 let test_join_no_pair_key_collision () =
@@ -697,12 +723,12 @@ let test_join_no_pair_key_collision () =
   Alcotest.(check (triple feq int int)) "slow delivery" (1.9, 1, 7) (find "slow");
   Alcotest.(check (triple feq int int)) "fast delivery" (1.1, 2, 3) (find "fast")
 
-(* Join-heavy churn: double the network after creation, wire every joined
-   node to a seed node, and check each link keeps per-link FIFO order
-   under a delay policy that begs for clamping (later messages drawn
-   faster than earlier ones). Crossing 4 then 8 destinations per source
-   also drags each per-source FIFO store through its growth seam
-   (capacity 4 -> 8 -> 16) with live floors in it. *)
+(* Edge-heavy churn: wire node 0 to each of the 15 other nodes, and
+   check each link keeps per-link FIFO order under a delay policy that
+   begs for clamping (later messages drawn faster than earlier ones).
+   Crossing 4 then 8 destinations per source also drags each per-source
+   FIFO store through its growth seam (capacity 4 -> 8 -> 16) with live
+   floors in it. *)
 let test_join_churn_fifo_order () =
   let delay =
     (* Round 0 (sent at t=1) draws the full bound; later rounds draw a
@@ -713,7 +739,7 @@ let test_join_churn_fifo_order () =
   in
   let seed = 4 and grow = 12 in
   let engine, log, ctx = make_grown ~n:seed ~grow ~delay in
-  (* Star: node 0 reaches every other node, joined ids included. *)
+  (* Star: node 0 reaches every other node. *)
   for v = 1 to seed + grow - 1 do
     Engine.schedule_edge_add engine ~at:0. 0 v
   done;
@@ -823,6 +849,7 @@ let suite =
     case "scheduled callbacks" test_callback;
     case "run_until advances time" test_run_until_advances_now;
     case "bad destination rejected" test_bad_destination;
+    case "bad edge endpoints rejected at the call" test_bad_edge_endpoints;
     case "determinism" test_determinism;
     case "graph view tracks schedule" test_graph_view;
   ]

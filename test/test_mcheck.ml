@@ -313,6 +313,50 @@ let test_tie_break_spans_queue_and_wheel () =
   let _, order = run 1 in
   Alcotest.(check (list string)) "choice 1: timer first" [ fire; deliver ] order
 
+(* The hook's re-push must carry each entry's payload back with it. Two
+   deliveries with distinct payloads to different nodes and a callback
+   share t=0.5; a hook that always picks the last index dispatches them
+   in reverse, each after a gather and re-push of the whole group. *)
+let test_tie_break_keeps_payloads () =
+  let engine =
+    Dsim.Engine.create
+      ~clocks:(Array.make 3 Dsim.Hwclock.perfect)
+      ~delay:(Dsim.Delay.constant ~bound:1. 0.5)
+      ~initial_edges:[ (0, 1); (0, 2) ] ~timer_label:(fun () -> 0) ()
+  in
+  let got = Array.make 3 [] in
+  for i = 0 to 2 do
+    Dsim.Engine.install engine i (fun ctx ->
+        {
+          Dsim.Engine.on_init =
+            (fun () ->
+              if i = 0 then begin
+                Dsim.Engine.send ctx ~dst:1 "for-1";
+                Dsim.Engine.send ctx ~dst:2 "for-2"
+              end);
+          on_discover_add = ignore;
+          on_discover_remove = ignore;
+          on_receive = (fun src msg -> got.(i) <- (src, msg) :: got.(i));
+          on_timer = ignore;
+        })
+  done;
+  let calls = ref 0 in
+  Dsim.Engine.at engine ~time:0.5 (fun () -> incr calls);
+  let groups = ref [] in
+  Dsim.Engine.set_tie_break engine
+    (Some
+       (fun k ->
+         if Dsim.Engine.now engine = 0.5 then groups := k :: !groups;
+         k - 1));
+  Dsim.Engine.run_until engine 1.;
+  Alcotest.(check (list int)) "one group of three, shrinking" [ 3; 2; 1 ]
+    (List.rev !groups);
+  Alcotest.(check (list (pair int string))) "node 1 got its own payload"
+    [ (0, "for-1") ] got.(1);
+  Alcotest.(check (list (pair int string))) "node 2 got its own payload"
+    [ (0, "for-2") ] got.(2);
+  Alcotest.(check int) "callback ran exactly once" 1 !calls
+
 (* ------------------------ clamp regression ------------------------- *)
 
 (* A delay policy drawing outside [0, T] is clamped AND reported: one
@@ -463,6 +507,8 @@ let suite =
       test_tie_break_rejects_shards;
     Alcotest.test_case "tie-break group spans queue and wheel" `Quick
       test_tie_break_spans_queue_and_wheel;
+    Alcotest.test_case "tie-break re-push keeps payloads" `Quick
+      test_tie_break_keeps_payloads;
     Alcotest.test_case "out-of-range delay draws are clamped and traced" `Quick
       test_out_of_range_delay_draw_traced;
     Alcotest.test_case "spec round-trips" `Quick test_spec_round_trip;
