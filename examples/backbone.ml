@@ -4,10 +4,11 @@
 
    Four backbone routers are joined by tight links (delay bound T/20);
    each router serves a cluster of wireless nodes over loose links (bound
-   T). With Gcs.Hetero every link gets a tolerance and timeout scaled to
-   its own uncertainty, so the backbone promises (and achieves) an order
-   of magnitude tighter synchronization than the leaves - the gradient
-   property refined from hop count to link quality (Section 7 / [9]). *)
+   T). Under Gcs.Sim's Weighted algorithm every link gets a tolerance and
+   timeout scaled to its own uncertainty (Gcs.Hetero), so the backbone
+   promises (and achieves) an order of magnitude tighter synchronization
+   than the leaves - the gradient property refined from hop count to link
+   quality (Section 7 / [9]). *)
 
 let routers = 4
 
@@ -39,18 +40,17 @@ let () =
     Gcs.Drift.assign params ~horizon ~seed:31 (Gcs.Drift.Alternating 40.)
   in
   let delay = Gcs.Hetero.delay_policy (Dsim.Prng.of_int 3) params ~link_bound in
-  let engine, nodes =
-    Gcs.Hetero.create_sim ~params ~clocks ~delay ~link_bound
-      ~initial_edges:(backbone @ access) ()
+  let sim =
+    Gcs.Sim.create
+      (Gcs.Sim.config ~algo:(Gcs.Sim.Weighted link_bound) ~params ~clocks ~delay
+         ~initial_edges:(backbone @ access) ())
   in
-  let view =
-    Gcs.Hetero.view nodes (Dsim.Dyngraph.iter_edges (Dsim.Engine.graph engine))
-  in
+  let view = Gcs.Sim.view sim in
   let recorder =
-    Gcs.Metrics.attach engine view ~every:0.5 ~until:horizon
+    Gcs.Metrics.attach (Gcs.Sim.engine sim) view ~every:0.5 ~until:horizon
       ~watch:(backbone @ access) ()
   in
-  Dsim.Engine.run_until engine horizon;
+  Gcs.Sim.run_until sim horizon;
 
   let steady e =
     Analysis.Series.max_value

@@ -1,12 +1,21 @@
 module Engine = Dsim.Engine
 module Int_set = Set.Make (Int)
 
+(* [L] and [Lmax] in one all-float record, the form {!Node} keeps them
+   in: each is (value, anchor) with [get at = value +. (at -. anchor)],
+   so a store allocates nothing. *)
+type regs = {
+  mutable l : float;
+  mutable l_at : float;
+  mutable lmax : float;
+  mutable lmax_at : float;
+}
+
 type t = {
   ctx : Proto.ctx;
   params : Params.t;
   mutable upsilon : Int_set.t;
-  l : Estimate.t;
-  lmax : Estimate.t;
+  r : regs;
   mutable discrete_jumps : int;
   mutable messages_sent : int;
 }
@@ -16,8 +25,7 @@ let create params ctx =
     ctx;
     params;
     upsilon = Int_set.empty;
-    l = Estimate.create ~value:0. ~anchor:0.;
-    lmax = Estimate.create ~value:0. ~anchor:0.;
+    r = { l = 0.; l_at = 0.; lmax = 0.; lmax_at = 0. };
     discrete_jumps = 0;
     messages_sent = 0;
   }
@@ -26,18 +34,25 @@ let hardware_clock t = Engine.hardware_clock t.ctx
 
 let id t = Engine.node_id t.ctx
 
-let logical_clock t = Estimate.get t.l ~at:(hardware_clock t)
+let logical_clock t = t.r.l +. (hardware_clock t -. t.r.l_at)
 
-let max_estimate t = Estimate.get t.lmax ~at:(hardware_clock t)
+let max_estimate t = t.r.lmax +. (hardware_clock t -. t.r.lmax_at)
 
+(* [L <- Lmax] whenever that raises [L]. *)
 let adjust_clock t =
   let h = hardware_clock t in
-  if Estimate.raise_to t.l ~at:h (Estimate.get t.lmax ~at:h) then
+  let r = t.r in
+  let lmax = r.lmax +. (h -. r.lmax_at) in
+  if lmax > r.l +. (h -. r.l_at) then begin
+    r.l <- lmax;
+    r.l_at <- h;
     t.discrete_jumps <- t.discrete_jumps + 1
+  end
 
 let current_update t =
   let h = hardware_clock t in
-  { Proto.l = Estimate.get t.l ~at:h; lmax = Estimate.get t.lmax ~at:h }
+  let r = t.r in
+  { Proto.l = r.l +. (h -. r.l_at); lmax = r.lmax +. (h -. r.lmax_at) }
 
 let send_update t v msg =
   t.messages_sent <- t.messages_sent + 1;
@@ -48,16 +63,12 @@ let send_update t v msg =
 let restart t ~corrupt =
   t.upsilon <- Int_set.empty;
   let h = hardware_clock t in
-  (match corrupt with
-  | None ->
-    Estimate.set t.l ~at:h 0.;
-    Estimate.set t.lmax ~at:h 0.
-  | Some prng ->
-    let scale = Float.max 1. (2. *. h) in
-    let l_val = Dsim.Prng.float prng scale in
-    let lmax_val = l_val +. Dsim.Prng.float prng (0.5 *. scale) in
-    Estimate.set t.l ~at:h l_val;
-    Estimate.set t.lmax ~at:h lmax_val);
+  let l, lmax = Proto.restart_registers ~corrupt ~at:h in
+  let r = t.r in
+  r.l <- l;
+  r.l_at <- h;
+  r.lmax <- lmax;
+  r.lmax_at <- h;
   Engine.set_timer t.ctx ~after:t.params.Params.delta_h Proto.Tick
 
 let handlers t =
@@ -73,7 +84,11 @@ let handlers t =
       (fun v { Proto.lmax = lmax_v; _ } ->
         ignore v;
         let h = hardware_clock t in
-        ignore (Estimate.raise_to t.lmax ~at:h lmax_v);
+        let r = t.r in
+        if lmax_v > r.lmax +. (h -. r.lmax_at) then begin
+          r.lmax <- lmax_v;
+          r.lmax_at <- h
+        end;
         adjust_clock t);
     on_timer =
       (function

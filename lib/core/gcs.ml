@@ -14,9 +14,6 @@ module Params = Params
 module Proto = Proto
 (** The wire protocol: update messages [⟨L, Lmax⟩] and timer labels. *)
 
-module Estimate = Estimate
-(** Registers drifting at the owner's hardware-clock rate. *)
-
 module Node = Node
 (** Algorithm 2: the dynamic gradient clock synchronization node. *)
 
@@ -34,7 +31,7 @@ module Invariant = Invariant
 (** Validity monitors: monotone clocks, rate >= 1 - rho, L <= Lmax. *)
 
 module Sim = Sim
-(** One-call simulation assembly over any of the three algorithms. *)
+(** One-call simulation assembly over any of the four algorithms. *)
 
 module Hetero = Hetero
 (** Section 7 extension: per-link delay bounds with scaled tolerances. *)

@@ -55,38 +55,3 @@ let delay_policy prng params ~link_bound =
       let b = link_bound src dst in
       check_bound params b;
       Dsim.Prng.float prng b)
-
-let create_sim ?discovery_lag ~params ~clocks ~delay ~link_bound ~initial_edges () =
-  let n = params.Params.n in
-  if Array.length clocks <> n then
-    invalid_arg "Hetero.create_sim: clocks array length must equal params.n";
-  Array.iteri
-    (fun i c ->
-      if not (Dsim.Hwclock.within_drift ~rho:params.Params.rho c) then
-        invalid_arg (Printf.sprintf "Hetero.create_sim: clock %d violates drift" i))
-    clocks;
-  let discovery_lag =
-    match discovery_lag with
-    | Some lag -> lag
-    | None -> 0.9 *. params.Params.discovery_bound
-  in
-  let engine =
-    Engine.create ~clocks ~delay ~discovery_lag ~initial_edges
-      ~timer_label:Proto.timer_label ()
-  in
-  let nodes = Array.make n None in
-  for i = 0 to n - 1 do
-    Engine.install engine i (fun ctx ->
-        let nd = node params ~link_bound ctx in
-        nodes.(i) <- Some nd;
-        Node.handlers nd)
-  done;
-  (engine, Array.map Option.get nodes)
-
-let view nodes iter_edges =
-  {
-    Metrics.n = Array.length nodes;
-    clock_of = (fun i -> Node.logical_clock nodes.(i));
-    lmax_of = (fun i -> Node.max_estimate nodes.(i));
-    iter_edges;
-  }

@@ -17,7 +17,11 @@
 
     Tight links therefore converge to a proportionally tighter stable
     skew — the per-edge weight is the link's uncertainty, which is the
-    gradient property refined from hop distance to weighted distance. *)
+    gradient property refined from hop distance to weighted distance.
+
+    A weighted run is an ordinary {!Sim} run:
+    [Sim.config ~algo:(Sim.Weighted link_bound)
+      ~delay:(delay_policy prng params ~link_bound) ...]. *)
 
 type link_bound = int -> int -> float
 (** [bound u v] is [T_e] for the (normalized) link; must lie in
@@ -45,26 +49,12 @@ val b_e : Params.t -> t_e:float -> float -> float
 val stable_local_skew_e : Params.t -> t_e:float -> float
 (** [B0_e + 2 rho W] — what the link converges to. *)
 
-(** {1 Node and simulation assembly} *)
+(** {1 Node and delay policy} *)
 
 val node : Params.t -> link_bound:link_bound -> Proto.ctx -> Node.t
-(** Algorithm 2 with per-peer tolerance [B_e] and timeout [ΔT'_e]. *)
+(** Algorithm 2 with per-peer tolerance [B_e] and timeout [ΔT'_e]: what
+    {!Sim} installs on every node for [Sim.Weighted link_bound]. *)
 
 val delay_policy :
   Dsim.Prng.t -> Params.t -> link_bound:link_bound -> Dsim.Delay.t
 (** Message delays uniform in [\[0, T_e\]] per link (global bound [T]). *)
-
-val create_sim :
-  ?discovery_lag:float ->
-  params:Params.t ->
-  clocks:Dsim.Hwclock.t array ->
-  delay:Dsim.Delay.t ->
-  link_bound:link_bound ->
-  initial_edges:(int * int) list ->
-  unit ->
-  (Proto.message, Proto.timer) Dsim.Engine.t * Node.t array
-(** A full simulation of heterogeneous-link nodes; returns the engine and
-    the node states. Validation mirrors {!Sim.config}. *)
-
-val view : Node.t array -> ((int -> int -> unit) -> unit) -> Metrics.view
-(** A metrics view over heterogeneous nodes. *)

@@ -9,17 +9,18 @@ type timeout = Timeout_default | Timeout_fun of (peer:int -> float)
 
 (* Lowered tolerance. [Tol_default] becomes the closed linear form of
    {!Params.b} — [max floor (icpt -. slope *. age)] — and [Tol_const b]
-   the constant [b], both over floats kept in [regs], so the per-peer
-   term in [adjust_clock] is pure unboxed arithmetic; a closure-field
-   call there boxes the float argument and result on every Γ member of
-   every event. Only the closure form needs a block. *)
-type tol = T_const | T_linear | T_fun of (peer:int -> float -> float)
+   the same form with [floor = icpt = b] and [slope = 0.], which is [b]
+   exactly at every finite age. Both run over floats kept in [regs], so
+   the per-peer term in [adjust_clock] is pure unboxed arithmetic; a
+   closure-field call there boxes the float argument and result on every
+   Γ member of every event. Only the closure form needs a block. *)
+type tol = T_linear | T_fun of (peer:int -> float -> float)
 
 (* Every float register of the node in one all-float record, so each
    field lives unboxed and a store allocates nothing (a mutable float
    field in a mixed record would box every store). [L] and [Lmax] are
-   kept as (value, anchor) with [get at = value +. (at -. anchor)], the
-   arithmetic of {!Estimate}; [acc] is AdjustClock's running minimum;
+   kept as (value, anchor) with [get at = value +. (at -. anchor)];
+   [acc] is AdjustClock's running minimum;
    the rest are constants of the lowered tolerance. *)
 type regs = {
   mutable l : float;
@@ -27,7 +28,7 @@ type regs = {
   mutable lmax : float;
   mutable lmax_at : float;
   mutable acc : float;
-  b_floor : float; (* [T_linear]'s floor, or [T_const]'s value *)
+  b_floor : float;
   b_icpt : float;
   b_slope : float;
 }
@@ -67,7 +68,7 @@ let[@inline] peer_of p = p lsr 2
 let create ?(tolerance = Tol_default) ?(timeout = Timeout_default) params ctx =
   let tolerance, b_floor, b_icpt, b_slope =
     match tolerance with
-    | Tol_const b -> (T_const, b, 0., 0.)
+    | Tol_const b -> (T_linear, b, b, 0.)
     | Tol_fun f -> (T_fun f, 0., 0., 0.)
     | Tol_default ->
       (* Params.b's linear form (Section 5):
@@ -170,7 +171,6 @@ let drop_if_empty t i =
 let tol_at t i h =
   let r = t.r in
   match t.tolerance with
-  | T_const -> r.b_floor
   | T_linear ->
     let b = r.b_icpt -. (r.b_slope *. (h -. t.pf.(3 * i))) in
     if b < r.b_floor then r.b_floor else b
@@ -178,8 +178,8 @@ let tol_at t i h =
 
 (* Procedure AdjustClock:
    L <- max{L, min{Lmax, min_{v in Gamma}(L^v + B(H - C^v))}}.
-   The match on the tolerance is hoisted out of the Γ loop: the default
-   and constant forms then run entirely on unboxed floats. *)
+   The match on the tolerance is hoisted out of the Γ loop: the linear
+   form then runs entirely on unboxed floats. *)
 let adjust_clock t =
   let h = hardware_clock t in
   let r = t.r in
@@ -188,15 +188,6 @@ let adjust_clock t =
   let peers = t.peers and pf = t.pf in
   r.acc <- infinity;
   (match t.tolerance with
-  | T_const ->
-    let b = r.b_floor in
-    for i = 0 to t.p_len - 1 do
-      if peers.(i) land gamma_bit <> 0 then begin
-        let j = 3 * i in
-        let cap = pf.(j + 1) +. (h -. pf.(j + 2)) +. b in
-        if cap < r.acc then r.acc <- cap
-      end
-    done
   | T_linear ->
     let floor = r.b_floor and icpt = r.b_icpt and slope = r.b_slope in
     for i = 0 to t.p_len - 1 do
@@ -312,28 +303,17 @@ let on_timer t = function
 
 (* Restart entry point (fault injection): the crash lost every piece of
    volatile state, so empty the peer table and restart the clock
-   registers. Without corruption the node resumes from the initial state
-   (L = Lmax = 0 at the current hardware reading — validity re-converges
-   through received Lmax values). With corruption, draw an arbitrary but
-   type-correct state from the fault PRNG: the registers stay ordered
-   (L <= Lmax) but their values are garbage scaled to the current
-   hardware clock, which is exactly the transient-fault starting point of
-   the self-stabilization question. *)
+   registers from {!Proto.restart_registers}. Without corruption that is
+   the initial state; validity re-converges through received Lmax
+   values. *)
 let restart t ~corrupt =
   t.p_len <- 0;
   let h = hardware_clock t in
+  let l, lmax = Proto.restart_registers ~corrupt ~at:h in
   let r = t.r in
-  let l_val, lmax_val =
-    match corrupt with
-    | None -> (0., 0.)
-    | Some prng ->
-      let scale = Float.max 1. (2. *. h) in
-      let l_val = Dsim.Prng.float prng scale in
-      (l_val, l_val +. Dsim.Prng.float prng (0.5 *. scale))
-  in
-  r.l <- l_val;
+  r.l <- l;
   r.l_at <- h;
-  r.lmax <- lmax_val;
+  r.lmax <- lmax;
   r.lmax_at <- h;
   (* Timers were purged by the engine; re-arm the periodic tick exactly
      as on_init does. Lost timers re-arm as messages arrive. *)

@@ -17,6 +17,13 @@ val timer_of_label : int -> timer
 (** The inverse of {!timer_label}, for readers of trace records. Raises
     [Invalid_argument] on a negative label. *)
 
+val restart_registers : corrupt:Dsim.Prng.t option -> at:float -> float * float
+(** [(L, Lmax)] a node restarts from at hardware reading [at]: [(0, 0)],
+    or with [corrupt = Some prng] arbitrary values drawn from [prng]
+    ([L] first, then the gap to [Lmax]), scaled to [at] and kept ordered
+    [L <= Lmax] — the transient-fault starting point of the
+    self-stabilization question. Shared by every protocol's restart. *)
+
 type ctx = (message, timer) Dsim.Engine.ctx
 
 type handlers = (message, timer) Dsim.Engine.handlers

@@ -1,12 +1,13 @@
 module Engine = Dsim.Engine
 module Hwclock = Dsim.Hwclock
 
-type algo = Gradient | Flat_gradient | Max_only
+type algo = Gradient | Flat_gradient | Max_only | Weighted of Hetero.link_bound
 
 let algo_to_string = function
   | Gradient -> "gradient"
   | Flat_gradient -> "flat-gradient"
   | Max_only -> "max-only"
+  | Weighted _ -> "weighted"
 
 type config = {
   params : Params.t;
@@ -46,13 +47,27 @@ let config ?(algo = Gradient) ?discovery_lag ?trace ?(shards = 1) ?(faults = [])
   { params; clocks; delay; discovery_lag; initial_edges; algo; trace; shards;
     faults; fault_seed }
 
-type impl = Gradient_node of Node.t | Max_node of Baseline_max.t
+(* One node array per run, of the algorithm's own node type: readers
+   match once per call, not once per node. *)
+type nodes = Gradient_nodes of Node.t array | Max_nodes of Baseline_max.t array
 
 type t = {
   cfg : config;
   engine : (Proto.message, Proto.timer) Engine.t;
-  impls : impl array;
+  nodes : nodes;
 }
+
+(* Install [create ctx] on every node. The ctx only exists inside the
+   install callback, so the array is made when node 0 is built. *)
+let install_all engine n create handlers =
+  let nodes = ref [||] in
+  for i = 0 to n - 1 do
+    Engine.install engine i (fun ctx ->
+        let node = create ctx in
+        if i = 0 then nodes := Array.make n node else !nodes.(i) <- node;
+        handlers node)
+  done;
+  !nodes
 
 let create cfg =
   (* Level-0 wheel buckets a fraction of the shortest timer period (ΔH),
@@ -82,34 +97,16 @@ let create cfg =
       ~timer_label:Proto.timer_label ~scheduler ~shards:cfg.shards ()
   in
   let n = cfg.params.Params.n in
-  (* Build node implementations while installing handlers: the ctx only
-     exists inside the install callback. *)
-  let impls = Array.make n None in
-  for i = 0 to n - 1 do
-    Engine.install engine i (fun ctx ->
-        match cfg.algo with
-        | Gradient ->
-          let node = Node.create cfg.params ctx in
-          impls.(i) <- Some (Gradient_node node);
-          Node.handlers node
-        | Flat_gradient ->
-          let node =
-            Node.create ~tolerance:(Node.Tol_const cfg.params.Params.b0)
-              cfg.params ctx
-          in
-          impls.(i) <- Some (Gradient_node node);
-          Node.handlers node
-        | Max_only ->
-          let node = Baseline_max.create cfg.params ctx in
-          impls.(i) <- Some (Max_node node);
-          Baseline_max.handlers node)
-  done;
-  let impls =
-    Array.map
-      (function Some impl -> impl | None -> failwith "Sim.create: node not installed")
-      impls
+  let p = cfg.params in
+  let gradient create = Gradient_nodes (install_all engine n create Node.handlers) in
+  let nodes =
+    match cfg.algo with
+    | Gradient -> gradient (Node.create p)
+    | Flat_gradient -> gradient (Node.create ~tolerance:(Node.Tol_const p.Params.b0) p)
+    | Weighted link_bound -> gradient (Hetero.node p ~link_bound)
+    | Max_only -> Max_nodes (install_all engine n (Baseline_max.create p) Baseline_max.handlers)
   in
-  { cfg; engine; impls }
+  { cfg; engine; nodes }
 
 let engine t = t.engine
 
@@ -122,45 +119,44 @@ let run_until t horizon = Engine.run_until t.engine horizon
 let now t = Engine.now t.engine
 
 let logical_clock t i =
-  match t.impls.(i) with
-  | Gradient_node node -> Node.logical_clock node
-  | Max_node node -> Baseline_max.logical_clock node
+  match t.nodes with
+  | Gradient_nodes a -> Node.logical_clock a.(i)
+  | Max_nodes a -> Baseline_max.logical_clock a.(i)
 
 let lmax t i =
-  match t.impls.(i) with
-  | Gradient_node node -> Node.max_estimate node
-  | Max_node node -> Baseline_max.max_estimate node
+  match t.nodes with
+  | Gradient_nodes a -> Node.max_estimate a.(i)
+  | Max_nodes a -> Baseline_max.max_estimate a.(i)
 
 let view t =
+  let clock_of, lmax_of =
+    match t.nodes with
+    | Gradient_nodes a ->
+      ((fun i -> Node.logical_clock a.(i)), fun i -> Node.max_estimate a.(i))
+    | Max_nodes a ->
+      ((fun i -> Baseline_max.logical_clock a.(i)), fun i -> Baseline_max.max_estimate a.(i))
+  in
   {
     Metrics.n = t.cfg.params.Params.n;
-    clock_of = logical_clock t;
-    lmax_of = lmax t;
+    clock_of;
+    lmax_of;
     iter_edges = (fun f -> Dsim.Dyngraph.iter_edges (Engine.graph t.engine) f);
   }
 
 let gradient_node t i =
-  match t.impls.(i) with Gradient_node node -> Some node | Max_node _ -> None
+  match t.nodes with Gradient_nodes a -> Some a.(i) | Max_nodes _ -> None
+
+let sum f a = Array.fold_left (fun acc node -> acc + f node) 0 a
 
 let total_messages t =
-  Array.fold_left
-    (fun acc impl ->
-      acc
-      +
-      match impl with
-      | Gradient_node node -> Node.messages_sent node
-      | Max_node node -> Baseline_max.messages_sent node)
-    0 t.impls
+  match t.nodes with
+  | Gradient_nodes a -> sum Node.messages_sent a
+  | Max_nodes a -> sum Baseline_max.messages_sent a
 
 let total_jumps t =
-  Array.fold_left
-    (fun acc impl ->
-      acc
-      +
-      match impl with
-      | Gradient_node node -> Node.discrete_jumps node
-      | Max_node node -> Baseline_max.discrete_jumps node)
-    0 t.impls
+  match t.nodes with
+  | Gradient_nodes a -> sum Node.discrete_jumps a
+  | Max_nodes a -> sum Baseline_max.discrete_jumps a
 
 let alive t i = Engine.alive t.engine i
 

@@ -12,6 +12,10 @@ type algo =
           [B(Δt) = B0] (no decay on new edges) *)
   | Max_only
       (** baseline: chase the max estimate ({!Baseline_max}) *)
+  | Weighted of Hetero.link_bound
+      (** Section 7 extension: Algorithm 2 with a per-link tolerance
+          [B_e] and timeout [ΔT'_e] ({!Hetero.node}); pair it with
+          {!Hetero.delay_policy} over the same link bounds *)
 
 val algo_to_string : algo -> string
 
@@ -78,7 +82,8 @@ val lmax : t -> int -> float
 val view : t -> Metrics.view
 
 val gradient_node : t -> int -> Node.t option
-(** The underlying {!Node.t} when running [Gradient] or [Flat_gradient]. *)
+(** The underlying {!Node.t} when running [Gradient], [Flat_gradient] or
+    [Weighted]. *)
 
 val total_messages : t -> int
 

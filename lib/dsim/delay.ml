@@ -43,20 +43,6 @@ let uniform prng ~bound =
     min_lat = 0.;
   }
 
-let uniform_in prng ~bound ~lo ~hi =
-  check_bound bound;
-  if lo < 0. || hi > bound || lo > hi then
-    invalid_arg "Delay.uniform_in: range out of bounds";
-  {
-    bound;
-    draw = (fun ~src:_ ~dst:_ ~now:_ -> Prng.float_in prng lo hi);
-    drop = never_drop;
-    const = (if lo = hi then lo else -1.);
-    may_drop = false;
-    pure = false;
-    min_lat = lo;
-  }
-
 (* splitmix64 finalizer: statistically strong enough for jitter, and a pure
    function of its input — no shared stream state to race on. *)
 let mix64 (z : int64) =
@@ -94,27 +80,6 @@ let directed ?(pure = false) ?(min_lat = 0.) ~bound f =
   if min_lat < 0. || min_lat > bound then
     invalid_arg "Delay.directed: min_lat out of [0, bound]";
   { bound; draw = f; drop = never_drop; const = -1.; may_drop = false; pure; min_lat }
-
-let per_edge ?min_lat ~bound ~default f =
-  check_bound bound;
-  let draw ~src ~dst ~now =
-    let key = if src < dst then (src, dst) else (dst, src) in
-    match f key with
-    | Some d -> d
-    | None -> default.draw ~src ~dst ~now
-  in
-  let min_lat = match min_lat with Some m -> m | None -> 0. in
-  if min_lat < 0. || min_lat > bound then
-    invalid_arg "Delay.per_edge: min_lat out of [0, bound]";
-  {
-    bound;
-    draw;
-    drop = default.drop;
-    const = -1.;
-    may_drop = default.may_drop;
-    pure = default.pure;
-    min_lat;
-  }
 
 let describe d =
   if d.const >= 0. then Printf.sprintf "constant %g" d.const

@@ -34,8 +34,7 @@ type t = {
       under a pure policy — an impure one falls back to the sequential
       dispatch loop, which is always correct. *)
   min_lat : float;
-  (** Conservative lower bound on every value [draw] can return (and on
-      every [per_edge] override). This is the engine's lookahead: a
+  (** Conservative lower bound on every value [draw] can return. This is the engine's lookahead: a
       parallel dispatch window spans [min_lat] of simulated time, because
       any message sent inside the window lands at or beyond its end.
       [0.] is always sound and simply disables parallel windows. *)
@@ -55,10 +54,6 @@ val maximal : bound:float -> t
 val uniform : Prng.t -> bound:float -> t
 (** Delay uniform in [\[0, bound\]]. Impure: draws mutate the shared
     [prng] stream in engine event order. *)
-
-val uniform_in : Prng.t -> bound:float -> lo:float -> hi:float -> t
-(** Delay uniform in [\[lo, hi\]] with [0 <= lo <= hi <= bound].
-    Impure, like {!uniform}. *)
 
 val uniform_keyed : seed:int -> ?lo:float -> bound:float -> unit -> t
 (** [uniform_keyed ~seed ~lo ~bound ()] draws a delay uniform in
@@ -81,15 +76,6 @@ val directed :
     it would skew any coverage argument built on top of it.
     [pure]/[min_lat] (defaults [false]/[0.]) are promises about [f] the
     caller takes responsibility for; see the field docs. *)
-
-val per_edge :
-  ?min_lat:float -> bound:float -> default:t -> ((int * int) -> float option) -> t
-(** [per_edge ~bound ~default f] uses the fixed delay [f (u, v)] on edges
-    where it is defined ([(u, v)] normalized with [u < v]) and [default]
-    elsewhere. This realizes a delay mask (Definition 4.1). Inherits
-    [default]'s purity; [min_lat] defaults to [0.] because the mask's
-    minimum is not knowable here — pass it explicitly if a positive
-    lookahead is wanted. *)
 
 val describe : t -> string
 (** One-line human description of a policy's engine-relevant shape —

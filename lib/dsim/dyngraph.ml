@@ -15,11 +15,10 @@ type t = {
   (* Per-node adjacency: [adj_peer.(u)] holds the sorted peer ids of every
      edge {u, peer} ever touched (present or not); [adj_slot.(u)] is the
      parallel edge-pool slot. [adj_len.(u)] entries are live; the rest is
-     capacity. [deg.(u)] counts currently-present neighbors. *)
+     capacity. *)
   adj_peer : int array array;
   adj_slot : int array array;
   adj_len : int array;
-  deg : int array;
   (* Edge pool, one slot per edge ever touched, normalized u < v. *)
   mutable eu : int array;
   mutable ev : int array;
@@ -39,7 +38,6 @@ let create ~n =
     adj_peer = Array.make n empty_ints;
     adj_slot = Array.make n empty_ints;
     adj_len = Array.make n 0;
-    deg = Array.make n 0;
     eu = empty_ints;
     ev = empty_ints;
     epresent = Bytes.empty;
@@ -153,8 +151,6 @@ let add_edge g ~now u v =
     Bytes.set g.epresent s '\001';
     g.eepoch.(s) <- g.eepoch.(s) + 1;
     g.esince.(s) <- now;
-    g.deg.(u) <- g.deg.(u) + 1;
-    g.deg.(v) <- g.deg.(v) + 1;
     g.live <- g.live + 1;
     true
   end
@@ -166,8 +162,6 @@ let remove_edge g ~now u v =
   if s >= 0 && present g s then begin
     Bytes.set g.epresent s '\000';
     g.eepoch.(s) <- g.eepoch.(s) + 1;
-    g.deg.(u) <- g.deg.(u) - 1;
-    g.deg.(v) <- g.deg.(v) - 1;
     g.live <- g.live - 1;
     true
   end
@@ -219,39 +213,9 @@ let fold_edges g f init =
 let edge_count g = g.live
 
 let footprint_words g =
-  let acc = ref (4 * Array.length g.adj_len) in
+  let acc = ref (3 * Array.length g.adj_len) in
   for u = 0 to g.node_count - 1 do
     acc := !acc + Array.length g.adj_peer.(u) + Array.length g.adj_slot.(u)
   done;
   (* epresent is a byte per slot; count it as words rounded up. *)
   !acc + (4 * Array.length g.eu) + ((Bytes.length g.epresent + 7) / 8)
-
-let degree g u = g.deg.(u)
-
-let is_connected g =
-  let n = g.node_count in
-  if n <= 1 then true
-  else begin
-    let seen = Bytes.make n '\000' in
-    let stack = Array.make n 0 in
-    let sp = ref 0 in
-    let push u =
-      if Bytes.get seen u = '\000' then begin
-        Bytes.set seen u '\001';
-        stack.(!sp) <- u;
-        incr sp
-      end
-    in
-    push 0;
-    let visited = ref 0 in
-    while !sp > 0 do
-      decr sp;
-      let u = stack.(!sp) in
-      incr visited;
-      let peers = g.adj_peer.(u) and slots = g.adj_slot.(u) in
-      for i = 0 to g.adj_len.(u) - 1 do
-        if present g slots.(i) then push peers.(i)
-      done
-    done;
-    !visited = n
-  end

@@ -57,12 +57,6 @@ val fold_edges : t -> ('a -> int -> int -> 'a) -> 'a -> 'a
 
 val edge_count : t -> int
 
-val degree : t -> int -> int
-
 val footprint_words : t -> int
 (** Words currently allocated across adjacency and edge-pool arrays —
     read by the engine's memory-growth checks. *)
-
-val is_connected : t -> bool
-(** Is the current static snapshot connected? (Singleton graphs count as
-    connected.) *)

@@ -943,8 +943,6 @@ let now t = t.fs.now
 
 let graph t = t.graph
 
-let clock t i = t.clocks.(i)
-
 let trace t = t.trace
 
 let shards t = t.shards

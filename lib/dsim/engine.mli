@@ -179,8 +179,6 @@ val graph : ('msg, 'timer) t -> Dyngraph.t
 (** Live view of the dynamic edge set. Treat as read-only; use the
     scheduling functions to change topology. *)
 
-val clock : ('msg, 'timer) t -> int -> Hwclock.t
-
 val trace : ('msg, 'timer) t -> Trace.t
 (** The trace the engine records into — the one passed to {!create}, or
     the private counters-only trace it made otherwise. *)

@@ -26,16 +26,19 @@ let run ~quick =
   let clocks = Gcs.Drift.assign params ~horizon ~seed:9 (Gcs.Drift.Alternating 30.) in
   let edges = Topology.Static.path n in
   let delay = Hetero.delay_policy (Dsim.Prng.of_int 31) params ~link_bound in
-  let engine, nodes =
-    Hetero.create_sim ~params ~clocks ~delay ~link_bound ~initial_edges:edges ()
+  let sim =
+    Gcs.Sim.create
+      (Gcs.Sim.config ~algo:(Gcs.Sim.Weighted link_bound) ~params ~clocks ~delay
+         ~initial_edges:edges ())
   in
-  let view = Hetero.view nodes (Dsim.Dyngraph.iter_edges (Dsim.Engine.graph engine)) in
+  let engine = Gcs.Sim.engine sim in
+  let view = Gcs.Sim.view sim in
   let recorder = Gcs.Metrics.recorder engine ~watch:edges in
   let monitor = Gcs.Invariant.checker ~n ~params () in
   Gcs.Metrics.every engine view ~every:0.5 ~until:horizon (fun snap ->
       Gcs.Metrics.record recorder snap;
       Gcs.Invariant.observe monitor snap);
-  Dsim.Engine.run_until engine horizon;
+  Gcs.Sim.run_until sim horizon;
   let steady_peak e =
     Analysis.Series.max_value
       (Analysis.Series.after warmup (Gcs.Metrics.pair_trace recorder e))

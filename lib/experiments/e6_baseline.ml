@@ -52,11 +52,12 @@ let scenario ~n ~algo =
   (* The envelope each algorithm implicitly claims for a Γ-edge of a given
      age: the decaying B for Gradient, the constant B0 for Flat_gradient
      (both plus the 2 rho W estimation slack); Max_only makes no local
-     claim, so no violation is counted. *)
+     claim, so no violation is counted. A Weighted link's B_e never
+     exceeds B (T_e <= T), so the global envelope bounds it too. *)
   let claimed_envelope age =
     let open Gcs.Params in
     match algo with
-    | Gcs.Sim.Gradient -> dynamic_local_skew params age
+    | Gcs.Sim.Gradient | Gcs.Sim.Weighted _ -> dynamic_local_skew params age
     | Gcs.Sim.Flat_gradient ->
       (* The static guarantee of [13] that a constant tolerance claims:
          B0 plus the estimate-staleness slack (Lemma 6.6). It only starts

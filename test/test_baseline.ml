@@ -6,14 +6,15 @@ module Params = Gcs.Params
 
 let case name f = Alcotest.test_case name `Quick f
 
-let build ?(n = 2) ?(clocks = None) ?(initial_edges = [ (0, 1) ]) () =
+let build ?(n = 2) ?(clocks = None) ?(initial_edges = [ (0, 1) ]) ?(latency = 0.5)
+    ?(faults = []) () =
   let p = Params.make ~n () in
   let clocks =
     match clocks with Some c -> c | None -> Array.init n (fun _ -> Hwclock.perfect)
   in
-  let delay = Delay.constant ~bound:p.Params.delay_bound 0.5 in
+  let delay = Delay.constant ~bound:p.Params.delay_bound latency in
   let engine =
-    Engine.create ~clocks ~delay ~discovery_lag:0. ~initial_edges
+    Engine.create ~clocks ~delay ~discovery_lag:0. ~initial_edges ~faults
       ~timer_label:Gcs.Proto.timer_label ()
   in
   let nodes = Array.make n None in
@@ -83,6 +84,46 @@ let test_message_counter () =
   Alcotest.(check bool) "periodic updates sent" true
     (Baseline_max.messages_sent nodes.(0) >= 19)
 
+(* L and Lmax are registers that drift at the node's hardware-clock rate
+   between discrete events. *)
+let test_registers_drift () =
+  let clocks = [| Hwclock.constant 1.05; Hwclock.constant 0.95 |] in
+  let engine, nodes, _ = build ~clocks:(Some clocks) ~initial_edges:[] () in
+  Engine.run_until engine 10.;
+  Alcotest.check (Alcotest.float 1e-9) "fast L" 10.5 (Baseline_max.logical_clock nodes.(0));
+  Alcotest.check (Alcotest.float 1e-9) "fast Lmax" 10.5 (Baseline_max.max_estimate nodes.(0));
+  Alcotest.check (Alcotest.float 1e-9) "slow L" 9.5 (Baseline_max.logical_clock nodes.(1));
+  Engine.run_until engine 20.;
+  Alcotest.check (Alcotest.float 1e-9) "still drifting" 19. (Baseline_max.logical_clock nodes.(1))
+
+(* A restart sets both registers at the restart's hardware reading; they
+   drift on from there. *)
+let test_restart_reanchors () =
+  let clocks = [| Hwclock.perfect; Hwclock.constant 1.05 |] in
+  let faults =
+    [
+      Dsim.Fault.Crash { node = 1; at = 5. };
+      Dsim.Fault.Restart { node = 1; at = 8.; corrupt = false };
+    ]
+  in
+  let engine, nodes, _ = build ~clocks:(Some clocks) ~initial_edges:[] ~faults () in
+  Engine.run_until engine 8.;
+  Alcotest.check (Alcotest.float 1e-9) "L reset" 0. (Baseline_max.logical_clock nodes.(1));
+  Engine.run_until engine 10.;
+  Alcotest.check (Alcotest.float 1e-9) "L from the new anchor" 2.1
+    (Baseline_max.logical_clock nodes.(1));
+  Alcotest.check (Alcotest.float 1e-9) "Lmax from the new anchor" 2.1
+    (Baseline_max.max_estimate nodes.(1))
+
+(* Only a strictly larger Lmax is a jump: with perfect clocks and zero
+   delay every received Lmax equals the receiver's own. *)
+let test_equal_lmax_no_jump () =
+  let engine, nodes, _ = build ~latency:0. () in
+  Engine.run_until engine 20.;
+  Alcotest.(check bool) "updates exchanged" true (Baseline_max.messages_sent nodes.(0) >= 19);
+  Alcotest.(check int) "no jump at 0" 0 (Baseline_max.discrete_jumps nodes.(0));
+  Alcotest.(check int) "no jump at 1" 0 (Baseline_max.discrete_jumps nodes.(1))
+
 let suite =
   [
     case "chases the max" test_chases_max;
@@ -90,4 +131,7 @@ let suite =
     case "upsilon tracking" test_upsilon_tracking;
     case "monotonicity through jumps" test_monotone_and_rate;
     case "periodic updates" test_message_counter;
+    case "registers drift at the hardware rate" test_registers_drift;
+    case "restart re-anchors the registers" test_restart_reanchors;
+    case "equal Lmax is no jump" test_equal_lmax_no_jump;
   ]

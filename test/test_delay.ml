@@ -32,15 +32,15 @@ let test_uniform_in_bounds () =
     Alcotest.(check bool) "within [0, 2]" true (v >= 0. && v <= 2.)
   done
 
-let test_uniform_in_subrange () =
-  let d = Delay.uniform_in (Prng.of_int 2) ~bound:2. ~lo:0.5 ~hi:1.0 in
-  for _ = 1 to 500 do
-    let v = draw d ~src:0 ~dst:1 ~now:0. in
+let test_uniform_keyed_subrange () =
+  let d = Delay.uniform_keyed ~seed:2 ~lo:0.5 ~bound:1.0 () in
+  for i = 1 to 500 do
+    let v = draw d ~src:0 ~dst:1 ~now:(float_of_int i) in
     Alcotest.(check bool) "within [0.5, 1.0]" true (v >= 0.5 && v <= 1.0)
   done;
   Alcotest.check_raises "bad range"
-    (Invalid_argument "Delay.uniform_in: range out of bounds") (fun () ->
-      ignore (Delay.uniform_in (Prng.of_int 3) ~bound:1. ~lo:0.5 ~hi:1.5))
+    (Invalid_argument "Delay.uniform_keyed: lo out of [0, bound]") (fun () ->
+      ignore (Delay.uniform_keyed ~seed:3 ~lo:1.5 ~bound:1. ()))
 
 let test_directed () =
   let d =
@@ -50,10 +50,12 @@ let test_directed () =
   Alcotest.check feq "uphill" 1. (draw d ~src:0 ~dst:5 ~now:0.);
   Alcotest.check feq "downhill" 0. (draw d ~src:5 ~dst:0 ~now:0.)
 
+(* A delay mask (Definition 4.1) is a directed policy that looks up the
+   normalized edge, as the lower-bound adversary builds it. *)
 let test_per_edge_mask () =
-  let default = Delay.zero ~bound:1. in
   let d =
-    Delay.per_edge ~bound:1. ~default (function (0, 1) -> Some 0.75 | _ -> None)
+    Delay.directed ~bound:1. (fun ~src ~dst ~now:_ ->
+        match Dsim.Dyngraph.normalize src dst with (0, 1) -> 0.75 | _ -> 0.)
   in
   Alcotest.check feq "constrained edge 0->1" 0.75 (draw d ~src:0 ~dst:1 ~now:0.);
   Alcotest.check feq "constrained edge 1->0 (normalized)" 0.75 (draw d ~src:1 ~dst:0 ~now:0.);
@@ -98,7 +100,7 @@ let suite =
     case "zero and maximal" test_zero_and_maximal;
     case "constant validation" test_constant_validation;
     case "uniform bounds" test_uniform_in_bounds;
-    case "uniform_in subrange" test_uniform_in_subrange;
+    case "uniform_keyed subrange" test_uniform_keyed_subrange;
     case "directed policy" test_directed;
     case "per-edge mask" test_per_edge_mask;
   ]

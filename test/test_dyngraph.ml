@@ -42,8 +42,7 @@ let test_neighbors_sorted () =
   ignore (Dyngraph.add_edge g ~now:0. 2 4);
   ignore (Dyngraph.add_edge g ~now:0. 2 0);
   ignore (Dyngraph.add_edge g ~now:0. 2 3);
-  Alcotest.(check (list int)) "sorted" [ 0; 3; 4 ] (Dyngraph.neighbors g 2);
-  Alcotest.(check int) "degree" 3 (Dyngraph.degree g 2)
+  Alcotest.(check (list int)) "sorted" [ 0; 3; 4 ] (Dyngraph.neighbors g 2)
 
 let test_edges_normalized () =
   let g = Dyngraph.create ~n:4 in
@@ -66,16 +65,19 @@ let test_iter_fold_edges () =
   Alcotest.(check int) "fold agrees with edge_count" (Dyngraph.edge_count g)
     (Dyngraph.fold_edges g (fun acc _ _ -> acc + 1) 0)
 
+(* A snapshot's connectivity is {!Topology.Static.is_connected} over its
+   edge list. *)
 let test_connectivity () =
   let g = Dyngraph.create ~n:4 in
-  Alcotest.(check bool) "empty disconnected" false (Dyngraph.is_connected g);
+  let connected () = Topology.Static.is_connected ~n:4 (Dyngraph.edges g) in
+  Alcotest.(check bool) "empty disconnected" false (connected ());
   ignore (Dyngraph.add_edge g ~now:0. 0 1);
   ignore (Dyngraph.add_edge g ~now:0. 1 2);
-  Alcotest.(check bool) "missing node 3" false (Dyngraph.is_connected g);
+  Alcotest.(check bool) "missing node 3" false (connected ());
   ignore (Dyngraph.add_edge g ~now:0. 2 3);
-  Alcotest.(check bool) "path connected" true (Dyngraph.is_connected g);
+  Alcotest.(check bool) "path connected" true (connected ());
   ignore (Dyngraph.remove_edge g ~now:1. 1 2);
-  Alcotest.(check bool) "split" false (Dyngraph.is_connected g)
+  Alcotest.(check bool) "split" false (connected ())
 
 let test_validation () =
   let g = Dyngraph.create ~n:3 in

@@ -1,5 +1,6 @@
 module Hetero = Gcs.Hetero
 module Params = Gcs.Params
+module Sim = Gcs.Sim
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -65,6 +66,11 @@ let test_bad_bound_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "link bound above T accepted"
 
+let weighted_sim p ~link_bound ~clocks ~delay =
+  Sim.create
+    (Sim.config ~algo:(Sim.Weighted link_bound) ~params:p ~clocks ~delay
+       ~initial_edges:(Topology.Static.path p.Params.n) ())
+
 let test_end_to_end_sync () =
   (* Mixed-bound path: the heterogeneous nodes synchronize and tight links
      honor tighter bounds. *)
@@ -77,21 +83,16 @@ let test_end_to_end_sync () =
         else Dsim.Hwclock.slowest ~rho:p.Params.rho)
   in
   let delay = Hetero.delay_policy (Dsim.Prng.of_int 8) p ~link_bound:lb in
-  let engine, nodes =
-    Hetero.create_sim ~params:p ~clocks ~delay ~link_bound:lb
-      ~initial_edges:(Topology.Static.path n) ()
-  in
-  Dsim.Engine.run_until engine 200.;
-  let skew u v =
-    Float.abs (Gcs.Node.logical_clock nodes.(u) -. Gcs.Node.logical_clock nodes.(v))
-  in
+  let sim = weighted_sim p ~link_bound:lb ~clocks ~delay in
+  Sim.run_until sim 200.;
+  let skew u v = Float.abs (Sim.logical_clock sim u -. Sim.logical_clock sim v) in
   Alcotest.(check bool) "tight link below refined bound" true
     (skew 0 1 <= Hetero.stable_local_skew_e p ~t_e:0.1);
   Alcotest.(check bool) "loose link below its bound" true
     (skew 3 4 <= Hetero.stable_local_skew_e p ~t_e:1.);
   (* Peer tolerance exposed by nodes matches the per-link B_e floor after
      long enough. *)
-  match Gcs.Node.peer_tolerance nodes.(0) 1 with
+  match Gcs.Node.peer_tolerance (Option.get (Sim.gradient_node sim 0)) 1 with
   | Some b -> Alcotest.(check bool) "tolerance from B_e" true (b <= Params.b p 0.)
   | None -> Alcotest.fail "peer 1 not in gamma"
 
@@ -101,12 +102,9 @@ let test_view () =
   let lb = Hetero.uniform_bounds p in
   let clocks = Array.init n (fun _ -> Dsim.Hwclock.perfect) in
   let delay = Hetero.delay_policy (Dsim.Prng.of_int 1) p ~link_bound:lb in
-  let engine, nodes =
-    Hetero.create_sim ~params:p ~clocks ~delay ~link_bound:lb
-      ~initial_edges:(Topology.Static.path n) ()
-  in
-  Dsim.Engine.run_until engine 20.;
-  let view = Hetero.view nodes (Dsim.Dyngraph.iter_edges (Dsim.Engine.graph engine)) in
+  let sim = weighted_sim p ~link_bound:lb ~clocks ~delay in
+  Sim.run_until sim 20.;
+  let view = Sim.view sim in
   Alcotest.(check int) "n" 3 view.Gcs.Metrics.n;
   Alcotest.(check bool) "clocks advanced" true (view.Gcs.Metrics.clock_of 0 > 19.);
   Alcotest.(check bool) "skew tiny with perfect clocks" true

@@ -15,7 +15,6 @@ let () =
       ("engine", Test_engine.suite);
       ("mcheck", Test_mcheck.suite);
       ("params", Test_params.suite);
-      ("estimate", Test_estimate.suite);
       ("node", Test_node.suite);
       ("baseline", Test_baseline.suite);
       ("metrics", Test_metrics.suite);
