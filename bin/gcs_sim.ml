@@ -337,7 +337,10 @@ let sim_cmd =
   let run n rho b0 seed topology algo drift delay horizon churn_rate new_edge timeline
       plot loss csv trace_csv audit shards fault_spec =
     let params = make_params ~n ~rho ~b0 in
-    if not (horizon > 0.) then invalid_flag "horizon" "must be positive (got %g)" horizon;
+    if not (Float.is_finite horizon && horizon > 0.) then
+      invalid_flag "horizon" "must be positive and finite (got %g)" horizon;
+    if not (Float.is_finite churn_rate && churn_rate >= 0.) then
+      invalid_flag "churn" "must be non-negative and finite (got %g)" churn_rate;
     if not (loss >= 0. && loss < 1.) then
       invalid_flag "loss" "must lie in [0, 1) (got %g)" loss;
     if shards < 1 then invalid_flag "shards" "must be at least 1 (got %d)" shards;
@@ -346,7 +349,8 @@ let sim_cmd =
       if u < 0 || v < 0 || u >= n || v >= n then
         invalid_flag "new-edge" "node ids must lie in [0, %d] (got %d,%d)" (n - 1) u v;
       if u = v then invalid_flag "new-edge" "self-loop %d,%d" u v;
-      if t < 0. then invalid_flag "new-edge" "negative time %g" t
+      if not (Float.is_finite t && t >= 0.) then
+        invalid_flag "new-edge" "time must be non-negative and finite (got %g)" t
     | None -> ());
     let faults = faults_of_flag ~n fault_spec in
     (* Every flag that shapes the run, floats printed to read back bit
@@ -778,6 +782,8 @@ let mcheck_cmd =
             out;
           if not (Audit.Report.ok report) then exit 1))
     | None ->
+      if not (Float.is_finite horizon && horizon > 0.) then
+        invalid_flag "horizon" "must be positive and finite (got %g)" horizon;
       let faults = faults_of_flag ~n fault_spec in
       if faults <> [] && fault_grid then begin
         Format.eprintf "--faults and --fault-grid are mutually exclusive@.";

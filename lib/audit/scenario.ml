@@ -80,8 +80,8 @@ module Fields = struct
   let horizon fields =
     Result.bind (get fields "horizon") (fun v ->
         match float_of_string_opt v with
-        | Some h when h > 0. -> Ok h
-        | _ -> Error (Printf.sprintf "horizon=%s is not a positive number" v))
+        | Some h when Float.is_finite h && h > 0. -> Ok h
+        | _ -> Error (Printf.sprintf "horizon=%s is not a positive finite number" v))
 
   let faults fields =
     match find fields "faults" with

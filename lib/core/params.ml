@@ -54,6 +54,7 @@ let validate p =
   then
     err "discovery bound D = %g must exceed max(T, dH/(1-rho)) = %g" p.discovery_bound
       (Float.max p.delay_bound (p.delta_h /. (1. -. p.rho)))
+  else if not (Float.is_finite p.b0) then err "b0 must be finite (got %g)" p.b0
   else if not (p.b0 > min_b0 p) then
     err "b0 = %g must exceed 2(1+rho)tau = %g" p.b0 (min_b0 p)
   else Ok ()

@@ -31,7 +31,7 @@ val make :
     [0 < rho <= 1/2] (so logical clocks run at rate >= 1/2),
     [delay_bound > 0], [delta_h > 0],
     [discovery_bound > max(delay_bound, delta_h /. (1 -. rho))]
-    (Section 3.2/5), and [b0 > 2 (1+rho) tau] (Section 5).
+    (Section 3.2/5), and a finite [b0 > 2 (1+rho) tau] (Section 5).
 
     Defaults: [rho = 0.05], [delay_bound = 1.0], [delta_h = 1.0],
     [discovery_bound] just above its lower bound, and [b0] = 2.5x its

@@ -70,7 +70,7 @@ val directed :
   (src:int -> dst:int -> now:float -> float) ->
   t
 (** Fully custom policy; used by the lower-bound adversary. Drawn values
-    are clamped to [\[0, bound\]] by the engine, which records a
+    are clamped to [\[0, bound\]] by the engine (NaN to [0]), which records a
     {!Trace.kind.Delay_clamped} warning for each clamp — an out-of-range
     draw almost always means the policy is broken, and silently narrowing
     it would skew any coverage argument built on top of it.

@@ -781,16 +781,12 @@ let send ctx ~dst msg =
           (* An out-of-range draw is clamped but loudly traced: a silent
              clamp can mask a broken adversary policy (and would quietly
              shrink the delay space an exhaustive explorer thinks it is
-             covering). *)
-          if d < 0. then begin
+             covering). NaN is out of range too, and clamps to 0. *)
+          if d >= 0. && d <= t.delay.Delay.bound then d
+          else begin
             lane_record t lane ~time:now Delay_clamped src dst epoch;
-            0.
+            if d > t.delay.Delay.bound then t.delay.Delay.bound else 0.
           end
-          else if d > t.delay.Delay.bound then begin
-            lane_record t lane ~time:now Delay_clamped src dst epoch;
-            t.delay.Delay.bound
-          end
-          else d
         end
       in
       let deliver_at = now +. d in
@@ -959,7 +955,10 @@ let par_blocker t =
     Some "delay policy has zero minimum latency (no lookahead)"
   else Some "fault injection requires sequential dispatch"
 
-let check_future t at =
+(* Checked before any rank is drawn. A NaN time would pass the past
+   check, and an infinite one could never dispatch. *)
+let check_future name t at =
+  if not (Float.is_finite at) then invalid_arg ("Engine." ^ name ^ ": non-finite time");
   if at < t.fs.now then invalid_arg "Engine: cannot schedule in the past"
 
 (* Endpoints are checked here, at the call: a bad id would otherwise
@@ -973,18 +972,18 @@ let check_edge name t u v =
    sequentially between windows, never inside one. *)
 let schedule_edge_add t ~at u v =
   check_edge "schedule_edge_add" t u v;
-  check_future t at;
+  check_future "schedule_edge_add" t at;
   push_ev t ~owner:(min u v) ~time:at ~kind:k_edge_add ~a:u ~b:v ~c:0 ~d:0
     no_payload
 
 let schedule_edge_remove t ~at u v =
   check_edge "schedule_edge_remove" t u v;
-  check_future t at;
+  check_future "schedule_edge_remove" t at;
   push_ev t ~owner:(min u v) ~time:at ~kind:k_edge_remove ~a:u ~b:v ~c:0 ~d:0
     no_payload
 
 let at ?(commuting = false) t ~time f =
-  check_future t time;
+  check_future "at" t time;
   if commuting then begin
     (* Commuting callbacks ride the lane queues (owner 0, so exactly one
        lane ever dispatches them). A commuting callback scheduling
@@ -1628,6 +1627,7 @@ let run_window t ~wstop ~horizon =
 let set_executor t exec = t.executor <- exec
 
 let run_until t horizon =
+  if Float.is_nan horizon then invalid_arg "Engine.run_until: NaN horizon";
   if horizon < t.fs.now then invalid_arg "Engine.run_until: horizon in the past";
   start t;
   let running = ref true in

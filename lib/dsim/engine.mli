@@ -186,7 +186,8 @@ val trace : ('msg, 'timer) t -> Trace.t
 val schedule_edge_add : ('msg, 'timer) t -> at:float -> int -> int -> unit
 (** [schedule_edge_add t ~at u v] adds the edge [{u, v}] at time [at].
     Raises [Invalid_argument], naming the function and the pair, when an
-    endpoint is outside [\[0, n)] or [u = v], and when [at] is in the
+    endpoint is outside [\[0, n)] or [u = v], when [at] is not finite
+    ([Engine.schedule_edge_add: non-finite time]) and when it is in the
     past; nothing is scheduled then. *)
 
 val schedule_edge_remove : ('msg, 'timer) t -> at:float -> int -> int -> unit
@@ -216,7 +217,8 @@ val at :
 val run_until : ('msg, 'timer) t -> float -> unit
 (** Process all events with timestamp [<= horizon], then advance the
     current time to [horizon]. May be called repeatedly with increasing
-    horizons. *)
+    horizons; [infinity] drains every event. Raises [Invalid_argument]
+    on a NaN or past horizon. *)
 
 val set_executor :
   ('msg, 'timer) t -> ((unit -> unit) array -> unit) option -> unit

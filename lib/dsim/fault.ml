@@ -30,37 +30,33 @@ let bad fmt = Printf.ksprintf (fun m -> Error m) fmt
 let validate ~n sched =
   let ok_time t = Float.is_finite t && t >= 0. in
   let ok_node v = v >= 0 && v < n in
+  (* Both ends of every window must be finite: an open-ended window
+     would make [last_time] infinite or NaN. *)
+  let check_window from_ until =
+    if not (ok_time from_ && ok_time until) then
+      bad "fault: bad window [%g,%g]" from_ until
+    else if until < from_ then bad "fault: empty window [%g,%g]" from_ until
+    else Ok ()
+  in
   let check_op = function
-    | Crash { node; at } | Byzantine { node; from_ = at; _ } ->
+    | Crash { node; at } | Restart { node; at; _ } ->
       if not (ok_node node) then bad "fault: node %d out of range" node
       else if not (ok_time at) then bad "fault: bad time %g" at
       else Ok ()
-    | Restart { node; at; _ } ->
+    | Byzantine { node; from_; until } ->
       if not (ok_node node) then bad "fault: node %d out of range" node
-      else if not (ok_time at) then bad "fault: bad time %g" at
-      else Ok ()
+      else check_window from_ until
     | Duplicate { src; dst; from_; until } | Reorder { src; dst; from_; until }
       ->
       if not (ok_node src && ok_node dst) then
         bad "fault: link %d>%d out of range" src dst
       else if src = dst then bad "fault: self-link %d>%d" src dst
-      else if not (ok_time from_ && ok_time until) then
-        bad "fault: bad window [%g,%g]" from_ until
-      else if until < from_ then bad "fault: empty window [%g,%g]" from_ until
-      else Ok ()
-  in
-  let check_window = function
-    | Byzantine { from_; until; _ } when until < from_ ->
-      bad "fault: empty window [%g,%g]" from_ until
-    | _ -> Ok ()
+      else check_window from_ until
   in
   let rec all = function
     | [] -> Ok ()
     | op :: rest -> (
-      match check_op op with
-      | Error _ as e -> e
-      | Ok () -> (
-        match check_window op with Error _ as e -> e | Ok () -> all rest))
+      match check_op op with Error _ as e -> e | Ok () -> all rest)
   in
   match all sched with
   | Error _ as e -> e

@@ -30,8 +30,8 @@ type op =
 type schedule = op list
 
 val validate : n:int -> schedule -> (unit, string) result
-(** Checks node ids are in range, times are finite and non-negative,
-    window ends don't precede their starts, and each node's crash/restart
+(** Checks node ids are in range, times (both ends of every window
+    included) are finite and non-negative, window ends don't precede their starts, and each node's crash/restart
     ops alternate in time order starting with a crash. *)
 
 val op_time : op -> float

@@ -24,8 +24,8 @@ type kind =
   | Fault_byzantine_msg  (** a Byzantine sender corrupted this message *)
   | Fault_duplicate  (** an extra copy of this send was injected *)
   | Delay_clamped
-      (** a user delay policy drew outside [0, bound] and the engine
-          clamped it — almost always a broken adversary policy *)
+      (** a user delay policy drew outside [0, bound], or NaN, and the
+          engine clamped it — almost always a broken adversary policy *)
 
 val kind_to_string : kind -> string
 

@@ -21,7 +21,8 @@ let validate s =
   else if String.exists (fun c -> not (String.contains rate_chars c)) s.drift
   then Error (Printf.sprintf "drift=%s: rate letters are s, n, f" s.drift)
   else if s.delays < 1 then Error "delays must be >= 1"
-  else if s.horizon <= 0. then Error "horizon must be positive"
+  else if not (Float.is_finite s.horizon && s.horizon > 0.) then
+    Error "horizon must be positive and finite"
   else if s.depth < 0 then Error "depth must be >= 0"
   else if List.exists (fun c -> c < 0) s.choices then
     Error "choices must be non-negative"

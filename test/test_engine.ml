@@ -321,6 +321,48 @@ let test_non_finite_delay_rejected () =
     [ "Engine.set_timer: non-finite delay"; "Engine.set_timer: non-finite delay" ]
     !refused
 
+(* A non-finite time is refused by the engine entry point that was
+   given it, before anything is queued. *)
+let test_non_finite_time_rejected () =
+  let h = make ~initial_edges:[ (0, 1) ] () in
+  let before = Engine.pending_events h.engine in
+  Alcotest.check_raises "at nan" (Invalid_argument "Engine.at: non-finite time")
+    (fun () -> Engine.at h.engine ~time:Float.nan ignore);
+  Alcotest.check_raises "edge add at infinity"
+    (Invalid_argument "Engine.schedule_edge_add: non-finite time") (fun () ->
+      Engine.schedule_edge_add h.engine ~at:infinity 0 1);
+  Alcotest.check_raises "edge remove at nan"
+    (Invalid_argument "Engine.schedule_edge_remove: non-finite time") (fun () ->
+      Engine.schedule_edge_remove h.engine ~at:Float.nan 0 1);
+  Alcotest.(check int) "nothing queued" before (Engine.pending_events h.engine)
+
+(* A NaN horizon must not become the engine's clock: every later time
+   would then compare as not in the past. *)
+let test_run_until_nan () =
+  let h = make () in
+  Engine.run_until h.engine 4.;
+  Alcotest.check_raises "nan horizon"
+    (Invalid_argument "Engine.run_until: NaN horizon") (fun () ->
+      Engine.run_until h.engine Float.nan);
+  Alcotest.check feq "now unchanged" 4. (Engine.now h.engine);
+  Alcotest.check_raises "the past is still the past"
+    (Invalid_argument "Engine: cannot schedule in the past") (fun () ->
+      Engine.at h.engine ~time:3. ignore)
+
+(* A NaN delay draw is out of range like any other bad draw: clamped to
+   0 and traced, so the send has its delivery. *)
+let test_nan_delay_clamped () =
+  let trace = Trace.create () in
+  let h =
+    make ~initial_edges:[ (0, 1) ] ~trace
+      ~delay:(Delay.directed ~bound:1. (fun ~src:_ ~dst:_ ~now:_ -> Float.nan))
+      ~on_init:(fun ctx i -> if i = 0 then Engine.send ctx ~dst:1 "hi")
+      ()
+  in
+  Engine.run_until h.engine 5.;
+  Alcotest.check feq "delivered at once" 0. (time_of h "1:recv(0,hi)");
+  Alcotest.(check int) "clamp traced" 1 (Trace.count trace Trace.Delay_clamped)
+
 let test_callback () =
   let h = make () in
   let hits = ref [] in
@@ -846,6 +888,9 @@ let suite =
     case "periodic timer chain" test_periodic_timer_chain;
     case "far-future timer does not starve" test_far_future_timer_does_not_starve;
     case "non-finite timer delay rejected" test_non_finite_delay_rejected;
+    case "non-finite times rejected at the call" test_non_finite_time_rejected;
+    case "NaN horizon rejected" test_run_until_nan;
+    case "NaN delay draw clamped and traced" test_nan_delay_clamped;
     case "scheduled callbacks" test_callback;
     case "run_until advances time" test_run_until_advances_now;
     case "bad destination rejected" test_bad_destination;

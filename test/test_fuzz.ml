@@ -99,6 +99,25 @@ let test_spec_errors () =
   expect_error (ok ^ " stray");
   expect_error "n=8 topo=ring drift=split delay=uniform algo=gradient churn=2 seed=42 horizon=120"
 
+(* Every window end must be finite: an open Byzantine window would make
+   the schedule's last time infinite or NaN. *)
+let test_fault_windows_finite () =
+  List.iter
+    (fun spec ->
+      match Dsim.Fault.of_spec spec with
+      | Error _ -> ()
+      | Ok sched -> (
+        match Dsim.Fault.validate ~n:4 sched with
+        | Ok () -> Alcotest.failf "accepted %S" spec
+        | Error _ -> ()))
+    [ "byz@1-nan:2"; "byz@1-inf:2"; "dup@1-inf:0>1"; "reorder@nan-2:0>1" ];
+  match
+    Scenario.of_spec
+      "n=8 topo=ring drift=split delay=uniform algo=gradient churn=1 seed=42 horizon=inf"
+  with
+  | Ok _ -> Alcotest.fail "parsed horizon=inf"
+  | Error _ -> ()
+
 let test_generate_deterministic () =
   let draw seed =
     let prng = Dsim.Prng.of_int seed in
@@ -235,6 +254,8 @@ let suite =
       test_fault_spec_all_ops_roundtrip;
     QCheck_alcotest.to_alcotest prop_specs_exact_floats;
     Alcotest.test_case "spec error cases" `Quick test_spec_errors;
+    Alcotest.test_case "fault windows and horizon must be finite" `Quick
+      test_fault_windows_finite;
     Alcotest.test_case "generate is deterministic" `Quick test_generate_deterministic;
     Alcotest.test_case "shrink converges deterministically" `Quick
       test_shrink_converges_deterministically;

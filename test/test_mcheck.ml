@@ -430,6 +430,19 @@ let test_spec_rejects_garbage () =
       "n=2 delays=3 drift=sf horizon=4 depth=2 tie=1 churn=5 choices=-";
     ]
 
+(* A non-finite horizon would run forever or explore nothing. *)
+let test_spec_rejects_non_finite_horizon () =
+  let s = Spec.make ~n:2 () in
+  List.iter
+    (fun horizon ->
+      match Spec.validate { s with Spec.horizon } with
+      | Ok () -> Alcotest.failf "accepted horizon %g" horizon
+      | Error _ -> ())
+    [ nan; infinity ];
+  match Spec.of_spec "n=2 delays=3 drift=sf horizon=inf depth=2 tie=1 churn=0 choices=-" with
+  | Ok _ -> Alcotest.fail "parsed horizon=inf"
+  | Error _ -> ()
+
 let test_replay_diverged_is_detected () =
   (* the first choice group at t=0 has 2 options; forcing option 7 there
      cannot describe any execution of this configuration *)
@@ -513,6 +526,8 @@ let suite =
       test_out_of_range_delay_draw_traced;
     Alcotest.test_case "spec round-trips" `Quick test_spec_round_trip;
     Alcotest.test_case "spec rejects garbage" `Quick test_spec_rejects_garbage;
+    Alcotest.test_case "spec rejects a non-finite horizon" `Quick
+      test_spec_rejects_non_finite_horizon;
     Alcotest.test_case "replay divergence is detected" `Quick
       test_replay_diverged_is_detected;
     Alcotest.test_case "root grid enumerates drift x faults" `Quick

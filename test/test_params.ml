@@ -122,6 +122,7 @@ let suite =
     expect_invalid "D <= dH/(1-rho) rejected" (fun () ->
         Params.make ~delta_h:10. ~discovery_bound:5. ~n:4 ());
     case "minimum B0 enforced strictly" test_min_b0_enforced;
+    expect_invalid "infinite B0 rejected" (fun () -> Params.make ~b0:infinity ~n:4 ());
     QCheck_alcotest.to_alcotest prop_b_non_increasing;
     QCheck_alcotest.to_alcotest prop_b_at_least_b0;
     QCheck_alcotest.to_alcotest prop_skew_function_axioms;
