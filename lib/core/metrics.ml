@@ -104,11 +104,8 @@ type sample = {
   events : int;
 }
 
-(* Watched pairs are a plain array, not a pair-packed-int Hashtbl:
-   packing (u, v) as [u * n + v] collides (and mis-decodes) once node ids
-   reach or exceed the n the recorder was attached at — exactly what
-   happens when nodes join mid-run. The watch list is tiny and scanned
-   linearly per sample anyway. *)
+(* Watched pairs are a plain array: the watch list is tiny and scanned
+   linearly per sample. *)
 type recorder = {
   engine : (Proto.message, Proto.timer) Engine.t;
   mutable samples : sample list; (* newest first *)

@@ -196,7 +196,8 @@ val schedule_edge_remove : ('msg, 'timer) t -> at:float -> int -> int -> unit
 
 val at :
   ?commuting:bool -> ('msg, 'timer) t -> time:float -> (unit -> unit) -> unit
-(** Run a callback (e.g. a metrics probe) at the given time.
+(** Run a callback (e.g. a metrics probe) at the given time. Raises
+    [Invalid_argument] when [time] is not finite or is in the past.
 
     By default a callback is a control event: under sharding it stops
     any parallel window at its timestamp and runs sequentially, which is

@@ -50,12 +50,13 @@ let test_directed () =
   Alcotest.check feq "uphill" 1. (draw d ~src:0 ~dst:5 ~now:0.);
   Alcotest.check feq "downhill" 0. (draw d ~src:5 ~dst:0 ~now:0.)
 
-(* A delay mask (Definition 4.1) is a directed policy that looks up the
-   normalized edge, as the lower-bound adversary builds it. *)
+(* A delay mask (Definition 4.1) reaches the engine as a directed policy
+   over a {!Lowerbound.Mask}, as the lower-bound adversary builds it. *)
 let test_per_edge_mask () =
+  let mask = Lowerbound.Mask.create [ ((0, 1), 0.75) ] in
   let d =
     Delay.directed ~bound:1. (fun ~src ~dst ~now:_ ->
-        match Dsim.Dyngraph.normalize src dst with (0, 1) -> 0.75 | _ -> 0.)
+        Option.value (Lowerbound.Mask.delay mask src dst) ~default:0.)
   in
   Alcotest.check feq "constrained edge 0->1" 0.75 (draw d ~src:0 ~dst:1 ~now:0.);
   Alcotest.check feq "constrained edge 1->0 (normalized)" 0.75 (draw d ~src:1 ~dst:0 ~now:0.);
