@@ -124,6 +124,37 @@ let test_equal_lmax_no_jump () =
   Alcotest.(check int) "no jump at 0" 0 (Baseline_max.discrete_jumps nodes.(0));
   Alcotest.(check int) "no jump at 1" 0 (Baseline_max.discrete_jumps nodes.(1))
 
+(* The max estimate Lmax as a register. A read drifts with hardware
+   time, never backwards; a received Lmax raises it only when larger. *)
+let prop_estimate_monotone =
+  QCheck.Test.make ~name:"get is monotone in hardware time" ~count:100
+    QCheck.(
+      triple (float_bound_inclusive 50.) (float_range 0.95 1.05) (float_bound_inclusive 50.))
+    (fun (anchor, rate, dt) ->
+      let clocks = [| Hwclock.constant rate; Hwclock.perfect |] in
+      let engine, nodes, _ = build ~clocks:(Some clocks) ~initial_edges:[] () in
+      Engine.run_until engine anchor;
+      let before = Baseline_max.max_estimate nodes.(0) in
+      Engine.run_until engine (anchor +. dt);
+      Baseline_max.max_estimate nodes.(0) >= before)
+
+(* Isolated until 100, the fast node's Lmax is 105 and the slow node's
+   95. On connection each sends its own; the slow node takes 105, the
+   fast one keeps its own. *)
+let test_estimate_raise_to () =
+  let clocks = [| Hwclock.constant 1.05; Hwclock.constant 0.95 |] in
+  let engine, nodes, _ = build ~clocks:(Some clocks) ~initial_edges:[] () in
+  Engine.schedule_edge_add engine ~at:100. 0 1;
+  Engine.run_until engine 101.;
+  let feq = Alcotest.float 1e-6 in
+  Alcotest.check feq "raise below is no-op" 106.05 (Baseline_max.max_estimate nodes.(0));
+  Alcotest.(check int) "no jump at the fast node" 0 (Baseline_max.discrete_jumps nodes.(0));
+  Alcotest.check feq "raise above jumps" 105.475 (Baseline_max.max_estimate nodes.(1));
+  Alcotest.(check int) "one jump at the slow node" 1 (Baseline_max.discrete_jumps nodes.(1))
+
+let estimate_suite =
+  [ case "raise_to" test_estimate_raise_to; QCheck_alcotest.to_alcotest prop_estimate_monotone ]
+
 let suite =
   [
     case "chases the max" test_chases_max;

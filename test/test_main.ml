@@ -17,6 +17,7 @@ let () =
       ("params", Test_params.suite);
       ("node", Test_node.suite);
       ("baseline", Test_baseline.suite);
+      ("estimate", Test_baseline.estimate_suite);
       ("metrics", Test_metrics.suite);
       ("probe", Test_probe.suite);
       ("invariant", Test_invariant.suite);
