@@ -238,6 +238,8 @@ let shell_word w =
 
 let build_topology kind ~n ~seed =
   let module S = Topology.Static in
+  if n < 3 && (kind = Ring || kind = Er) then
+    invalid_flag "topology" "%s needs at least 3 nodes (got %d)" (name_of topologies kind) n;
   match kind with
   | Path -> S.path n
   | Ring -> S.ring n
@@ -349,8 +351,8 @@ let sim_cmd =
       if u < 0 || v < 0 || u >= n || v >= n then
         invalid_flag "new-edge" "node ids must lie in [0, %d] (got %d,%d)" (n - 1) u v;
       if u = v then invalid_flag "new-edge" "self-loop %d,%d" u v;
-      if not (Float.is_finite t && t >= 0.) then
-        invalid_flag "new-edge" "time must be non-negative and finite (got %g)" t
+      if not (Float.is_finite t && t >= 0. && t <= horizon) then
+        invalid_flag "new-edge" "time must lie in [0, --horizon] (got %g)" t
     | None -> ());
     let faults = faults_of_flag ~n fault_spec in
     (* Every flag that shapes the run, floats printed to read back bit
@@ -624,6 +626,7 @@ let fuzz_cmd =
           Audit.Report.pp report;
         if not (Audit.Report.ok report) then exit 1)
     | None ->
+      if count < 0 then invalid_flag "fuzz" "must be non-negative (got %d)" count;
       let outcome = Audit.Fuzz.run ~jobs ~faults ~seed ~count () in
       Format.printf "fuzz: %d scenarios audited, %d failures@."
         outcome.Audit.Fuzz.scenarios_run
@@ -784,6 +787,8 @@ let mcheck_cmd =
     | None ->
       if not (Float.is_finite horizon && horizon > 0.) then
         invalid_flag "horizon" "must be positive and finite (got %g)" horizon;
+      if not (Float.is_finite budget_ms && budget_ms >= 0.) then
+        invalid_flag "budget-ms" "must be non-negative and finite (got %g)" budget_ms;
       let faults = faults_of_flag ~n fault_spec in
       if faults <> [] && fault_grid then begin
         Format.eprintf "--faults and --fault-grid are mutually exclusive@.";

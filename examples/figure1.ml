@@ -58,23 +58,8 @@ let () =
     t1 skew_uv
     (Lowerbound.Layered.guaranteed_skew layered v);
 
-  let b_ids = Array.of_list (Lowerbound.Twochain.b_chain net) in
-  let b_clocks = Array.map (Gcs.Sim.logical_clock probe) b_ids in
-  let d =
-    0.5
-    +. List.fold_left Float.max 0.
-         (List.init (Array.length b_clocks - 1) (fun i ->
-              Float.abs (b_clocks.(i) -. b_clocks.(i + 1))))
-  in
-  let span = b_clocks.(Array.length b_clocks - 1) -. b_clocks.(0) in
-  let i_target = Float.max (2. *. d) (span /. 2.) in
-  let selected = Lowerbound.Subseq.extract ~values:b_clocks ~c:i_target ~d in
-  let new_edges =
-    let rec pairs = function
-      | a :: (b :: _ as rest) -> (b_ids.(a), b_ids.(b)) :: pairs rest
-      | _ -> []
-    in
-    pairs selected
+  let { Lowerbound.Twochain.new_edges; c = i_target; _ } =
+    Lowerbound.Twochain.insertion net ~clock:(Gcs.Sim.logical_clock probe)
   in
   Format.printf "Fig 1(b): Lemma 4.3 selects %d new B-chain edges, target I=%.1f:@."
     (List.length new_edges) i_target;

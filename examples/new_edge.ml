@@ -11,25 +11,19 @@ let n = 48
 
 let () =
   let params = Gcs.Params.make ~b0:13.2 ~n () in
-  let edges = Topology.Static.path n in
-  let layered =
-    Lowerbound.Layered.prepare ~n ~edges ~mask:Lowerbound.Mask.empty ~source:0
-      ~rho:params.Gcs.Params.rho ~delay_bound:params.Gcs.Params.delay_bound
+  let { Lowerbound.Layered.edges; clocks; delay; t_add } =
+    Lowerbound.Layered.closing_path ~n ~rho:params.Gcs.Params.rho
+      ~delay_bound:params.Gcs.Params.delay_bound
   in
-  let t_add = Lowerbound.Layered.min_time layered (n - 1) +. 10. in
   let horizon = t_add +. 250. in
-  let old_edges = List.init (n - 1) (fun i -> (i, i + 1)) in
   let cfg =
-    Gcs.Sim.config ~params
-      ~clocks:(Lowerbound.Layered.beta_clocks layered)
-      ~delay:(Lowerbound.Layered.beta_delay_policy layered)
-      ~initial_edges:edges ()
+    Gcs.Sim.config ~params ~clocks ~delay ~initial_edges:edges ()
   in
   let sim = Gcs.Sim.create cfg in
   let recorder =
     Gcs.Metrics.attach (Gcs.Sim.engine sim) (Gcs.Sim.view sim) ~every:0.5
       ~until:horizon
-      ~watch:((0, n - 1) :: old_edges)
+      ~watch:((0, n - 1) :: edges)
       ()
   in
   Gcs.Sim.add_edge_at sim ~at:t_add 0 (n - 1);
@@ -58,7 +52,7 @@ let () =
         Float.max acc
           (Analysis.Series.max_value
              (Analysis.Series.after t_add (Gcs.Metrics.pair_trace recorder e))))
-      0. old_edges
+      0. edges
   in
   Format.printf "@.worst old-edge skew during reconvergence: %.3f (stable bound %.3f)@."
     old_peak

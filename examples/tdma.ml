@@ -25,45 +25,33 @@ let run algo =
   let params = Gcs.Params.make ~b0:10.5 ~n () in
   let slot_length = 2.2 *. Gcs.Params.stable_local_skew params in
   let safe skew = skew < slot_length /. 2. in
-  let edges = Topology.Static.path n in
-  let layered =
-    Lowerbound.Layered.prepare ~n ~edges ~mask:Lowerbound.Mask.empty ~source:0
-      ~rho:params.Gcs.Params.rho ~delay_bound:params.Gcs.Params.delay_bound
+  let { Lowerbound.Layered.edges; clocks; delay; t_add } =
+    Lowerbound.Layered.closing_path ~n ~rho:params.Gcs.Params.rho
+      ~delay_bound:params.Gcs.Params.delay_bound
   in
-  let t_add = Lowerbound.Layered.min_time layered (n - 1) +. 10. in
   let horizon = t_add +. 150. in
   let cfg =
-    Gcs.Sim.config ~algo ~params
-      ~clocks:(Lowerbound.Layered.beta_clocks layered)
-      ~delay:(Lowerbound.Layered.beta_delay_policy layered)
-      ~initial_edges:edges ()
+    Gcs.Sim.config ~algo ~params ~clocks ~delay ~initial_edges:edges ()
   in
   let sim = Gcs.Sim.create cfg in
   Gcs.Sim.add_edge_at sim ~at:t_add 0 (n - 1);
-  let engine = Gcs.Sim.engine sim in
   let old_violations = ref 0 in
   let old_samples = ref 0 in
   let new_safe_at = ref None in
-  let rec probe t =
-    if t <= horizon then
-      Dsim.Engine.at engine ~time:t (fun () ->
-          List.iter
-            (fun (u, v) ->
-              let skew =
-                Float.abs (Gcs.Sim.logical_clock sim u -. Gcs.Sim.logical_clock sim v)
-              in
-              if (u, v) = (0, n - 1) then begin
-                if safe skew && !new_safe_at = None then new_safe_at := Some (t -. t_add);
-                if not (safe skew) then new_safe_at := None
-              end
-              else begin
-                incr old_samples;
-                if not (safe skew) then incr old_violations
-              end)
-            (Dsim.Dyngraph.edges (Dsim.Engine.graph engine));
-          probe (t +. 0.5))
-  in
-  probe t_add;
+  Gcs.Sim.run_until sim t_add;
+  Gcs.Metrics.every (Gcs.Sim.engine sim) (Gcs.Sim.view sim) ~every:0.5 ~until:horizon
+    (fun snap ->
+      snap.Gcs.Metrics.iter_edges (fun u v ->
+          let skew = Gcs.Metrics.edge_skew snap u v in
+          if (u, v) = (0, n - 1) then begin
+            if safe skew && !new_safe_at = None then
+              new_safe_at := Some (snap.Gcs.Metrics.time -. t_add);
+            if not (safe skew) then new_safe_at := None
+          end
+          else begin
+            incr old_samples;
+            if not (safe skew) then incr old_violations
+          end));
   Gcs.Sim.run_until sim horizon;
   (slot_length, t_add, !old_violations, !old_samples, !new_safe_at)
 

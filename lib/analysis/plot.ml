@@ -61,8 +61,6 @@ let render ?(width = 72) ?(height = 16) ?(x_label = "t") ?(y_label = "") series_
     Buffer.contents buf
   end
 
-let render_one ?width ?height s = render ?width ?height [ ("", s) ]
-
 let spark_levels = [| " "; "_"; "-"; "="; "^"; "#" |]
 
 let sparkline ?(width = 60) s =

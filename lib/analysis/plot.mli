@@ -12,8 +12,5 @@ val render :
     glyph) on a shared canvas with axis annotations. Default 72x16.
     Returns a multi-line string. Empty input yields an empty plot frame. *)
 
-val render_one : ?width:int -> ?height:int -> Series.t -> string
-(** Single anonymous series. *)
-
 val sparkline : ?width:int -> Series.t -> string
 (** One-line unicode sparkline (resampled to [width], default 60). *)

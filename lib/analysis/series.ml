@@ -1,7 +1,5 @@
 type t = (float * float) list
 
-let values s = List.map snd s
-
 let after t s = List.filter (fun (time, _) -> time >= t) s
 
 let between t1 t2 s = List.filter (fun (time, _) -> time >= t1 && time <= t2) s
@@ -17,31 +15,5 @@ let value_at s t =
   in
   go None s
 
-let last_above threshold s =
-  List.fold_left
-    (fun acc (time, v) -> if v > threshold then Some time else acc)
-    None s
-
 let first_below threshold s =
   List.find_opt (fun (_, v) -> v <= threshold) s |> Option.map fst
-
-let settle_time ~threshold ~from s =
-  let tail = after from s in
-  match tail with
-  | [] -> None
-  | _ -> (
-    match last_above threshold tail with
-    | None -> Some 0.
-    | Some t ->
-      (* Still above at the very last sample: not settled. *)
-      let last_time = fst (List.nth tail (List.length tail - 1)) in
-      if t >= last_time then None else Some (t -. from))
-
-let downsample ~every s =
-  if every <= 0. then invalid_arg "Series.downsample: period must be positive";
-  let rec go next = function
-    | [] -> []
-    | (time, v) :: rest ->
-      if time >= next then (time, v) :: go (time +. every) rest else go next rest
-  in
-  go neg_infinity s

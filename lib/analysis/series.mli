@@ -3,8 +3,6 @@
 type t = (float * float) list
 (** Must be sorted by time (the producers in this repo guarantee it). *)
 
-val values : t -> float list
-
 val after : float -> t -> t
 (** Points with [time >= t]. *)
 
@@ -19,19 +17,5 @@ val min_value : t -> float
 val value_at : t -> float -> float option
 (** Value of the latest point at or before the given time. *)
 
-val last_above : float -> t -> float option
-(** Time of the last point whose value strictly exceeds the threshold —
-    the convergence detector: after this instant the trace stays at or
-    below the threshold. [None] if it never exceeds it. *)
-
 val first_below : float -> t -> float option
 (** Time of the first point at or below the threshold. *)
-
-val settle_time : threshold:float -> from:float -> t -> float option
-(** Time elapsed from [from] until the trace is {e permanently} at or
-    below [threshold] (i.e. [last_above] relative to [from]); [Some 0.] if
-    it never exceeds the threshold after [from]; [None] if it is still
-    above at the final sample. *)
-
-val downsample : every:float -> t -> t
-(** Keep at most one point per [every]-length bucket (the first). *)

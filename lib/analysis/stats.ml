@@ -1,13 +1,3 @@
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  median : float;
-  p95 : float;
-}
-
 let check_non_empty name = function
   | [] -> invalid_arg (name ^ ": empty sample list")
   | xs -> xs
@@ -15,15 +5,6 @@ let check_non_empty name = function
 let mean xs =
   let xs = check_non_empty "Stats.mean" xs in
   List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
-let stddev xs =
-  let xs = check_non_empty "Stats.stddev" xs in
-  let m = mean xs in
-  let var =
-    List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs
-    /. float_of_int (List.length xs)
-  in
-  sqrt var
 
 let percentile q xs =
   let xs = check_non_empty "Stats.percentile" xs in
@@ -43,18 +24,6 @@ let minimum xs = List.fold_left Float.min infinity (check_non_empty "Stats.minim
 
 let maximum xs =
   List.fold_left Float.max neg_infinity (check_non_empty "Stats.maximum" xs)
-
-let summarize xs =
-  let xs = check_non_empty "Stats.summarize" xs in
-  {
-    count = List.length xs;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = minimum xs;
-    max = maximum xs;
-    median = percentile 0.5 xs;
-    p95 = percentile 0.95 xs;
-  }
 
 let linear_fit points =
   if List.length points < 2 then invalid_arg "Stats.linear_fit: need two points";
@@ -79,7 +48,3 @@ let correlation points =
   let vx = List.fold_left (fun a x -> a +. ((x -. mx) ** 2.)) 0. xs in
   let vy = List.fold_left (fun a y -> a +. ((y -. my) ** 2.)) 0. ys in
   if vx = 0. || vy = 0. then 0. else cov /. sqrt (vx *. vy)
-
-let pp_summary fmt s =
-  Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g p95=%.4g max=%.4g"
-    s.count s.mean s.stddev s.min s.median s.p95 s.max

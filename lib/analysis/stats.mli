@@ -1,22 +1,6 @@
 (** Summary statistics over float samples. *)
 
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  median : float;
-  p95 : float;
-}
-
-val summarize : float list -> summary
-(** Raises [Invalid_argument] on an empty list. *)
-
 val mean : float list -> float
-
-val stddev : float list -> float
-(** Population standard deviation. *)
 
 val percentile : float -> float list -> float
 (** [percentile q xs] for [q] in [\[0, 1\]], linear interpolation between
@@ -32,5 +16,3 @@ val linear_fit : (float * float) list -> float * float
 
 val correlation : (float * float) list -> float
 (** Pearson correlation coefficient. *)
-
-val pp_summary : Format.formatter -> summary -> unit

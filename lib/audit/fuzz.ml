@@ -76,6 +76,7 @@ let shrink_with ~fails s = greedy ~fails ~candidates s
 let shrink s = shrink_with ~fails s
 
 let run ?jobs ?(faults = false) ~seed ~count () =
+  if count < 0 then invalid_arg "Fuzz.run: count must be non-negative";
   (* Scenarios are drawn serially from the one seeded stream (explicit
      recursion: the draw order is the spec), so the scenario set — every
      per-scenario seed included — is identical whatever the pool size.

@@ -46,7 +46,8 @@ val run : ?jobs:int -> ?faults:bool -> seed:int -> count:int -> unit -> outcome
     defaults to {!Runner.default_jobs}. With [~faults:true] (default
     false) every drawn scenario carries a generated fault schedule.
     Failures are reported in draw order, so the outcome is
-    byte-identical for every [jobs]. *)
+    byte-identical for every [jobs]. Raises [Invalid_argument] on a
+    negative [count]. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 (** The shrunk replay spec on the first line, then the report. *)

@@ -115,6 +115,7 @@ let of_spec spec =
   let* horizon = Fields.horizon fields in
   let* faults = Fields.faults fields in
   if n < 2 then Error "n must be >= 2"
+  else if topo_names.(topo) = "ring" && n < 3 then Error "topo=ring needs n >= 3"
   else
     let* () = Dsim.Fault.validate ~n faults in
     Ok { n; topo; drift; delay; algo; churn; seed; horizon; faults }

@@ -2,10 +2,10 @@
     topology × drift × delay × churn × algorithm, serializable to a
     one-line replay spec.
 
-    The space generalizes [test_random_scenarios.ml]: small connected
-    topologies, every drift pattern, every lossless delay policy, all
-    three algorithms, optional backbone-preserving churn. A spec string
-    like
+    The space holds small connected topologies, every drift pattern,
+    every lossless delay policy, all three algorithms and optional
+    backbone-preserving churn; the fuzzer and the random-scenario
+    property test both draw from it. A spec string like
 
     {[ n=8 topo=ring drift=split delay=uniform algo=gradient churn=1 seed=42 horizon=120 ]}
 
@@ -55,8 +55,8 @@ val to_spec : t -> string
 
 val of_spec : string -> (t, string) result
 (** The [faults=] token is optional (absent means no faults) and is
-    validated against [n]. Unknown or repeated keys are errors
-    ({!Fields.parse}). *)
+    validated against [n]; [topo=ring] needs [n >= 3]. Unknown or
+    repeated keys are errors ({!Fields.parse}). *)
 
 val generate : ?faults:bool -> Dsim.Prng.t -> t
 (** Draw a scenario (n in 4–14, horizon 120, all knobs uniform). With

@@ -32,8 +32,6 @@ let create params ctx =
 
 let hardware_clock t = Engine.hardware_clock t.ctx
 
-let id t = Engine.node_id t.ctx
-
 let logical_clock t = t.r.l +. (hardware_clock t -. t.r.l_at)
 
 let max_estimate t = t.r.lmax +. (hardware_clock t -. t.r.lmax_at)

@@ -14,13 +14,9 @@ type t
 val create : Params.t -> Proto.ctx -> t
 
 val handlers : t -> Proto.handlers
-(** Also registers {!restart} as the node's restart entry point. *)
-
-val restart : t -> corrupt:Dsim.Prng.t option -> unit
-(** Fault-injection restart: forget the neighbor set, reset (or, with
-    [Some prng], corrupt) [L]/[Lmax], re-arm the tick. *)
-
-val id : t -> int
+(** Also registers the node's fault-injection restart entry point, which
+    forgets the neighbor set, resets (or, with [Some prng], corrupts)
+    [L]/[Lmax] and re-arms the tick. *)
 
 val logical_clock : t -> float
 

@@ -110,8 +110,6 @@ let create ?(tolerance = Tol_default) ?(timeout = Timeout_default) params ctx =
 
 let[@inline always] hardware_clock t = Engine.hardware_clock t.ctx
 
-let id t = Engine.node_id t.ctx
-
 let params_of t = t.params
 
 let logical_clock t = t.r.l +. (hardware_clock t -. t.r.l_at)

@@ -52,8 +52,6 @@ val restart : t -> corrupt:Dsim.Prng.t option -> unit
 
 (** {1 Introspection (harness side; reads the node's current state)} *)
 
-val id : t -> int
-
 val params_of : t -> Params.t
 
 val logical_clock : t -> float
@@ -61,8 +59,6 @@ val logical_clock : t -> float
 
 val max_estimate : t -> float
 (** [Lmax_u] at the engine's current instant. *)
-
-val hardware_clock : t -> float
 
 val gamma : t -> int list
 (** Current members of Γ, sorted. *)

@@ -110,8 +110,6 @@ let create cfg =
 
 let engine t = t.engine
 
-let trace t = Engine.trace t.engine
-
 let params t = t.cfg.params
 
 let run_until t horizon = Engine.run_until t.engine horizon
@@ -122,11 +120,6 @@ let logical_clock t i =
   match t.nodes with
   | Gradient_nodes a -> Node.logical_clock a.(i)
   | Max_nodes a -> Baseline_max.logical_clock a.(i)
-
-let lmax t i =
-  match t.nodes with
-  | Gradient_nodes a -> Node.max_estimate a.(i)
-  | Max_nodes a -> Baseline_max.max_estimate a.(i)
 
 let view t =
   let clock_of, lmax_of =

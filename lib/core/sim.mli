@@ -63,10 +63,6 @@ val create : config -> t
 
 val engine : t -> (Proto.message, Proto.timer) Dsim.Engine.t
 
-val trace : t -> Dsim.Trace.t
-(** The engine's trace: the one given in the config, or the engine's own
-    counters-only trace when none was. *)
-
 val params : t -> Params.t
 
 val run_until : t -> float -> unit
@@ -76,8 +72,6 @@ val now : t -> float
 (** {1 Node state} *)
 
 val logical_clock : t -> int -> float
-
-val lmax : t -> int -> float
 
 val view : t -> Metrics.view
 

@@ -941,8 +941,6 @@ let graph t = t.graph
 
 let trace t = t.trace
 
-let shards t = t.shards
-
 (* Why this engine cannot take the parallel dispatch path (None when it
    can). Mirrors the [par_ok] conjunction at creation, in check order,
    so a sharded `gcs_sim sim` run can explain a sequential fallback. *)

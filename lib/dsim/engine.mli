@@ -271,8 +271,6 @@ val queue_depth : ('msg, 'timer) t -> int
     Timers wait in the wheels, so sustained timer re-arm traffic leaves
     it bounded by the in-flight message and discovery count. *)
 
-val shards : ('msg, 'timer) t -> int
-
 val par_blocker : ('msg, 'timer) t -> string option
 (** [None] when this engine can form parallel dispatch windows; otherwise
     a one-line reason for the sequential fallback (single shard, impure

@@ -62,15 +62,12 @@ val generate : Prng.t -> n:int -> horizon:float -> schedule
     corrupting), up to one duplication or reordering window, and up to one
     Byzantine window. All times are quantized to 0.25. *)
 
-val alive : schedule -> node:int -> at:float -> bool
-(** [false] iff the schedule has the node down (crashed, not yet
-    restarted) at time [at]. Down intervals are closed on the left:
-    a node is dead from its crash instant up to, but excluding, its
-    restart instant. *)
-
 val mark_down : schedule -> at:float -> Bytes.t -> unit
 (** For each node a crash or restart op names, set its byte to ['\001']
-    if {!alive} has it down at [at], else ['\000']; leave the rest. *)
+    if the schedule has it down (crashed, not yet restarted) at [at],
+    else ['\000']; leave the rest. Down intervals are closed on the
+    left: a node is dead from its crash instant up to, but excluding,
+    its restart instant. *)
 
 val dead_during : schedule -> node:int -> float -> float -> bool
 (** Does the node's down time intersect the closed interval [[t0, t1]]? *)

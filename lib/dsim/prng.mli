@@ -7,11 +7,8 @@
 type t
 (** Mutable generator state. *)
 
-val create : int64 -> t
-(** [create seed] returns a fresh generator. *)
-
 val of_int : int -> t
-(** [of_int seed] is [create (Int64.of_int seed)]. *)
+(** [of_int seed] returns a fresh generator. *)
 
 val copy : t -> t
 (** Independent copy continuing from the current state. *)

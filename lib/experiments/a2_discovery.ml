@@ -11,18 +11,13 @@ type outcome = {
 
 let scenario ~n ~lag =
   let params = Gcs.Params.make ~b0:13.2 ~n () in
-  let edges = Topology.Static.path n in
-  let layered =
-    Lowerbound.Layered.prepare ~n ~edges ~mask:Lowerbound.Mask.empty ~source:0
-      ~rho:params.Gcs.Params.rho ~delay_bound:params.Gcs.Params.delay_bound
+  let { Lowerbound.Layered.edges; clocks; delay; t_add } =
+    Lowerbound.Layered.closing_path ~n ~rho:params.Gcs.Params.rho
+      ~delay_bound:params.Gcs.Params.delay_bound
   in
-  let t_add = Lowerbound.Layered.min_time layered (n - 1) +. 10. in
   let horizon = t_add +. 200. in
   let cfg =
-    Gcs.Sim.config ~params ~discovery_lag:lag
-      ~clocks:(Lowerbound.Layered.beta_clocks layered)
-      ~delay:(Lowerbound.Layered.beta_delay_policy layered)
-      ~initial_edges:edges ()
+    Gcs.Sim.config ~params ~discovery_lag:lag ~clocks ~delay ~initial_edges:edges ()
   in
   let run =
     Common.launch cfg ~horizon ~sample_every:0.25

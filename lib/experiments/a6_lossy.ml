@@ -9,7 +9,7 @@ type outcome = {
 }
 
 let scenario ~n ~rate =
-  let params = Common.default_params ~n () in
+  let params = Gcs.Params.make ~n () in
   let horizon = 400. in
   let warmup = 150. in
   let clocks = Gcs.Drift.assign params ~horizon ~seed:4 Gcs.Drift.Split_extremes in
@@ -62,7 +62,7 @@ let run ~quick =
   let reliable = List.hd outcomes in
   let worst = List.nth outcomes (List.length outcomes - 1) in
   let moderate = List.nth outcomes 1 in
-  let params = Common.default_params ~n () in
+  let params = Gcs.Params.make ~n () in
   let checks =
     [
       Common.check ~name:"validity is unconditional"

@@ -27,7 +27,7 @@ let schedule ~n ~pairs ~corrupt ~t0 =
          ]))
 
 let scenario ~n ~pairs ~corrupt ~topo ~churn =
-  let params = Common.default_params ~n () in
+  let params = Gcs.Params.make ~n () in
   let horizon = 240. in
   let t0 = 80. in
   let faults = schedule ~n ~pairs ~corrupt ~t0 in
@@ -93,7 +93,7 @@ let run ~quick =
       (fun (pairs, corrupt, topo, churn) -> scenario ~n ~pairs ~corrupt ~topo ~churn)
       grid
   in
-  let params = Common.default_params ~n () in
+  let params = Gcs.Params.make ~n () in
   let bound = Gcs.Params.global_skew_bound params in
   let table =
     Table.create

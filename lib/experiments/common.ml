@@ -44,8 +44,6 @@ let launch ?(watch = []) ?(churn = []) ?(sample_every = 1.0) cfg ~horizon =
   Gcs.Sim.run_until sim horizon;
   { sim; recorder; invariants }
 
-let default_params ?(rho = 0.05) ?b0 ~n () = Gcs.Params.make ~rho ?b0 ~n ()
-
 let invariants_check run =
   let violations = Gcs.Invariant.violations run.invariants in
   check ~name:"logical-clock validity" ~pass:(violations = [])

@@ -38,9 +38,5 @@ val launch :
     monitor sampling every [sample_every] (default 1.0), schedule the
     churn events, and run to the horizon. *)
 
-val default_params : ?rho:float -> ?b0:float -> n:int -> unit -> Gcs.Params.t
-(** The repository-wide default parameter point: [T = 1], [ΔH = 1],
-    [rho = 0.05] unless overridden. *)
-
 val invariants_check : run -> check
 (** A standard "no validity violations" check for a finished run. *)

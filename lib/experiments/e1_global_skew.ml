@@ -13,7 +13,7 @@ let topologies =
 let sizes ~quick = if quick then [ 8; 16; 32 ] else [ 8; 16; 32; 64 ]
 
 let run_one ~name ~drift ~edges ~n =
-  let params = Common.default_params ~n () in
+  let params = Gcs.Params.make ~n () in
   let horizon = Float.max 200. (8. *. float_of_int n) in
   let clocks = Gcs.Drift.assign params ~horizon ~seed:1 drift in
   let delay = Dsim.Delay.maximal ~bound:params.Gcs.Params.delay_bound in

@@ -6,21 +6,16 @@ module Series = Analysis.Series
    {0, n-1} and watch its skew decay inside the envelope. *)
 let run ~quick =
   let n = if quick then 32 else 64 in
-  let params = Common.default_params ~b0:13.2 ~n () in
-  let edges = Topology.Static.path n in
-  let layered =
-    Lowerbound.Layered.prepare ~n ~edges ~mask:Lowerbound.Mask.empty ~source:0
-      ~rho:params.Gcs.Params.rho ~delay_bound:params.Gcs.Params.delay_bound
+  let params = Gcs.Params.make ~b0:13.2 ~n () in
+  let { Lowerbound.Layered.edges; clocks; delay; t_add } =
+    Lowerbound.Layered.closing_path ~n ~rho:params.Gcs.Params.rho
+      ~delay_bound:params.Gcs.Params.delay_bound
   in
-  let t_add = Lowerbound.Layered.min_time layered (n - 1) +. 10. in
   let horizon = t_add +. Float.max 300. (Gcs.Params.stabilize_real params /. 2.) in
   let new_edge = (0, n - 1) in
   let old_edges = [ (0, 1); (n / 2, (n / 2) + 1); (n - 2, n - 1) ] in
   let cfg =
-    Gcs.Sim.config ~params
-      ~clocks:(Lowerbound.Layered.beta_clocks layered)
-      ~delay:(Lowerbound.Layered.beta_delay_policy layered)
-      ~initial_edges:edges ()
+    Gcs.Sim.config ~params ~clocks ~delay ~initial_edges:edges ()
   in
   let run =
     Common.launch cfg ~horizon ~sample_every:0.5

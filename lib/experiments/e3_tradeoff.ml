@@ -11,19 +11,14 @@ type outcome = {
 
 (* One run of the beta-adversary path scenario with a closing edge. *)
 let scenario ~n ~b0 =
-  let params = Common.default_params ~b0 ~n () in
-  let edges = Topology.Static.path n in
-  let layered =
-    Lowerbound.Layered.prepare ~n ~edges ~mask:Lowerbound.Mask.empty ~source:0
-      ~rho:params.Gcs.Params.rho ~delay_bound:params.Gcs.Params.delay_bound
+  let params = Gcs.Params.make ~b0 ~n () in
+  let { Lowerbound.Layered.edges; clocks; delay; t_add } =
+    Lowerbound.Layered.closing_path ~n ~rho:params.Gcs.Params.rho
+      ~delay_bound:params.Gcs.Params.delay_bound
   in
-  let t_add = Lowerbound.Layered.min_time layered (n - 1) +. 10. in
   let horizon = t_add +. Float.max 400. (float_of_int n *. 4.) in
   let cfg =
-    Gcs.Sim.config ~params
-      ~clocks:(Lowerbound.Layered.beta_clocks layered)
-      ~delay:(Lowerbound.Layered.beta_delay_policy layered)
-      ~initial_edges:edges ()
+    Gcs.Sim.config ~params ~clocks ~delay ~initial_edges:edges ()
   in
   let run =
     Common.launch cfg ~horizon ~sample_every:0.5
@@ -38,7 +33,7 @@ let scenario ~n ~b0 =
 
 let run ~quick =
   let n_fixed = if quick then 48 else 96 in
-  let b0_base = Common.default_params ~n:n_fixed () in
+  let b0_base = Gcs.Params.make ~n:n_fixed () in
   let min_b0 = Gcs.Params.min_b0 b0_base in
   let b0_factors = if quick then [ 1.2; 2.5; 5.0 ] else [ 1.2; 2.5; 5.0; 10.0 ] in
   let b0_sweep =

@@ -7,7 +7,7 @@ let run ~quick =
   let n = if quick then 64 else 96 in
   let k = Stdlib.max 1 (n / 24) in
   let net = Twochain.build ~n ~k in
-  let params = Common.default_params ~b0:13.2 ~n () in
+  let params = Gcs.Params.make ~b0:13.2 ~n () in
   let delay_bound = params.Gcs.Params.delay_bound in
   let mask = Twochain.mask net ~delay:delay_bound in
   let layered =
@@ -40,27 +40,8 @@ let run ~quick =
     run_execution (Layered.beta_clocks layered) (Layered.beta_delay_policy layered)
       ~watch:[ (u, v) ] ~churn:[] ~horizon:t1
   in
-  let b_ids = Array.of_list (Twochain.b_chain net) in
-  let b_clocks =
-    Array.map (fun id -> Gcs.Sim.logical_clock beta_probe.Common.sim id) b_ids
-  in
-  let adjacent_gap =
-    let gaps =
-      List.init (Array.length b_clocks - 1) (fun i ->
-          Float.abs (b_clocks.(i) -. b_clocks.(i + 1)))
-    in
-    List.fold_left Float.max 0. gaps
-  in
-  let d = adjacent_gap +. 0.5 in
-  let span = b_clocks.(Array.length b_clocks - 1) -. b_clocks.(0) in
-  let i_target = Float.max (2. *. d) (span /. 2.) in
-  let selected = Lowerbound.Subseq.extract ~values:b_clocks ~c:i_target ~d in
-  let new_edges =
-    let rec pairs = function
-      | a :: (b :: _ as rest) -> (b_ids.(a), b_ids.(b)) :: pairs rest
-      | _ -> []
-    in
-    pairs selected
+  let { Twochain.new_edges; clocks; c = i_target; d; selected } =
+    Twochain.insertion net ~clock:(Gcs.Sim.logical_clock beta_probe.Common.sim)
   in
   let churn =
     List.concat_map (fun (x, y) -> Topology.Churn.single_new_edge ~at:t1 x y) new_edges
@@ -137,7 +118,7 @@ let run ~quick =
         "%d Lemma-4.3 edges with gaps in [%.1f, %.1f]" (List.length new_edges)
         (i_target -. d) i_target;
       Common.check ~name:"Lemma 4.3 gap property"
-        ~pass:(Lowerbound.Subseq.check_gaps ~values:b_clocks ~c:i_target ~d selected)
+        ~pass:(Lowerbound.Subseq.check_gaps ~values:clocks ~c:i_target ~d selected)
         "selected %d nodes along the B chain" (List.length selected);
       Common.check ~name:"reduction is not instantaneous (lower-bound shape)"
         ~pass:(max_settle >= 0.2 *. slowest_pred)

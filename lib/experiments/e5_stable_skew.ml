@@ -10,7 +10,7 @@ type outcome = {
 }
 
 let scenario ?(drift = Gcs.Drift.Split_extremes) ~n ~b0 () =
-  let params = Common.default_params ?b0 ~n () in
+  let params = Gcs.Params.make ?b0 ~n () in
   let horizon = Float.max 300. (6. *. float_of_int n) in
   let warmup = horizon /. 3. in
   let clocks = Gcs.Drift.assign params ~horizon ~seed:5 drift in
@@ -55,7 +55,7 @@ let run ~quick =
         ])
     n_sweep;
   let n_fixed = if quick then 32 else 64 in
-  let min_b0 = Gcs.Params.min_b0 (Common.default_params ~n:n_fixed ()) in
+  let min_b0 = Gcs.Params.min_b0 (Gcs.Params.make ~n:n_fixed ()) in
   let b0_sweep =
     List.map
       (fun f -> scenario ~drift:(Gcs.Drift.Alternating 25.) ~n:n_fixed ~b0:(Some (f *. min_b0)) ())

@@ -13,24 +13,18 @@ type outcome = {
 let b0 = 10.5
 
 let scenario ~n ~algo =
-  let params = Common.default_params ~b0 ~n () in
-  let edges = Topology.Static.path n in
-  let layered =
-    Lowerbound.Layered.prepare ~n ~edges ~mask:Lowerbound.Mask.empty ~source:0
-      ~rho:params.Gcs.Params.rho ~delay_bound:params.Gcs.Params.delay_bound
+  let params = Gcs.Params.make ~b0 ~n () in
+  let { Lowerbound.Layered.edges; clocks; delay; t_add } =
+    Lowerbound.Layered.closing_path ~n ~rho:params.Gcs.Params.rho
+      ~delay_bound:params.Gcs.Params.delay_bound
   in
-  let t_add = Lowerbound.Layered.min_time layered (n - 1) +. 10. in
   let horizon = t_add +. 400. in
-  let old_watch = List.init (n - 1) (fun i -> (i, i + 1)) in
   let cfg =
-    Gcs.Sim.config ~algo ~params
-      ~clocks:(Lowerbound.Layered.beta_clocks layered)
-      ~delay:(Lowerbound.Layered.beta_delay_policy layered)
-      ~initial_edges:edges ()
+    Gcs.Sim.config ~algo ~params ~clocks ~delay ~initial_edges:edges ()
   in
   let run =
     Common.launch cfg ~horizon ~sample_every:0.5
-      ~watch:((0, n - 1) :: old_watch)
+      ~watch:((0, n - 1) :: edges)
       ~churn:(Topology.Churn.single_new_edge ~at:t_add 0 (n - 1))
   in
   let new_trace =
@@ -45,7 +39,7 @@ let scenario ~n ~algo =
         Float.max acc
           (Series.max_value
              (Series.after t_add (Gcs.Metrics.pair_trace run.Common.recorder e))))
-      0. old_watch
+      0. edges
   in
   let stable = Gcs.Params.stable_local_skew params in
   let settle = Series.first_below stable new_trace in
@@ -113,7 +107,7 @@ let run ~quick =
   let grad = find Gcs.Sim.Gradient in
   let flat = find Gcs.Sim.Flat_gradient in
   let max_only = find Gcs.Sim.Max_only in
-  let params = Common.default_params ~b0 ~n () in
+  let params = Gcs.Params.make ~b0 ~n () in
   let stable = Gcs.Params.stable_local_skew params in
   let checks =
     [

@@ -3,7 +3,7 @@ module Table = Analysis.Table
 let run ~quick =
   let n = if quick then 24 else 32 in
   let horizon = if quick then 600. else 1200. in
-  let params = Common.default_params ~n () in
+  let params = Gcs.Params.make ~n () in
   let base = Topology.Static.ring n in
   (* Chords give the churn generator non-tree edges to play with. *)
   let chords =

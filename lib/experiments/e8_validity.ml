@@ -71,7 +71,7 @@ let scenarios ~quick =
 
 let run_scenario ?(seed = 11) s =
   let horizon = 250. in
-  let params = Common.default_params ~n:s.n () in
+  let params = Gcs.Params.make ~n:s.n () in
   let clocks = Gcs.Drift.assign params ~horizon ~seed s.drift in
   let bound = params.Gcs.Params.delay_bound in
   let delay =

@@ -70,3 +70,21 @@ let min_time t v =
   t.delay_bound *. float_of_int t.layers.(v) *. (1. +. (1. /. t.rho))
 
 let guaranteed_skew t v = t.delay_bound *. float_of_int t.layers.(v) /. 4.
+
+type closing = {
+  edges : (int * int) list;
+  clocks : Hwclock.t array;
+  delay : Delay.t;
+  t_add : float;
+}
+
+let closing_path ~n ~rho ~delay_bound =
+  if n < 3 then invalid_arg "Layered.closing_path: need n >= 3";
+  let edges = Topology.Static.path n in
+  let t = prepare ~n ~edges ~mask:Mask.empty ~source:0 ~rho ~delay_bound in
+  {
+    edges;
+    clocks = beta_clocks t;
+    delay = beta_delay_policy t;
+    t_add = min_time t (n - 1) +. 10.;
+  }

@@ -59,3 +59,16 @@ val guaranteed_skew : t -> int -> float
 (** [guaranteed_skew t v] is [T·dist_M(source, v)/4], the skew the lemma
     guarantees between the source and [v] in at least one of the two
     executions. *)
+
+type closing = {
+  edges : (int * int) list;  (** the path [0 - 1 - ... - (n-1)] *)
+  clocks : Dsim.Hwclock.t array;  (** {!beta_clocks} *)
+  delay : Dsim.Delay.t;  (** {!beta_delay_policy} *)
+  t_add : float;  (** [min_time (n-1) + 10] *)
+}
+
+val closing_path : n:int -> rho:float -> delay_bound:float -> closing
+(** The Section 1 adversary: execution [beta] on a path with the empty
+    mask and source 0, which by [t_add] has built [Θ(n)] skew between the
+    ends, where a new edge [{0, n-1}] then closes the path. Raises
+    [Invalid_argument] for [n < 3], where that edge already exists. *)

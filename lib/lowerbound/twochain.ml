@@ -56,3 +56,25 @@ let b_chain t = List.init (t.b_len + 1) (b_id t)
 let mask t ~delay = Mask.create (List.map (fun e -> (e, delay)) t.block)
 
 let is_block_edge t u v = List.mem (Dsim.Dyngraph.normalize u v) t.block
+
+type insertion = {
+  new_edges : (int * int) list;
+  clocks : float array;
+  c : float;
+  d : float;
+  selected : int list;
+}
+
+let insertion t ~clock =
+  let ids = Array.of_list (b_chain t) in
+  let clocks = Array.map clock ids in
+  let last = Array.length clocks - 1 in
+  let gaps = List.init last (fun i -> Float.abs (clocks.(i) -. clocks.(i + 1))) in
+  let d = List.fold_left Float.max 0. gaps +. 0.5 in
+  let c = Float.max (2. *. d) ((clocks.(last) -. clocks.(0)) /. 2.) in
+  let selected = Subseq.extract ~values:clocks ~c ~d in
+  let rec pairs = function
+    | a :: (b :: _ as rest) -> (ids.(a), ids.(b)) :: pairs rest
+    | _ -> []
+  in
+  { new_edges = pairs selected; clocks; c; d; selected }

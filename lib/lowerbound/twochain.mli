@@ -46,3 +46,15 @@ val mask : t -> delay:float -> Mask.t
     (Theorem 4.1 uses the maximal delay [T]). *)
 
 val is_block_edge : t -> int -> int -> bool
+
+type insertion = {
+  new_edges : (int * int) list;  (** between consecutive selected nodes *)
+  clocks : float array;  (** the clocks along {!b_chain} *)
+  c : float;  (** the target gap [I]: [max (2 d) (span / 2)] *)
+  d : float;  (** the largest adjacent gap plus 0.5 *)
+  selected : int list;  (** {!Subseq.extract}'s indices into [clocks] *)
+}
+
+val insertion : t -> clock:(int -> float) -> insertion
+(** Lemma 4.3's new edges for the B-chain clocks [clock] reads (node id
+    to logical clock, at the insertion time [T1]). *)

@@ -48,9 +48,10 @@ let take dr ~options ~key =
 (* Canonical state key                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* ΔH/8 for the default parameters: fine enough to separate genuinely
-   different schedules, coarse enough to merge float jitter. *)
-let default_quantum = 0.125
+(* The clock-offset quantum of the state key, ΔH/8 for the default
+   parameters: fine enough to separate genuinely different schedules,
+   coarse enough to merge float jitter. *)
+let quantum = 0.125
 
 (* The canonical key: quantized time, dispatchable-event count, per-node
    alive bit and clock offsets relative to node 0's L (logical behavior
@@ -59,7 +60,7 @@ let default_quantum = 0.125
    edge set, and the in-flight message multiset with quantized remaining
    delays. Two branches with equal keys have (up to quantization) the
    same future, so the later-or-equal-depth arrival is prunable. *)
-let canon ~quantum ~n ~now ~epending ~view ~alive ~pending =
+let canon ~n ~now ~epending ~view ~alive ~pending =
   let b = Buffer.create 128 in
   let q x = int_of_float (Float.round (x /. quantum)) in
   Buffer.add_string b (string_of_int (q now));
@@ -95,15 +96,6 @@ type branch = {
   b_samples : (float * float array * float array) list;  (* chronological *)
 }
 
-let complete_edges n =
-  let es = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      es := (u, v) :: !es
-    done
-  done;
-  List.rev !es
-
 (* Execute one branch of [s]'s configuration on the real engine:
    - delay draws and (when [s.tie]) same-instant dispatch orders consume
      choices from [dr];
@@ -115,8 +107,7 @@ let complete_edges n =
      Conformance checker as it is recorded, and to [csv] when given;
    - [entry_shim] / [view_shim] let tests inject broken-engine behavior
      into the checkers without breaking the real engine. *)
-let run_branch ?csv (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
-    ~sample =
+let run_branch ?csv (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~sample =
   let params = Gcs.Params.make ~n:s.Spec.n () in
   let rho = params.Gcs.Params.rho in
   let bound = params.Gcs.Params.delay_bound in
@@ -158,7 +149,7 @@ let run_branch ?csv (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
   let cfg =
     Gcs.Sim.config ~algo:Gcs.Sim.Gradient ~params
       ~clocks ~delay ~trace
-      ~initial_edges:(complete_edges s.Spec.n)
+      ~initial_edges:(Topology.Static.complete s.Spec.n)
       ~faults:s.Spec.faults ~fault_seed:0 ()
   in
   let sim = Gcs.Sim.create cfg in
@@ -170,7 +161,7 @@ let run_branch ?csv (s : Spec.t) ~tape ~on_fresh ~entry_shim ~view_shim ~quantum
   end;
   (key_ref :=
      fun () ->
-       canon ~quantum ~n:s.Spec.n ~now:(Gcs.Sim.now sim)
+       canon ~n:s.Spec.n ~now:(Gcs.Sim.now sim)
          ~epending:(Dsim.Engine.pending_events engine)
          ~view
          ~alive:(Gcs.Sim.alive sim)
@@ -276,8 +267,7 @@ let no_entry_shim e = [ e ]
 let no_view_shim (v : Gcs.Metrics.view) = v
 
 let explore ?(max_states = max_int) ?(budget_ms = 0.) ?(max_violations = 16)
-    ?(quantum = default_quantum) ?(entry_shim = no_entry_shim)
-    ?(view_shim = no_view_shim) (s : Spec.t) =
+    ?(entry_shim = no_entry_shim) ?(view_shim = no_view_shim) (s : Spec.t) =
   (match Spec.validate s with
   | Ok () -> ()
   | Error m -> invalid_arg ("Mcheck.Explorer.explore: " ^ m));
@@ -314,10 +304,7 @@ let explore ?(max_states = max_int) ?(budget_ms = 0.) ?(max_violations = 16)
         0
       end
     in
-    let br =
-      run_branch s ~tape:!tape ~on_fresh ~entry_shim ~view_shim ~quantum
-        ~sample:false
-    in
+    let br = run_branch s ~tape:!tape ~on_fresh ~entry_shim ~view_shim ~sample:false in
     events := !events + br.b_events;
     choice_points := !choice_points + Array.length br.b_log;
     if Array.length br.b_log > !max_depth then max_depth := Array.length br.b_log;
@@ -376,8 +363,8 @@ let explore ?(max_states = max_int) ?(budget_ms = 0.) ?(max_violations = 16)
 
 type level = { at_depth : int; outcome : outcome }
 
-let explore_deepening ?max_states ?(budget_ms = 0.) ?max_violations ?quantum
-    ?entry_shim ?view_shim (s : Spec.t) =
+let explore_deepening ?max_states ?(budget_ms = 0.) ?max_violations ?entry_shim
+    ?view_shim (s : Spec.t) =
   let rec depths d acc =
     if d >= s.Spec.depth then List.rev (s.Spec.depth :: acc)
     else depths (2 * d) (d :: acc)
@@ -392,9 +379,8 @@ let explore_deepening ?max_states ?(budget_ms = 0.) ?max_violations ?quantum
         else Float.max 1. (budget_ms -. ((Unix.gettimeofday () -. t0) *. 1000.))
       in
       let outcome =
-        explore ?max_states ~budget_ms:remaining ?max_violations ?quantum
-          ?entry_shim ?view_shim
-          { s with Spec.depth = d }
+        explore ?max_states ~budget_ms:remaining ?max_violations ?entry_shim
+          ?view_shim { s with Spec.depth = d }
       in
       let acc = { at_depth = d; outcome } :: acc in
       (* A level that never met a branchable point past its depth limit
@@ -416,9 +402,8 @@ let replay_branch ?csv ?(entry_shim = no_entry_shim) ?(view_shim = no_view_shim)
   | Ok () -> ()
   | Error m -> invalid_arg ("Mcheck.Explorer.replay: " ^ m));
   let on_fresh ~pos:_ ~options:_ ~key:_ = 0 in
-  run_branch ?csv s
-    ~tape:(Array.of_list s.Spec.choices)
-    ~on_fresh ~entry_shim ~view_shim ~quantum:default_quantum ~sample
+  run_branch ?csv s ~tape:(Array.of_list s.Spec.choices) ~on_fresh ~entry_shim ~view_shim
+    ~sample
 
 let replay ?entry_shim ?view_shim s =
   let csv = Buffer.create 4096 in

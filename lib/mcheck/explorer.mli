@@ -56,7 +56,6 @@ val explore :
   ?max_states:int ->
   ?budget_ms:float ->
   ?max_violations:int ->
-  ?quantum:float ->
   ?entry_shim:(Dsim.Trace.entry -> Dsim.Trace.entry list) ->
   ?view_shim:(Gcs.Metrics.view -> Gcs.Metrics.view) ->
   Spec.t ->
@@ -68,9 +67,9 @@ val explore :
     [max_states] (default unlimited) and [budget_ms] (default unlimited;
     wall clock) are safety valves — crossing either stops the search with
     [exhausted = false]. [max_violations] (default 16) stops after that
-    many counterexamples. [quantum] (default ΔH/8) is the clock-offset
-    quantization of the canonical state key: smaller separates more
-    states (slower, more faithful), larger merges more.
+    many counterexamples. The canonical state key quantizes time, clock
+    offsets and remaining delays to 0.125 (ΔH/8 at the default
+    parameters).
 
     [entry_shim] rewrites each trace entry before the incremental
     conformance checker sees it, and [view_shim] wraps the metrics view
@@ -84,7 +83,6 @@ val explore_deepening :
   ?max_states:int ->
   ?budget_ms:float ->
   ?max_violations:int ->
-  ?quantum:float ->
   ?entry_shim:(Dsim.Trace.entry -> Dsim.Trace.entry list) ->
   ?view_shim:(Gcs.Metrics.view -> Gcs.Metrics.view) ->
   Spec.t ->

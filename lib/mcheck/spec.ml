@@ -90,5 +90,3 @@ let of_spec spec =
   let s = { n; delays; drift; horizon; depth; tie; churn; faults; choices } in
   let* () = validate s in
   Ok s
-
-let pp fmt s = Format.pp_print_string fmt (to_spec s)

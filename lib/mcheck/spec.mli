@@ -59,5 +59,3 @@ val to_spec : t -> string
 val of_spec : string -> (t, string) result
 (** Inverse of {!to_spec}: [of_spec (to_spec s) = Ok s]. Unknown or
     repeated keys are errors ({!Audit.Scenario.Fields.parse}). *)
-
-val pp : Format.formatter -> t -> unit

@@ -93,6 +93,7 @@ let test_spec_errors () =
   expect_error "n=8 topo=ring drift=split delay=uniform algo=gradient churn=1 seed=1 horizon=-5";
   expect_error "n=8 topo=ring drift=split delay=uniform algo=gradient churn=1 seed=1 horizon=inf";
   expect_error "n=1 topo=ring drift=split delay=uniform algo=gradient churn=1 seed=1 horizon=60";
+  expect_error "n=2 topo=ring drift=split delay=uniform algo=gradient churn=0 seed=1 horizon=5";
   (* A typo'd, repeated or stray key must not replay another scenario. *)
   let ok = "n=8 topo=ring drift=split delay=uniform algo=gradient churn=1 seed=42 horizon=120" in
   expect_error (ok ^ " fault=crash@30:2;restart@45:2!");
@@ -192,6 +193,9 @@ let test_shrink_drops_faults_first () =
   | Error m -> Alcotest.failf "shrunk schedule invalid for n=%d: %s" shrunk.Scenario.n m)
 
 let test_fuzz_run_clean () =
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Fuzz.run: count must be non-negative")
+    (fun () -> ignore (Fuzz.run ~seed:3 ~count:(-1) ()));
   let outcome = Fuzz.run ~seed:3 ~count:5 () in
   Alcotest.(check int) "all scenarios audited" 5 outcome.Fuzz.scenarios_run;
   Alcotest.(check int)

@@ -72,6 +72,15 @@ let test_min_time_and_guarantee () =
   Alcotest.check feq "min time = T d (1 + 1/rho)" (8. *. 21.) (Layered.min_time l 8);
   Alcotest.check feq "guaranteed skew = T d / 4" 2. (Layered.guaranteed_skew l 8)
 
+let test_closing_path () =
+  let c = Layered.closing_path ~n:9 ~rho ~delay_bound in
+  Alcotest.(check (list (pair int int))) "the path" (Static.path 9) c.Layered.edges;
+  Alcotest.check feq "edge added 10 after min time" (8. *. 21. +. 10.) c.Layered.t_add;
+  Alcotest.check feq "beta clocks" (Hwclock.value (Layered.beta_clocks (path_layered 9)).(8) 99.)
+    (Hwclock.value c.Layered.clocks.(8) 99.);
+  Alcotest.check_raises "n < 3" (Invalid_argument "Layered.closing_path: need n >= 3")
+    (fun () -> ignore (Layered.closing_path ~n:2 ~rho ~delay_bound))
+
 (* The heart of Lemma 4.2's Part II: every beta delay is legal, i.e. lies
    in [0, T], and on masked edges within [P/(1+rho), P]. *)
 let prop_beta_delays_legal =
@@ -163,6 +172,7 @@ let suite =
     case "alpha delays directional" test_alpha_delays;
     case "alpha delays respect mask" test_alpha_delay_respects_mask;
     case "min time and guaranteed skew" test_min_time_and_guarantee;
+    case "closing path" test_closing_path;
     QCheck_alcotest.to_alcotest prop_beta_delays_legal;
     QCheck_alcotest.to_alcotest prop_beta_masked_delays;
     case "indistinguishability end-to-end" test_indistinguishability_end_to_end;

@@ -16,7 +16,7 @@ let test_empty () =
   Alcotest.(check string) "empty sparkline" "" (Plot.sparkline [])
 
 let test_render_dimensions () =
-  let out = Plot.render_one ~width:40 ~height:8 ramp in
+  let out = Plot.render ~width:40 ~height:8 [ ("", ramp) ] in
   let lines = String.split_on_char '\n' out in
   (* 8 canvas rows + axis + x labels (+ trailing empty) *)
   Alcotest.(check bool) "at least 10 lines" true (List.length lines >= 10);
@@ -27,12 +27,12 @@ let test_render_dimensions () =
     lines
 
 let test_render_extremes_labelled () =
-  let out = Plot.render_one ramp in
+  let out = Plot.render [ ("", ramp) ] in
   Alcotest.(check bool) "max label" true (contains out "98");
   Alcotest.(check bool) "min label" true (contains out "0")
 
 let test_corner_glyphs () =
-  let out = Plot.render_one ~width:20 ~height:5 ramp in
+  let out = Plot.render ~width:20 ~height:5 [ ("", ramp) ] in
   let lines = String.split_on_char '\n' out in
   let first = List.nth lines 0 and last = List.nth lines 4 in
   (* Increasing ramp: a point in the top-right and bottom-left. *)
@@ -46,7 +46,7 @@ let test_multi_series_legend () =
 
 let test_flat_series () =
   let flat = List.init 10 (fun i -> (float_of_int i, 3.)) in
-  let out = Plot.render_one flat in
+  let out = Plot.render [ ("", flat) ] in
   Alcotest.(check bool) "renders without dividing by zero" true (String.length out > 0)
 
 let test_sparkline () =

@@ -1,75 +1,14 @@
-(* Whole-algorithm property test: random small scenarios (topology, drift,
-   delays, churn, algorithm) must all satisfy the paper's universal
-   guarantees — validity (Section 3.3), Property 6.3 and, for
-   interval-connected executions, the global skew bound (Theorem 6.9). *)
+(* Whole-algorithm property test: random small scenarios from the
+   fuzzer's space (topology, drift, delays, churn, algorithm) must pass
+   the full audit — conformance, the paper's guarantees and validity. *)
 
-let scenario_gen =
-  QCheck.Gen.(
-    let* n = int_range 4 14 in
-    let* topo_kind = int_range 0 3 in
-    let* drift_kind = int_range 0 3 in
-    let* delay_kind = int_range 0 2 in
-    let* algo_kind = int_range 0 2 in
-    let* churn = bool in
-    let* seed = int_range 0 10_000 in
-    return (n, topo_kind, drift_kind, delay_kind, algo_kind, churn, seed))
+let scenario seed = Audit.Scenario.generate (Dsim.Prng.of_int seed)
 
-let build_topology kind n seed =
-  match kind with
-  | 0 -> Topology.Static.path n
-  | 1 -> Topology.Static.ring n
-  | 2 -> Topology.Static.binary_tree n
-  | _ -> Topology.Static.erdos_renyi (Dsim.Prng.of_int seed) ~n ~p:0.5
-
-let run_scenario (n, topo_kind, drift_kind, delay_kind, algo_kind, churn, seed) =
-  let horizon = 120. in
-  let params = Gcs.Params.make ~n () in
-  let edges = build_topology topo_kind n seed in
-  let drift =
-    match drift_kind with
-    | 0 -> Gcs.Drift.Perfect
-    | 1 -> Gcs.Drift.Split_extremes
-    | 2 -> Gcs.Drift.Alternating 17.
-    | _ -> Gcs.Drift.Random_walk 9.
-  in
-  let bound = params.Gcs.Params.delay_bound in
-  let delay =
-    match delay_kind with
-    | 0 -> Dsim.Delay.maximal ~bound
-    | 1 -> Dsim.Delay.zero ~bound
-    | _ -> Dsim.Delay.uniform (Dsim.Prng.of_int (seed + 1)) ~bound
-  in
-  let algo =
-    match algo_kind with
-    | 0 -> Gcs.Sim.Gradient
-    | 1 -> Gcs.Sim.Flat_gradient
-    | _ -> Gcs.Sim.Max_only
-  in
-  let clocks = Gcs.Drift.assign params ~horizon ~seed drift in
-  let cfg = Gcs.Sim.config ~algo ~params ~clocks ~delay ~initial_edges:edges () in
-  let sim = Gcs.Sim.create cfg in
-  let engine = Gcs.Sim.engine sim in
-  let view = Gcs.Sim.view sim in
-  let recorder = Gcs.Metrics.attach engine view ~every:1. ~until:horizon () in
-  let monitor =
-    Gcs.Invariant.attach engine view ~params:(Gcs.Sim.params sim) ~every:1. ~until:horizon ()
-  in
-  (* Backbone-preserving churn keeps every instant connected, so the
-     interval-connectivity premise of Theorem 6.9 holds. *)
-  if churn then
-    Topology.Churn.schedule engine
-      (Topology.Churn.random_churn
-         (Dsim.Prng.of_int (seed + 2))
-         ~n ~base:edges ~rate:0.3 ~horizon);
-  Gcs.Sim.run_until sim horizon;
-  (Gcs.Invariant.ok monitor, Gcs.Metrics.max_global_skew recorder,
-   Gcs.Params.global_skew_bound params)
+let spec seed = Audit.Scenario.to_spec (scenario seed)
 
 let prop_validity =
   QCheck.Test.make ~name:"random scenarios: validity + global skew bound" ~count:40
-    (QCheck.make scenario_gen)
-    (fun scenario ->
-      let valid, max_skew, bound = run_scenario scenario in
-      valid && max_skew <= bound +. 1e-6)
+    QCheck.(make ~print:spec Gen.(int_range 0 10_000))
+    (fun seed -> Audit.Report.ok (Audit.Scenario.run (scenario seed)))
 
 let suite = [ QCheck_alcotest.to_alcotest prop_validity ]

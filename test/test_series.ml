@@ -6,10 +6,6 @@ let feq = Alcotest.float 1e-9
 
 let s = [ (0., 5.); (1., 4.); (2., 6.); (3., 2.); (4., 1.); (5., 1.) ]
 
-let test_values () =
-  Alcotest.(check (list (float 1e-9))) "values" [ 5.; 4.; 6.; 2.; 1.; 1. ]
-    (Series.values s)
-
 let test_slicing () =
   Alcotest.(check int) "after 2" 4 (List.length (Series.after 2. s));
   Alcotest.(check int) "between 1 and 3" 3 (List.length (Series.between 1. 3. s))
@@ -26,30 +22,8 @@ let test_value_at () =
   Alcotest.(check (option (float 1e-9))) "past end" (Some 1.) (Series.value_at s 99.)
 
 let test_crossings () =
-  Alcotest.(check (option (float 1e-9))) "last above 3" (Some 2.) (Series.last_above 3. s);
-  Alcotest.(check (option (float 1e-9))) "last above 10" None (Series.last_above 10. s);
   Alcotest.(check (option (float 1e-9))) "first below 3" (Some 3.) (Series.first_below 3. s);
   Alcotest.(check (option (float 1e-9))) "first below 0" None (Series.first_below 0. s)
-
-let test_settle_time () =
-  (* From t=0: last above 3 is at t=2, final sample at 5 -> settled after 2. *)
-  Alcotest.(check (option (float 1e-9))) "settles" (Some 2.)
-    (Series.settle_time ~threshold:3. ~from:0. s);
-  (* Threshold never exceeded after from=3. *)
-  Alcotest.(check (option (float 1e-9))) "already settled" (Some 0.)
-    (Series.settle_time ~threshold:3. ~from:3. s);
-  (* Still above at the last sample -> None. *)
-  Alcotest.(check (option (float 1e-9))) "never settles" None
-    (Series.settle_time ~threshold:0.5 ~from:0. s);
-  Alcotest.(check (option (float 1e-9))) "empty tail" None
-    (Series.settle_time ~threshold:3. ~from:10. s)
-
-let test_downsample () =
-  let dense = List.init 100 (fun i -> (float_of_int i /. 10., float_of_int i)) in
-  let sparse = Series.downsample ~every:1. dense in
-  Alcotest.(check int) "one per second" 10 (List.length sparse);
-  let times = List.map fst sparse in
-  Alcotest.(check bool) "sorted" true (times = List.sort Float.compare times)
 
 let prop_first_below_finds_minimum =
   QCheck.Test.make ~name:"first_below succeeds iff min <= threshold" ~count:300
@@ -63,12 +37,9 @@ let prop_first_below_finds_minimum =
 
 let suite =
   [
-    case "values" test_values;
     case "slicing" test_slicing;
     case "extrema" test_extrema;
     case "value_at" test_value_at;
     case "threshold crossings" test_crossings;
-    case "settle time" test_settle_time;
-    case "downsample" test_downsample;
     QCheck_alcotest.to_alcotest prop_first_below_finds_minimum;
   ]

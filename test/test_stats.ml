@@ -4,10 +4,8 @@ let case name f = Alcotest.test_case name `Quick f
 
 let feq = Alcotest.float 1e-9
 
-let test_mean_stddev () =
-  Alcotest.check feq "mean" 2. (Stats.mean [ 1.; 2.; 3. ]);
-  Alcotest.check feq "stddev" (sqrt (2. /. 3.)) (Stats.stddev [ 1.; 2.; 3. ]);
-  Alcotest.check feq "constant stddev" 0. (Stats.stddev [ 5.; 5.; 5. ])
+let test_mean () =
+  Alcotest.check feq "mean" 2. (Stats.mean [ 1.; 2.; 3. ])
 
 let test_minmax () =
   Alcotest.check feq "min" (-2.) (Stats.minimum [ 3.; -2.; 7. ]);
@@ -21,14 +19,6 @@ let test_percentile () =
   Alcotest.check feq "interpolated p25" 2. (Stats.percentile 0.25 xs);
   Alcotest.check feq "interpolated p10" 1.4 (Stats.percentile 0.1 xs);
   Alcotest.check feq "singleton" 9. (Stats.percentile 0.7 [ 9. ])
-
-let test_summary () =
-  let s = Stats.summarize [ 4.; 1.; 3.; 2. ] in
-  Alcotest.(check int) "count" 4 s.Stats.count;
-  Alcotest.check feq "mean" 2.5 s.Stats.mean;
-  Alcotest.check feq "median" 2.5 s.Stats.median;
-  Alcotest.check feq "min" 1. s.Stats.min;
-  Alcotest.check feq "max" 4. s.Stats.max
 
 let test_linear_fit () =
   let slope, intercept = Stats.linear_fit [ (0., 1.); (1., 3.); (2., 5.) ] in
@@ -50,9 +40,7 @@ let test_empty_rejected () =
       | _ -> Alcotest.failf "%s accepted empty input" name)
     [
       ("mean", fun () -> ignore (Stats.mean []));
-      ("stddev", fun () -> ignore (Stats.stddev []));
       ("percentile", fun () -> ignore (Stats.percentile 0.5 []));
-      ("summarize", fun () -> ignore (Stats.summarize []));
       ("fit", fun () -> ignore (Stats.linear_fit [ (1., 1.) ]));
     ]
 
@@ -75,10 +63,9 @@ let prop_fit_recovers_line =
 
 let suite =
   [
-    case "mean/stddev" test_mean_stddev;
+    case "mean" test_mean;
     case "min/max" test_minmax;
     case "percentile" test_percentile;
-    case "summary" test_summary;
     case "linear fit" test_linear_fit;
     case "correlation" test_correlation;
     case "empty inputs rejected" test_empty_rejected;

@@ -68,6 +68,16 @@ let test_odd_n () =
   Alcotest.(check int) "n distinct ids" 21 (List.length ids);
   Alcotest.(check bool) "connected" true (Static.is_connected ~n:21 t.Twochain.edges)
 
+(* B-chain clocks 0, 2, ..., 20 from w0 to wn: d = 2 + 0.5, c = 20 / 2. *)
+let test_insertion () =
+  let pos = List.mapi (fun i id -> (id, i)) (Twochain.b_chain t) in
+  let ins = Twochain.insertion t ~clock:(fun id -> 2. *. float_of_int (List.assoc id pos)) in
+  Alcotest.(check (float 1e-9)) "d" 2.5 ins.Twochain.d;
+  Alcotest.(check (float 1e-9)) "c" 10. ins.Twochain.c;
+  Alcotest.(check (list int)) "selected" [ 0; 4; 8 ] ins.Twochain.selected;
+  Alcotest.(check (list (pair int int)))
+    "new edges" [ (0, 14); (14, 18) ] ins.Twochain.new_edges
+
 let test_validation () =
   (match Twochain.build ~n:4 ~k:1 with
   | exception Invalid_argument _ -> ()
@@ -100,6 +110,7 @@ let suite =
     case "mask covers the block" test_mask_constrains_exactly_block;
     case "flexible distance u-v" test_flexible_distance_uv;
     case "odd n" test_odd_n;
+    case "Lemma 4.3 insertion" test_insertion;
     case "validation" test_validation;
     QCheck_alcotest.to_alcotest prop_structure;
   ]
