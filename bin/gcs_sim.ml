@@ -411,15 +411,18 @@ let sim_cmd =
        so no cap applies. Both exist before the engine, which records the
        initial topology at creation. *)
     let conformance =
-      Audit.Conformance.create
-        (Audit.Conformance.of_params params ~horizon
-           ~check_gaps:(loss = 0.) ~faults ())
+      if audit then
+        Some
+          (Audit.Conformance.create
+             (Audit.Conformance.of_params params ~horizon
+                ~check_gaps:(loss = 0.) ~faults ()))
+      else None
     in
     let timeline_out = Option.map open_out_or_exit csv in
     let csv_out = Option.map open_out_or_exit trace_csv in
     Option.iter (fun out -> output_or_exit out Dsim.Trace.csv_header) csv_out;
     let on_entry e =
-      if audit then Audit.Conformance.step conformance e;
+      (match conformance with Some c -> Audit.Conformance.step c e | None -> ());
       Option.iter (fun out -> output_or_exit out (Dsim.Trace.csv_row e)) csv_out
     in
     let on_entry = if audit || csv_out <> None then Some on_entry else None in
@@ -442,19 +445,20 @@ let sim_cmd =
        node once, into one snapshot. *)
     let recorder = Gcs.Metrics.recorder engine ~watch in
     let monitor = Gcs.Invariant.checker ~n ~params ~faults () in
-    let guarantees =
-      if audit then
-        Some
-          (Audit.Guarantees.create engine ~params
-             ~check_envelope:
-               (algo = Gcs.Sim.Gradient && loss = 0. && churn_rate = 0. && faults = [])
-             ~faults)
-      else None
+    let auditors =
+      Option.map
+        (fun conformance ->
+          ( conformance,
+            Audit.Guarantees.create engine ~params
+              ~check_envelope:
+                (algo = Gcs.Sim.Gradient && loss = 0. && churn_rate = 0. && faults = [])
+              ~faults ))
+        conformance
     in
     Gcs.Metrics.every engine view ~every:(horizon /. 200.) ~until:horizon (fun snap ->
         Gcs.Metrics.record recorder snap;
         Gcs.Invariant.observe monitor snap;
-        Option.iter (fun g -> Audit.Guarantees.observe g snap) guarantees);
+        Option.iter (fun (_, g) -> Audit.Guarantees.observe g snap) auditors);
     (* Windows run one domain per shard, as far as the ambient domain
        budget allows; a pool is pointless when the engine cannot form
        windows. The executor is cleared before the pool is torn down so
@@ -520,7 +524,7 @@ let sim_cmd =
       (fun v -> Format.printf "  %a@." Gcs.Invariant.pp_violation v)
       (Gcs.Invariant.violations monitor);
     Option.iter
-      (fun guarantees ->
+      (fun (conformance, guarantees) ->
         let report =
           Audit.Report.merge
             (Audit.Conformance.finish conformance)
@@ -531,7 +535,7 @@ let sim_cmd =
           Format.printf "replay: %s@." run_line;
           exit 1
         end)
-      guarantees;
+      auditors;
     if timeline then begin
       Format.printf "@.%-10s %-12s %-12s %-12s@." "time" "global" "local" "lmax-lag";
       List.iter
@@ -789,6 +793,10 @@ let mcheck_cmd =
         invalid_flag "horizon" "must be positive and finite (got %g)" horizon;
       if not (Float.is_finite budget_ms && budget_ms >= 0.) then
         invalid_flag "budget-ms" "must be non-negative and finite (got %g)" budget_ms;
+      if max_states < 0 then
+        invalid_flag "max-states" "must be non-negative (got %d)" max_states;
+      if max_violations < 0 then
+        invalid_flag "max-violations" "must be non-negative (got %d)" max_violations;
       let faults = faults_of_flag ~n fault_spec in
       if faults <> [] && fault_grid then begin
         Format.eprintf "--faults and --fault-grid are mutually exclusive@.";

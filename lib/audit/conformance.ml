@@ -1,6 +1,7 @@
 module Trace = Dsim.Trace
 
 type config = {
+  nodes : int;
   delay_bound : float;
   discovery_bound : float;
   delta_t : float;
@@ -12,6 +13,7 @@ type config = {
 
 let of_params params ~horizon ?(check_gaps = true) ?(faults = []) () =
   {
+    nodes = params.Gcs.Params.n;
     delay_bound = params.Gcs.Params.delay_bound;
     discovery_bound = params.Gcs.Params.discovery_bound;
     delta_t = Gcs.Params.delta_t params;
@@ -35,43 +37,51 @@ let sender_outage cfg ~src t0 t1 =
 
 let slack = Gcs.Metrics.slack
 
-(* One outstanding discovery obligation: change [o_epoch] at [o_time]
-   must reach both endpoints by [o_deadline] unless superseded by a
-   newer change to the same edge first. *)
-type obligation = {
-  o_epoch : int;
-  o_time : float;
-  o_deadline : float;
-  o_add : bool;
-  mutable o_lo_seen : bool;  (* smaller endpoint notified *)
-  mutable o_hi_seen : bool;
-}
+(* All-float records are stored flat, so writing their fields boxes
+   nothing; the mixed records below keep their floats in one of these. *)
+type change = { mutable at : float; mutable deadline : float }
 
-type edge_state = {
-  e_lo : int;
-  e_hi : int;
+type anchor = { mutable last_receipt : float }
+
+(* Undirected edge state, shared by the edge's two directed links. Every
+   change opens a discovery obligation and supersedes the previous one
+   (the old change became transient and "may or may not" be discovered),
+   so the edge holds at most one, inline: it exists once [epoch > 0], is
+   for change [epoch] at [change.at], due by [change.deadline], of kind
+   [present]; [lo_seen]/[hi_seen] record the endpoints notified of it. *)
+type edge = {
   mutable present : bool;
   mutable epoch : int;
-  mutable obligations : obligation list;  (* newest first *)
+  mutable lo_seen : bool;
+  mutable hi_seen : bool;
+  change : change;
 }
 
-type pending_send = { s_time : float; s_epoch : int }
-
-(* Directed-link replay state: the FIFO send queue plus the receipt-gap
-   anchor (last delivery time and the epoch it happened on). *)
-type link_state = {
-  sends : pending_send Queue.t;
-  mutable last_receipt : float;
-  mutable last_receipt_epoch : int;  (* -1: no anchor *)
+(* Directed-link replay state. The pending sends are one ring of
+   (time, epoch) columns in send order: [len] entries from slot [head],
+   capacity a power of two. [receipt_epoch] is the epoch of the last
+   delivery ([-1]: no anchor), at [anchor.last_receipt]. [dup_credit]
+   counts outstanding Fault_duplicate copies: each licenses exactly one
+   deliver/drop on this link with no matching send. *)
+type link = {
+  edge : edge;
+  mutable times : float array;
+  mutable epochs : int array;
+  mutable head : int;
+  mutable len : int;
+  mutable receipt_epoch : int;
   mutable dup_credit : int;
-      (* outstanding Fault_duplicate copies: each licenses exactly one
-         deliver/drop on this link with no matching send *)
+  anchor : anchor;
 }
 
+(* Node u's links, sorted by peer: [peers.(u)] and [links.(u)] are
+   parallel, with [degree.(u)] live entries. Both directions of an edge
+   are created together, so one lookup yields the link and its edge. *)
 type state = {
   cfg : config;
-  edges : (int * int, edge_state) Hashtbl.t;
-  links : (int * int, link_state) Hashtbl.t;
+  peers : int array array;
+  links : link array array;
+  degree : int array;
   mutable violations : Report.violation list;  (* newest first *)
   mutable audited : int;
 }
@@ -80,74 +90,148 @@ let violation st ~time rule detail = st.violations <- { Report.time; rule; detai
 
 let violationf st ~time rule fmt = Printf.ksprintf (violation st ~time rule) fmt
 
-let edge_state st u v =
-  let k = Dsim.Dyngraph.normalize u v in
-  match Hashtbl.find_opt st.edges k with
-  | Some e -> e
-  | None ->
-    let e = { e_lo = fst k; e_hi = snd k; present = false; epoch = 0; obligations = [] } in
-    Hashtbl.add st.edges k e;
-    e
+(* Index of [k] in the first [len] slots of sorted [keys], or [lnot] of
+   its insertion point. *)
+let bfind (keys : int array) len k =
+  let lo = ref 0 and hi = ref len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if keys.(mid) < k then lo := mid + 1 else hi := mid
+  done;
+  if !lo < len && keys.(!lo) = k then !lo else lnot !lo
 
-let link_state st src dst =
-  match Hashtbl.find_opt st.links (src, dst) with
-  | Some l -> l
-  | None ->
-    let l =
-      { sends = Queue.create (); last_receipt = 0.; last_receipt_epoch = -1; dup_credit = 0 }
+let check_node st kind id =
+  if id < 0 || id >= st.cfg.nodes then
+    invalid_arg
+      (Printf.sprintf "Conformance.step: %s record names node %d outside [0, %d)"
+         (Trace.kind_to_string kind) id st.cfg.nodes)
+
+let new_link edge =
+  {
+    edge;
+    times = [||];
+    epochs = [||];
+    head = 0;
+    len = 0;
+    receipt_epoch = -1;
+    dup_credit = 0;
+    anchor = { last_receipt = 0. };
+  }
+
+let insert_link st u ~at v l =
+  let d = st.degree.(u) in
+  if d = Array.length st.peers.(u) then begin
+    let cap = max 2 (2 * d) in
+    let ps = Array.make cap 0 and ls = Array.make cap l in
+    Array.blit st.peers.(u) 0 ps 0 d;
+    Array.blit st.links.(u) 0 ls 0 d;
+    st.peers.(u) <- ps;
+    st.links.(u) <- ls
+  end;
+  let ps = st.peers.(u) and ls = st.links.(u) in
+  Array.blit ps at ps (at + 1) (d - at);
+  Array.blit ls at ls (at + 1) (d - at);
+  ps.(at) <- v;
+  ls.(at) <- l;
+  st.degree.(u) <- d + 1
+
+(* The link [src -> dst], created with its reverse and their edge on
+   first sight. [kind] names the record in the out-of-range error. *)
+let link st kind src dst =
+  check_node st kind src;
+  check_node st kind dst;
+  let i = bfind st.peers.(src) st.degree.(src) dst in
+  if i >= 0 then st.links.(src).(i)
+  else begin
+    let edge =
+      {
+        present = false;
+        epoch = 0;
+        lo_seen = false;
+        hi_seen = false;
+        change = { at = 0.; deadline = 0. };
+      }
     in
-    Hashtbl.add st.links (src, dst) l;
+    let l = new_link edge in
+    insert_link st src ~at:(lnot i) dst l;
+    if dst <> src then begin
+      let j = bfind st.peers.(dst) st.degree.(dst) src in
+      insert_link st dst ~at:(lnot j) src (new_link edge)
+    end;
     l
+  end
 
-(* Remove and return the oldest queued send of the given epoch, keeping
-   older sends of other (dead) epochs in place: they are awaiting their
-   own Drop_in_flight. *)
-let take_send link epoch =
-  let keep = Queue.create () in
-  let found = ref None in
-  Queue.iter
-    (fun s ->
-      if !found = None && s.s_epoch = epoch then found := Some s else Queue.add s keep)
-    link.sends;
-  Queue.clear link.sends;
-  Queue.transfer keep link.sends;
+let push_send l time epoch =
+  let cap = Array.length l.times in
+  if l.len = cap then begin
+    let cap' = max 4 (2 * cap) in
+    let ts = Array.make cap' 0. and es = Array.make cap' 0 in
+    for k = 0 to l.len - 1 do
+      let s = (l.head + k) land (cap - 1) in
+      ts.(k) <- l.times.(s);
+      es.(k) <- l.epochs.(s)
+    done;
+    l.times <- ts;
+    l.epochs <- es;
+    l.head <- 0
+  end;
+  let s = (l.head + l.len) land (Array.length l.times - 1) in
+  l.times.(s) <- time;
+  l.epochs.(s) <- epoch;
+  l.len <- l.len + 1
+
+(* Ring slot of the oldest pending send of [epoch], or -1. Older sends
+   of other (dead) epochs stay in place: they await their own
+   Drop_in_flight. *)
+let find_send l epoch =
+  let mask = Array.length l.times - 1 in
+  let k = ref 0 and found = ref (-1) in
+  while !found < 0 && !k < l.len do
+    let s = (l.head + !k) land mask in
+    if l.epochs.(s) = epoch then found := s else incr k
+  done;
   !found
 
-(* A take_send miss is licensed when the link holds a duplication credit:
-   the engine traced a Fault_duplicate at send time, so exactly one extra
-   delivery (or drop, if the copy outlives its edge or receiver) will
-   arrive with its send already consumed by the original. *)
-let consume_dup link =
-  if link.dup_credit > 0 then begin
-    link.dup_credit <- link.dup_credit - 1;
+(* Remove the send in slot [s]: the sends ahead of it move up one slot,
+   so the head's pop is O(1) and the rest keep their order. *)
+let remove_send l s =
+  let mask = Array.length l.times - 1 in
+  let s = ref s in
+  while !s <> l.head do
+    let prev = (!s - 1) land mask in
+    l.times.(!s) <- l.times.(prev);
+    l.epochs.(!s) <- l.epochs.(prev);
+    s := prev
+  done;
+  l.head <- (l.head + 1) land mask;
+  l.len <- l.len - 1
+
+(* A find_send miss is licensed when the link holds a duplication
+   credit: the engine traced a Fault_duplicate at send time, so exactly
+   one extra delivery (or drop, if the copy outlives its edge or
+   receiver) will arrive with its send already consumed by the original. *)
+let consume_dup l =
+  if l.dup_credit > 0 then begin
+    l.dup_credit <- l.dup_credit - 1;
     true
   end
   else false
 
-let on_edge_change st ~time ~add u v =
-  let e = edge_state st u v in
+let on_edge_change st ~time ~add kind u v =
+  let e = (link st kind u v).edge in
   if add && e.present then
     violationf st ~time "edge-double-add" "{%d,%d} added while present" u v;
   if (not add) && not e.present then
     violationf st ~time "edge-double-remove" "{%d,%d} removed while absent" u v;
   e.present <- add;
   e.epoch <- e.epoch + 1;
-  (* A newer change supersedes every outstanding obligation: the old
-     change became transient and "may or may not" be discovered. *)
-  e.obligations <-
-    [
-      {
-        o_epoch = e.epoch;
-        o_time = time;
-        o_deadline = time +. st.cfg.discovery_bound;
-        o_add = add;
-        o_lo_seen = false;
-        o_hi_seen = false;
-      };
-    ]
+  e.change.at <- time;
+  e.change.deadline <- time +. st.cfg.discovery_bound;
+  e.lo_seen <- false;
+  e.hi_seen <- false
 
-let on_discover st ~time ~add node peer epoch =
-  let e = edge_state st node peer in
+let on_discover st ~time ~add kind node peer epoch =
+  let e = (link st kind node peer).edge in
   if epoch < 0 then begin
     (* Absence (re-)notification from a failed send: legal only while
        the edge is really absent. *)
@@ -158,31 +242,30 @@ let on_discover st ~time ~add node peer epoch =
       violationf st ~time "absence-notify-present" "%d told {%d,%d} absent but it exists"
         node node peer
   end
+  else if e.epoch = 0 || epoch <> e.epoch then
+    violationf st ~time "unsolicited-discovery"
+      "%d discovered {%d,%d} epoch %d with no outstanding change" node node peer epoch
   else begin
-    match List.find_opt (fun o -> o.o_epoch = epoch) e.obligations with
-    | None ->
-      violationf st ~time "unsolicited-discovery"
-        "%d discovered {%d,%d} epoch %d with no outstanding change" node node peer epoch
-    | Some o ->
-      if o.o_add <> add then
-        violationf st ~time "discovery-kind-mismatch"
-          "{%d,%d} epoch %d changed to %s but discovered as %s" node peer epoch
-          (if o.o_add then "present" else "absent")
-          (if add then "present" else "absent");
-      if
-        time > o.o_deadline +. slack time
-        (* A restart re-discovery replays the current neighborhood with
-           the lag measured from the restart, not from the change. *)
-        && not (Dsim.Fault.restarted_in st.cfg.faults ~node o.o_time time)
-      then
-        violationf st ~time "late-discovery"
-          "%d discovered {%d,%d} epoch %d at %.9g, deadline %.9g" node node peer epoch time
-          o.o_deadline;
-      if node = e.e_lo then o.o_lo_seen <- true else o.o_hi_seen <- true
+    if e.present <> add then
+      violationf st ~time "discovery-kind-mismatch"
+        "{%d,%d} epoch %d changed to %s but discovered as %s" node peer epoch
+        (if e.present then "present" else "absent")
+        (if add then "present" else "absent");
+    if
+      time > e.change.deadline +. slack time
+      (* A restart re-discovery replays the current neighborhood with
+         the lag measured from the restart, not from the change. *)
+      && not (Dsim.Fault.restarted_in st.cfg.faults ~node e.change.at time)
+    then
+      violationf st ~time "late-discovery"
+        "%d discovered {%d,%d} epoch %d at %.9g, deadline %.9g" node node peer epoch time
+        e.change.deadline;
+    if node <= peer then e.lo_seen <- true else e.hi_seen <- true
   end
 
 let on_send st ~time src dst epoch =
-  let e = edge_state st src dst in
+  let l = link st Trace.Send src dst in
+  let e = l.edge in
   if epoch < 0 then begin
     if e.present then
       violationf st ~time "send-misclassified-absent" "%d->%d dropped but {%d,%d} exists"
@@ -195,11 +278,12 @@ let on_send st ~time src dst epoch =
     else if e.epoch <> epoch then
       violationf st ~time "send-epoch-mismatch" "%d->%d sent on epoch %d, edge at %d" src
         dst epoch e.epoch;
-    Queue.add { s_time = time; s_epoch = epoch } (link_state st src dst).sends
+    push_send l time epoch
   end
 
 let on_deliver st ~time src dst epoch =
-  let e = edge_state st src dst in
+  let l = link st Trace.Deliver src dst in
+  let e = l.edge in
   if not e.present then
     violationf st ~time "deliver-on-absent-edge" "%d->%d delivered but {%d,%d} is absent"
       src dst src dst
@@ -208,26 +292,28 @@ let on_deliver st ~time src dst epoch =
       "%d->%d delivered on epoch %d but edge is at epoch %d (in-flight messages of a \
        changed edge must be dropped)"
       src dst epoch e.epoch;
-  let link = link_state st src dst in
-  (match take_send link epoch with
-  | None ->
-    if not (consume_dup link) then
+  let s = find_send l epoch in
+  if s < 0 then begin
+    if not (consume_dup l) then
       violationf st ~time "deliver-without-send"
         "%d->%d delivery on epoch %d has no outstanding send (out-of-order or phantom)" src
         dst epoch
-  | Some s ->
-    let delay = time -. s.s_time in
+  end
+  else begin
+    let delay = time -. l.times.(s) in
+    remove_send l s;
     if delay > st.cfg.delay_bound +. slack time then
       violationf st ~time "delay-exceeds-T" "%d->%d delay %.9g > T=%.9g" src dst delay
         st.cfg.delay_bound;
     if delay < -.slack time then
       violationf st ~time "deliver-before-send" "%d->%d delivered %.9g before its send" src
-        dst (-.delay));
-  if st.cfg.check_gaps && link.last_receipt_epoch = epoch then begin
-    let gap = time -. link.last_receipt in
+        dst (-.delay)
+  end;
+  if st.cfg.check_gaps && l.receipt_epoch = epoch then begin
+    let gap = time -. l.anchor.last_receipt in
     if
       gap > st.cfg.delta_t +. slack time
-      && not (sender_outage st.cfg ~src link.last_receipt time)
+      && not (sender_outage st.cfg ~src l.anchor.last_receipt time)
     then
       violationf st ~time "receipt-gap-exceeds-dT"
         "%d->%d silent for %.9g on an unchanged link, bound dT=%.9g" src dst gap
@@ -235,8 +321,8 @@ let on_deliver st ~time src dst epoch =
   end;
   (* The anchor also dates the arming of dst's lost(src) timer, so keep
      it current even when gap checking is off. *)
-  link.last_receipt <- time;
-  link.last_receipt_epoch <- epoch
+  l.anchor.last_receipt <- time;
+  l.receipt_epoch <- epoch
 
 (* [label] is {!Gcs.Proto.timer_label}'s encoding (-1 means the trace
    predates timer labels). Every receipt from v re-arms lost(v) for
@@ -247,10 +333,12 @@ let on_timer_fire st ~time node label =
   if label >= 0 then
     match Gcs.Proto.timer_of_label label with
     | Tick -> ()
-    | Lost v -> (
-      match Hashtbl.find_opt st.links (v, node) with
-      | Some link when link.last_receipt_epoch >= 0 ->
-        let gap = time -. link.last_receipt in
+    | Lost v ->
+      check_node st Trace.Timer_fire v;
+      check_node st Trace.Timer_fire node;
+      let i = bfind st.peers.(v) st.degree.(v) node in
+      if i >= 0 && st.links.(v).(i).receipt_epoch >= 0 then begin
+        let gap = time -. st.links.(v).(i).anchor.last_receipt in
         (* gap = 0 is the same-instant race: a delivery processed at the
            fire's own timestamp updated the anchor, but the fire was armed
            by the receipt *before* it — not premature. Only a strictly
@@ -259,99 +347,106 @@ let on_timer_fire st ~time node label =
           violationf st ~time "premature-lost-timer"
             "%d's lost(%d) fired %.9g after the last receipt, minimum gap %.9g" node v
             gap st.cfg.min_lost_gap
-      | _ -> ())
+      end
 
 let on_drop_in_flight st ~time src dst epoch =
-  let e = edge_state st src dst in
+  let l = link st Trace.Drop_in_flight src dst in
+  let e = l.edge in
   if e.present && e.epoch = epoch then
     violationf st ~time "drop-live-message"
       "%d->%d epoch-%d message dropped though the edge never changed" src dst epoch;
-  let link = link_state st src dst in
-  (match take_send link epoch with
-  | Some _ -> ()
-  | None ->
-    if not (consume_dup link) then
-      violationf st ~time "drop-without-send"
-        "%d->%d in-flight drop with no outstanding send" src dst)
+  let s = find_send l epoch in
+  if s >= 0 then remove_send l s
+  else if not (consume_dup l) then
+    violationf st ~time "drop-without-send"
+      "%d->%d in-flight drop with no outstanding send" src dst
 
 let on_drop_lossy st ~time src dst epoch =
-  let link = link_state st src dst in
-  (match take_send link epoch with
-  | Some _ -> ()
-  | None ->
-    if not (consume_dup link) then
-      violationf st ~time "drop-without-send" "%d->%d lossy drop with no outstanding send"
-        src dst);
+  let l = link st Trace.Drop_lossy src dst in
+  let s = find_send l epoch in
+  if s >= 0 then remove_send l s
+  else if not (consume_dup l) then
+    violationf st ~time "drop-without-send" "%d->%d lossy drop with no outstanding send"
+      src dst;
   (* Loss breaks the receipt cadence through no fault of the engine:
      reset the gap anchor rather than report a phantom silence. *)
-  link.last_receipt_epoch <- -1
+  l.receipt_epoch <- -1
 
-let finish st =
+(* End-of-run checks, in a fixed order: every link in (src, dst) order
+   (its undelivered sends oldest first, then its final receipt gap),
+   then every edge in (lo, hi) order (its missed discovery). *)
+let end_of_run st =
   let horizon = st.cfg.horizon in
-  (* Undelivered messages whose delivery window closed before the end of
-     the run, on an edge that never changed under them. *)
-  Hashtbl.iter
-    (fun (src, dst) link ->
-      let e = edge_state st src dst in
-      Queue.iter
-        (fun s ->
-          if
-            e.present && e.epoch = s.s_epoch
-            && s.s_time +. st.cfg.delay_bound < horizon -. slack horizon
-          then
-            violationf st ~time:horizon "undelivered-within-T"
-              "%d->%d send at %.9g neither delivered nor dropped by %.9g" src dst s.s_time
-              (s.s_time +. st.cfg.delay_bound))
-        link.sends;
-      if st.cfg.check_gaps && link.last_receipt_epoch >= 0 then begin
-        let e = edge_state st src dst in
-        if e.present && e.epoch = link.last_receipt_epoch then begin
-          let gap = horizon -. link.last_receipt in
-          if
-            gap > st.cfg.delta_t +. slack horizon
-            && not (sender_outage st.cfg ~src link.last_receipt horizon)
-          then
-            violationf st ~time:horizon "receipt-gap-exceeds-dT"
-              "%d->%d silent for the last %.9g of the run, bound dT=%.9g" src dst gap
-              st.cfg.delta_t
-        end
-      end)
-    st.links;
+  let n = st.cfg.nodes in
+  for src = 0 to n - 1 do
+    for i = 0 to st.degree.(src) - 1 do
+      let dst = st.peers.(src).(i) and l = st.links.(src).(i) in
+      let e = l.edge in
+      (* Undelivered messages whose delivery window closed before the
+         end of the run, on an edge that never changed under them. *)
+      for k = 0 to l.len - 1 do
+        let s = (l.head + k) land (Array.length l.times - 1) in
+        let s_time = l.times.(s) in
+        if
+          e.present && e.epoch = l.epochs.(s)
+          && s_time +. st.cfg.delay_bound < horizon -. slack horizon
+        then
+          violationf st ~time:horizon "undelivered-within-T"
+            "%d->%d send at %.9g neither delivered nor dropped by %.9g" src dst s_time
+            (s_time +. st.cfg.delay_bound)
+      done;
+      if
+        st.cfg.check_gaps && l.receipt_epoch >= 0 && e.present
+        && e.epoch = l.receipt_epoch
+      then begin
+        let gap = horizon -. l.anchor.last_receipt in
+        if
+          gap > st.cfg.delta_t +. slack horizon
+          && not (sender_outage st.cfg ~src l.anchor.last_receipt horizon)
+        then
+          violationf st ~time:horizon "receipt-gap-exceeds-dT"
+            "%d->%d silent for the last %.9g of the run, bound dT=%.9g" src dst gap
+            st.cfg.delta_t
+      end
+    done
+  done;
   (* Discovery obligations whose deadline passed unmet. An endpoint that
      was dead at any point of the obligation window is excused: crashed
      nodes observe nothing, and what they missed is replayed (for edges
      still present) by the restart re-discovery instead. *)
-  Hashtbl.iter
-    (fun _ e ->
-      List.iter
-        (fun o ->
-          let excused node =
-            Dsim.Fault.dead_during st.cfg.faults ~node o.o_time o.o_deadline
-          in
-          let lo_missing = (not o.o_lo_seen) && not (excused e.e_lo) in
-          let hi_missing = (not o.o_hi_seen) && not (excused e.e_hi) in
-          if o.o_deadline < horizon -. slack horizon && (lo_missing || hi_missing) then
-            violationf st ~time:o.o_deadline "missed-discovery"
-              "{%d,%d} change at %.9g (epoch %d) undiscovered by %s by deadline %.9g"
-              e.e_lo e.e_hi o.o_time o.o_epoch
-              (match (lo_missing, hi_missing) with
-              | true, true -> "both endpoints"
-              | true, false -> Printf.sprintf "node %d" e.e_lo
-              | false, true -> Printf.sprintf "node %d" e.e_hi
-              | false, false -> assert false)
-              o.o_deadline)
-        e.obligations)
-    st.edges
+  for lo = 0 to n - 1 do
+    for i = 0 to st.degree.(lo) - 1 do
+      let hi = st.peers.(lo).(i) and e = st.links.(lo).(i).edge in
+      if lo <= hi && e.epoch > 0 then begin
+        let { at; deadline } = e.change in
+        let excused node = Dsim.Fault.dead_during st.cfg.faults ~node at deadline in
+        let lo_missing = (not e.lo_seen) && not (excused lo) in
+        let hi_missing = (not e.hi_seen) && not (excused hi) in
+        if deadline < horizon -. slack horizon && (lo_missing || hi_missing) then
+          violationf st ~time:deadline "missed-discovery"
+            "{%d,%d} change at %.9g (epoch %d) undiscovered by %s by deadline %.9g" lo hi
+            at e.epoch
+            (match (lo_missing, hi_missing) with
+            | true, true -> "both endpoints"
+            | true, false -> Printf.sprintf "node %d" lo
+            | false, true -> Printf.sprintf "node %d" hi
+            | false, false -> assert false)
+            deadline
+      end
+    done
+  done
 
 (* ---- Incremental API: the explorer feeds entries one at a time as the
    engine produces them; [audit] below is the offline replay built on the
    same three calls, so the two can never drift apart. ---- *)
 
 let create cfg =
+  let n = cfg.nodes in
   {
     cfg;
-    edges = Hashtbl.create 64;
-    links = Hashtbl.create 64;
+    peers = Array.make n [||];
+    links = Array.make n [||];
+    degree = Array.make n 0;
     violations = [];
     audited = 0;
   }
@@ -362,21 +457,20 @@ let step st { Trace.time; kind; a; b; c } =
   | Trace.Send -> on_send st ~time a b c
   | Trace.Deliver -> on_deliver st ~time a b c
   | Trace.Drop_no_edge ->
-    let e = edge_state st a b in
-    if e.present then
+    if (link st kind a b).edge.present then
       violationf st ~time "drop-no-edge-but-present" "%d->%d dropped as edgeless but {%d,%d} exists" a b a b
   | Trace.Drop_in_flight -> on_drop_in_flight st ~time a b c
   | Trace.Drop_lossy -> on_drop_lossy st ~time a b c
-  | Trace.Edge_add -> on_edge_change st ~time ~add:true a b
-  | Trace.Edge_remove -> on_edge_change st ~time ~add:false a b
-  | Trace.Discover_add -> on_discover st ~time ~add:true a b c
-  | Trace.Discover_remove -> on_discover st ~time ~add:false a b c
+  | Trace.Edge_add -> on_edge_change st ~time ~add:true kind a b
+  | Trace.Edge_remove -> on_edge_change st ~time ~add:false kind a b
+  | Trace.Discover_add -> on_discover st ~time ~add:true kind a b c
+  | Trace.Discover_remove -> on_discover st ~time ~add:false kind a b c
   | Trace.Timer_fire -> on_timer_fire st ~time a b
   | Trace.Fault_duplicate ->
     (* Recorded at send time: licenses one extra sendless deliver or
        drop on this directed link, whenever the copy lands. *)
-    let link = link_state st a b in
-    link.dup_credit <- link.dup_credit + 1
+    let l = link st kind a b in
+    l.dup_credit <- l.dup_credit + 1
   | Trace.Fault_crash | Trace.Fault_restart | Trace.Fault_corrupt
   | Trace.Fault_byzantine_msg ->
     (* Informational: excusals key off the schedule in the config. *)
@@ -390,7 +484,7 @@ let step st { Trace.time; kind; a; b; c } =
 let violation_count st = List.length st.violations
 
 let finish st =
-  finish st;
+  end_of_run st;
   {
     Report.violations = List.rev st.violations;
     events_audited = st.audited;

@@ -45,6 +45,8 @@
     {!step} to [Dsim.Trace.create ~on_entry] before the engine exists. *)
 
 type config = {
+  nodes : int;
+      (** n, from [params.n]: every node id a record names lies in [[0, n)] *)
   delay_bound : float;  (** T *)
   discovery_bound : float;  (** D *)
   delta_t : float;  (** ΔT, the max gap between receipts on a live link *)
@@ -62,7 +64,7 @@ val of_params :
   ?faults:Dsim.Fault.schedule ->
   unit ->
   config
-(** [check_gaps] defaults to [true]; disable it for executions whose
+(** [nodes] is [params.n]. [check_gaps] defaults to [true]; disable it for executions whose
     algorithm does not broadcast every [ΔH] or whose delay policy drops
     messages beyond what the trace records. [faults] defaults to none;
     it must match the schedule the traced execution was run with. *)
@@ -80,18 +82,31 @@ val audit : config -> Dsim.Trace.entry list -> Report.t
     on top of it, so the two can never diverge. *)
 
 type state
-(** In-progress audit: the reconstructed edge set, per-link send queues
-    and the violations found so far. *)
+(** In-progress audit: the reconstructed edge set, the pending sends of
+    each directed link and the violations found so far. Each node keeps
+    its links sorted by peer id; both directions of an edge are created
+    together and share the edge's state, so a record costs one lookup.
+    An edge carries its current epoch, presence and the one discovery
+    obligation its newest change opened. A link holds its pending sends
+    as one ring of (time, epoch) columns in send order, plus its
+    receipt-gap anchor and duplication credits. Steps allocate only
+    when a link or a ring is first created or grows, and when they
+    report a violation. *)
 
 val create : config -> state
 
 val step : state -> Dsim.Trace.entry -> unit
-(** Feed the next entry. Entries must arrive in recorded (time) order. *)
+(** Feed the next entry. Entries must arrive in recorded (time) order.
+    Raises [Invalid_argument], naming the record's kind, when the entry
+    names a node outside [[0, nodes)]. *)
 
 val finish : state -> Report.t
-(** Run the end-of-execution checks (undelivered sends, final receipt
-    gaps, unmet discovery obligations) and return the full report. Call
-    at most once; the state must not be stepped afterwards. *)
+(** Run the end-of-execution checks and return the full report. Call at
+    most once; the state must not be stepped afterwards. The end-of-run
+    violations follow the step-time ones in a fixed order: first each
+    directed link in [(src, dst)] order, with its [undelivered-within-T]
+    sends oldest first and then its final [receipt-gap-exceeds-dT]; then
+    each edge in [(lo, hi)] order with its [missed-discovery]. *)
 
 val violation_count : state -> int
 (** Violations found so far, {e not} counting end-of-run checks — cheap

@@ -146,7 +146,7 @@ let build_topology s =
   | 2 -> Topology.Static.binary_tree s.n
   | _ -> Topology.Static.erdos_renyi (Dsim.Prng.of_int s.seed) ~n:s.n ~p:0.5
 
-let run s =
+let execute ?log_limit s =
   let params = Gcs.Params.make ~n:s.n () in
   let edges = build_topology s in
   let drift =
@@ -173,7 +173,7 @@ let run s =
   let conformance =
     Conformance.create (Conformance.of_params params ~horizon:s.horizon ~faults:s.faults ())
   in
-  let trace = Dsim.Trace.create ~on_entry:(Conformance.step conformance) () in
+  let trace = Dsim.Trace.create ?log_limit ~on_entry:(Conformance.step conformance) () in
   let cfg =
     Gcs.Sim.config ~algo ~params ~clocks ~delay ~trace ~initial_edges:edges
       ~faults:s.faults ~fault_seed:(s.seed + 4) ()
@@ -194,6 +194,11 @@ let run s =
          (Dsim.Prng.of_int (s.seed + 2))
          ~n:s.n ~base:edges ~rate:0.3 ~horizon:s.horizon);
   Gcs.Sim.run_until sim s.horizon;
-  Report.merge
-    (Conformance.finish conformance)
-    (Report.merge (Guarantees.report guarantees) (Report.of_validity invariants))
+  ( Report.merge
+      (Conformance.finish conformance)
+      (Report.merge (Guarantees.report guarantees) (Report.of_validity invariants)),
+    trace )
+
+let run s = fst (execute s)
+
+let record s = Dsim.Trace.entries (snd (execute ~log_limit:max_int s))

@@ -72,3 +72,7 @@ val run : t -> Report.t
     when the scenario carries a schedule (the simulation uses fault seed
     [seed + 4]). The local-skew envelope is only asserted for the
     gradient algorithm. *)
+
+val record : t -> Dsim.Trace.entry list
+(** The trace {!run} audits, every entry in recorded order: the input
+    of the auditor's differential test against its predecessor. *)

@@ -347,6 +347,168 @@ let test_real_engine_is_conformant () =
     Alcotest.(check bool) "guarantees were actually probed" true
       (report.Report.probes > 10)
 
+(* ------------------- end-of-run order and node ids ------------------ *)
+
+(* Three edges added out of id order, none discovered, each with one send
+   that never lands: the end-of-run violations come in link order, then
+   edge order, whatever order the trace touched them in. *)
+let test_end_of_run_order () =
+  let trace =
+    [
+      e 0. Trace.Edge_add ~a:3 ~b:2;
+      e 0. Trace.Edge_add ~a:1 ~b:0;
+      e 0. Trace.Edge_add ~a:1 ~b:2;
+      e 0.5 Trace.Send ~a:2 ~b:3 ~c:1;
+      e 0.5 Trace.Send ~a:1 ~b:0 ~c:1;
+      e 0.5 Trace.Send ~a:0 ~b:1 ~c:1;
+    ]
+  in
+  let report = Conformance.audit (cfg ~check_gaps:false 4.0) trace in
+  Alcotest.(check (list (pair string string)))
+    "link order, then edge order"
+    [
+      ("undelivered-within-T", "0->1");
+      ("undelivered-within-T", "1->0");
+      ("undelivered-within-T", "2->3");
+      ("missed-discovery", "{0,1}");
+      ("missed-discovery", "{1,2}");
+      ("missed-discovery", "{2,3}");
+    ]
+    (List.map
+       (fun v -> (v.Report.rule, List.hd (String.split_on_char ' ' v.Report.detail)))
+       report.Report.violations)
+
+let test_node_out_of_range () =
+  Alcotest.check_raises "deliver to node n"
+    (Invalid_argument "Conformance.step: deliver record names node 4 outside [0, 4)")
+    (fun () -> ignore (Conformance.audit (cfg 2.0) [ e 1. Trace.Deliver ~a:0 ~b:4 ~c:1 ]));
+  Alcotest.check_raises "edge at a negative id"
+    (Invalid_argument "Conformance.step: edge-add record names node -1 outside [0, 4)")
+    (fun () -> ignore (Conformance.audit (cfg 2.0) [ e 0. Trace.Edge_add ~a:2 ]))
+
+(* ---------------- differential: against the predecessor ---------------- *)
+
+(* The auditor against its tuple-keyed Hashtbl/Queue predecessor, kept
+   verbatim in test/oracle: on traces recorded from small fuzzer
+   scenarios (faulted ones included) and on mutations of them, both must
+   report the same violations and audit the same number of entries. *)
+type mutation =
+  | Drop of int
+  | Duplicate of int
+  | Swap of int  (* with the next entry *)
+  | Bump_epoch of int
+  | Late_delivery of int
+  | Remove_under_send of int
+
+let pp_mutation = function
+  | Drop i -> Printf.sprintf "drop %d" i
+  | Duplicate i -> Printf.sprintf "duplicate %d" i
+  | Swap i -> Printf.sprintf "swap %d" i
+  | Bump_epoch i -> Printf.sprintf "bump-epoch %d" i
+  | Late_delivery i -> Printf.sprintf "late-delivery %d" i
+  | Remove_under_send i -> Printf.sprintf "remove-under-send %d" i
+
+let carries_epoch (x : Trace.entry) =
+  match x.kind with
+  | Trace.Send | Trace.Deliver | Trace.Drop_in_flight | Trace.Drop_lossy
+  | Trace.Discover_add | Trace.Discover_remove ->
+    true
+  | _ -> false
+
+let is_send (x : Trace.entry) = x.kind = Trace.Send && x.c >= 0
+
+(* The first entry at or after [i] (wrapping) that [ok] accepts. *)
+let pick entries i ok =
+  let n = Array.length entries in
+  let rec go k =
+    if k = n then None
+    else
+      let j = (i + k) mod n in
+      if ok entries.(j) then Some j else go (k + 1)
+  in
+  go 0
+
+let mutate entries m =
+  let n = Array.length entries in
+  let splice j xs =
+    Array.concat
+      [ Array.sub entries 0 j; Array.of_list xs; Array.sub entries (j + 1) (n - j - 1) ]
+  in
+  let replace j x = splice j [ x ] in
+  match m with
+  | _ when n < 2 -> entries
+  | Drop i -> splice (i mod n) []
+  | Duplicate i -> splice (i mod n) [ entries.(i mod n); entries.(i mod n) ]
+  | Swap i ->
+    let j = i mod (n - 1) in
+    let a = Array.copy entries in
+    a.(j) <- entries.(j + 1);
+    a.(j + 1) <- entries.(j);
+    a
+  | Bump_epoch i -> (
+    match pick entries (i mod n) carries_epoch with
+    | Some j -> replace j { (entries.(j)) with c = entries.(j).c + 1 }
+    | None -> entries)
+  | Late_delivery i -> (
+    match pick entries (i mod n) (fun x -> x.kind = Trace.Deliver) with
+    | Some j -> replace j { (entries.(j)) with time = entries.(j).time +. t_bound +. 0.5 }
+    | None -> entries)
+  | Remove_under_send i -> (
+    match pick entries (i mod n) is_send with
+    | Some j ->
+      let s = entries.(j) in
+      splice j [ s; { s with kind = Trace.Edge_remove; c = -1 } ]
+    | None -> entries)
+
+let sorted_violations (r : Report.t) =
+  List.sort compare
+    (List.map (fun v -> (v.Report.time, v.Report.rule, v.Report.detail)) r.Report.violations)
+
+let gen_case =
+  QCheck.Gen.(
+    let mutation =
+      let* i = int_bound 1_000_000 in
+      oneofl
+        [ Drop i; Duplicate i; Swap i; Bump_epoch i; Late_delivery i; Remove_under_send i ]
+    in
+    pair (int_range 0 10_000) (list_size (int_range 0 3) mutation))
+
+(* Every other seed draws a fault schedule too. *)
+let scenario seed = Audit.Scenario.generate ~faults:(seed mod 2 = 0) (Dsim.Prng.of_int seed)
+
+let print_case (seed, ms) =
+  Printf.sprintf "%s | %s"
+    (Audit.Scenario.to_spec (scenario seed))
+    (String.concat "; " (List.map pp_mutation ms))
+
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"auditor matches its predecessor on mutated traces" ~count:50
+    (QCheck.make ~print:print_case gen_case)
+    (fun (seed, ms) ->
+      let s = scenario seed in
+      let entries =
+        Array.to_list
+          (List.fold_left mutate (Array.of_list (Audit.Scenario.record s)) ms)
+      in
+      let params = Gcs.Params.make ~n:s.Audit.Scenario.n () in
+      let faults = s.Audit.Scenario.faults and horizon = s.Audit.Scenario.horizon in
+      let got = Conformance.audit (Conformance.of_params params ~horizon ~faults ()) entries in
+      let want =
+        Conformance_oracle.audit
+          (Conformance_oracle.of_params params ~horizon ~faults ())
+          entries
+      in
+      if got.Report.events_audited <> want.Report.events_audited then
+        QCheck.Test.fail_reportf "audited %d entries, oracle %d" got.Report.events_audited
+          want.Report.events_audited;
+      let show vs =
+        String.concat "\n"
+          (List.map (fun (t, rule, detail) -> Printf.sprintf "  %.9g %s %s" t rule detail) vs)
+      in
+      let g = sorted_violations got and w = sorted_violations want in
+      if g <> w then QCheck.Test.fail_reportf "auditor:\n%s\noracle:\n%s" (show g) (show w);
+      true)
+
 let suite =
   [
     Alcotest.test_case "clean trace passes" `Quick test_clean_trace_passes;
@@ -370,4 +532,9 @@ let suite =
       test_broken_recovery_flagged;
     Alcotest.test_case "report merge and render" `Quick test_report_merge_and_render;
     Alcotest.test_case "real engine is conformant" `Quick test_real_engine_is_conformant;
+    Alcotest.test_case "end-of-run violations in link, then edge order" `Quick
+      test_end_of_run_order;
+    Alcotest.test_case "node id outside [0, n) named by record kind" `Quick
+      test_node_out_of_range;
+    QCheck_alcotest.to_alcotest prop_matches_oracle;
   ]

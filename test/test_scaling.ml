@@ -5,12 +5,12 @@
 
 let case name f = Alcotest.test_case name `Quick f
 
-let build_sim ?(n = 64) ?shards ~horizon () =
+let build_sim ?(n = 64) ?shards ?trace ~horizon () =
   let params = Gcs.Params.make ~n () in
   let edges = Topology.Static.path n in
   let clocks = Gcs.Drift.assign params ~horizon ~seed:1 Gcs.Drift.Split_extremes in
   let delay = Dsim.Delay.maximal ~bound:params.Gcs.Params.delay_bound in
-  let cfg = Gcs.Sim.config ?shards ~params ~clocks ~delay ~initial_edges:edges () in
+  let cfg = Gcs.Sim.config ?shards ?trace ~params ~clocks ~delay ~initial_edges:edges () in
   Gcs.Sim.create cfg
 
 (* Minor-heap budget with tracing off (counters only, the default).
@@ -44,6 +44,35 @@ let test_minor_words_budget () =
             n per_event limit events
       end)
     [ (64, 60., false); (1024, 17., true) ]
+
+(* The auditor's allocation per record, release only: a clean traced
+   n=1024 path run at horizon 60, logged first, then fed entry by entry
+   through [Conformance.step]. A step allocates only when a link or its
+   ring of pending sends is first built or grows: over 427,675 records it
+   reads 0.14 words per record, most of it link set-up. With tuple-keyed
+   Hashtbls, a Queue per link rebuilt on every delivery and a record per
+   send it read 12.13. The ceiling is 1.0. *)
+let test_audit_minor_words () =
+  if Profile.name = "release" then begin
+    let n = 1024 and horizon = 60. in
+    let trace = Dsim.Trace.create ~log_limit:max_int () in
+    let sim = build_sim ~n ~trace ~horizon () in
+    Gcs.Sim.run_until sim horizon;
+    let entries = Dsim.Trace.entries trace in
+    let st =
+      Audit.Conformance.create
+        (Audit.Conformance.of_params (Gcs.Sim.params sim) ~horizon ())
+    in
+    Gc.full_major ();
+    let m0 = Gc.minor_words () in
+    List.iter (Audit.Conformance.step st) entries;
+    let per_record = (Gc.minor_words () -. m0) /. float_of_int (List.length entries) in
+    Alcotest.(check bool) "audit clean" true
+      (Audit.Report.ok (Audit.Conformance.finish st));
+    if per_record > 1.0 then
+      Alcotest.failf "audit: minor words/record %.2f exceeds ceiling 1.0 (%d records)"
+        per_record (List.length entries)
+  end
 
 (* Promotion ceiling, release only: words promoted to the major heap per
    event on the path at n=4096. An event's garbage should die young; a
@@ -222,6 +251,7 @@ let test_wheel_relieves_heap () =
 let suite =
   [
     case "minor words/event within budget (trace off)" test_minor_words_budget;
+    case "audit minor words/record under ceiling (release)" test_audit_minor_words;
     case "promoted words/event under ceiling (release)" test_promoted_words_ceiling;
     case "ns/event under quadratic-regression ceiling" test_ns_per_event_ceiling;
     case "sim footprint grows O(n) from 16k to 64k" test_sim_footprint_linear;
