@@ -251,7 +251,6 @@ let test_wheel_relieves_heap () =
 let suite =
   [
     case "minor words/event within budget (trace off)" test_minor_words_budget;
-    case "audit minor words/record under ceiling (release)" test_audit_minor_words;
     case "promoted words/event under ceiling (release)" test_promoted_words_ceiling;
     case "ns/event under quadratic-regression ceiling" test_ns_per_event_ceiling;
     case "sim footprint grows O(n) from 16k to 64k" test_sim_footprint_linear;
@@ -260,4 +259,5 @@ let suite =
     case "timer state bounded under sustained traffic" test_bounded_timer_state;
     case "wheel keeps timers out of the event heap" test_wheel_relieves_heap;
     case "live words per node after set-up (release)" test_live_words_per_node;
+    case "audit minor words/record under ceiling (release)" test_audit_minor_words;
   ]
